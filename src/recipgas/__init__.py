@@ -2,7 +2,7 @@
 transformations of the two-dimensional stationary gas dynamics equations.
 
 Subpackages:
-    symkernel   exact rational expressions, parser, exact linear algebra
+    symkernel   exact rational expressions, parser, sparse exact row reduction
     gasdyn      the governing system, manifold reduction, conserved forms
     liealg      generators with form slots, commutators, automorphisms
     prolong     prolongation, determining equations, polynomial ansatz

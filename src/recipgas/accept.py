@@ -28,8 +28,7 @@ from .transforms import (bateman, bateman_simplified, compose,
                          mu_minus, one_param_bateman, one_param_exp,
                          one_param_linear, one_param_q13, pushforward,
                          pushforward_matrix, theorem_map, verify_reciprocal)
-
-DEFAULT_SEED = 20240801
+from .transforms.verify import DEFAULT_SEED
 
 APPENDIX_NINE = (
     "a44*a33-a43*a34-a33", "a54*a33-a53*a34-a43", "a54*a43-a53*a44-a53",

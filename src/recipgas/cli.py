@@ -27,8 +27,7 @@ from .symkernel.errors import SymkernelError
 from .transforms import (CATALOG_NAMES, catalog, lie_equation_check,
                          load_map, pushforward, pushforward_matrix,
                          verify_point_symmetry, verify_reciprocal)
-
-DEFAULT_SEED = 20240801
+from .transforms.verify import DEFAULT_SEED
 
 
 def _parse_value(ctx, text):
@@ -110,6 +109,13 @@ def cmd_verify_generator(args) -> int:
     return _emit_report(args, rep)
 
 
+def _catalog_map(ctx, name, params):
+    """The map of a catalog entry; a one-parameter family gives its
+    symbolic map."""
+    entry = catalog(ctx, name, **params)
+    return getattr(entry, "map_sym", entry)
+
+
 def _load_catalog_map(ctx, args):
     params = _params(ctx, args.param)
     if args.catalog == "bateman":
@@ -117,8 +123,7 @@ def _load_catalog_map(ctx, args):
             flag = getattr(args, nm, None)
             if flag is not None:
                 params[nm] = _parse_value(ctx, flag)
-    entry = catalog(ctx, args.catalog, **params)
-    return entry
+    return _catalog_map(ctx, args.catalog, params)
 
 
 def cmd_verify_map(args) -> int:
@@ -126,8 +131,7 @@ def cmd_verify_map(args) -> int:
     if args.file:
         T = load_map(ctx, args.file)
     else:
-        entry = _load_catalog_map(ctx, args)
-        T = entry.map_sym if hasattr(entry, "map_sym") else entry
+        T = _load_catalog_map(ctx, args)
     rep = verify_reciprocal(T, solve_for=args.reduction, seed=args.seed)
     return _emit_report(args, rep)
 
@@ -156,8 +160,7 @@ def cmd_solve_ansatz(args) -> int:
 
 def cmd_pushforward(args) -> int:
     ctx = standard_context()
-    entry = _load_catalog_map(ctx, args)
-    T = entry.map_sym if hasattr(entry, "map_sym") else entry
+    T = _load_catalog_map(ctx, args)
     x = standard_basis(ctx)
     rep = Report("pushforward under %s" % T.name)
     if args.generator:
@@ -229,13 +232,18 @@ ENTROPY_AWARE = {"bateman", "bateman_simplified", "theorem",
                  "one_param_linear", "mu_plus", "mu_minus"}
 
 
-def cmd_transform(args) -> int:
-    ctx = standard_context()
+def _flow_map(ctx, args):
+    """The map to transform a flow by; entries that take an entropy map
+    default to the identity one."""
     params = _params(ctx, args.param)
     if args.catalog in ENTROPY_AWARE:
         params.setdefault("entropy", "identity")
-    entry = catalog(ctx, args.catalog, **params)
-    T = entry.map_sym if hasattr(entry, "map_sym") else entry
+    return _catalog_map(ctx, args.catalog, params)
+
+
+def cmd_transform(args) -> int:
+    ctx = standard_context()
+    T = _flow_map(ctx, args)
     sol = make_solution(_flow(args), _flow_grid(args))
     out = transform_solution(sol, T)
     res = fd_residuals(out)
@@ -251,11 +259,7 @@ def cmd_transform(args) -> int:
 
 def cmd_closedness(args) -> int:
     ctx = standard_context()
-    params = _params(ctx, args.param)
-    if args.catalog in ENTROPY_AWARE:
-        params.setdefault("entropy", "identity")
-    entry = catalog(ctx, args.catalog, **params)
-    T = entry.map_sym if hasattr(entry, "map_sym") else entry
+    T = _flow_map(ctx, args)
     sol = make_solution(_flow(args), _flow_grid(args))
     val = loop_closedness(sol, T, unit_square_loop())
     rep = Report("loop closedness of %s on %s" % (args.catalog, args.flow))

@@ -36,6 +36,10 @@ class InvalidParams(SymkernelError):
     pass
 
 
+class ParamConstraintViolated(SymkernelError):
+    pass
+
+
 def standard_context() -> Context:
     """Fresh context with the coordinate/field/jet/parameter vocabulary."""
     ctx = Context()

@@ -21,13 +21,13 @@ X1, X2 central.  One-parameter flow formulas elsewhere in the package use
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 from .gasdyn import FIELDS
 from .symkernel import Context, Expr, parse
 from .symkernel.errors import SymkernelError, VariableMismatch
-from .symkernel.linalg import det3, nullspace, solve
+from .symkernel.linalg import (det3, nullspace, reduce_row, rref, solve,
+                               transpose)
 from .symkernel.poly import QQ, pconst, pprimitive, pleading_mono
 
 SLOT_NAMES = ("zr", "zu", "zv", "zp", "zs", "m11", "m12", "m21", "m22")
@@ -157,11 +157,6 @@ def generator_from_dict(ctx: Context, d: dict, label="") -> Generator:
         label=label or d.get("label", ""))
 
 
-def load_generator(ctx: Context, path) -> Generator:
-    with open(path) as fh:
-        return generator_from_dict(ctx, json.load(fh))
-
-
 @dataclass(frozen=True)
 class EquivalenceGenerator:
     """Point-transformation generator with coordinate slots and no forms."""
@@ -236,13 +231,6 @@ def standard_basis(ctx: Context) -> list:
     return [x1, x2, x3, x4, x5]
 
 
-def flow_generator(ctx: Context) -> Generator:
-    """2*X3: the infinitesimal generator whose flow is the one-parameter
-    pressure-inversion family; equals the displayed slots rho^2 q^2 d_rho +
-    p u d_u + p v d_v + p^2 d_p plus its form matrix."""
-    return standard_basis(ctx)[2].scale(2).with_label("2*X3")
-
-
 def x_h(ctx: Context, h: Expr | None = None) -> Generator:
     """Projective-scaling family h(S)*(-2 rho d_rho + u d_u + v d_v)."""
     if h is None:
@@ -268,79 +256,24 @@ def reciprocal_algebra(ctx: Context) -> "LieAlgebra":
 # --- exact span arithmetic ---------------------------------------------------
 
 
-def _vectorize(gens):
-    """Coefficient vectors over Q against the union of slot monomials."""
-    keys = []
-    keyindex = {}
-    vecs = []
-    for g in gens:
-        vec = {}
-        for snum, s in enumerate(g.slots()):
-            if not s.is_polynomial():
-                raise SymkernelError(
-                    "slot %s of %s is not polynomial" % (SLOT_NAMES[snum], g))
-            scale = s.den[pleading_mono(s.den)]  # constant
-            for mono, c in s.num.items():
-                kk = (snum, mono)
-                if kk not in keyindex:
-                    keyindex[kk] = len(keys)
-                    keys.append(kk)
-                vec[keyindex[kk]] = c / scale
-        vecs.append(vec)
-    return keys, vecs
+def _vectorize(g: Generator) -> dict:
+    """Coefficient vector over Q of a polynomial generator, keyed by
+    (slot number, monomial)."""
+    vec = {}
+    for snum, s in enumerate(g.slots()):
+        if not s.is_polynomial():
+            raise SymkernelError(
+                "slot %s of %s is not polynomial" % (SLOT_NAMES[snum], g))
+        scale = s.den[pleading_mono(s.den)]  # constant
+        for mono, c in s.num.items():
+            vec[(snum, mono)] = c / scale
+    return vec
 
 
 def membership(target: Generator, basis) -> list | None:
     """Exact rational coefficients of target over basis, or None."""
-    keys, vecs = _vectorize(list(basis) + [target])
-    tvec = vecs[-1]
-    bvecs = vecs[:-1]
-    rows = []
-    rhs = []
-    for ki in range(len(keys)):
-        rows.append([bv.get(ki, QQ(0)) for bv in bvecs])
-        rhs.append(tvec.get(ki, QQ(0)))
-    if not rows:
-        return [QQ(0)] * len(basis)
-    return solve(rows, rhs)
-
-
-def _rank_and_span(vecs, nkeys):
-    """Row-reduce sparse vectors; returns pivot rows for membership tests."""
-    pivots = {}
-    for v in vecs:
-        row = dict(v)
-        while row:
-            c = min(row)
-            if c in pivots:
-                f = row[c]
-                for cc, val in pivots[c].items():
-                    nv = row.get(cc, QQ(0)) - f * val
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
-            else:
-                pv = row[c]
-                pivots[c] = {cc: val / pv for cc, val in row.items()}
-                break
-    return pivots
-
-
-def _in_span(pivots, vec) -> bool:
-    row = dict(vec)
-    while row:
-        c = min(row)
-        if c not in pivots:
-            return False
-        f = row[c]
-        for cc, val in pivots[c].items():
-            nv = row.get(cc, QQ(0)) - f * val
-            if nv:
-                row[cc] = nv
-            else:
-                row.pop(cc, None)
-    return True
+    vecs = [_vectorize(g) for g in list(basis) + [target]]
+    return solve(transpose(vecs).values(), len(vecs) - 1, QQ(0))
 
 
 # --- functional matching -----------------------------------------------------
@@ -471,27 +404,23 @@ class LieAlgebra:
                         brackets.append(br)
         chosen = []
         if brackets:
-            keys, vecs = _vectorize(brackets + list(self.basis))
-            bvecs, basevecs = vecs[:len(brackets)], vecs[len(brackets):]
-            span = _rank_and_span(bvecs, len(keys))
-            target_rank = len(span)
+            bvecs = [_vectorize(br) for br in brackets]
+            basevecs = [_vectorize(g) for g in self.basis]
+            span = rref(bvecs)
+            # basis elements inside the span first, then raw brackets
+            candidates = [(g, bv) for k, (g, bv)
+                          in enumerate(zip(self.basis, basevecs))
+                          if k not in families_hit
+                          and not reduce_row(span, bv)]
+            candidates += [(br.with_label("[%s]" % br.label), bv)
+                           for br, bv in zip(brackets, bvecs)]
             picked_vecs = []
-            for k, (g, bv) in enumerate(zip(self.basis, basevecs)):
-                if k in families_hit:
-                    continue
-                if _in_span(span, bv):
-                    test = _rank_and_span(picked_vecs + [bv], len(keys))
-                    if len(test) > len(picked_vecs):
-                        chosen.append(g)
-                        picked_vecs.append(bv)
-            if len(picked_vecs) < target_rank:
-                # fill with raw brackets not already covered
-                cur = _rank_and_span(picked_vecs, len(keys))
-                for br, bv in zip(brackets, bvecs):
-                    if not _in_span(cur, bv):
-                        chosen.append(br.with_label("[%s]" % br.label))
-                        picked_vecs.append(bv)
-                        cur = _rank_and_span(picked_vecs, len(keys))
+            picked = {}
+            for g, bv in candidates:
+                if reduce_row(picked, bv):
+                    chosen.append(g)
+                    picked_vecs.append(bv)
+                    picked = rref(picked_vecs)
         for k in sorted(families_hit):
             chosen.append(self.basis[k])
         return LieAlgebra(chosen, name=self.name + "'")

@@ -13,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gasdyn import InvalidParams
 from .symkernel.errors import SymkernelError
 from .transforms.maps import ReciprocalMap, invert
-
-
-class InvalidParams(SymkernelError):
-    pass
 
 
 class GridTooSmall(SymkernelError):
@@ -241,55 +238,37 @@ def primed_coordinates(sol: GridSolution, T: ReciprocalMap,
     xs, ys = g.xs(), g.ys()
     ev.check_domain(xs, ys)
     nseg = max(2, quad_factor)
+    first = {"xy": 0, "yx": 1}.get(path)
+    if first is None:
+        raise ValueError("path must be 'xy' or 'yx'")
+    outer, inner = (xs, ys) if first == 0 else (ys, xs)
+
+    def step(axis, other, a, b):
+        """Increments of x' and y' from a to b along axis (0 = x, 1 = y),
+        the other coordinate held at other; dx' and dy' have coefficients
+        f[axis] and f[2 + axis] there."""
+        def at(t):
+            return ev.form_at(t, other) if axis == 0 else \
+                ev.form_at(other, t)
+        return (simpson_line(lambda t: at(t)[axis], a, b, nseg),
+                simpson_line(lambda t: at(t)[2 + axis], a, b, nseg))
+
+    # along the grid edge on the first axis, then across the second axis
     xp = np.zeros((g.nx, g.ny))
     yp = np.zeros((g.nx, g.ny))
-
-    def seg(fn, a, b):
-        return simpson_line(fn, a, b, nseg)
-
-    if path == "xy":
-        # along y = y0, accumulate in x; then up each column
-        accx = np.zeros(g.nx)
-        accy = np.zeros(g.nx)
-        for i in range(1, g.nx):
-            accx[i] = accx[i - 1] + seg(
-                lambda t: ev.form_at(t, ys[0])[0], xs[i - 1], xs[i])
-            accy[i] = accy[i - 1] + seg(
-                lambda t: ev.form_at(t, ys[0])[2], xs[i - 1], xs[i])
-        for i in range(g.nx):
-            xcol = accx[i]
-            ycol = accy[i]
-            xp[i, 0] = xcol
-            yp[i, 0] = ycol
-            for j in range(1, g.ny):
-                xcol += seg(lambda t: ev.form_at(xs[i], t)[1],
-                            ys[j - 1], ys[j])
-                ycol += seg(lambda t: ev.form_at(xs[i], t)[3],
-                            ys[j - 1], ys[j])
-                xp[i, j] = xcol
-                yp[i, j] = ycol
-    elif path == "yx":
-        accx = np.zeros(g.ny)
-        accy = np.zeros(g.ny)
-        for j in range(1, g.ny):
-            accx[j] = accx[j - 1] + seg(
-                lambda t: ev.form_at(xs[0], t)[1], ys[j - 1], ys[j])
-            accy[j] = accy[j - 1] + seg(
-                lambda t: ev.form_at(xs[0], t)[3], ys[j - 1], ys[j])
-        for j in range(g.ny):
-            xrow = accx[j]
-            yrow = accy[j]
-            xp[0, j] = xrow
-            yp[0, j] = yrow
-            for i in range(1, g.nx):
-                xrow += seg(lambda t: ev.form_at(t, ys[j])[0],
-                            xs[i - 1], xs[i])
-                yrow += seg(lambda t: ev.form_at(t, ys[j])[2],
-                            xs[i - 1], xs[i])
-                xp[i, j] = xrow
-                yp[i, j] = yrow
-    else:
-        raise ValueError("path must be 'xy' or 'yx'")
+    edge_x = edge_y = 0.0
+    for i in range(len(outer)):
+        if i:
+            dx, dy = step(first, inner[0], outer[i - 1], outer[i])
+            edge_x, edge_y = edge_x + dx, edge_y + dy
+        cur_x, cur_y = edge_x, edge_y
+        for j in range(len(inner)):
+            if j:
+                dx, dy = step(1 - first, outer[i], inner[j - 1], inner[j])
+                cur_x, cur_y = cur_x + dx, cur_y + dy
+            node = (i, j) if first == 0 else (j, i)
+            xp[node] = cur_x
+            yp[node] = cur_y
     return xp, yp
 
 

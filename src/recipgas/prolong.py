@@ -17,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gasdyn import (FIELDS, ConservationFormParams, OneForm,
-                     parametric_jets, reduce_on_manifold,
-                     system_residuals, total_derivative)
+                     ParamConstraintViolated, parametric_jets,
+                     reduce_on_manifold, system_residuals, total_derivative)
 from .liealg import EquivalenceGenerator, Generator, generator, standard_basis
 from .symkernel import Context, Expr
 from .symkernel.errors import SymkernelError
-from .symkernel.linalg import nullspace
+from .symkernel.linalg import nullspace, transpose
 from .symkernel.poly import QQ, pvars
 
 RESIDUAL_TAGS = ("mass", "momentum-x", "momentum-y", "entropy",
@@ -34,10 +34,6 @@ class NotPolynomialInJets(SymkernelError):
 
 
 class DegenerateDelta(SymkernelError):
-    pass
-
-
-class ParamConstraintViolated(SymkernelError):
     pass
 
 
@@ -267,11 +263,8 @@ def _clear_jets_vector(ds: DeterminingSystem, clear: Expr):
 
 
 def _nullspace_generators(ctx, candidates, vectors, build, reverify):
-    rows: dict = {}
-    for col, vec in enumerate(vectors):
-        for key, val in vec.items():
-            rows.setdefault(key, {})[col] = val
-    basis_vecs = nullspace(list(rows.values()), len(candidates), one=QQ(1))
+    basis_vecs = nullspace(list(transpose(vectors).values()), len(candidates),
+                           one=QQ(1))
     gens = []
     for bv in basis_vecs:
         g = build(bv)

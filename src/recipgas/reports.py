@@ -6,7 +6,6 @@ byte-identical output.  The JSON schema is versioned.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
@@ -73,5 +72,3 @@ class Report:
             "extras": {k: str(v) for k, v in sorted(self.extras.items())},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)

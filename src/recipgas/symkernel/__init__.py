@@ -1,4 +1,5 @@
-"""Exact symbolic kernel: expressions, parsing, exact linear algebra."""
+"""Exact symbolic kernel: expressions, parsing, sparse exact row
+reduction."""
 
 from .context import Context
 from .errors import (CyclicBinding, DivisionByZeroExpr, NotPolynomialInVars,

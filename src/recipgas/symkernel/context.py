@@ -72,9 +72,6 @@ class Context:
     def role(self, name: str) -> str:
         return self.info[name].role
 
-    def is_atom(self, idx: int) -> bool:
-        return idx in self.atoms
-
     def atom_slot(self, fname: str, orders: tuple, args: tuple) -> int:
         """Variable slot for a formal application, creating it if new."""
         key = (fname, orders, tuple(str(a) for a in args))

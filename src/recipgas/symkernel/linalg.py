@@ -1,110 +1,102 @@
-"""Exact Gaussian elimination over a field (Fraction/QQ or Expr).
+"""Sparse exact row reduction over a field (Fraction/QQ or Expr).
 
-Elements only need +, -, *, /, equality with 0, and truthiness of that
-comparison; both exact rationals and symbolic expressions qualify.  No
-pivot-size heuristics: the first nonzero entry wins, so verdicts never
-depend on numeric magnitude.
+Elements only need +, -, *, / and an exact equality with 0; both exact
+rationals and symbolic expressions qualify.  A row is a sparse dict
+{col: value} with columns that sort; zero values are dropped on entry.
+No pivot-size heuristics: a row's pivot is its leftmost nonzero column, so
+verdicts never depend on numeric magnitude.  The reduced row echelon form
+of a matrix is unique, so every result below is a value of the matrix
+alone, not of its row order.
 """
 
 from __future__ import annotations
 
 
 def _is_zero(x) -> bool:
-    z = x == 0
-    return bool(z)
+    return bool(x == 0)
 
 
-def solve(rows, rhs):
+def _subtract(row, f, pivot):
+    """row -= f * pivot in place, dropping entries that cancel."""
+    for c, v in pivot.items():
+        nv = row.get(c, 0) - f * v
+        if _is_zero(nv):
+            row.pop(c, None)
+        else:
+            row[c] = nv
+
+
+def transpose(vectors):
+    """Sparse rows {key: {col: value}} of the matrix whose col-th column
+    is the sparse vector vectors[col] = {key: value}."""
+    rows: dict = {}
+    for col, vec in enumerate(vectors):
+        for key, val in vec.items():
+            rows.setdefault(key, {})[col] = val
+    return rows
+
+
+def rref(rows):
+    """Reduced row echelon form: {pivot_col: row}, each row normalized to 1
+    at its pivot column and free of every other pivot column."""
+    pivots = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if not _is_zero(v)}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                pv = row[c]
+                pivots[c] = {cc: v / pv for cc, v in row.items()}
+                break
+            _subtract(row, row[c], pivots[c])
+    # back-substitute, highest pivot first, so that each row only meets
+    # pivot rows that are already reduced
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for c2 in [cc for cc in row if cc != c and cc in pivots]:
+            _subtract(row, row[c2], pivots[c2])
+    return pivots
+
+
+def reduce_row(pivots, row):
+    """Remainder of row after eliminating the pivot columns of an rref;
+    empty exactly when row lies in the span of the pivot rows."""
+    row = {c: v for c, v in row.items() if not _is_zero(v)}
+    for c in [c for c in row if c in pivots]:
+        _subtract(row, row[c], pivots[c])
+    return row
+
+
+def solve(rows, ncols, zero):
     """Solve A x = b exactly.
 
-    rows: list of lists (the matrix), rhs: list.  Returns the solution
-    vector if the system is consistent and determined on its pivots (free
-    columns get 0), or None if inconsistent.
+    rows: sparse rows of the augmented matrix [A | b], column ncols holding
+    b.  Returns the solution vector (free columns get zero), or None if the
+    system is inconsistent.
     """
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(rows[0]) if rows else 0
-    piv_of_col = {}
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not _is_zero(m[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and not _is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_of_col[c] = r
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if not _is_zero(m[i][ncols]):
-            return None
-    zero = None
-    for row in m:
-        zero = row[0] - row[0]
-        break
-    sol = []
-    for c in range(ncols):
-        if c in piv_of_col:
-            sol.append(m[piv_of_col[c]][ncols])
-        else:
-            sol.append(zero)
-    return sol
+    pivots = rref(rows)
+    if ncols in pivots:
+        return None
+    return [pivots[c].get(ncols, zero) if c in pivots else zero
+            for c in range(ncols)]
 
 
 def nullspace(rows, ncols, one=1):
     """Basis of the right nullspace of a matrix given as sparse rows.
 
-    rows: iterable of dicts {col: value}.  Returns a list of dense basis
-    vectors (length ncols) over the same field.
+    Returns a list of dense basis vectors (length ncols) over the same
+    field, one per free column.
     """
-    work = [dict(r) for r in rows if r]
-    pivots = {}       # col -> row dict (normalized)
-    for row in work:
-        while row:
-            c = min(row)
-            if c in pivots:
-                f = row[c]
-                for cc, v in pivots[c].items():
-                    nv = row.get(cc, 0) - f * v
-                    if _is_zero(nv):
-                        row.pop(cc, None)
-                    else:
-                        row[cc] = nv
-                continue
-            pv = row[c]
-            row = {cc: v / pv for cc, v in row.items()}
-            pivots[c] = row
-            break
-    # back-substitute so each pivot row has zeros in other pivot columns
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        for c2 in [cc for cc in row if cc != c and cc in pivots]:
-            f = row[c2]
-            for cc, v in pivots[c2].items():
-                nv = row.get(cc, 0) - f * v
-                if _is_zero(nv):
-                    row.pop(cc, None)
-                else:
-                    row[cc] = nv
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    pivots = rref(rows)
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [0] * ncols
         vec[fc] = one
         for pc, row in pivots.items():
-            coeff = row.get(fc)
-            if coeff is not None and not _is_zero(coeff):
-                vec[pc] = -coeff
+            if fc in row:
+                vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 

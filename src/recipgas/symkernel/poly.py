@@ -69,18 +69,6 @@ def mono_items(m: Mono):
     return out
 
 
-def mono_degree(m: Mono) -> int:
-    return m & _MASK
-
-
-def mono_exp(m: Mono, idx: int) -> int:
-    return (m >> (_FB * (idx + 1))) & _MASK
-
-
-def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    return m1 + m2
-
-
 def mono_div(m1: Mono, m2: Mono):
     """m1 / m2, or None when m2 does not divide m1."""
     if m2 == 0:
@@ -113,10 +101,6 @@ def mono_cmp(m1: Mono, m2: Mono) -> int:
 MONO_KEY = cmp_to_key(mono_cmp)
 
 
-def pzero() -> Poly:
-    return {}
-
-
 def pconst(c) -> Poly:
     c = QQ(c)
     return {MONO_ONE: c} if c else {}
@@ -132,12 +116,6 @@ def pis_zero(p: Poly) -> bool:
 
 def pis_const(p: Poly) -> bool:
     return not p or (len(p) == 1 and MONO_ONE in p)
-
-
-def pget_const(p: Poly):
-    if not p:
-        return QZERO
-    return p[MONO_ONE]
 
 
 def psorted_terms(p: Poly):
@@ -287,10 +265,6 @@ def pdegree_in(a: Poly, idx: int) -> int:
         if e > d:
             d = e
     return d
-
-
-def ptotal_degree(a: Poly) -> int:
-    return max((m & _MASK for m in a), default=0)
 
 
 def peval(a: Poly, value_of, mul, add, one):

@@ -1,14 +1,14 @@
 """Transformation catalog, verification, and generator pushforward."""
 
+from ..gasdyn import ParamConstraintViolated
 from .catalog import (CATALOG_NAMES, bateman, bateman_simplified, catalog,
                       involution_E1, involution_E1_reciprocal, involution_E2,
                       involution_E2_reciprocal, identity_map, mu_minus,
                       mu_plus, munk_prim, one_param_bateman, one_param_exp,
                       one_param_linear, one_param_q13, theorem_map)
-from .maps import (NotInvertible, OneParamFamily, ParamConstraintViolated,
-                   PointMap, ReciprocalMap, UnknownCatalogEntry, compose,
-                   invert, load_map, map_from_dict, point_map,
-                   reciprocal_map)
+from .maps import (NotInvertible, OneParamFamily, PointMap, ReciprocalMap,
+                   UnknownCatalogEntry, compose, invert, load_map,
+                   map_from_dict, point_map, reciprocal_map)
 from .pushforward import decompose, pushforward, pushforward_matrix
 from .verify import (appendix_pde_residuals, center_pde_residuals,
                      composition_additivity, lie_equation_check,

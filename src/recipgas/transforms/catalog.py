@@ -9,13 +9,13 @@ not a first-order truncation.
 
 from __future__ import annotations
 
-from ..gasdyn import ConservationFormParams
+from ..gasdyn import ConservationFormParams, ParamConstraintViolated
 from ..liealg import standard_basis
 from ..prolong import case_generators
 from ..symkernel import Context, Expr
-from .maps import (OneParamFamily, ParamConstraintViolated, PointMap,
-                   ReciprocalMap, UnknownCatalogEntry, identity_map,
-                   point_map, reciprocal_map)
+from .maps import (OneParamFamily, PointMap, ReciprocalMap,
+                   UnknownCatalogEntry, identity_map, point_map,
+                   reciprocal_map)
 
 CATALOG_NAMES = (
     "identity", "bateman", "bateman_simplified", "theorem",

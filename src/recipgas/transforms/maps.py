@@ -30,10 +30,6 @@ class UnknownCatalogEntry(SymkernelError):
     pass
 
 
-class ParamConstraintViolated(SymkernelError):
-    pass
-
-
 @dataclass(frozen=True)
 class ReciprocalMap:
     R: Expr
@@ -60,17 +56,6 @@ class ReciprocalMap:
 
     def det_f(self) -> Expr:
         return self.f[0][0] * self.f[1][1] - self.f[0][1] * self.f[1][0]
-
-    def push_expr(self, e: Expr) -> Expr:
-        """e with every field replaced by its image."""
-        return e.substitute(self.field_map())
-
-    def pull_expr(self, e: Expr) -> Expr:
-        """e with every field replaced by the inverse image (symbols read
-        as primed values)."""
-        if self.inverse_fields is None:
-            raise NotInvertible("%s has no inverse attached" % self.name)
-        return e.substitute(self.inverse_fields)
 
     def is_identity(self) -> bool:
         ctx = self.ctx
@@ -159,16 +144,6 @@ class PointMap:
     def jacobian(self):
         return ((self.Xc.diff("x"), self.Xc.diff("y")),
                 (self.Yc.diff("x"), self.Yc.diff("y")))
-
-    def as_reciprocal(self, inverse_fields=None) -> ReciprocalMap:
-        j = self.jacobian()
-        for row in j:
-            for e in row:
-                if e.depends_on(*FIELDS) or e.depends_on("x", "y"):
-                    raise NotInvertible(
-                        "coordinate map of %s is not affine" % self.name)
-        return ReciprocalMap(self.R, self.U, self.V, self.P, self.H, j,
-                             name=self.name, inverse_fields=inverse_fields)
 
 
 def point_map(ctx: Context, Xc=None, Yc=None, R=None, U=None, V=None,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..liealg import AutomorphismMatrix, Generator, NotInSpan
 from ..symkernel import Expr
 from ..symkernel.errors import SymkernelError
-from ..symkernel.linalg import solve
+from ..symkernel.linalg import solve, transpose
 from .maps import NotInvertible, ReciprocalMap
 
 
@@ -67,25 +67,17 @@ def decompose(Xp: Generator, basis) -> list:
     slots_all = [list(g.slots()) for g in basis] + [list(Xp.slots())]
     names = _collectable_names(ctx, [s for gs in slots_all for s in gs])
     rows = []
-    rhs = []
-    zero = Expr.const(ctx, 0)
     for snum in range(9):
         maps = []
-        keys = set()
         for gs in slots_all:
             try:
-                cmap = gs[snum].collect(names)
+                maps.append(gs[snum].collect(names))
             except SymkernelError:
                 raise NotInSpan(Xp)
-            maps.append(cmap)
-            keys.update(cmap)
-        for key in sorted(keys):
-            rows.append([m.get(key, zero) for m in maps[:-1]])
-            rhs.append(maps[-1].get(key, zero))
-    sol = solve(rows, rhs)
+        rows += transpose(maps).values()
+    sol = solve(rows, len(basis), Expr.const(ctx, 0))
     if sol is None:
-        resid = Xp
-        raise NotInSpan(resid)
+        raise NotInSpan(Xp)
     return sol
 
 

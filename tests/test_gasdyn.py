@@ -85,3 +85,11 @@ def test_state_equation_is_formal_and_unused(ctx):
     assert G == parse(ctx, "G(rho, S)")
     for F in system_residuals(ctx):
         assert "G(rho,S)" not in F.free_variables()
+
+
+def test_parameter_errors_defined_once():
+    from recipgas import gasdyn, numerics, prolong, transforms
+    assert numerics.InvalidParams is gasdyn.InvalidParams
+    assert prolong.ParamConstraintViolated is gasdyn.ParamConstraintViolated
+    assert transforms.ParamConstraintViolated is \
+        gasdyn.ParamConstraintViolated
