@@ -49,6 +49,18 @@ def _params(ctx, pairs):
     return out
 
 
+def _at_least(low):
+    """argparse type: an integer no smaller than low."""
+    def convert(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (low, value))
+        return value
+    convert.__name__ = "integer"
+    return convert
+
+
 def _emit(args, text_report, json_dict):
     if args.format == "json":
         body = json.dumps(json_dict, indent=2, sort_keys=True) + "\n"
@@ -357,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("one_param_bateman", "one_param_q13",
                             "one_param_exp", "one_param_linear"))
     p.add_argument("--param", action="append", default=[])
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=_at_least(1), default=100)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(fn=cmd_lie_check)
 
@@ -367,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", default="bateman_simplified",
                    choices=CATALOG_NAMES)
     p.add_argument("--param", action="append", default=[])
-    p.add_argument("--nodes", type=int, default=17)
+    p.add_argument("--nodes", type=_at_least(3), default=17)
     p.set_defaults(fn=cmd_transform)
 
     p = add("closedness", help="loop integrals of dx', dy'")
@@ -376,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", default="bateman_simplified",
                    choices=CATALOG_NAMES)
     p.add_argument("--param", action="append", default=[])
-    p.add_argument("--nodes", type=int, default=17)
+    p.add_argument("--nodes", type=_at_least(3), default=17)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(fn=cmd_closedness)
 

@@ -4,6 +4,12 @@ Transformed coordinates are reconstructed by composite-Simpson path
 integration of the transformation differentials along axis-aligned paths;
 closedness is probed by loop integrals; results are re-verified by central
 finite-difference residuals of the governing system on the primed grid.
+
+Everything works on arrays of points: a map's form matrix, fields and
+denominators are compiled once per map (symkernel.compile_exprs), a
+Simpson rule takes all its nodes in one evaluation, and Newton inversion
+runs on all target points at once.  Analytic flows therefore take numpy
+arrays in fields(x, y).
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gasdyn import InvalidParams
+from .symkernel import compile_exprs
 from .symkernel.errors import SymkernelError
 from .transforms.maps import ReciprocalMap, invert
 
@@ -118,7 +125,7 @@ class VortexFlow:
 
     def fields(self, x, y):
         r2 = x * x + y * y
-        r = math.sqrt(r2)
+        r = np.sqrt(r2)
         w_over_r = self.w0 * r ** (self.m - 1)
         p = self.p0 + self.rho0 * self.w0 ** 2 * r ** (2 * self.m) \
             / (2 * self.m)
@@ -127,7 +134,11 @@ class VortexFlow:
 
 def make_solution(flow, grid: GridSpec) -> GridSolution:
     """Sample an analytic flow; the analytic residuals vanish identically,
-    so the discrete residuals measure only the stencil error."""
+    so the discrete residuals measure only the stencil error.
+
+    flow.fields(x, y) is called once with the coordinate arrays of the
+    whole grid, so it must accept numpy arrays; it may return scalars for
+    fields that are constant."""
     if getattr(flow, "family", "") == "vortex":
         rmin = min(math.hypot(x, y) for x in (grid.x0, grid.x0 + grid.hx * (grid.nx - 1))
                    for y in (grid.y0, grid.y0 + grid.hy * (grid.ny - 1)))
@@ -136,13 +147,9 @@ def make_solution(flow, grid: GridSpec) -> GridSolution:
             raise InvalidParams("vortex grid must exclude the origin")
         if rmin < 1e-6:
             raise InvalidParams("vortex grid touches r = 0")
-    arrays = [np.empty((grid.nx, grid.ny)) for _ in range(5)]
-    xs, ys = grid.xs(), grid.ys()
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            vals = flow.fields(float(x), float(y))
-            for k in range(5):
-                arrays[k][i, j] = vals[k]
+    X, Y = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
+    arrays = [np.array(np.broadcast_to(v, X.shape), dtype=float)
+              for v in flow.fields(X, Y)]
     if np.any(arrays[0] <= 0):
         raise InvalidParams("density must stay positive on the grid")
     return GridSolution(grid, *arrays, evaluator=flow,
@@ -180,53 +187,65 @@ def fd_residuals(sol: GridSolution) -> dict:
 # --- quadrature -----------------------------------------------------------------
 
 
-def simpson_line(fn, a: float, b: float, n: int) -> float:
-    """Composite Simpson with n (even) subintervals."""
+def simpson_line(fn, a, b, n: int):
+    """Composite Simpson with n (even) subintervals from a to b, which are
+    scalars or arrays of one shape.
+
+    fn takes all nodes at once, an array of shape a.shape + (n + 1,), and
+    returns values whose last axis runs over the nodes and whose other
+    axes broadcast against a (extra leading axes, e.g. one per integrand,
+    are kept).  The weighted values are added one by one: f(a), f(b),
+    then the interior nodes from a towards b."""
     if n % 2:
         n += 1
-    if b == a:
-        return 0.0
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     h = (b - a) / n
-    total = fn(a) + fn(b)
-    for k in range(1, n):
-        total += fn(a + k * h) * (4 if k % 2 else 2)
+    t = a[..., None] + np.arange(n + 1) * h[..., None]
+    t[..., n] = b
+    terms = fn(t)[..., [0, n] + list(range(1, n))]
+    terms *= [1.0, 1.0] + [4.0 if k % 2 else 2.0 for k in range(1, n)]
+    # cumsum adds strictly left to right
+    total = np.cumsum(terms, axis=-1, out=terms)[..., -1]
     return total * h / 3.0
 
 
 class _MapEvaluator:
-    """Float evaluation of a reciprocal map over an analytic flow."""
+    """Float evaluation of a reciprocal map over an analytic flow at arrays
+    of points; the form matrix, the fields and the component denominators
+    are each compiled once."""
 
     def __init__(self, T: ReciprocalMap, flow):
-        self.T = T
         self.flow = flow
-        self._fields = [T.R, T.U, T.V, T.P, T.H]
-        self._form = [T.f[0][0], T.f[0][1], T.f[1][0], T.f[1][1]]
+        self._form = compile_exprs([T.f[0][0], T.f[0][1],
+                                    T.f[1][0], T.f[1][1]])
+        self._fields = compile_exprs([T.R, T.U, T.V, T.P, T.H])
+        self._dens = compile_exprs(T.denominators())
 
-    def _assign(self, x, y):
-        vals = self.flow.fields(x, y)
-        return dict(zip(FIELD_ORDER, vals))
+    def _at(self, fn, x, y):
+        """fn's values at the points (x, y), stacked on a new first axis."""
+        vals = fn(dict(zip(FIELD_ORDER, self.flow.fields(x, y))))
+        out = np.empty((len(vals),) + np.broadcast_shapes(np.shape(x),
+                                                          np.shape(y)))
+        for k, v in enumerate(vals):
+            out[k] = v
+        return out
 
     def form_at(self, x, y):
-        a = self._assign(x, y)
-        return [e.eval_numeric(a) for e in self._form]
+        """f11, f12, f21, f22 at the points (x, y)."""
+        return self._at(self._form, x, y)
 
     def fields_at(self, x, y):
-        a = self._assign(x, y)
-        return [e.eval_numeric(a) for e in self._fields]
+        """The primed fields in FIELD_ORDER at the points (x, y)."""
+        return self._at(self._fields, x, y)
 
     def check_domain(self, xs, ys, floor=1e-9):
-        from .symkernel.expr import Expr
-        ctx = self.T.ctx
-        one = Expr.const(ctx, 1)
-        dens = [Expr(ctx, c.den, one.den)
-                for c in self.T.components() if not c.is_polynomial()]
-        for x in xs:
-            for y in ys:
-                a = self._assign(float(x), float(y))
-                for d in dens:
-                    if abs(d.eval_numeric(a)) < floor:
-                        raise DomainViolation(
-                            "map denominator vanishes near (%g, %g)" % (x, y))
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        small = (np.abs(self._at(self._dens, X, Y)) < floor).any(axis=0)
+        if small.any():
+            i, j = np.argwhere(small)[0]
+            raise DomainViolation(
+                "map denominator vanishes near (%g, %g)" % (xs[i], ys[j]))
 
 
 def primed_coordinates(sol: GridSolution, T: ReciprocalMap,
@@ -243,38 +262,37 @@ def primed_coordinates(sol: GridSolution, T: ReciprocalMap,
         raise ValueError("path must be 'xy' or 'yx'")
     outer, inner = (xs, ys) if first == 0 else (ys, xs)
 
-    def step(axis, other, a, b):
+    def steps(axis, other, a, b):
         """Increments of x' and y' from a to b along axis (0 = x, 1 = y),
-        the other coordinate held at other; dx' and dy' have coefficients
-        f[axis] and f[2 + axis] there."""
-        def at(t):
-            return ev.form_at(t, other) if axis == 0 else \
-                ev.form_at(other, t)
-        return (simpson_line(lambda t: at(t)[axis], a, b, nseg),
-                simpson_line(lambda t: at(t)[2 + axis], a, b, nseg))
+        the other coordinate held at other (broadcast against a); dx' and
+        dy' have coefficients f[axis] and f[2 + axis] there."""
+        def integrand(t):
+            o = np.asarray(other)[..., None]
+            f = ev.form_at(t, o) if axis == 0 else ev.form_at(o, t)
+            return f[[axis, 2 + axis]]
+        return simpson_line(integrand, a, b, nseg)
 
-    # along the grid edge on the first axis, then across the second axis
-    xp = np.zeros((g.nx, g.ny))
-    yp = np.zeros((g.nx, g.ny))
-    edge_x = edge_y = 0.0
-    for i in range(len(outer)):
-        if i:
-            dx, dy = step(first, inner[0], outer[i - 1], outer[i])
-            edge_x, edge_y = edge_x + dx, edge_y + dy
-        cur_x, cur_y = edge_x, edge_y
-        for j in range(len(inner)):
-            if j:
-                dx, dy = step(1 - first, outer[i], inner[j - 1], inner[j])
-                cur_x, cur_y = cur_x + dx, cur_y + dy
-            node = (i, j) if first == 0 else (j, i)
-            xp[node] = cur_x
-            yp[node] = cur_y
-    return xp, yp
+    # along the grid edge on the first axis, then across the second axis;
+    # the running sums start from zero and from the edge values
+    edge = steps(first, inner[0], outer[:-1], outer[1:])
+    edge = np.cumsum(np.concatenate([np.zeros((2, 1)), edge], axis=1),
+                     axis=1)
+    across = steps(1 - first, outer[:, None], inner[None, :-1],
+                   inner[None, 1:])
+    cur = np.cumsum(np.concatenate([edge[:, :, None], across], axis=2),
+                    axis=2)
+    if first == 1:
+        cur = cur.transpose(0, 2, 1)
+    return cur[0], cur[1]
+
+
+# targets times grid nodes per block of the nearest-node search
+_GUESS_BLOCK = 1 << 13
 
 
 class TransformedFlow:
-    """Analytic evaluator for the transformed solution: fields at a primed
-    point come from Newton inversion of the coordinate map through the
+    """Analytic evaluator for the transformed solution: fields at primed
+    points come from Newton inversion of the coordinate map through the
     original analytic flow."""
 
     family = "transformed"
@@ -292,37 +310,65 @@ class TransformedFlow:
         self._xs, self._ys = g.xs(), g.ys()
 
     def _initial_guess(self, xt, yt):
-        d = (self.xp - xt) ** 2 + (self.yp - yt) ** 2
-        i, j = np.unravel_index(np.argmin(d), d.shape)
-        return float(self._xs[i]), float(self._ys[j]), (int(i), int(j))
+        """For flat arrays of targets: the grid nodes nearest in primed
+        coordinates, as original coordinates and (i, j) indices."""
+        xp, yp = self.xp.ravel(), self.yp.ravel()
+        best = np.empty(xt.size, dtype=np.intp)
+        rows = max(1, _GUESS_BLOCK // xp.size)
+        for s in range(0, xt.size, rows):
+            d = (xp - xt[s:s + rows, None]) ** 2 + \
+                (yp - yt[s:s + rows, None]) ** 2
+            best[s:s + rows] = np.argmin(d, axis=1)
+        i, j = np.unravel_index(best, self.xp.shape)
+        return self._xs[i], self._ys[j], (i, j)
 
     def _forward(self, x, y, node):
-        """Coordinate images by local Simpson correction from a known node."""
+        """Coordinate images of flat arrays of points by local Simpson
+        correction from known nodes: along x at the node's y, then along
+        y at x."""
         i, j = node
-        x0, y0 = float(self._xs[i]), float(self._ys[j])
-        xpv = self.xp[i, j]
-        ypv = self.yp[i, j]
+        x0, y0 = self._xs[i], self._ys[j]
         n = 8
-        xpv += simpson_line(lambda t: self.ev.form_at(t, y0)[0], x0, x, n)
-        ypv += simpson_line(lambda t: self.ev.form_at(t, y0)[2], x0, x, n)
-        xpv += simpson_line(lambda t: self.ev.form_at(x, t)[1], y0, y, n)
-        ypv += simpson_line(lambda t: self.ev.form_at(x, t)[3], y0, y, n)
-        return xpv, ypv
+        along_x = simpson_line(
+            lambda t: self.ev.form_at(t, y0[:, None])[[0, 2]], x0, x, n)
+        along_y = simpson_line(
+            lambda t: self.ev.form_at(x[:, None], t)[[1, 3]], y0, y, n)
+        return (self.xp[i, j] + along_x[0] + along_y[0],
+                self.yp[i, j] + along_x[1] + along_y[1])
 
     def invert_point(self, xt, yt):
-        x, y, node = self._initial_guess(xt, yt)
+        """Original coordinates of primed points (scalars or arrays that
+        broadcast together) by Newton iteration, all points at once.  A
+        point stops at the first iterate whose residual |rx| + |ry| is
+        below tol."""
+        xt, yt = np.broadcast_arrays(np.asarray(xt, dtype=float),
+                                     np.asarray(yt, dtype=float))
+        shape = xt.shape
+        xt, yt = xt.ravel(), yt.ravel()
+        x, y, (ni, nj) = self._initial_guess(xt, yt)
+        active = np.arange(xt.size)
         for _ in range(self.max_iter):
-            fx, fy = self._forward(x, y, node)
-            rx, ry = fx - xt, fy - yt
-            if abs(rx) + abs(ry) < self.tol:
-                return x, y
-            j11, j12, j21, j22 = self.ev.form_at(x, y)
+            fx, fy = self._forward(x[active], y[active],
+                                   (ni[active], nj[active]))
+            rx, ry = fx - xt[active], fy - yt[active]
+            going = ~(abs(rx) + abs(ry) < self.tol)
+            active, rx, ry = active[going], rx[going], ry[going]
+            if not active.size:
+                break
+            j11, j12, j21, j22 = self.ev.form_at(x[active], y[active])
             det = j11 * j22 - j12 * j21
-            if det == 0:
-                raise NewtonDivergence("singular Jacobian at (%g, %g)" % (x, y))
-            x -= (j22 * rx - j12 * ry) / det
-            y -= (-j21 * rx + j11 * ry) / det
-        raise NewtonDivergence("no convergence at (%g, %g)" % (xt, yt))
+            if not np.all(det):
+                k = active[np.argmin(det != 0)]
+                raise NewtonDivergence("singular Jacobian at (%g, %g)"
+                                       % (x[k], y[k]))
+            x[active] -= (j22 * rx - j12 * ry) / det
+            y[active] -= (-j21 * rx + j11 * ry) / det
+        if active.size:
+            k = active[0]
+            raise NewtonDivergence("no convergence at (%g, %g)"
+                                   % (xt[k], yt[k]))
+        # [()] turns a 0-d result into a scalar
+        return x.reshape(shape)[()], y.reshape(shape)[()]
 
     def fields(self, xt, yt):
         x, y = self.invert_point(xt, yt)
@@ -403,16 +449,11 @@ def transform_roundtrip_error(sol: GridSolution, T: ReciprocalMap,
     second anchor sits at zero; the anchor's preimage locates them."""
     first = transform_solution(sol, T, quad_factor=quad_factor)
     second = transform_solution(first, invert(T), quad_factor=quad_factor)
-    tf1 = first.evaluator
-    xa, ya = tf1.invert_point(first.grid.x0, first.grid.y0)
-    worst = 0.0
-    g = second.grid
-    for i, x in enumerate(g.xs()):
-        for j, y in enumerate(g.ys()):
-            ref = sol.evaluator.fields(float(x) + xa, float(y) + ya)
-            got = [a[i, j] for a in second.arrays()]
-            worst = max(worst, max(abs(r - q) for r, q in zip(ref, got)))
-    return worst
+    xa, ya = first.evaluator.invert_point(first.grid.x0, first.grid.y0)
+    X, Y = np.meshgrid(second.grid.xs(), second.grid.ys(), indexing="ij")
+    ref = sol.evaluator.fields(X + xa, Y + ya)
+    return max(float(np.max(np.abs(r - q)))
+               for r, q in zip(ref, second.arrays()))
 
 
 def loop_closedness(sol: GridSolution, T: ReciprocalMap, loop,
@@ -425,22 +466,21 @@ def loop_closedness(sol: GridSolution, T: ReciprocalMap, loop,
     if pts[0] != pts[-1]:
         raise DomainViolation("loop is not closed")
     ev = _MapEvaluator(T, sol.evaluator)
-    tot_x = 0.0
-    tot_y = 0.0
-    for (xa, ya), (xb, yb) in zip(pts[:-1], pts[1:]):
-        dx, dy = xb - xa, yb - ya
+    # one row per segment
+    start = np.array(pts[:-1])[:, :, None]
+    delta = np.array(pts[1:])[:, :, None] - start
 
-        def fx(t):
-            f = ev.form_at(xa + t * dx, ya + t * dy)
-            return f[0] * dx + f[1] * dy
+    def integrand(t):
+        f = ev.form_at(start[:, 0] + t * delta[:, 0],
+                       start[:, 1] + t * delta[:, 1])
+        return np.array([f[0] * delta[:, 0] + f[1] * delta[:, 1],
+                         f[2] * delta[:, 0] + f[3] * delta[:, 1]])
 
-        def fy(t):
-            f = ev.form_at(xa + t * dx, ya + t * dy)
-            return f[2] * dx + f[3] * dy
-
-        tot_x += simpson_line(fx, 0.0, 1.0, n_per_segment)
-        tot_y += simpson_line(fy, 0.0, 1.0, n_per_segment)
-    return abs(tot_x) + abs(tot_y)
+    nseg = len(pts) - 1
+    seg = simpson_line(integrand, np.zeros(nseg), np.ones(nseg),
+                       n_per_segment)
+    # the segment integrals are added in loop order
+    return float(abs(sum(seg[0], 0.0)) + abs(sum(seg[1], 0.0)))
 
 
 def unit_square_loop():

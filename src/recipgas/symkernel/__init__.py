@@ -1,16 +1,17 @@
 """Exact symbolic kernel: expressions, parsing, sparse exact row
-reduction."""
+reduction, compiled float evaluation."""
 
 from .context import Context
 from .errors import (CyclicBinding, DivisionByZeroExpr, NotPolynomialInVars,
                      NumericDomain, ParseError, SymkernelError, UnboundSymbol,
                      UnknownVariable, VariableMismatch)
-from .expr import DEFAULT_FN_IMPLS, Expr
+from .expr import Expr
+from .numeric import DEFAULT_FN_IMPLS, compile_exprs
 from .parser import parse
 from .poly import QQ
 
 __all__ = [
-    "Context", "Expr", "parse", "QQ", "DEFAULT_FN_IMPLS",
+    "Context", "Expr", "parse", "QQ", "DEFAULT_FN_IMPLS", "compile_exprs",
     "SymkernelError", "DivisionByZeroExpr", "UnknownVariable",
     "CyclicBinding", "NotPolynomialInVars", "UnboundSymbol",
     "NumericDomain", "ParseError", "VariableMismatch",

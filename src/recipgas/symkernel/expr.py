@@ -12,27 +12,18 @@ chain rule, and nothing else is assumed about them.
 
 from __future__ import annotations
 
-import math
 import numbers
 
 from .context import Context
-from .errors import (DivisionByZeroExpr, NotPolynomialInVars, NumericDomain,
-                     UnboundSymbol, UnknownVariable, VariableMismatch)
+from .errors import (DivisionByZeroExpr, NotPolynomialInVars,
+                     UnknownVariable, VariableMismatch)
+from .numeric import compile_exprs
 from .poly import (MONO_ONE, QQ, QONE, Poly, mono_items, mono_pack, padd,
                    pconst, pderiv, pdiv_exact, peval, pgcd, pis_const,
                    pis_zero, pleading_mono, pmul, pneg, ppow, pscale,
                    psorted_terms, pvar, pvars)
 
 _POLY_ONE = pconst(1)
-
-DEFAULT_FN_IMPLS = {
-    "tan": math.tan,
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
-    "log": math.log,
-}
 
 
 class Expr:
@@ -249,20 +240,8 @@ class Expr:
 
     def eval_numeric(self, assignment: dict,
                      fn_impls: dict | None = None) -> float:
-        impls = dict(DEFAULT_FN_IMPLS)
-        if fn_impls:
-            impls.update(fn_impls)
-        try:
-            num = _peval_float(self.ctx, self.num, assignment, impls)
-            den = _peval_float(self.ctx, self.den, assignment, impls)
-            if den == 0.0:
-                raise NumericDomain("zero denominator at the evaluation point")
-            value = num / den
-        except OverflowError as exc:
-            raise NumericDomain(str(exc)) from None
-        if math.isinf(value) or math.isnan(value):
-            raise NumericDomain("overflow")
-        return value
+        """Float value at a point; see compile_exprs."""
+        return float(compile_exprs([self], fn_impls)(assignment)[0])
 
     def eval_rational(self, assignment: dict):
         """Exact evaluation at a rational point.
@@ -382,39 +361,3 @@ def _subs_pair(e: Expr, bound: dict) -> Expr:
         den = Expr.const(ctx, den)
     return num / den
 
-
-def _peval_float(ctx: Context, p: Poly, assignment: dict, impls: dict) -> float:
-    def value_of(idx):
-        info = ctx.atoms.get(idx)
-        if info is not None:
-            if info.display in assignment:
-                return float(assignment[info.display])
-            argvals = []
-            for a in info.args:
-                an = _peval_float(ctx, a.num, assignment, impls)
-                ad = _peval_float(ctx, a.den, assignment, impls)
-                if ad == 0.0:
-                    raise NumericDomain("zero denominator in %s" % info.display)
-                argvals.append(an / ad)
-            key = (info.fname, info.orders) if any(info.orders) else info.fname
-            fn = impls.get(key)
-            if fn is None:
-                raise UnboundSymbol(info.display)
-            return fn(*argvals)
-        name = ctx.display_name(idx)
-        if name not in assignment:
-            raise UnboundSymbol(name)
-        return float(assignment[name])
-
-    total = 0.0
-    cache: dict = {}
-    for m, c in p.items():
-        term = float(c)
-        for v, ee in mono_items(m):
-            base = cache.get(v)
-            if base is None:
-                base = value_of(v)
-                cache[v] = base
-            term *= base ** ee
-        total += term
-    return total

@@ -54,6 +54,15 @@ class ReciprocalMap:
         return (self.R, self.U, self.V, self.P, self.H,
                 self.f[0][0], self.f[0][1], self.f[1][0], self.f[1][1])
 
+    def denominators(self) -> list:
+        """The distinct denominators of the components, as polynomial
+        Exprs in component order."""
+        ctx = self.ctx
+        one = Expr.const(ctx, 1).den
+        return list(dict.fromkeys(Expr(ctx, c.den, one)
+                                  for c in self.components()
+                                  if not c.is_polynomial()))
+
     def det_f(self) -> Expr:
         return self.f[0][0] * self.f[1][1] - self.f[0][1] * self.f[1][0]
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..gasdyn import (FIELDS, OneForm, conservation_law_forms,
-                      reduce_on_manifold, system_residuals,
-                      total_derivative)
+from ..gasdyn import (FIELDS, InvalidParams, OneForm,
+                      conservation_law_forms, reduce_on_manifold,
+                      system_residuals, total_derivative)
 from ..liealg import AutomorphismMatrix
 from ..reports import Report
-from ..symkernel import Expr
+from ..symkernel import Expr, compile_exprs
 from ..symkernel.errors import DivisionByZeroExpr, NumericDomain
 from ..symkernel.poly import QQ
 from .maps import OneParamFamily, PointMap, ReciprocalMap
@@ -78,17 +78,7 @@ def verify_reciprocal(T: ReciprocalMap, solve_for: str = "x",
 
 
 def _side_conditions(T: ReciprocalMap):
-    conds = []
-    seen = set()
-    for comp in T.components():
-        if not comp.is_polynomial():
-            ctx = comp.ctx
-            d = Expr(ctx, comp.den, Expr.const(ctx, 1).den)
-            s = "%s != 0" % d
-            if s not in seen:
-                seen.add(s)
-                conds.append(s)
-    return conds
+    return ["%s != 0" % d for d in T.denominators()]
 
 
 def witness_point(residual: Expr, seed: int = DEFAULT_SEED,
@@ -171,24 +161,6 @@ def sample_float_state(rng: random.Random) -> dict:
     }
 
 
-def _den_values(T: ReciprocalMap, assignment: dict) -> float:
-    """Smallest |denominator| over the map components at the point."""
-    worst = float("inf")
-    ctx = T.ctx
-    one = Expr.const(ctx, 1)
-    for comp in T.components():
-        if comp.is_polynomial():
-            continue
-        d = Expr(ctx, comp.den, one.den)
-        worst = min(worst, abs(d.eval_numeric(assignment)))
-    return worst
-
-
-def _eval_components(T: ReciprocalMap, assignment: dict):
-    vals = [c.eval_numeric(assignment) for c in T.components()]
-    return vals[:5], ((vals[5], vals[6]), (vals[7], vals[8]))
-
-
 @dataclass
 class LieCheckResult:
     family: str
@@ -201,6 +173,12 @@ class LieCheckResult:
                 "%.3e over %d samples" % (self.max_residual, self.samples))
         rep.extras["max_residual"] = "%.3e" % self.max_residual
         return rep
+
+
+def _require_points(n_points: int):
+    if n_points < 1:
+        raise InvalidParams("need at least one sample point, got %d"
+                            % n_points)
 
 
 def _eval_poly_mp(ctx, poly, assign):
@@ -229,8 +207,9 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
                        rate_guard: float = 6.0) -> LieCheckResult:
     """Max over seeded samples of |d/deps T_eps - zeta(T_eps)| on all nine
     component slots; the eps-derivative is a central difference with the
-    given step, evaluated in extended precision so the reported residual
-    is the O(step^2) truncation term, not rounding noise.
+    given step, taken in extended precision (stencil nodes included) so
+    the reported residual is the O(step^2) truncation term, not rounding
+    noise.
 
     Samples keep a margin from the family's singular sets: a point is
     redrawn when any component denominator falls below `guard` in absolute
@@ -240,6 +219,7 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
     import mpmath
     if fam.link_spec is None:
         raise NumericDomain("family %s has symbolic parameters" % fam.name)
+    _require_points(n_points)
     rng = random.Random(seed)
     ctx = fam.ctx
     gen = fam.generator
@@ -254,20 +234,21 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
     done = 0
     attempts = 0
     with mpmath.workdps(40):
+        mstep = mpmath.mpf(step)
         while done < n_points:
             attempts += 1
             if attempts > 500 * n_points:
                 raise NumericDomain(
                     "could not sample away from singular sets")
             state = sample_float_state(rng)
-            eps = rng.uniform(-eps_range, eps_range)
+            eps = mpmath.mpf(rng.uniform(-eps_range, eps_range))
             mstate = {k: mpmath.mpf(v) for k, v in state.items()}
             stencil = []
             den_vals = []
             ok = True
-            for e in (eps - step, eps, eps + step):
+            for e in (eps - mstep, eps, eps + mstep):
                 a = dict(mstate)
-                a[fam.symbol] = fam.link_mp(mpmath.mpf(e))
+                a[fam.symbol] = fam.link_mp(e)
                 stencil.append(a)
                 row = []
                 for d in den_exprs:
@@ -283,7 +264,7 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
                 continue
             for k in range(len(den_exprs)):
                 rate = abs(den_vals[2][k] - den_vals[0][k]) / \
-                    (2 * step * abs(den_vals[1][k]))
+                    (2 * mstep * abs(den_vals[1][k]))
                 if rate > rate_guard:
                     ok = False
                     break
@@ -294,7 +275,7 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
             primed = {n: vals[1][i] for i, n in enumerate(FIELDS)}
             resid = mpmath.mpf(0)
             for i in range(5):
-                d = (vals[2][i] - vals[0][i]) / (2 * step)
+                d = (vals[2][i] - vals[0][i]) / (2 * mstep)
                 z = _eval_expr_mp(ctx, gen_fields[i], primed)
                 resid = max(resid, abs(d - z))
             mz = [[_eval_expr_mp(ctx, gen_matrix[i][j], primed)
@@ -303,7 +284,7 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
             for i in range(2):
                 for j in range(2):
                     d = (vals[2][5 + 2 * i + j] - vals[0][5 + 2 * i + j]) \
-                        / (2 * step)
+                        / (2 * mstep)
                     z = mz[i][0] * fmid[0][j] + mz[i][1] * fmid[1][j]
                     resid = max(resid, abs(d - z))
             worst = max(worst, resid)
@@ -318,6 +299,15 @@ def composition_additivity(fam: OneParamFamily, n_points: int = 100,
     """Max deviation |T_e1(T_e2(x)) - T_{e1+e2}(x)| over seeded samples."""
     if fam.link_spec is None:
         raise NumericDomain("family %s has symbolic parameters" % fam.name)
+    _require_points(n_points)
+    T = fam.map_sym
+    fields = compile_exprs(T.components()[:5])
+    dens = compile_exprs(T.denominators())
+
+    def margin(a):
+        """Smallest |denominator| of the map at the point."""
+        return min((abs(d) for d in dens(a)), default=float("inf"))
+
     rng = random.Random(seed)
     worst = 0.0
     done = 0
@@ -331,18 +321,16 @@ def composition_additivity(fam: OneParamFamily, n_points: int = 100,
         e2 = rng.uniform(-eps_range, eps_range)
         try:
             a2 = fam.numeric_assignment(e2, state)
-            if _den_values(fam.map_sym, a2) < guard:
+            if margin(a2) < guard:
                 continue
-            mid_fields, _ = _eval_components(fam.map_sym, a2)
-            inner = dict(zip(FIELDS, mid_fields))
+            inner = dict(zip(FIELDS, fields(a2)))
             inner["S"] = state["S"]
             a1 = fam.numeric_assignment(e1, inner)
             a12 = fam.numeric_assignment(e1 + e2, state)
-            if min(_den_values(fam.map_sym, a1),
-                   _den_values(fam.map_sym, a12)) < guard:
+            if min(margin(a1), margin(a12)) < guard:
                 continue
-            outer_fields, _ = _eval_components(fam.map_sym, a1)
-            direct_fields, _ = _eval_components(fam.map_sym, a12)
+            outer_fields = fields(a1)
+            direct_fields = fields(a12)
         except NumericDomain:
             continue
         for a, b in zip(outer_fields, direct_fields):

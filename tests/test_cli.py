@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from recipgas.cli import main
 
 
@@ -122,3 +124,16 @@ def test_seed_after_subcommand_accepted(capsys):
     code, _ = run(capsys, "lie-check", "--family", "one_param_linear",
                   "--points", "5", "--seed", "7")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("transform", "--nodes", "1"),
+    ("transform", "--nodes", "2"),
+    ("closedness", "--nodes", "1"),
+    ("lie-check", "--family", "one_param_linear", "--points", "0"),
+])
+def test_bad_sizes_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err

@@ -1,0 +1,171 @@
+"""compile_exprs against exact rational evaluation, on scalars and arrays."""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from recipgas.gasdyn import FIELDS, standard_context
+from recipgas.symkernel import Expr, compile_exprs, parse
+from recipgas.symkernel.errors import NumericDomain, UnboundSymbol
+from recipgas.transforms import (bateman, bateman_simplified, identity_map,
+                                 involution_E1_reciprocal,
+                                 involution_E2_reciprocal, mu_minus, mu_plus,
+                                 one_param_bateman, one_param_exp,
+                                 one_param_linear, one_param_q13,
+                                 theorem_map)
+
+POINTS = 20
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    return standard_context()
+
+
+def _paper_maps(ctx):
+    """(name, map, value range of the family symbol or None)."""
+    maps = [
+        ("identity", identity_map(ctx), None),
+        ("bateman", bateman(ctx, 1, 0, 1, 0, entropy="identity"), None),
+        ("bateman symbolic", bateman(ctx, entropy="identity"), None),
+        ("bateman_simplified",
+         bateman_simplified(ctx, 1, 0, entropy="identity"), None),
+        ("theorem", theorem_map(ctx, alpha=1, beta=2, k=1, a11=1,
+                                a34=Fraction(1, 2), a35=2, a45=3, psi=1,
+                                entropy="identity"), None),
+        ("mu_plus", mu_plus(ctx, alpha=1, beta=2), None),
+        ("mu_minus", mu_minus(ctx, a33=1, a54=0, a11=1, alpha=1, beta=2),
+         None),
+        ("E1", involution_E1_reciprocal(ctx), None),
+        ("E2", involution_E2_reciprocal(ctx), None),
+    ]
+    fams = [
+        (one_param_bateman(ctx), (-1, 1)),
+        (one_param_q13(ctx, q12=0, q13=1), (-1, 1)),
+        (one_param_exp(ctx, k1=1, k2=1, q12=0), (7, 9)),
+        (one_param_linear(ctx, k2=1, q12=0), (-1, 1)),
+    ]
+    maps += [(fam.name, fam.map_sym, (fam.symbol, lo, hi))
+             for fam, (lo, hi) in fams]
+    return maps
+
+
+def _rational_point(rng, names, symbol):
+    """Fields in the safe ranges of sample_float_state, in 64ths; the
+    family symbol in the given range of 8ths; every other name (free
+    parameters and formal atoms such as psi(S)) in [1/2, 2]."""
+    point = {}
+    for n in sorted(names):
+        if n in ("rho", "p", "S"):
+            point[n] = Fraction(rng.randint(32, 128), 64)
+        elif n in ("u", "v"):
+            point[n] = Fraction(rng.choice([-1, 1]) * rng.randint(7, 128), 64)
+        elif symbol is not None and n == symbol[0]:
+            point[n] = Fraction(rng.randint(symbol[1], symbol[2]), 8)
+        else:
+            point[n] = Fraction(rng.randint(32, 128), 64)
+    return point
+
+
+def _draw(T, symbol, rng):
+    """POINTS rational points where every denominator of T is nonzero."""
+    comps = T.components()
+    names = set().union(*(c.free_variables() for c in comps))
+    points = []
+    while len(points) < POINTS:
+        point = _rational_point(rng, names, symbol)
+        if all(d.eval_rational(point) != 0 for d in T.denominators()):
+            points.append(point)
+    return points
+
+
+def test_paper_maps_match_exact_values(ctx):
+    rng = random.Random(20240801)
+    for name, T, symbol in _paper_maps(ctx):
+        comps = T.components()
+        evaluate = compile_exprs(comps)
+        points = _draw(T, symbol, rng)
+        scalar = []
+        for point in points:
+            got = evaluate({k: float(v) for k, v in point.items()})
+            for c, g in zip(comps, got):
+                want = float(c.eval_rational(point))
+                assert g == pytest.approx(want, rel=1e-12, abs=1e-300), \
+                    (name, str(c), point)
+            scalar.append([float(g) for g in got])
+        # the same points as arrays: equal to the scalar results bit for bit
+        arrays = {k: np.array([float(p[k]) for p in points])
+                  for k in points[0]}
+        got = evaluate(arrays)
+        for k in range(len(comps)):
+            column = np.broadcast_to(got[k], (POINTS,))
+            assert np.array_equal(column, [row[k] for row in scalar]), \
+                (name, str(comps[k]))
+
+
+def test_tan_atom_of_the_q13_leaf(ctx):
+    fam = one_param_q13(ctx, q12=Fraction(1, 3), q13=Fraction(1, 2))
+    leaf = Expr.function(ctx, "tan", Expr.const(ctx, Fraction(1, 2))
+                         * Expr.var(ctx, "eps"))
+    via_atom = compile_exprs([c.substitute({"lam": leaf})
+                              for c in fam.map_sym.components()])
+    via_leaf = compile_exprs(fam.map_sym.components())
+    rng = random.Random(7)
+    for _ in range(POINTS):
+        state = {n: rng.uniform(0.5, 2.0) for n in FIELDS}
+        eps = rng.uniform(-0.25, 0.25)
+        got = via_atom(dict(state, eps=eps))
+        want = via_leaf(dict(state, lam=math.tan(0.5 * eps)))
+        assert got == pytest.approx(want, rel=1e-13)
+    # an atom given by display name needs no arguments
+    t = Expr.function(ctx, "tan", parse(ctx, "eps*q13"))
+    assert compile_exprs([t * 2])({str(t): 0.25}) == [0.5]
+
+
+def test_errors(ctx):
+    zero_den = compile_exprs([parse(ctx, "1/(p-1)")])
+    with pytest.raises(NumericDomain):
+        zero_den({"p": 1.0})
+    with pytest.raises(NumericDomain):
+        zero_den({"p": np.array([0.5, 1.0])})
+    overflow = compile_exprs([parse(ctx, "p^400")])
+    with pytest.raises(NumericDomain):
+        overflow({"p": 1e300})
+    with pytest.raises(NumericDomain):
+        overflow({"p": np.array([1.0, 1e300])})
+    with pytest.raises(UnboundSymbol):
+        compile_exprs([parse(ctx, "u+v")])({"u": 1.0})
+    tan = Expr.function(ctx, "tan", parse(ctx, "eps"))
+    with pytest.raises(UnboundSymbol):
+        compile_exprs([tan])({"u": 1.0})
+    with pytest.raises(UnboundSymbol):
+        compile_exprs([Expr.function(ctx, "h", parse(ctx, "S"))])({"S": 1.0})
+
+
+def test_scalars_broadcast_against_arrays(ctx):
+    evaluate = compile_exprs([parse(ctx, "rho*u^2+p"), parse(ctx, "3/2")])
+    vals = evaluate({"rho": 2.0, "u": np.array([1.0, 2.0]), "p": 1})
+    assert np.array_equal(vals[0], [3.0, 9.0])
+    assert vals[1] == 1.5
+
+
+def test_high_powers_match_exact_values(ctx):
+    e = parse(ctx, "p^7*u^3-2*rho^5*v^4+(u*v)^2/(p^3+rho^6)")
+    point = {"p": Fraction(3, 2), "u": Fraction(-5, 4), "rho": Fraction(7, 8),
+             "v": Fraction(9, 16)}
+    got = compile_exprs([e])({k: float(v) for k, v in point.items()})[0]
+    assert got == pytest.approx(float(e.eval_rational(point)), rel=1e-14)
+
+
+def test_large_polynomials_compile(ctx):
+    # 3003 terms and a power of degree 2000: the generated code stays
+    # within the compiler's nesting limits
+    big = compile_exprs([parse(ctx, "(1+u+v+p+rho+S)^10")])
+    a = {"u": 0.25, "v": -0.5, "p": 0.75, "rho": 0.5, "S": 0.125}
+    assert big(a)[0] == pytest.approx((1 + sum(a.values())) ** 10,
+                                      rel=1e-12)
+    high = compile_exprs([parse(ctx, "u^2000")])
+    assert high({"u": 1.0005})[0] == pytest.approx(1.0005 ** 2000, rel=1e-12)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from recipgas.gasdyn import standard_context
+from recipgas.gasdyn import InvalidParams, standard_context
 from recipgas.symkernel import parse
 from recipgas.symkernel.errors import NumericDomain
 from recipgas.transforms import (composition_additivity, lie_equation_check,
@@ -57,3 +57,21 @@ def test_inverse_symbol_map(ctx):
     assert fam.inverse_symbol_map(2.0) == 0.5
     fam2 = one_param_bateman(ctx)
     assert fam2.inverse_symbol_map(0.25) == -0.25
+
+
+def test_stencil_in_extended_precision(ctx):
+    # the residual is the pure O(step^2) truncation term: no rounding
+    # floor of order 1e-17/step from double-precision stencil nodes
+    fam = one_param_q13(ctx, q12=Fraction(3, 8), q13=Fraction(5, 4))
+    r6, r7, r8 = (lie_equation_check(fam, n_points=30, step=s).max_residual
+                  for s in (1e-6, 1e-7, 1e-8))
+    assert r8 < 1e-12
+    assert 90 <= r6 / r7 <= 110
+
+
+def test_at_least_one_sample(ctx):
+    fam = one_param_bateman(ctx)
+    with pytest.raises(InvalidParams):
+        lie_equation_check(fam, n_points=0)
+    with pytest.raises(InvalidParams):
+        composition_additivity(fam, n_points=0)

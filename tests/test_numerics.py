@@ -5,8 +5,9 @@ import pytest
 
 from recipgas.gasdyn import standard_context
 from recipgas.numerics import (ConstantFlow, DomainViolation, GridSpec,
-                               GridTooSmall, InvalidParams, ShearFlow,
-                               VortexFlow, fd_residuals, loop_closedness,
+                               GridTooSmall, InvalidParams, NewtonDivergence,
+                               ShearFlow, TransformedFlow, VortexFlow,
+                               fd_residuals, loop_closedness,
                                make_solution, primed_coordinates,
                                transform_convergence_ratios,
                                transform_roundtrip_error, transform_solution,
@@ -165,3 +166,32 @@ def test_roundtrip_recovers_fields(ctx):
     sol = make_solution(ShearFlow.example(),
                         GridSpec(0, 0, 1 / 8, 1 / 8, 9, 9))
     assert transform_roundtrip_error(sol, T) < 1e-8
+
+
+def test_batched_inversion_matches_single_points(ctx):
+    T = bateman(ctx, 1, 0, 1, 0, entropy="identity")
+    sol = make_solution(VortexFlow(w0=1, m=1),
+                        GridSpec(0.5, 0.3, 1 / 16, 1 / 16, 9, 9))
+    xp, yp = primed_coordinates(sol, T)
+    tf = TransformedFlow(sol, T, xp, yp)
+    rng = np.random.default_rng(3)
+    xt = rng.uniform(xp.min(), xp.max(), 12)
+    yt = rng.uniform(yp.min(), yp.max(), 12)
+    x, y = tf.invert_point(xt, yt)
+    for k in range(len(xt)):
+        xk, yk = tf.invert_point(xt[k], yt[k])
+        assert (x[k], y[k]) == (xk, yk)
+    rows = tf.fields(xt.reshape(3, 4), yt.reshape(3, 4))
+    for got, want in zip(rows, tf.fields(xt, yt)):
+        assert np.array_equal(got.ravel(), want)
+
+
+def test_newton_iteration_limit(ctx):
+    T = bateman(ctx, 1, 0, 1, 0, entropy="identity")
+    sol = make_solution(VortexFlow(w0=1, m=1),
+                        GridSpec(0.5, 0.3, 1 / 16, 1 / 16, 9, 9))
+    xp, yp = primed_coordinates(sol, T)
+    tf = TransformedFlow(sol, T, xp, yp, max_iter=1)
+    with pytest.raises(NewtonDivergence):
+        tf.invert_point(0.5 * (xp[0, 0] + xp[1, 1]),
+                        0.5 * (yp[0, 0] + yp[1, 1]))
