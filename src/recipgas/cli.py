@@ -24,9 +24,10 @@ from .prolong import determining_residuals
 from .reports import Report
 from .symkernel import Expr, parse
 from .symkernel.errors import SymkernelError
-from .transforms import (CATALOG_NAMES, catalog, lie_equation_check,
-                         load_map, pushforward, pushforward_matrix,
-                         verify_point_symmetry, verify_reciprocal)
+from .transforms import (CATALOG_NAMES, ReciprocalMap, catalog,
+                         lie_equation_check, load_map, pushforward,
+                         pushforward_matrix, verify_point_symmetry,
+                         verify_reciprocal)
 from .transforms.verify import DEFAULT_SEED
 
 
@@ -122,10 +123,15 @@ def cmd_verify_generator(args) -> int:
 
 
 def _catalog_map(ctx, name, params):
-    """The map of a catalog entry; a one-parameter family gives its
-    symbolic map."""
+    """The reciprocal map of a catalog entry; a one-parameter family gives
+    its symbolic map."""
     entry = catalog(ctx, name, **params)
-    return getattr(entry, "map_sym", entry)
+    T = getattr(entry, "map_sym", entry)
+    if not isinstance(T, ReciprocalMap):
+        raise SymkernelError("catalog entry %r is a point map, not a "
+                             "reciprocal map; check it with verify-point"
+                             % name)
+    return T
 
 
 def _load_catalog_map(ctx, args):

@@ -37,7 +37,8 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(i.passed for i in self.items)
+        """True when the report has items and every one passed."""
+        return bool(self.items) and all(i.passed for i in self.items)
 
     @property
     def verdict(self) -> str:

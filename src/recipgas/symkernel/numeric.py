@@ -1,21 +1,30 @@
-"""Float evaluation of expressions, compiled once per list of Exprs.
+"""Numeric evaluation of expressions, compiled once per list of Exprs.
 
-compile_exprs turns Exprs of one context into one generated Python
-function of an assignment dict.  The same code runs on Python floats and,
-elementwise, on numpy arrays, with the same result bit for bit: each term
-is float(c) * x^e * ..., terms are summed from 0.0 left to right in the
-polynomial's dict order, and a numerator is divided by its denominator
-unless that is 1.  A power x^e is the product (x^(e-1)) * x, formed once
-per function: numpy's power and Python's pow differ in the last bit for
-a few percent of arguments, products do not.
+One code generator turns Exprs of one context into one generated Python
+function of an assignment dict.  A _Numbers record says how that code
+writes a coefficient, reads an input and tests a denominator, so the same
+generator serves two number types:
+
+- compile_exprs: Python floats and, elementwise, numpy arrays, with the
+  same result bit for bit: each term is float(c) * x^e * ..., terms are
+  summed from 0.0 left to right in the polynomial's dict order, and a
+  numerator is divided by its denominator unless that is 1.  A power x^e
+  is the product (x^(e-1)) * x, formed once per function: numpy's power
+  and Python's pow differ in the last bit for a few percent of arguments,
+  products do not.
+- compile_exprs_mp: mpmath numbers at the caller's working precision, in
+  the same term order; each rational coefficient is one mpf bound when
+  the function is compiled, and inputs pass through unconverted.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import NumericDomain, UnboundSymbol
-from .poly import mono_items, pis_const
+from .poly import QZERO, mono_items, pis_const
 
 DEFAULT_FN_IMPLS = {
     "tan": np.tan,
@@ -28,6 +37,24 @@ DEFAULT_FN_IMPLS = {
 
 # terms per generated line, so that huge sums stay shallow for the compiler
 _TERMS_PER_LINE = 64
+
+_ZERO_MESSAGE = "zero denominator at the evaluation point"
+
+
+def _float(value):
+    if isinstance(value, (float, np.ndarray)):
+        return value
+    return float(value)
+
+
+class _Numbers(NamedTuple):
+    """How generated code handles one number type."""
+    constant: object   # (rational, env) -> source text of its value
+    convert: object    # applied to each input value, or None
+    nonzero: object    # true when a denominator value has no zero
+
+
+_FLOATS = _Numbers(lambda c, env: repr(float(c)), _float, np.all)
 
 
 def compile_exprs(exprs, fn_impls: dict | None = None):
@@ -43,8 +70,7 @@ def compile_exprs(exprs, fn_impls: dict | None = None):
     impls = dict(DEFAULT_FN_IMPLS)
     if fn_impls:
         impls.update(fn_impls)
-    raw = _generate(list(exprs), impls,
-                    "zero denominator at the evaluation point")
+    raw = _generate(list(exprs), impls, _ZERO_MESSAGE, _FLOATS)
 
     def evaluate(assignment: dict) -> list:
         try:
@@ -63,16 +89,44 @@ def compile_exprs(exprs, fn_impls: dict | None = None):
     return evaluate
 
 
-def _float(value):
-    if isinstance(value, (float, np.ndarray)):
-        return value
-    return float(value)
+def compile_exprs_mp(exprs):
+    """evaluate(assignment) -> [value of each Expr] in mpmath arithmetic.
+
+    Compile under the working precision the values are wanted at (for
+    example inside mpmath.workdps(40)): each rational coefficient becomes
+    one mpf then.  The assignment maps variable names, and formal-function
+    atoms by display name, to mpf values, which are used as given.  A
+    missing name raises UnboundSymbol; a zero denominator raises
+    NumericDomain.
+    """
+    import mpmath
+
+    def constant(c, env):
+        name = "_q%s_%d" % (str(c.numerator).replace("-", "m"),
+                            c.denominator)
+        if name not in env:
+            env[name] = mpmath.mpf(c.numerator) / c.denominator
+        return name
+
+    raw = _generate(list(exprs), {}, _ZERO_MESSAGE,
+                    _Numbers(constant, None, bool))
+
+    def evaluate(assignment: dict) -> list:
+        try:
+            return raw(assignment)
+        except KeyError as exc:
+            raise UnboundSymbol(exc.args[0]) from None
+
+    return evaluate
 
 
-def _generate(exprs, impls: dict, zero_message: str):
+def _generate(exprs, impls: dict, zero_message: str, numbers: _Numbers):
     """The generated function of the assignment, without error mapping."""
     ctx = exprs[0].ctx if exprs else None
-    env = {"_float": _float, "_all": np.all, "NumericDomain": NumericDomain}
+    env = {"_float": numbers.convert, "_all": numbers.nonzero,
+           "NumericDomain": NumericDomain}
+    read = "_float(a[%r])" if numbers.convert else "a[%r]"
+    zero = numbers.constant(QZERO, env)
     lines = []
     top = {}        # variable index -> highest power held in a local
 
@@ -80,10 +134,10 @@ def _generate(exprs, impls: dict, zero_message: str):
         """The local holding variable idx to the power e."""
         if idx not in top:
             if idx in ctx.atoms:
-                env["_atom%d" % idx] = _atom(ctx.atoms[idx], impls)
+                env["_atom%d" % idx] = _atom(ctx.atoms[idx], impls, numbers)
                 value = "_atom%d(a)" % idx
             else:
-                value = "_float(a[%r])" % ctx.names[idx]
+                value = read % ctx.names[idx]
             lines.append("v%d_1 = %s" % (idx, value))
             top[idx] = 1
         for k in range(top[idx] + 1, e + 1):
@@ -94,16 +148,16 @@ def _generate(exprs, impls: dict, zero_message: str):
     def poly(target, p):
         terms = []
         for m, c in p.items():
-            factors = [repr(float(c))]
+            factors = [numbers.constant(c, env)]
             factors += [load(v, e) for v, e in mono_items(m)]
             terms.append(" * ".join(factors))
-        head = "0.0"
+        head = zero
         for k in range(0, len(terms), _TERMS_PER_LINE):
             chunk = terms[k:k + _TERMS_PER_LINE]
             lines.append("%s = %s" % (target, " + ".join([head] + chunk)))
             head = target
         if not terms:
-            lines.append("%s = 0.0" % target)
+            lines.append("%s = %s" % (target, zero))
 
     dens = {}
     for k, e in enumerate(exprs):
@@ -125,18 +179,19 @@ def _generate(exprs, impls: dict, zero_message: str):
     return env["_evaluate"]
 
 
-def _atom(info, impls: dict):
+def _atom(info, impls: dict, numbers: _Numbers):
     """Value of a formal-function atom: from the assignment by display
     name, else its implementation applied to its arguments."""
     display = info.display
     key = (info.fname, info.orders) if any(info.orders) else info.fname
     fn = impls.get(key)
+    convert = numbers.convert or (lambda v: v)
     args = _generate(list(info.args), impls,
-                     "zero denominator in %s" % display)
+                     "zero denominator in %s" % display, numbers)
 
     def value(a):
         if display in a:
-            return _float(a[display])
+            return convert(a[display])
         if fn is None:
             raise UnboundSymbol(display)
         return fn(*args(a))

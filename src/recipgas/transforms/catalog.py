@@ -9,7 +9,10 @@ not a first-order truncation.
 
 from __future__ import annotations
 
-from ..gasdyn import ConservationFormParams, ParamConstraintViolated
+import inspect
+
+from ..gasdyn import (ConservationFormParams, InvalidParams,
+                      ParamConstraintViolated)
 from ..liealg import standard_basis
 from ..prolong import case_generators
 from ..symkernel import Context, Expr
@@ -389,7 +392,7 @@ def involution_E2_reciprocal(ctx: Context) -> ReciprocalMap:
 
 
 _BUILDERS = {
-    "identity": lambda ctx, **kw: identity_map(ctx),
+    "identity": identity_map,
     "bateman": bateman,
     "bateman_simplified": bateman_simplified,
     "theorem": theorem_map,
@@ -413,4 +416,9 @@ def catalog(ctx: Context, name: str, **params):
     if builder is None:
         raise UnknownCatalogEntry(
             "%r; known: %s" % (name, ", ".join(sorted(_BUILDERS))))
+    known = list(inspect.signature(builder).parameters)[1:]
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise InvalidParams("%s takes no parameter %s; known: %s" % (
+            name, ", ".join(unknown), ", ".join(known) or "none"))
     return builder(ctx, **params)

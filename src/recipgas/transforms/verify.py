@@ -17,7 +17,7 @@ from ..gasdyn import (FIELDS, InvalidParams, OneForm,
                       system_residuals, total_derivative)
 from ..liealg import AutomorphismMatrix
 from ..reports import Report
-from ..symkernel import Expr, compile_exprs
+from ..symkernel import Expr, compile_exprs, compile_exprs_mp
 from ..symkernel.errors import DivisionByZeroExpr, NumericDomain
 from ..symkernel.poly import QQ
 from .maps import OneParamFamily, PointMap, ReciprocalMap
@@ -181,24 +181,10 @@ def _require_points(n_points: int):
                             % n_points)
 
 
-def _eval_poly_mp(ctx, poly, assign):
-    import mpmath
-    from ..symkernel.poly import mono_items
-    total = mpmath.mpf(0)
-    for m, c in poly.items():
-        term = mpmath.mpf(int(c.numerator)) / mpmath.mpf(int(c.denominator))
-        for v, e in mono_items(m):
-            term *= assign[ctx.display_name(v)] ** e
-        total += term
-    return total
-
-
-def _eval_expr_mp(ctx, e, assign):
-    num = _eval_poly_mp(ctx, e.num, assign)
-    den = _eval_poly_mp(ctx, e.den, assign)
-    if den == 0:
-        raise NumericDomain("zero denominator")
-    return num / den
+def _eval_poly_mp(evaluate, assign):
+    """Values of a compiled 40-digit evaluator at one assignment; every
+    mpmath evaluation of the Lie check goes through here."""
+    return evaluate(assign)
 
 
 def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
@@ -221,19 +207,17 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
         raise NumericDomain("family %s has symbolic parameters" % fam.name)
     _require_points(n_points)
     rng = random.Random(seed)
-    ctx = fam.ctx
+    T = fam.map_sym
     gen = fam.generator
-    gen_fields = list(gen.field_slots())
-    gen_matrix = gen.matrix()
-    comps = fam.map_sym.components()
-    dens = sorted({id(c.den): c for c in comps if not c.is_polynomial()}
-                  .values(), key=str)
-    one = Expr.const(ctx, 1)
-    den_exprs = [Expr(ctx, c.den, one.den) for c in dens]
     worst = mpmath.mpf(0)
     done = 0
     attempts = 0
     with mpmath.workdps(40):
+        dens = compile_exprs_mp(T.denominators())
+        comps = compile_exprs_mp(T.components())
+        # the five generator fields, then the generator matrix row by row
+        zeta = compile_exprs_mp(list(gen.field_slots())
+                                + [e for row in gen.matrix() for e in row])
         mstep = mpmath.mpf(step)
         while done < n_points:
             attempts += 1
@@ -245,48 +229,33 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
             mstate = {k: mpmath.mpf(v) for k, v in state.items()}
             stencil = []
             den_vals = []
-            ok = True
             for e in (eps - mstep, eps, eps + mstep):
                 a = dict(mstate)
                 a[fam.symbol] = fam.link_mp(e)
+                row = _eval_poly_mp(dens, a)
+                if any(abs(val) < guard for val in row):
+                    break
                 stencil.append(a)
-                row = []
-                for d in den_exprs:
-                    val = _eval_poly_mp(ctx, d.num, a)
-                    if abs(val) < guard:
-                        ok = False
-                        break
-                    row.append(val)
-                if not ok:
-                    break
                 den_vals.append(row)
-            if not ok:
+            if len(stencil) < 3:
                 continue
-            for k in range(len(den_exprs)):
-                rate = abs(den_vals[2][k] - den_vals[0][k]) / \
-                    (2 * mstep * abs(den_vals[1][k]))
-                if rate > rate_guard:
-                    ok = False
-                    break
-            if not ok:
+            if any(abs(hi - lo) / (2 * mstep * abs(mid)) > rate_guard
+                   for lo, mid, hi in zip(*den_vals)):
                 continue
-            vals = [[_eval_expr_mp(ctx, c, a) for c in comps]
-                    for a in stencil]
-            primed = {n: vals[1][i] for i, n in enumerate(FIELDS)}
+            vals = [_eval_poly_mp(comps, a) for a in stencil]
+            z = _eval_poly_mp(zeta, dict(zip(FIELDS, vals[1])))
             resid = mpmath.mpf(0)
             for i in range(5):
                 d = (vals[2][i] - vals[0][i]) / (2 * mstep)
-                z = _eval_expr_mp(ctx, gen_fields[i], primed)
-                resid = max(resid, abs(d - z))
-            mz = [[_eval_expr_mp(ctx, gen_matrix[i][j], primed)
-                   for j in range(2)] for i in range(2)]
+                resid = max(resid, abs(d - z[i]))
+            mz = ((z[5], z[6]), (z[7], z[8]))
             fmid = ((vals[1][5], vals[1][6]), (vals[1][7], vals[1][8]))
             for i in range(2):
                 for j in range(2):
                     d = (vals[2][5 + 2 * i + j] - vals[0][5 + 2 * i + j]) \
                         / (2 * mstep)
-                    z = mz[i][0] * fmid[0][j] + mz[i][1] * fmid[1][j]
-                    resid = max(resid, abs(d - z))
+                    z_ij = mz[i][0] * fmid[0][j] + mz[i][1] * fmid[1][j]
+                    resid = max(resid, abs(d - z_ij))
             worst = max(worst, resid)
             done += 1
     return LieCheckResult(fam.name, float(worst), n_points)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from recipgas.accept import ALL_CRITERIA
+from recipgas.accept import ALL_CRITERIA, criterion_9
 
 BUDGET_SECONDS = {
     "1": 5, "2": 5, "3": 5, "4": 60, "5": 120,
@@ -29,3 +29,11 @@ def test_criterion(num, fn, capsys):
     assert elapsed < BUDGET_SECONDS[num], (
         "criterion %s exceeded its %ds budget: %.1fs"
         % (num, BUDGET_SECONDS[num], elapsed))
+
+
+def test_criterion_9_detail_is_plain_floats():
+    # the first detail is a dict of Python floats: its text does not
+    # depend on how the installed numpy prints its scalars
+    detail = criterion_9().items[0].detail
+    assert "np." not in detail
+    assert detail == "{'u': 1.0, 'v': 0.0, 'p': -1.0, 'rho': 0.5}"

@@ -1,10 +1,17 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from recipgas.cli import main
+from recipgas.reports import Report
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -137,3 +144,37 @@ def test_bad_sizes_are_usage_errors(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-map", "--catalog", "munk_prim"),
+    ("verify-map", "--catalog", "E1_point"),
+    ("verify-point", "--catalog", "E1", "--param", "psi=1"),
+    ("verify-map", "--catalog", "bateman", "--param", "zz=1"),
+    ("lie-check", "--family", "one_param_linear", "--param", "zz=1"),
+    ("verify-point", "--catalog", "munk_prim", "--param", "zz=1"),
+])
+def test_bad_catalog_requests_are_usage_errors(capsys, argv):
+    # a point map where a reciprocal map is needed, or a parameter the
+    # entry does not take: exit 2 with one line, not a traceback
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_empty_report_fails():
+    rep = Report("nothing checked")
+    assert not rep.passed and rep.verdict == "FAIL"
+    rep.add("one check", True)
+    assert rep.passed
+
+
+def test_module_entry_point():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "recipgas", "--help"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "paper-suite" in proc.stdout

@@ -7,6 +7,7 @@ import pytest
 from recipgas.gasdyn import InvalidParams, standard_context
 from recipgas.symkernel import parse
 from recipgas.symkernel.errors import NumericDomain
+from recipgas.transforms import verify
 from recipgas.transforms import (composition_additivity, lie_equation_check,
                                  one_param_bateman, one_param_exp,
                                  one_param_linear, one_param_q13)
@@ -75,3 +76,31 @@ def test_at_least_one_sample(ctx):
         lie_equation_check(fam, n_points=0)
     with pytest.raises(InvalidParams):
         composition_additivity(fam, n_points=0)
+
+
+@pytest.mark.parametrize("maker, kwargs, distinct, rational", [
+    (one_param_bateman, {}, 2, 4),
+    (one_param_q13, {"q12": 0, "q13": 1}, 3, 8),
+    (one_param_exp, {"k1": 1, "k2": 1, "q12": 0}, 3, 8),
+    (one_param_linear, {"k2": 1, "q12": 0}, 2, 4),
+])
+def test_guard_evaluates_distinct_denominators(ctx, monkeypatch, maker,
+                                               kwargs, distinct, rational):
+    # the stencil guard evaluates each distinct denominator once per node,
+    # not once per component that has it
+    fam = maker(ctx, **kwargs)
+    comps = fam.map_sym.components()
+    assert sum(not c.is_polynomial() for c in comps) == rational
+    assert len(fam.map_sym.denominators()) == distinct
+    sizes = []
+
+    def evaluate(evaluator, assign):
+        values = evaluator(assign)
+        sizes.append(len(values))
+        return values
+
+    monkeypatch.setattr(verify, "_eval_poly_mp", evaluate)
+    lie_equation_check(fam, n_points=3)
+    # the guard's denominators at each node, then the nine components at
+    # the three nodes and the nine generator values
+    assert set(sizes) == {distinct, 9}
