@@ -24,10 +24,11 @@ from .prolong import determining_residuals
 from .reports import Report
 from .symkernel import Expr, parse
 from .symkernel.errors import SymkernelError
-from .transforms import (CATALOG_NAMES, ReciprocalMap, catalog,
+from .transforms import (OneParamFamily, PointMap, ReciprocalMap, catalog,
                          lie_equation_check, load_map, pushforward,
                          pushforward_matrix, verify_point_symmetry,
                          verify_reciprocal)
+from .transforms.catalog import entries, parameters
 from .transforms.verify import DEFAULT_SEED
 
 
@@ -40,14 +41,34 @@ def _parse_value(ctx, text):
         return parse(ctx, text)
 
 
-def _params(ctx, pairs):
-    out = {}
-    for item in pairs or ():
+def _params(ctx, args, **defaults):
+    """Parameters for the command's catalog entry: `defaults` for those the
+    entry takes, then --param, then --b1..--b4."""
+    out = {k: v for k, v in defaults.items()
+           if k in parameters(args.entry, *args.kinds)}
+    for item in args.param:
         if "=" not in item:
             raise SymkernelError("--param expects name=value, got %r" % item)
         k, v = item.split("=", 1)
         out[k.strip()] = _parse_value(ctx, v.strip())
+    for nm in ("b1", "b2", "b3", "b4"):
+        value = getattr(args, nm, None)
+        if value is not None:
+            out[nm] = _parse_value(ctx, value)
     return out
+
+
+def _entry(ctx, args, **defaults):
+    """The command's catalog entry, of one of the kinds the command takes."""
+    return catalog(ctx, args.entry, *args.kinds,
+                   **_params(ctx, args, **defaults))
+
+
+def _catalog_map(ctx, args, **defaults):
+    """The reciprocal map of the command's catalog entry; a one-parameter
+    family gives its symbolic map."""
+    entry = _entry(ctx, args, **defaults)
+    return entry.map_sym if isinstance(entry, OneParamFamily) else entry
 
 
 def _at_least(low):
@@ -122,43 +143,19 @@ def cmd_verify_generator(args) -> int:
     return _emit_report(args, rep)
 
 
-def _catalog_map(ctx, name, params):
-    """The reciprocal map of a catalog entry; a one-parameter family gives
-    its symbolic map."""
-    entry = catalog(ctx, name, **params)
-    T = getattr(entry, "map_sym", entry)
-    if not isinstance(T, ReciprocalMap):
-        raise SymkernelError("catalog entry %r is a point map, not a "
-                             "reciprocal map; check it with verify-point"
-                             % name)
-    return T
-
-
-def _load_catalog_map(ctx, args):
-    params = _params(ctx, args.param)
-    if args.catalog == "bateman":
-        for nm in ("b1", "b2", "b3", "b4"):
-            flag = getattr(args, nm, None)
-            if flag is not None:
-                params[nm] = _parse_value(ctx, flag)
-    return _catalog_map(ctx, args.catalog, params)
-
-
 def cmd_verify_map(args) -> int:
     ctx = standard_context()
     if args.file:
         T = load_map(ctx, args.file)
     else:
-        T = _load_catalog_map(ctx, args)
+        T = _catalog_map(ctx, args)
     rep = verify_reciprocal(T, solve_for=args.reduction, seed=args.seed)
     return _emit_report(args, rep)
 
 
 def cmd_verify_point(args) -> int:
     ctx = standard_context()
-    entry = catalog(ctx, args.catalog + "_point",
-                    **_params(ctx, args.param))
-    rep = verify_point_symmetry(entry)
+    rep = verify_point_symmetry(_entry(ctx, args))
     return _emit_report(args, rep)
 
 
@@ -178,7 +175,7 @@ def cmd_solve_ansatz(args) -> int:
 
 def cmd_pushforward(args) -> int:
     ctx = standard_context()
-    T = _load_catalog_map(ctx, args)
+    T = _catalog_map(ctx, args)
     x = standard_basis(ctx)
     rep = Report("pushforward under %s" % T.name)
     if args.generator:
@@ -221,11 +218,9 @@ def cmd_automorphism(args) -> int:
 
 def cmd_lie_check(args) -> int:
     ctx = standard_context()
-    entry = catalog(ctx, args.family, **_params(ctx, args.param))
-    res = lie_equation_check(entry, n_points=args.points, seed=args.seed)
-    rep = res.report()
-    rep.add("max residual < %g" % args.tol, res.max_residual < args.tol)
-    return _emit_report(args, rep)
+    res = lie_equation_check(_entry(ctx, args), n_points=args.points,
+                             seed=args.seed)
+    return _emit_report(args, res.report(args.tol))
 
 
 def _flow(args):
@@ -245,27 +240,14 @@ def _flow_grid(args):
                     1.0 / (args.nodes - 1), args.nodes, args.nodes)
 
 
-ENTROPY_AWARE = {"bateman", "bateman_simplified", "theorem",
-                 "one_param_bateman", "one_param_q13", "one_param_exp",
-                 "one_param_linear", "mu_plus", "mu_minus"}
-
-
-def _flow_map(ctx, args):
-    """The map to transform a flow by; entries that take an entropy map
-    default to the identity one."""
-    params = _params(ctx, args.param)
-    if args.catalog in ENTROPY_AWARE:
-        params.setdefault("entropy", "identity")
-    return _catalog_map(ctx, args.catalog, params)
-
-
 def cmd_transform(args) -> int:
     ctx = standard_context()
-    T = _flow_map(ctx, args)
+    # entries that take an entropy map transform flows by the identity one
+    T = _catalog_map(ctx, args, entropy="identity")
     sol = make_solution(_flow(args), _flow_grid(args))
     out = transform_solution(sol, T)
     res = fd_residuals(out)
-    rep = Report("transform %s under %s" % (args.flow, args.catalog))
+    rep = Report("transform %s under %s" % (args.flow, args.entry))
     worst = max(res.values())
     rep.add("transformed residuals finite", worst == worst, "")
     for k, v in res.items():
@@ -277,10 +259,10 @@ def cmd_transform(args) -> int:
 
 def cmd_closedness(args) -> int:
     ctx = standard_context()
-    T = _flow_map(ctx, args)
+    T = _catalog_map(ctx, args, entropy="identity")
     sol = make_solution(_flow(args), _flow_grid(args))
     val = loop_closedness(sol, T, unit_square_loop())
-    rep = Report("loop closedness of %s on %s" % (args.catalog, args.flow))
+    rep = Report("loop closedness of %s on %s" % (args.entry, args.flow))
     rep.add("|loop dx'| + |loop dy'| < %g" % args.tol, val < args.tol,
             "%.3e" % val)
     return _emit_report(args, rep)
@@ -305,6 +287,19 @@ def cmd_paper_suite(args) -> int:
         "verdict": "PASS" if ok else "FAIL",
     })
     return 0 if ok else 1
+
+
+MAP_KINDS = (ReciprocalMap, OneParamFamily)
+
+
+def _add_entry(p, flag, default, *kinds):
+    """The catalog entry a command takes, of one of the given kinds, and
+    its parameters."""
+    p.add_argument(flag, dest="entry", default=default, metavar="NAME",
+                   help="catalog entry: %s" % ", ".join(entries(*kinds)))
+    p.add_argument("--param", action="append", default=[],
+                   help="name=value")
+    p.set_defaults(kinds=kinds)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,18 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_generator)
 
     p = add("verify-map", help="reciprocity of a transformation")
-    p.add_argument("--catalog", default=None, choices=CATALOG_NAMES)
+    _add_entry(p, "--catalog", None, *MAP_KINDS)
     p.add_argument("--file", default=None, help="map JSON file")
-    p.add_argument("--param", action="append", help="name=value", default=[])
     for nm in ("b1", "b2", "b3", "b4"):
         p.add_argument("--" + nm, default=None)
     p.add_argument("--reduction", choices=("x", "y"), default="x")
     p.set_defaults(fn=cmd_verify_map)
 
     p = add("verify-point", help="point-symmetry verification")
-    p.add_argument("--catalog", default="munk_prim",
-                   choices=("munk_prim", "E1", "E2"))
-    p.add_argument("--param", action="append", default=[])
+    _add_entry(p, "--catalog", "munk_prim", PointMap)
     p.set_defaults(fn=cmd_verify_point)
 
     p = add("solve-ansatz", help="polynomial-ansatz generator search")
@@ -359,9 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("pushforward",
             help="generator pushforward and decomposition")
-    p.add_argument("--catalog", default="bateman", choices=CATALOG_NAMES)
+    _add_entry(p, "--catalog", "bateman", *MAP_KINDS)
     p.add_argument("--generator", default=None)
-    p.add_argument("--param", action="append", default=[])
     for nm in ("b1", "b2", "b3", "b4"):
         p.add_argument("--" + nm, default=None)
     p.set_defaults(fn=cmd_pushforward)
@@ -371,10 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_automorphism)
 
     p = add("lie-check", help="finite-difference flow consistency")
-    p.add_argument("--family", default="one_param_bateman",
-                   choices=("one_param_bateman", "one_param_q13",
-                            "one_param_exp", "one_param_linear"))
-    p.add_argument("--param", action="append", default=[])
+    _add_entry(p, "--family", "one_param_bateman", OneParamFamily)
     p.add_argument("--points", type=_at_least(1), default=100)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(fn=cmd_lie_check)
@@ -382,18 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("transform", help="transform an exact solution numerically")
     p.add_argument("--flow", default="shear",
                    choices=("constant", "shear", "vortex"))
-    p.add_argument("--catalog", default="bateman_simplified",
-                   choices=CATALOG_NAMES)
-    p.add_argument("--param", action="append", default=[])
+    _add_entry(p, "--catalog", "bateman_simplified", *MAP_KINDS)
     p.add_argument("--nodes", type=_at_least(3), default=17)
     p.set_defaults(fn=cmd_transform)
 
     p = add("closedness", help="loop integrals of dx', dy'")
     p.add_argument("--flow", default="shear",
                    choices=("constant", "shear", "vortex"))
-    p.add_argument("--catalog", default="bateman_simplified",
-                   choices=CATALOG_NAMES)
-    p.add_argument("--param", action="append", default=[])
+    _add_entry(p, "--catalog", "bateman_simplified", *MAP_KINDS)
     p.add_argument("--nodes", type=_at_least(3), default=17)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(fn=cmd_closedness)

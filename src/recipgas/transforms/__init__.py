@@ -1,7 +1,7 @@
 """Transformation catalog, verification, and generator pushforward."""
 
 from ..gasdyn import ParamConstraintViolated
-from .catalog import (CATALOG_NAMES, bateman, bateman_simplified, catalog,
+from .catalog import (CATALOG, bateman, bateman_simplified, catalog,
                       involution_E1, involution_E1_reciprocal, involution_E2,
                       involution_E2_reciprocal, identity_map, mu_minus,
                       mu_plus, munk_prim, one_param_bateman, one_param_exp,
@@ -16,7 +16,7 @@ from .verify import (appendix_pde_residuals, center_pde_residuals,
                      verify_reciprocal, witness_point)
 
 __all__ = [
-    "CATALOG_NAMES", "catalog", "bateman", "bateman_simplified",
+    "CATALOG", "catalog", "bateman", "bateman_simplified",
     "theorem_map", "one_param_bateman", "one_param_q13", "one_param_exp",
     "one_param_linear", "mu_plus", "mu_minus", "munk_prim",
     "involution_E1", "involution_E2", "involution_E1_reciprocal",

@@ -10,6 +10,7 @@ not a first-order truncation.
 from __future__ import annotations
 
 import inspect
+from typing import get_type_hints
 
 from ..gasdyn import (ConservationFormParams, InvalidParams,
                       ParamConstraintViolated)
@@ -20,20 +21,12 @@ from .maps import (OneParamFamily, PointMap, ReciprocalMap,
                    UnknownCatalogEntry, identity_map, point_map,
                    reciprocal_map)
 
-CATALOG_NAMES = (
-    "identity", "bateman", "bateman_simplified", "theorem",
-    "one_param_bateman", "one_param_q13", "one_param_exp",
-    "one_param_linear", "mu_plus", "mu_minus",
-    "munk_prim", "E1", "E2", "E1_point", "E2_point", "munk_prim_point",
-)
-
 
 def _conv(ctx, x):
     if isinstance(x, Expr):
         return x
     if isinstance(x, str):
-        from ..symkernel import parse
-        return parse(ctx, x)
+        raise InvalidParams("%r is not a number or an expression" % x)
     return Expr.const(ctx, x)
 
 
@@ -46,9 +39,17 @@ def _entropy(ctx, entropy: str) -> Expr:
 
 
 def _psi(ctx, psi):
-    if psi == "formal" or psi is None:
+    if psi == "formal":
         return Expr.function(ctx, "psi", Expr.var(ctx, "S"))
     return _conv(ctx, psi)
+
+
+def _link(kind: str, c: Expr):
+    """The leaf link (kind, c) of a family, None when c is symbolic."""
+    try:
+        return (kind, float(c.as_rational()))
+    except ValueError:
+        return None
 
 
 def bateman(ctx: Context, b1=None, b2=None, b3=None, b4=None,
@@ -121,7 +122,7 @@ def one_param_bateman(ctx: Context, entropy="identity") -> OneParamFamily:
     gen = standard_basis(ctx)[2].scale(-2).with_label("-2*X3")
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_bateman",
                        inverse_fields=inverse)
-    return OneParamFamily("one_param_bateman", m, "eps", ("id", None), gen,
+    return OneParamFamily("one_param_bateman", m, "eps", ("linear", 1.0), gen,
                           lambda s: -s)
 
 
@@ -161,11 +162,7 @@ def one_param_q13(ctx: Context, q12=0, q13=1,
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_q13",
                        params={"q12": q12e, "q13": q13e},
                        inverse_fields=inverse)
-    try:
-        link = ("tan", float(q13e.as_rational()))
-    except ValueError:
-        link = None
-    return OneParamFamily("one_param_q13", m, "lam", link, gen,
+    return OneParamFamily("one_param_q13", m, "lam", _link("tan", q13e), gen,
                           lambda s: -s)
 
 
@@ -205,11 +202,7 @@ def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_exp",
                        params={"k1": k1e, "k2": k2e, "q12": q12e},
                        inverse_fields=inverse)
-    try:
-        link = ("exp", float(k1e.as_rational()))
-    except ValueError:
-        link = None
-    return OneParamFamily("one_param_exp", m, "lam", link, gen,
+    return OneParamFamily("one_param_exp", m, "lam", _link("exp", k1e), gen,
                           lambda s: 1.0 / s)
 
 
@@ -239,12 +232,8 @@ def one_param_linear(ctx: Context, k2=1, q12=0,
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_linear",
                        params={"k2": k2e, "q12": q12e},
                        inverse_fields=inverse)
-    try:
-        link = ("linear", float(k2e.as_rational()))
-    except ValueError:
-        link = None
-    return OneParamFamily("one_param_linear", m, "a", link, gen,
-                          lambda s: -s)
+    return OneParamFamily("one_param_linear", m, "a", _link("linear", k2e),
+                          gen, lambda s: -s)
 
 
 def theorem_map(ctx: Context, alpha=None, beta=None, k=None, a11=1,
@@ -391,7 +380,7 @@ def involution_E2_reciprocal(ctx: Context) -> ReciprocalMap:
                           name="E2", inverse_fields=dict(fields))
 
 
-_BUILDERS = {
+CATALOG = {
     "identity": identity_map,
     "bateman": bateman,
     "bateman_simplified": bateman_simplified,
@@ -402,23 +391,46 @@ _BUILDERS = {
     "one_param_linear": one_param_linear,
     "mu_plus": mu_plus,
     "mu_minus": mu_minus,
-    "munk_prim_point": munk_prim,
-    "E1_point": involution_E1,
-    "E2_point": involution_E2,
-    "munk_prim": munk_prim,
     "E1": involution_E1_reciprocal,
     "E2": involution_E2_reciprocal,
+    "munk_prim": munk_prim,
+    "E1_point": involution_E1,
+    "E2_point": involution_E2,
 }
 
 
-def catalog(ctx: Context, name: str, **params):
-    builder = _BUILDERS.get(name)
+def _kind(name: str) -> type:
+    """The declared return type of the entry's builder."""
+    return get_type_hints(CATALOG[name])["return"]
+
+
+def entries(*kinds: type) -> list[str]:
+    """The names of the entries of the given kinds (all without kinds)."""
+    return [n for n in CATALOG if not kinds or issubclass(_kind(n), kinds)]
+
+
+def parameters(name: str, *kinds: type) -> list[str]:
+    """The parameters of an entry after ctx; raises UnknownCatalogEntry
+    when there is no entry `name` of one of the given kinds."""
+    builder = CATALOG.get(name)
     if builder is None:
         raise UnknownCatalogEntry(
-            "%r; known: %s" % (name, ", ".join(sorted(_BUILDERS))))
-    known = list(inspect.signature(builder).parameters)[1:]
+            "no catalog entry %r; known: %s"
+            % (name, ", ".join(entries(*kinds))))
+    if kinds and not issubclass(_kind(name), kinds):
+        raise UnknownCatalogEntry("%s is of kind %s, need %s: %s" % (
+            name, _kind(name).__name__,
+            " or ".join(k.__name__ for k in kinds),
+            ", ".join(entries(*kinds))))
+    return list(inspect.signature(builder).parameters)[1:]
+
+
+def catalog(ctx: Context, name: str, *kinds: type, **params):
+    """Build entry `name`, which must be of one of the given kinds (any
+    kind without kinds), with the given parameters."""
+    known = parameters(name, *kinds)
     unknown = sorted(set(params) - set(known))
     if unknown:
         raise InvalidParams("%s takes no parameter %s; known: %s" % (
             name, ", ".join(unknown), ", ".join(known) or "none"))
-    return builder(ctx, **params)
+    return CATALOG[name](ctx, **params)

@@ -14,6 +14,7 @@ original fields as functions of the symbols read as primed values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from ..gasdyn import FIELDS
@@ -258,10 +259,10 @@ class OneParamFamily:
     """A map family T_eps written over one transcendental leaf.
 
     map_sym holds the transformation with `symbol` free; link_spec names
-    the leaf's dependence on the group parameter, one of ("id", None),
-    ("tan", c) for tan(c*eps), ("exp", c) for exp(c*eps), or ("linear", c)
-    for c*eps.  generator is the claimed infinitesimal generator, the
-    eps-derivative of the family at eps = 0.
+    the leaf's dependence on the group parameter, one of ("linear", c) for
+    c*eps, ("tan", c) for tan(c*eps) or ("exp", c) for exp(c*eps), and is
+    None when c is symbolic.  generator is the claimed infinitesimal
+    generator, the eps-derivative of the family at eps = 0.
     """
     name: str
     map_sym: ReciprocalMap
@@ -274,37 +275,15 @@ class OneParamFamily:
     def ctx(self):
         return self.map_sym.ctx
 
-    def link(self, eps):
-        """Leaf value at the group parameter, preserving the numeric type."""
+    def link(self, eps, lib=math):
+        """Leaf value at the group parameter in the arithmetic of `lib`
+        (math for floats, mpmath for mpf values)."""
         if self.link_spec is None:
             raise SymkernelError(
                 "family %s has symbolic parameters" % self.name)
         kind, c = self.link_spec
-        if kind == "id":
-            return eps
-        if kind == "linear":
-            return c * eps
-        if kind == "tan":
-            import math
-            return math.tan(c * eps)
-        if kind == "exp":
-            import math
-            return math.exp(c * eps)
-        raise ValueError(kind)
-
-    def link_mp(self, eps):
-        """Leaf value in mpmath arithmetic (eps an mpf)."""
-        import mpmath
-        kind, c = self.link_spec
-        if kind == "id":
-            return eps
-        if kind == "linear":
-            return mpmath.mpf(c) * eps
-        if kind == "tan":
-            return mpmath.tan(mpmath.mpf(c) * eps)
-        if kind == "exp":
-            return mpmath.exp(mpmath.mpf(c) * eps)
-        raise ValueError(kind)
+        x = c * eps
+        return x if kind == "linear" else getattr(lib, kind)(x)
 
     def map_at(self, value) -> ReciprocalMap:
         """Substitute an exact (rational or Expr) leaf value."""

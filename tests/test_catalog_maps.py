@@ -7,8 +7,9 @@ import pytest
 from recipgas.gasdyn import standard_context
 from recipgas.symkernel import parse
 from recipgas.symkernel.poly import QQ
-from recipgas.transforms import (NotInvertible, ParamConstraintViolated,
-                                 UnknownCatalogEntry, bateman,
+from recipgas.transforms import (CATALOG, NotInvertible, OneParamFamily,
+                                 ParamConstraintViolated, PointMap,
+                                 ReciprocalMap, UnknownCatalogEntry, bateman,
                                  bateman_simplified, catalog, compose,
                                  identity_map, invert,
                                  involution_E1_reciprocal,
@@ -19,6 +20,7 @@ from recipgas.transforms import (NotInvertible, ParamConstraintViolated,
                                  one_param_q13, reciprocal_map,
                                  theorem_map, verify_point_symmetry,
                                  verify_reciprocal)
+from recipgas.transforms.catalog import entries
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +204,26 @@ def test_catalog_lookup(ctx):
         catalog(ctx, "nonsense")
     fam = catalog(ctx, "one_param_q13", q13=1)
     assert fam.map_at(0).is_identity()
+
+
+def test_registry_entries_are_their_declared_kind(ctx):
+    kinds = (ReciprocalMap, OneParamFamily, PointMap)
+    assert sorted(n for k in kinds for n in entries(k)) == sorted(CATALOG)
+    assert len(set(CATALOG.values())) == len(CATALOG)
+    for kind in kinds:
+        for name in entries(kind):
+            assert isinstance(catalog(ctx, name, kind), kind), name
+
+
+@pytest.mark.parametrize("name,kinds", [
+    ("munk_prim", (ReciprocalMap, OneParamFamily)),
+    ("E1", (PointMap,)),
+    ("bateman", (OneParamFamily,)),
+])
+def test_wrong_kind_lists_the_entries_of_the_kind_needed(ctx, name, kinds):
+    with pytest.raises(UnknownCatalogEntry) as exc:
+        catalog(ctx, name, *kinds)
+    assert str(exc.value).endswith(": " + ", ".join(entries(*kinds)))
 
 
 def test_map_json_round_trip(ctx, tmp_path):

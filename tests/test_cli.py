@@ -2,14 +2,16 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from recipgas.cli import main
+from recipgas.cli import build_parser, main
 from recipgas.reports import Report
+from recipgas.transforms.catalog import entries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -153,6 +155,13 @@ def test_bad_sizes_are_usage_errors(capsys, argv):
     ("verify-map", "--catalog", "bateman", "--param", "zz=1"),
     ("lie-check", "--family", "one_param_linear", "--param", "zz=1"),
     ("verify-point", "--catalog", "munk_prim", "--param", "zz=1"),
+    ("verify-map", "--catalog", "bateman_simplified", "--b3", "0"),
+    ("verify-map", "--catalog", "one_param_q13", "--b1", "5"),
+    ("verify-point", "--catalog", "munk_prim", "--param", "psi=identity"),
+    ("verify-map", "--catalog", "bateman", "--b1", "formal"),
+    ("verify-point", "--catalog", "E1"),
+    ("lie-check", "--family", "bateman"),
+    ("transform", "--catalog", "nonsense"),
 ])
 def test_bad_catalog_requests_are_usage_errors(capsys, argv):
     # a point map where a reciprocal map is needed, or a parameter the
@@ -160,6 +169,45 @@ def test_bad_catalog_requests_are_usage_errors(capsys, argv):
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,value", [
+    (("verify-point", "--catalog", "munk_prim", "--param", "psi=identity"),
+     "'identity'"),
+    (("verify-map", "--catalog", "bateman", "--b1", "formal"), "'formal'"),
+])
+def test_words_are_not_parameter_values(capsys, argv, value):
+    # only entropy takes the words identity/formal; elsewhere they must not
+    # become free variables of a different, symbolic map
+    assert main(list(argv)) == 2
+    assert value in capsys.readouterr().err
+
+
+def test_lie_check_reports_only_the_tolerance(capsys):
+    code, out = run(capsys, "lie-check", "--family", "one_param_linear",
+                    "--points", "5", "--tol", "1e-20")
+    assert code == 1
+    assert not any(line.lstrip().startswith("PASS")
+                   for line in out.splitlines())
+
+
+def _readme_commands():
+    text = (SRC.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("recipgas ")]
+
+
+def test_readme_commands_name_entries_of_the_right_kind():
+    # argparse does not check catalog names; the registry does, so the
+    # documented commands must name entries of the kinds they take
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        if hasattr(args, "kinds"):
+            assert args.entry in entries(*args.kinds), argv
 
 
 def test_empty_report_fails():
