@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 when the requested verification passes, 1 when it fails,
-2 on usage or input errors.  All randomness flows from --seed, so identical
-invocations produce byte-identical reports.
+2 on usage or input errors, 3 on an internal error.  All randomness flows
+from --seed, so identical invocations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -146,6 +146,10 @@ def cmd_verify_generator(args) -> int:
 def cmd_verify_map(args) -> int:
     ctx = standard_context()
     if args.file:
+        if args.entry or args.param or \
+                {args.b1, args.b2, args.b3, args.b4} != {None}:
+            raise SymkernelError(
+                "--file takes no --catalog, --param or --b1..--b4")
         T = load_map(ctx, args.file)
     else:
         T = _catalog_map(ctx, args)
@@ -346,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_point)
 
     p = add("solve-ansatz", help="polynomial-ansatz generator search")
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--degree", type=_at_least(0), default=4)
     p.set_defaults(fn=cmd_solve_ansatz)
 
     p = add("pushforward",
@@ -396,6 +400,10 @@ def main(argv=None) -> int:
     except (SymkernelError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except Exception as exc:
+        sys.stderr.write("internal error: %s: %s\n"
+                         % (type(exc).__name__, exc))
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,15 +15,18 @@ reduction to the solution manifold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
+from operator import add, mul
 
-from .gasdyn import (FIELDS, ConservationFormParams, OneForm,
+from .gasdyn import (FIELDS, ConservationFormParams, InvalidParams, OneForm,
                      ParamConstraintViolated, parametric_jets,
                      reduce_on_manifold, system_residuals, total_derivative)
 from .liealg import EquivalenceGenerator, Generator, generator, standard_basis
 from .symkernel import Context, Expr
 from .symkernel.errors import SymkernelError
 from .symkernel.linalg import nullspace, transpose
-from .symkernel.poly import QQ, pvars
+from .symkernel.poly import QQ, padd, pmul, pvars
 
 RESIDUAL_TAGS = ("mass", "momentum-x", "momentum-y", "entropy",
                  "closedness-dx", "closedness-dy")
@@ -70,32 +73,33 @@ class DeterminingSystem:
         return "\n".join(lines)
 
 
-def _apply_to_residual(ctx, F: Expr, field_slots, pro) -> Expr:
-    out = Expr.const(ctx, 0)
-    for f, z in zip(FIELDS, field_slots):
-        if not z.is_zero():
-            d = F.diff(f)
-            if not d.is_zero():
-                out = out + z * d
-    for f in FIELDS:
-        for c in ("x", "y"):
-            d = F.diff("%s_%s" % (f, c))
-            if not d.is_zero():
-                zj = pro[(f, c)]
-                if not zj.is_zero():
-                    out = out + zj * d
+def _system_residuals(X, pro, solve_for):
+    """The four system residuals F1..F4 under the prolonged generator,
+    reduced to the solution manifold."""
+    ctx = X.ctx
+    out = []
+    for tag, F in zip(RESIDUAL_TAGS[:4], system_residuals(ctx)):
+        r = Expr.const(ctx, 0)
+        for f, z in zip(FIELDS, X.field_slots()):
+            if not z.is_zero():
+                d = F.diff(f)
+                if not d.is_zero():
+                    r = r + z * d
+        for f in FIELDS:
+            for c in ("x", "y"):
+                d = F.diff("%s_%s" % (f, c))
+                if not d.is_zero():
+                    zj = pro[(f, c)]
+                    if not zj.is_zero():
+                        r = r + zj * d
+        out.append((tag, reduce_on_manifold(r, solve_for)))
     return out
 
 
 def determining_residuals(X: Generator, solve_for: str = "x") -> DeterminingSystem:
     """The six reduced residuals; X generates a one-parameter group of
     reciprocal transformations iff all six normalize to zero."""
-    ctx = X.ctx
-    pro = prolong(X)
-    res = []
-    for tag, F in zip(RESIDUAL_TAGS[:4], system_residuals(ctx)):
-        r = _apply_to_residual(ctx, F, X.field_slots(), pro)
-        res.append((tag, reduce_on_manifold(r, solve_for)))
+    res = _system_residuals(X, prolong(X), solve_for)
     c_dx = total_derivative(X.m12, "x") - total_derivative(X.m11, "y")
     c_dy = total_derivative(X.m22, "x") - total_derivative(X.m21, "y")
     res.append((RESIDUAL_TAGS[4], reduce_on_manifold(c_dx, solve_for)))
@@ -116,11 +120,8 @@ def equivalence_residuals(Xe: EquivalenceGenerator,
         fy = Expr.var(ctx, f + "_y")
         pro[(f, "x")] = total_derivative(z, "x") - fx * dxx["x"] - fy * dxy["x"]
         pro[(f, "y")] = total_derivative(z, "y") - fx * dxx["y"] - fy * dxy["y"]
-    res = []
-    for tag, F in zip(RESIDUAL_TAGS[:4], system_residuals(ctx)):
-        r = _apply_to_residual(ctx, F, Xe.field_slots(), pro)
-        res.append((tag, reduce_on_manifold(r, solve_for)))
-    return DeterminingSystem(Xe, res, solve_for)
+    return DeterminingSystem(Xe, _system_residuals(Xe, pro, solve_for),
+                             solve_for)
 
 
 def split(ds: DeterminingSystem):
@@ -144,14 +145,10 @@ def split(ds: DeterminingSystem):
 # --- first-method form coefficients -----------------------------------------
 
 
-def form_coeffs_from_invariance(ctx: Context, params: ConservationFormParams,
-                                zr: Expr, zu: Expr, zv: Expr, zp: Expr):
-    """Unique 1-form slots making both conserved flux forms invariant.
-
-    Solves X(S1) = 0, X(S2) = 0 for the four form coefficients; the shared
-    denominator is Delta = det of the flux coefficient matrix.  Returns
-    (zeta_dx, zeta_dy) as OneForms.
-    """
+def _flux_matrix(ctx: Context, params: ConservationFormParams):
+    """Flux coefficients (A1, B1, A2, B2) of the conserved forms
+    S1 = A1 dx + B1 dy, S2 = A2 dx + B2 dy (up to q11, q21) and their
+    determinant Delta, which must not vanish."""
     v = lambda n: Expr.var(ctx, n)
     rho, u, vv, p = v("rho"), v("u"), v("v"), v("p")
     A1 = p + params.q12 + rho * vv ** 2
@@ -161,8 +158,18 @@ def form_coeffs_from_invariance(ctx: Context, params: ConservationFormParams,
     delta = A1 * B2 - B1 * A2
     if delta.is_zero():
         raise DegenerateDelta("flux coefficient matrix is singular")
+    return A1, B1, A2, B2, delta
 
-    zero = Expr.const(ctx, 0)
+
+def form_coeffs_from_invariance(ctx: Context, params: ConservationFormParams,
+                                zr: Expr, zu: Expr, zv: Expr, zp: Expr):
+    """Unique 1-form slots making both conserved flux forms invariant.
+
+    Solves X(S1) = 0, X(S2) = 0 for the four form coefficients; the shared
+    denominator is Delta = det of the flux coefficient matrix.  Returns
+    (zeta_dx, zeta_dy) as OneForms.
+    """
+    A1, B1, A2, B2, delta = _flux_matrix(ctx, params)
     probe = generator(ctx, zr=zr, zu=zu, zv=zv, zp=zp)
     XA1, XB1 = probe.apply(A1), probe.apply(B1)
     XA2, XB2 = probe.apply(A2), probe.apply(B2)
@@ -175,7 +182,7 @@ def form_coeffs_from_invariance(ctx: Context, params: ConservationFormParams,
 
 
 def first_method_generator(ctx: Context, params: ConservationFormParams,
-                           zr, zu, zv, zp, zs=0) -> Generator:
+                           zr=0, zu=0, zv=0, zp=0, zs=0) -> Generator:
     zdx, zdy = form_coeffs_from_invariance(ctx, params, zr, zu, zv, zp)
     return generator(ctx, zr=zr, zu=zu, zv=zv, zp=zp, zs=zs,
                      m=((zdx.cx, zdx.cy), (zdy.cx, zdy.cy)))
@@ -220,23 +227,25 @@ def case_generators(branch: str, params: ConservationFormParams,
 # --- polynomial ansatz -------------------------------------------------------
 
 ANSATZ_VARS = ("rho", "u", "v", "p")
+# the formal slot function of the candidate-vector builder; "$" is no
+# identifier character, so no parsed expression can name it
+FORMAL_SLOT = "$Z"
 
 
 def _monomials(ctx, max_degree):
     """All monomials in (rho,u,v,p) with total degree <= max_degree."""
-    out = []
-    rng = range(max_degree + 1)
-    for er in rng:
-        for eu in rng:
-            for ev in rng:
-                for ep in rng:
-                    if er + eu + ev + ep <= max_degree:
-                        m = Expr.const(ctx, 1)
-                        for n, e in zip(ANSATZ_VARS, (er, eu, ev, ep)):
-                            if e:
-                                m = m * Expr.var(ctx, n) ** e
-                        out.append(m)
-    return out
+    if max_degree < 0:
+        raise InvalidParams("ansatz degree must be at least 0, got %d"
+                            % max_degree)
+    return [reduce(mul, (Expr.var(ctx, n) ** e
+                         for n, e in zip(ANSATZ_VARS, exps)))
+            for exps in product(range(max_degree + 1), repeat=4)
+            if sum(exps) <= max_degree]
+
+
+def _jet(e: Expr) -> list:
+    """e and its four first partials in (rho, u, v, p)."""
+    return [e] + [e.diff(n) for n in ANSATZ_VARS]
 
 
 @dataclass
@@ -247,69 +256,71 @@ class AnsatzSolution:
     reverified: bool
 
 
-def _clear_jets_vector(ds: DeterminingSystem, clear: Expr):
-    """Residuals * clear must be polynomial; returns {(tag_i,mono): QQ}."""
-    vec = {}
-    for ti, (tag, r) in enumerate(ds.residuals):
-        if r.is_zero():
-            continue
-        rc = r * clear
-        if not rc.is_polynomial():
-            raise SymkernelError("denominator not cleared for %s" % tag)
-        scale = rc.den[next(iter(rc.den))]
-        for mono, c in rc.num.items():
-            vec[(ti, mono)] = c / scale
-    return vec
+def _candidate_vectors(slots, monos, make, clear):
+    """Cleared residual vectors {(residual index, mono): QQ} of the
+    candidates make(slot, m), slot-major, m in monos.
+
+    The determining residuals are linear in the generator, so one run per
+    slot with the formal function Z(rho,u,v,p) there gives each residual,
+    times clear, as polynomial coefficients of Z and of its four first
+    partials; a candidate's vector is that combination at Z = m.
+    """
+    z = Expr.function(clear.ctx, FORMAL_SLOT,
+                      *(Expr.var(clear.ctx, n) for n in ANSATZ_VARS))
+    names = [str(a) for a in _jet(z)]
+    partials = [[d.num for d in _jet(m)] for m in monos]
+    vectors = []
+    for s in slots:
+        terms = []
+        ds = determining_residuals(make(s, z))
+        for ti, (tag, r) in enumerate(ds.residuals):
+            rc = r * clear
+            if not rc.is_polynomial():
+                raise SymkernelError("denominator not cleared for %s" % tag)
+            for key, c in rc.collect(names).items():
+                if len(key) != 1 or key[0][1] != 1:
+                    raise SymkernelError("%s is not linear in the slot" % tag)
+                terms.append((ti, names.index(key[0][0]), c.num))
+        for ps in partials:
+            polys = {}
+            for ti, k, c in terms:
+                polys[ti] = padd(polys.get(ti, {}), pmul(c, ps[k]))
+            vectors.append({(ti, mono): c for ti, p in polys.items()
+                            for mono, c in p.items()})
+    return vectors
 
 
-def _nullspace_generators(ctx, candidates, vectors, build, reverify):
-    basis_vecs = nullspace(list(transpose(vectors).values()), len(candidates),
-                           one=QQ(1))
+def _solve_ansatz(slots, monos, make, clear) -> AnsatzSolution:
+    """Nullspace of the determining system over the candidates
+    make(slot, m); every basis element is re-verified through the full
+    determining_residuals, so the linear solve is never trusted alone."""
+    candidates = [(s, m) for s in slots for m in monos]
+    vectors = _candidate_vectors(slots, monos, make, clear)
     gens = []
-    for bv in basis_vecs:
-        g = build(bv)
-        gens.append(g)
-    ok = True
-    for g in gens:
-        if not reverify(g):
-            ok = False
-    return gens, ok
+    for bv in nullspace(list(transpose(vectors).values()), len(candidates),
+                        one=QQ(1)):
+        vals = {}
+        for (s, m), c in zip(candidates, bv):
+            if c:
+                vals[s] = vals.get(s, 0) + m * c
+        gens.append(reduce(add, (make(s, v) for s, v in vals.items())))
+    if not all(determining_residuals(g).is_zero() for g in gens):
+        raise SymkernelError("ansatz solution failed re-verification")
+    return AnsatzSolution(len(gens), gens, len(candidates), True)
+
+
+def _one_slot(slot: int, value: Expr) -> Generator:
+    """The generator with value in slot number `slot` and zero elsewhere."""
+    vals = [Expr.const(value.ctx, 0)] * 9
+    vals[slot] = value
+    return Generator(*vals)
 
 
 def solve_ansatz(ctx: Context, max_degree: int = 4) -> AnsatzSolution:
     """Nullspace of the determining system over generators whose nine slots
-    are polynomials in (rho, u, v, p) of total degree <= max_degree.
-
-    Every returned basis element is independently re-verified through
-    determining_residuals; the linear solve is never trusted on its own.
-    """
-    monos = _monomials(ctx, max_degree)
-    u4 = Expr.var(ctx, "u") ** 4
-    slots = list(range(9))
-    candidates = []
-    vectors = []
-    zero = Expr.const(ctx, 0)
-    for s in slots:
-        for m in monos:
-            vals = [zero] * 9
-            vals[s] = m
-            g = Generator(*vals)
-            candidates.append((s, m))
-            vectors.append(_clear_jets_vector(determining_residuals(g), u4))
-
-    def build(coeffs):
-        vals = [zero] * 9
-        for (s, m), c in zip(candidates, coeffs):
-            if c:
-                vals[s] = vals[s] + m * c
-        return Generator(*vals)
-
-    gens, ok = _nullspace_generators(
-        ctx, candidates, vectors, build,
-        lambda g: determining_residuals(g).is_zero())
-    if not ok:
-        raise SymkernelError("ansatz solution failed re-verification")
-    return AnsatzSolution(len(gens), gens, len(candidates), ok)
+    are polynomials in (rho, u, v, p) of total degree <= max_degree."""
+    return _solve_ansatz(range(9), _monomials(ctx, max_degree), _one_slot,
+                         Expr.var(ctx, "u") ** 4)
 
 
 def solve_ansatz_first_method(ctx: Context, params: ConservationFormParams,
@@ -319,42 +330,9 @@ def solve_ansatz_first_method(ctx: Context, params: ConservationFormParams,
     from invariance of the conserved forms.  With include_zp=False this is
     the zp = 0 case, whose solutions should be spanned by the two
     equivalence families at constant function slices."""
-    monos = _monomials(ctx, max_degree)
-    v = lambda n: Expr.var(ctx, n)
-    rho, u, vv, p = v("rho"), v("u"), v("v"), v("p")
-    A1 = p + params.q12 + rho * vv ** 2
-    B2 = p + params.q22 + rho * u ** 2
-    B1 = -(rho * u * vv + params.q13)
-    A2 = -(rho * u * vv + params.q23)
-    delta = A1 * B2 - B1 * A2
-    if delta.is_zero():
-        raise DegenerateDelta("flux coefficient matrix is singular")
-    clear = Expr.var(ctx, "u") ** 4 * delta ** 2
-
-    field_slots = ["zr", "zu", "zv", "zs"] + (["zp"] if include_zp else [])
-    zero = Expr.const(ctx, 0)
-    candidates = []
-    vectors = []
-    for s in field_slots:
-        for m in monos:
-            kw = {"zr": zero, "zu": zero, "zv": zero, "zp": zero, "zs": zero}
-            kw[s] = m
-            g = first_method_generator(ctx, params, kw["zr"], kw["zu"],
-                                       kw["zv"], kw["zp"], kw["zs"])
-            candidates.append((s, m))
-            vectors.append(_clear_jets_vector(determining_residuals(g), clear))
-
-    def build(coeffs):
-        kw = {"zr": zero, "zu": zero, "zv": zero, "zp": zero, "zs": zero}
-        for (s, m), c in zip(candidates, coeffs):
-            if c:
-                kw[s] = kw[s] + m * c
-        return first_method_generator(ctx, params, kw["zr"], kw["zu"],
-                                      kw["zv"], kw["zp"], kw["zs"])
-
-    gens, ok = _nullspace_generators(
-        ctx, candidates, vectors, build,
-        lambda g: determining_residuals(g).is_zero())
-    if not ok:
-        raise SymkernelError("first-method ansatz failed re-verification")
-    return AnsatzSolution(len(gens), gens, len(candidates), ok)
+    delta = _flux_matrix(ctx, params)[4]
+    return _solve_ansatz(
+        ["zr", "zu", "zv", "zs"] + (["zp"] if include_zp else []),
+        _monomials(ctx, max_degree),
+        lambda s, value: first_method_generator(ctx, params, **{s: value}),
+        Expr.var(ctx, "u") ** 4 * delta ** 2)

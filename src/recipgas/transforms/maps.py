@@ -111,18 +111,31 @@ def identity_map(ctx: Context) -> ReciprocalMap:
 
 
 def map_from_dict(ctx: Context, d: dict, name="") -> ReciprocalMap:
-    form = d["form"]
-    inv = d.get("inverse")
+    """The map of a to_dict() record; a missing or mis-shaped key raises a
+    SymkernelError that names it."""
+    def need(ok, key, what):
+        if not ok:
+            raise SymkernelError("map key %r: %s" % (key, what))
+
+    def expr(key, text):
+        need(isinstance(text, str), key,
+             "missing or not an expression string")
+        return parse(ctx, text)
+
+    if not isinstance(d, dict):
+        raise SymkernelError("a map is a JSON object")
+    form, inv, params = d.get("form"), d.get("inverse"), d.get("params", {})
+    need(isinstance(form, list) and len(form) == 2 and all(
+        isinstance(row, list) and len(row) == 2 for row in form),
+        "form", "missing or not a 2x2 list")
+    need(inv is None or isinstance(inv, dict), "inverse", "not an object")
+    need(isinstance(params, dict), "params", "not an object")
     return reciprocal_map(
-        ctx,
-        parse(ctx, d["R"]), parse(ctx, d["U"]), parse(ctx, d["V"]),
-        parse(ctx, d["P"]), parse(ctx, d["H"]),
-        ((parse(ctx, form[0][0]), parse(ctx, form[0][1])),
-         (parse(ctx, form[1][0]), parse(ctx, form[1][1]))),
-        name=name or d.get("name", ""),
-        params=d.get("params", {}),
+        ctx, *(expr(k, d.get(k)) for k in ("R", "U", "V", "P", "H")),
+        tuple(tuple(expr("form", t) for t in row) for row in form),
+        name=name or d.get("name", ""), params=params,
         inverse_fields=None if inv is None else
-        {k: parse(ctx, v) for k, v in inv.items()})
+        {k: expr("inverse", v) for k, v in inv.items()})
 
 
 def load_map(ctx: Context, path) -> ReciprocalMap:

@@ -1,12 +1,17 @@
 """Polynomial-ansatz nullspace recovery of the reciprocal generators."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from recipgas.gasdyn import ConservationFormParams, standard_context
+from recipgas import prolong
+from recipgas.gasdyn import (ConservationFormParams, InvalidParams,
+                             standard_context)
 from recipgas.liealg import membership, standard_basis, x_f, x_h
-from recipgas.prolong import (case_generators, determining_residuals,
+from recipgas.prolong import (_candidate_vectors, _flux_matrix, _monomials,
+                              _one_slot, case_generators,
+                              determining_residuals, first_method_generator,
                               solve_ansatz, solve_ansatz_first_method)
 from recipgas.symkernel import Expr
 
@@ -62,3 +67,64 @@ def test_first_method_zero_pressure_slot(ctx):
     one = Expr.const(ctx, 1)
     assert membership(x_h(ctx, one), sol.generators) is not None
     assert membership(x_f(ctx, one), sol.generators) is not None
+
+
+def _full_pipeline_vector(g, clear):
+    """Reference: the determining residuals of one concrete candidate
+    generator, times clear, as {(residual index, mono): QQ}."""
+    vec = {}
+    for ti, (tag, r) in enumerate(determining_residuals(g).residuals):
+        rc = r * clear
+        assert rc.is_polynomial(), tag
+        for mono, c in rc.num.items():
+            vec[(ti, mono)] = c
+    return vec
+
+
+def _nine_slot_method(ctx):
+    return range(9), _one_slot, Expr.var(ctx, "u") ** 4, 4, 6
+
+
+def _first_method(ctx):
+    params = ConservationFormParams.make(ctx, 1, 1, 0, 0, 0, 0)
+    delta = _flux_matrix(ctx, params)[4]
+    make = lambda s, value: first_method_generator(ctx, params, **{s: value})
+    return (("zr", "zu", "zv", "zs", "zp"), make,
+            Expr.var(ctx, "u") ** 4 * delta ** 2, 2, 2)
+
+
+@pytest.mark.parametrize("method", [_nine_slot_method, _first_method])
+def test_candidate_vectors_match_full_pipeline(ctx, method):
+    # the one-run-per-slot vectors equal those of the full pipeline run on
+    # each concrete one-monomial candidate, for every slot
+    slots, make, clear, degree, k = method(ctx)
+    monos = random.Random(20240801).sample(_monomials(ctx, degree), k)
+    got = _candidate_vectors(slots, monos, make, clear)
+    want = [_full_pipeline_vector(make(s, m), clear)
+            for s in slots for m in monos]
+    assert got == want
+
+
+def test_one_determining_run_per_slot(ctx, monkeypatch):
+    calls = []
+
+    def counted(g, *args):
+        calls.append(g)
+        return determining_residuals(g, *args)
+
+    monkeypatch.setattr(prolong, "determining_residuals", counted)
+    sol = solve_ansatz(ctx, 1)
+    assert sol.candidates == 9 * 5
+    # one run per slot, then one re-verification per basis element
+    assert len(calls) == 9 + sol.dimension
+
+
+@pytest.mark.parametrize("solve", [
+    lambda ctx: solve_ansatz(ctx, -1),
+    lambda ctx: solve_ansatz_first_method(
+        ctx, ConservationFormParams.make(ctx), max_degree=-1),
+], ids=["nine-slot", "first-method"])
+def test_negative_degree_is_invalid(ctx, solve):
+    # no ansatz may pass on zero candidates
+    with pytest.raises(InvalidParams):
+        solve(ctx)

@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from recipgas import cli
 from recipgas.cli import build_parser, main
+from recipgas.gasdyn import standard_context
 from recipgas.reports import Report
+from recipgas.transforms import identity_map
 from recipgas.transforms.catalog import entries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -140,6 +143,7 @@ def test_seed_after_subcommand_accepted(capsys):
     ("transform", "--nodes", "2"),
     ("closedness", "--nodes", "1"),
     ("lie-check", "--family", "one_param_linear", "--points", "0"),
+    ("solve-ansatz", "--degree", "-1"),
 ])
 def test_bad_sizes_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -226,3 +230,45 @@ def test_module_entry_point():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "paper-suite" in proc.stdout
+
+
+@pytest.mark.parametrize("extra", [
+    ("--catalog", "mu_minus"),
+    ("--param", "b1=0"),
+    ("--b1", "0"),
+])
+def test_map_file_takes_no_catalog_flags(capsys, tmp_path, extra):
+    # the flags would be dropped in favour of the file, so they are refused
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(identity_map(standard_context()).to_dict()))
+    assert main(["verify-map", "--file", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify-map", "--file", str(path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("record, key", [
+    ({}, "form"),
+    ({"R": "rho", "U": "u", "V": "v", "P": "p", "H": "S",
+      "form": [["1", "0"]]}, "form"),
+    ({"R": "rho", "U": "u", "V": "v", "P": "p", "H": 1,
+      "form": [["1", "0"], ["0", "1"]]}, "H"),
+])
+def test_malformed_map_file_is_usage_error(capsys, tmp_path, record, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    assert main(["verify-map", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(key) in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    # a bug is not a verification FAIL (1) nor a usage error (2)
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_commutators", broken)
+    assert main(["commutators"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
