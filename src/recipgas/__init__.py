@@ -11,10 +11,9 @@ Subpackages:
     accept      the acceptance suite (also `recipgas paper-suite`)
 """
 
-from .gasdyn import default_context, standard_context
+from .gasdyn import standard_context
 from .symkernel import Context, Expr, parse
 
 __version__ = "0.1.0"
 
-__all__ = ["Context", "Expr", "parse", "standard_context",
-           "default_context", "__version__"]
+__all__ = ["Context", "Expr", "parse", "standard_context", "__version__"]

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from . import accept
 from .gasdyn import standard_context
-from .liealg import (automorphism_constraints, commutator_table_text,
-                     generator_from_dict, reciprocal_algebra,
+from .liealg import (commutator_table_text, generator_from_dict,
+                     megaideal_constraints, reciprocal_algebra,
                      standard_basis, verify_automorphism_solution, x_f, x_h)
 from .numerics import (ConstantFlow, GridSpec, ShearFlow, VortexFlow,
                        fd_residuals, loop_closedness, make_solution,
@@ -194,10 +194,7 @@ def cmd_pushforward(args) -> int:
             rep.add("image in span{X3', X4', X5'}", False, str(image))
     else:
         M = pushforward_matrix(T, x[2:5])
-        L = reciprocal_algebra(ctx)
-        cons = automorphism_constraints(
-            ctx, L.derived_algebra().derived_algebra().constant_table())
-        res = verify_automorphism_solution(M, cons)
+        res = verify_automorphism_solution(M, megaideal_constraints(ctx))
         rep.add("matrix satisfies the automorphism constraints",
                 res.satisfied)
         rep.add("matrix nonsingular", not res.det.is_zero(),
@@ -209,10 +206,7 @@ def cmd_pushforward(args) -> int:
 
 
 def cmd_automorphism(args) -> int:
-    ctx = standard_context()
-    L = reciprocal_algebra(ctx)
-    cons = automorphism_constraints(
-        ctx, L.derived_algebra().derived_algebra().constant_table())
+    cons = megaideal_constraints(standard_context())
     rep = Report("automorphism constraints for the 3-dimensional megaideal")
     rep.add("constraint count", len(cons) == 9, str(len(cons)))
     for i, c in enumerate(cons):

@@ -20,6 +20,8 @@ from .symkernel import Context, Expr, parse
 from .symkernel.errors import SymkernelError
 
 FIELDS = ("rho", "u", "v", "p", "S")
+# the residuals F1..F4 of the governing system, by name
+RESIDUAL_NAMES = ("mass", "momentum-x", "momentum-y", "entropy")
 COORDS = ("x", "y")
 JETS = tuple("%s_%s" % (f, c) for f in FIELDS for c in COORDS)
 
@@ -55,14 +57,29 @@ def standard_context() -> Context:
     return ctx
 
 
-_DEFAULT = None
+def parse_record(ctx: Context, d, what: str, keys, default=None) -> dict:
+    """{key: Expr} for the expression strings of a JSON record; the key
+    "form" holds a 2x2 list and reads as a tuple of rows.  An absent key
+    reads as `default`, or is an error when that is None.  Each error is a
+    SymkernelError that names the key."""
+    if not isinstance(d, dict):
+        raise SymkernelError("a %s is a JSON object" % what)
 
+    def expr(key, text):
+        if not isinstance(text, str):
+            raise SymkernelError("%s key %r: missing or not an expression "
+                                 "string" % (what, key))
+        return parse(ctx, text)
 
-def default_context() -> Context:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = standard_context()
-    return _DEFAULT
+    form = d.get("form", None if default is None else [[default] * 2] * 2)
+    if "form" in keys and not (isinstance(form, list) and len(form) == 2
+                               and all(isinstance(row, list) and len(row) == 2
+                                       for row in form)):
+        raise SymkernelError("%s key 'form': missing or not a 2x2 list"
+                             % what)
+    return {key: tuple(tuple(expr(key, t) for t in row) for row in form)
+            if key == "form" else expr(key, d.get(key, default))
+            for key in keys}
 
 
 def state_equation(ctx: Context) -> Expr:

@@ -21,16 +21,18 @@ X1, X2 central.  One-parameter flow formulas elsewhere in the package use
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .gasdyn import FIELDS
-from .symkernel import Context, Expr, parse
+from .gasdyn import FIELDS, parse_record
+from .symkernel import Context, Expr
 from .symkernel.errors import SymkernelError, VariableMismatch
 from .symkernel.linalg import (det3, nullspace, reduce_row, rref, solve,
                                transpose)
 from .symkernel.poly import QQ, pconst, pprimitive, pleading_mono
 
 SLOT_NAMES = ("zr", "zu", "zv", "zp", "zs", "m11", "m12", "m21", "m22")
+_RECORD_KEYS = ("zeta_rho", "zeta_u", "zeta_v", "zeta_p", "zeta_S")
 
 
 class NotClosed(SymkernelError):
@@ -121,13 +123,9 @@ class Generator:
         return "%s(%s)" % (self.label or "Generator", body)
 
     def to_dict(self):
-        return {
-            "zeta_rho": str(self.zr), "zeta_u": str(self.zu),
-            "zeta_v": str(self.zv), "zeta_p": str(self.zp),
-            "zeta_S": str(self.zs),
-            "form": [[str(self.m11), str(self.m12)],
-                     [str(self.m21), str(self.m22)]],
-        }
+        d = {k: str(z) for k, z in zip(_RECORD_KEYS, self.field_slots())}
+        d["form"] = [[str(m) for m in row] for row in self.matrix()]
+        return d
 
 
 def generator(ctx: Context, zr=0, zu=0, zv=0, zp=0, zs=0,
@@ -144,17 +142,12 @@ def zero_generator(ctx: Context) -> Generator:
 
 
 def generator_from_dict(ctx: Context, d: dict, label="") -> Generator:
-    form = d.get("form", [["0", "0"], ["0", "0"]])
-    return generator(
-        ctx,
-        zr=parse(ctx, d.get("zeta_rho", "0")),
-        zu=parse(ctx, d.get("zeta_u", "0")),
-        zv=parse(ctx, d.get("zeta_v", "0")),
-        zp=parse(ctx, d.get("zeta_p", "0")),
-        zs=parse(ctx, d.get("zeta_S", "0")),
-        m=((parse(ctx, form[0][0]), parse(ctx, form[0][1])),
-           (parse(ctx, form[1][0]), parse(ctx, form[1][1]))),
-        label=label or d.get("label", ""))
+    """The generator of a to_dict() record.  An absent slot is 0; a slot
+    that is not an expression string, or a form that is not 2x2, raises a
+    SymkernelError that names its key."""
+    rec = parse_record(ctx, d, "generator", _RECORD_KEYS + ("form",), "0")
+    return generator(ctx, *(rec[k] for k in _RECORD_KEYS), m=rec["form"],
+                     label=label or d.get("label", ""))
 
 
 @dataclass(frozen=True)
@@ -336,7 +329,6 @@ class FunctionalConstant:
 class LieAlgebra:
     basis: list
     name: str = ""
-    _table: dict | None = field(default=None, repr=False)
 
     def labels(self):
         return [g.label or ("B%d" % i) for i, g in enumerate(self.basis)]
@@ -346,8 +338,10 @@ class LieAlgebra:
 
     def structure_constants(self) -> dict:
         """Full antisymmetric table {(i,j): [(k, c)] or FunctionalConstant}."""
-        if self._table is not None:
-            return self._table
+        return self._table
+
+    @cached_property
+    def _table(self) -> dict:
         n = len(self.basis)
         table = {}
         for i in range(n):
@@ -356,7 +350,6 @@ class LieAlgebra:
                 entry = self._decompose_bracket((i, j), br)
                 table[(i, j)] = entry
                 table[(j, i)] = _negate_entry(entry)
-        self._table = table
         return table
 
     def _decompose_bracket(self, pair, br: Generator):
@@ -372,6 +365,13 @@ class LieAlgebra:
         raise NotClosed((self.basis[pair[0]].label, self.basis[pair[1]].label),
                         br)
 
+    def _combine(self, terms) -> Generator:
+        """sum c * basis[k] over the pairs (k, c) of terms."""
+        g = zero_generator(self.basis[0].ctx)
+        for k, c in terms:
+            g = g + self.basis[k].scale(c)
+        return g
+
     def constant_table(self) -> dict:
         """{(i,j,k): QQ} for the non-functional part of the table."""
         out = {}
@@ -383,25 +383,17 @@ class LieAlgebra:
         return out
 
     def derived_algebra(self) -> "LieAlgebra":
-        """Span of all commutators, with basis drawn from this basis."""
-        n = len(self.basis)
+        """Span of all commutators, read from the structure constants, with
+        basis drawn from this basis."""
         brackets = []
         families_hit = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                br = commutator(self.basis[i], self.basis[j])
-                if br.is_zero():
-                    continue
-                coeffs = membership(br, self.basis)
-                if coeffs is not None:
-                    brackets.append(br)
-                else:
-                    for k, g in enumerate(self.basis):
-                        if _match_functional(br, g) is not None:
-                            families_hit.add(k)
-                            break
-                    else:
-                        brackets.append(br)
+        for (i, j), entry in self.structure_constants().items():
+            if i > j:
+                continue
+            if isinstance(entry, FunctionalConstant):
+                families_hit.add(entry.family)
+            elif entry:
+                brackets.append(self._combine(entry))
         chosen = []
         if brackets:
             bvecs = [_vectorize(br) for br in brackets]
@@ -436,16 +428,11 @@ class LieAlgebra:
             else:
                 for k, c in entry:
                     rows.setdefault((j, k), {})[i] = c
-        basisvecs = nullspace(list(rows.values()), n, one=QQ(1))
         out = []
-        for vec in basisvecs:
-            g = zero_generator(self.basis[0].ctx)
-            label_parts = []
-            for i, c in enumerate(vec):
-                if c:
-                    g = g + self.basis[i].scale(c)
-                    label_parts.append(self.basis[i].label)
-            out.append(g.with_label("+".join(label_parts)))
+        for vec in nullspace(list(rows.values()), n, one=QQ(1)):
+            terms = [(i, c) for i, c in enumerate(vec) if c]
+            out.append(self._combine(terms).with_label(
+                "+".join(self.basis[i].label for i, _ in terms)))
         return LieAlgebra(out, name="Z(%s)" % self.name)
 
 
@@ -493,32 +480,38 @@ def _entry_text(entry, labels):
 
 # --- automorphism machinery ---------------------------------------------------
 
+# the symbols a_ni of a linear map of the megaideal L'' = span{X3, X4, X5}
+_AUT_NAMES = tuple(tuple("a%d%d" % (n, i) for i in (3, 4, 5))
+                   for n in (3, 4, 5))
+
 
 @dataclass(frozen=True)
 class AutomorphismMatrix:
-    """3x3 matrix a[n][i] over labels, column i = image of the i-th basis
-    element; optional center multiplier a11."""
+    """3x3 matrix a[n][i] over X3, X4, X5, column i = image of the i-th
+    basis element."""
     entries: tuple
-    a11: Expr | None = None
-    labels: tuple = (3, 4, 5)
 
     def det(self) -> Expr:
         return det3(self.entries)
 
 
-def automorphism_symbols(ctx: Context, labels=(3, 4, 5)):
-    syms = []
-    for n in labels:
-        row = []
-        for i in labels:
-            name = "a%s%s" % (n, i)
+def automorphism_symbols(ctx: Context):
+    for row in _AUT_NAMES:
+        for name in row:
             ctx.ensure(name)
-            row.append(Expr.var(ctx, name))
-        syms.append(tuple(row))
-    return tuple(syms)
+    return tuple(tuple(Expr.var(ctx, name) for name in row)
+                 for row in _AUT_NAMES)
 
 
-def automorphism_constraints(ctx: Context, table: dict, labels=(3, 4, 5)):
+def _constant(table: dict, i, j, k):
+    """c_ij^k of a table {(i,j,k): value} whose antisymmetric completion is
+    implied."""
+    if (i, j, k) in table:
+        return table[(i, j, k)]
+    return -table.get((j, i, k), QQ(0))
+
+
+def automorphism_constraints(ctx: Context, table: dict):
     """Polynomial conditions on a_ni for a linear map to preserve the
     bracket of a 3-dimensional constant-structure-constant algebra:
 
@@ -527,15 +520,7 @@ def automorphism_constraints(ctx: Context, table: dict, labels=(3, 4, 5)):
     table: {(i,j,k): value} over indices 0..2, antisymmetric completion
     implied.  Trivial and duplicate conditions are removed.
     """
-    a = automorphism_symbols(ctx, labels)
-
-    def c(i, j, k):
-        if (i, j, k) in table:
-            return table[(i, j, k)]
-        if (j, i, k) in table:
-            return -table[(j, i, k)]
-        return QQ(0)
-
+    a = automorphism_symbols(ctx)
     constraints = []
     seen = set()
     for i in range(3):
@@ -544,12 +529,12 @@ def automorphism_constraints(ctx: Context, table: dict, labels=(3, 4, 5)):
                 lhs = Expr.const(ctx, 0)
                 for k in range(3):
                     for s in range(3):
-                        cc = c(k, s, n)
+                        cc = _constant(table, k, s, n)
                         if cc:
                             lhs = lhs + a[k][i] * a[s][j] * cc
                 rhs = Expr.const(ctx, 0)
                 for m in range(3):
-                    cc = c(i, j, m)
+                    cc = _constant(table, i, j, m)
                     if cc:
                         rhs = rhs + a[n][m] * cc
                 e = lhs - rhs
@@ -561,6 +546,14 @@ def automorphism_constraints(ctx: Context, table: dict, labels=(3, 4, 5)):
                     seen.add(key)
                     constraints.append(canon)
     return constraints
+
+
+def megaideal_constraints(ctx: Context):
+    """The automorphism conditions of the megaideal L'' = span{X3, X4, X5}
+    of L_rt, read from the structure constants of its second derived
+    algebra."""
+    Lpp = reciprocal_algebra(ctx).derived_algebra().derived_algebra()
+    return automorphism_constraints(ctx, Lpp.constant_table())
 
 
 def _canonical_poly(e: Expr) -> Expr:
@@ -582,15 +575,12 @@ class AutomorphismReport:
         return "\n".join(lines)
 
 
-def verify_automorphism_solution(A: AutomorphismMatrix, constraints,
-                                 labels=(3, 4, 5)) -> AutomorphismReport:
+def verify_automorphism_solution(A: AutomorphismMatrix,
+                                 constraints) -> AutomorphismReport:
     ctx = A.entries[0][0].ctx
-    bindings = {}
-    for r, n in enumerate(labels):
-        for cpos, i in enumerate(labels):
-            name = "a%s%s" % (n, i)
-            ctx.ensure(name)
-            bindings[name] = A.entries[r][cpos]
+    automorphism_symbols(ctx)  # declares the names bound below
+    bindings = {name: e for names, row in zip(_AUT_NAMES, A.entries)
+                for name, e in zip(names, row)}
     det = A.det()
     if det.is_zero():
         raise SingularMatrix("det A normalizes to 0")
@@ -601,13 +591,6 @@ def verify_automorphism_solution(A: AutomorphismMatrix, constraints,
 
 def jacobi_residuals(table: dict, dim: int):
     """sum_m (c_ij^m c_mk^n + c_jk^m c_mi^n + c_ki^m c_mj^n) over all i<j<k, n."""
-    def c(i, j, k):
-        if (i, j, k) in table:
-            return table[(i, j, k)]
-        if (j, i, k) in table:
-            return -table[(j, i, k)]
-        return QQ(0)
-
     out = []
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -615,8 +598,8 @@ def jacobi_residuals(table: dict, dim: int):
                 for n in range(dim):
                     s = QQ(0)
                     for m in range(dim):
-                        s += c(i, j, m) * c(m, k, n)
-                        s += c(j, k, m) * c(m, i, n)
-                        s += c(k, i, m) * c(m, j, n)
+                        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                            s += _constant(table, a, b, m) * \
+                                _constant(table, m, c, n)
                     out.append(((i, j, k, n), s))
     return out

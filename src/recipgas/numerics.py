@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gasdyn import InvalidParams
+from .gasdyn import FIELDS, RESIDUAL_NAMES, InvalidParams
 from .symkernel import compile_exprs
 from .symkernel.errors import SymkernelError
 from .transforms.maps import ReciprocalMap, invert
@@ -35,9 +35,6 @@ class DomainViolation(SymkernelError):
 
 class NewtonDivergence(SymkernelError):
     pass
-
-
-FIELD_ORDER = ("rho", "u", "v", "p", "S")
 
 
 @dataclass(frozen=True)
@@ -177,11 +174,8 @@ def fd_residuals(sol: GridSolution) -> dict:
     F2 = c(rho) * (c(u) * dx(u) + c(v) * dy(u)) + dx(p)
     F3 = c(rho) * (c(u) * dx(v) + c(v) * dy(v)) + dy(p)
     F4 = c(u) * dx(S) + c(v) * dy(S)
-    out = {}
-    for name, arr in (("mass", F1), ("momentum-x", F2),
-                      ("momentum-y", F3), ("entropy", F4)):
-        out[name] = float(np.max(np.abs(arr))) if arr.size else 0.0
-    return out
+    return {name: float(np.max(np.abs(arr))) if arr.size else 0.0
+            for name, arr in zip(RESIDUAL_NAMES, (F1, F2, F3, F4))}
 
 
 # --- quadrature -----------------------------------------------------------------
@@ -224,7 +218,7 @@ class _MapEvaluator:
 
     def _at(self, fn, x, y):
         """fn's values at the points (x, y), stacked on a new first axis."""
-        vals = fn(dict(zip(FIELD_ORDER, self.flow.fields(x, y))))
+        vals = fn(dict(zip(FIELDS, self.flow.fields(x, y))))
         out = np.empty((len(vals),) + np.broadcast_shapes(np.shape(x),
                                                           np.shape(y)))
         for k, v in enumerate(vals):
@@ -236,7 +230,7 @@ class _MapEvaluator:
         return self._at(self._form, x, y)
 
     def fields_at(self, x, y):
-        """The primed fields in FIELD_ORDER at the points (x, y)."""
+        """The primed fields in FIELDS at the points (x, y)."""
         return self._at(self._fields, x, y)
 
     def check_domain(self, xs, ys, floor=1e-9):

@@ -19,17 +19,17 @@ from functools import reduce
 from itertools import product
 from operator import add, mul
 
-from .gasdyn import (FIELDS, ConservationFormParams, InvalidParams, OneForm,
-                     ParamConstraintViolated, parametric_jets,
-                     reduce_on_manifold, system_residuals, total_derivative)
+from .gasdyn import (FIELDS, RESIDUAL_NAMES, ConservationFormParams,
+                     InvalidParams, OneForm, ParamConstraintViolated,
+                     parametric_jets, reduce_on_manifold, system_residuals,
+                     total_derivative)
 from .liealg import EquivalenceGenerator, Generator, generator, standard_basis
 from .symkernel import Context, Expr
 from .symkernel.errors import SymkernelError
 from .symkernel.linalg import nullspace, transpose
 from .symkernel.poly import QQ, padd, pmul, pvars
 
-RESIDUAL_TAGS = ("mass", "momentum-x", "momentum-y", "entropy",
-                 "closedness-dx", "closedness-dy")
+RESIDUAL_TAGS = RESIDUAL_NAMES + ("closedness-dx", "closedness-dy")
 
 
 class NotPolynomialInJets(SymkernelError):
@@ -78,7 +78,7 @@ def _system_residuals(X, pro, solve_for):
     reduced to the solution manifold."""
     ctx = X.ctx
     out = []
-    for tag, F in zip(RESIDUAL_TAGS[:4], system_residuals(ctx)):
+    for tag, F in zip(RESIDUAL_NAMES, system_residuals(ctx)):
         r = Expr.const(ctx, 0)
         for f, z in zip(FIELDS, X.field_slots()):
             if not z.is_zero():

@@ -2,8 +2,8 @@
 reduction, compiled float and mpmath evaluation."""
 
 from .context import Context
-from .errors import (CyclicBinding, DivisionByZeroExpr, NotPolynomialInVars,
-                     NumericDomain, ParseError, SymkernelError, UnboundSymbol,
+from .errors import (DivisionByZeroExpr, NotPolynomialInVars, NumericDomain,
+                     ParseError, SymkernelError, UnboundSymbol,
                      UnknownVariable, VariableMismatch)
 from .expr import Expr
 from .numeric import DEFAULT_FN_IMPLS, compile_exprs, compile_exprs_mp
@@ -14,6 +14,6 @@ __all__ = [
     "Context", "Expr", "parse", "QQ", "DEFAULT_FN_IMPLS", "compile_exprs",
     "compile_exprs_mp",
     "SymkernelError", "DivisionByZeroExpr", "UnknownVariable",
-    "CyclicBinding", "NotPolynomialInVars", "UnboundSymbol",
+    "NotPolynomialInVars", "UnboundSymbol",
     "NumericDomain", "ParseError", "VariableMismatch",
 ]

@@ -13,10 +13,6 @@ class UnknownVariable(SymkernelError):
     pass
 
 
-class CyclicBinding(SymkernelError):
-    pass
-
-
 class NotPolynomialInVars(SymkernelError):
     pass
 

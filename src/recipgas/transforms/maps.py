@@ -17,9 +17,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from ..gasdyn import FIELDS
+from ..gasdyn import FIELDS, parse_record
 from ..liealg import Generator
-from ..symkernel import Context, Expr, parse
+from ..symkernel import Context, Expr
 from ..symkernel.errors import SymkernelError
 
 
@@ -113,29 +113,17 @@ def identity_map(ctx: Context) -> ReciprocalMap:
 def map_from_dict(ctx: Context, d: dict, name="") -> ReciprocalMap:
     """The map of a to_dict() record; a missing or mis-shaped key raises a
     SymkernelError that names it."""
-    def need(ok, key, what):
-        if not ok:
-            raise SymkernelError("map key %r: %s" % (key, what))
-
-    def expr(key, text):
-        need(isinstance(text, str), key,
-             "missing or not an expression string")
-        return parse(ctx, text)
-
-    if not isinstance(d, dict):
-        raise SymkernelError("a map is a JSON object")
-    form, inv, params = d.get("form"), d.get("inverse"), d.get("params", {})
-    need(isinstance(form, list) and len(form) == 2 and all(
-        isinstance(row, list) and len(row) == 2 for row in form),
-        "form", "missing or not a 2x2 list")
-    need(inv is None or isinstance(inv, dict), "inverse", "not an object")
-    need(isinstance(params, dict), "params", "not an object")
+    rec = parse_record(ctx, d, "map", ("R", "U", "V", "P", "H", "form"))
+    inv, params = d.get("inverse"), d.get("params", {})
+    if not (inv is None or isinstance(inv, dict)):
+        raise SymkernelError("map key 'inverse': not an object")
+    if not isinstance(params, dict):
+        raise SymkernelError("map key 'params': not an object")
     return reciprocal_map(
-        ctx, *(expr(k, d.get(k)) for k in ("R", "U", "V", "P", "H")),
-        tuple(tuple(expr("form", t) for t in row) for row in form),
+        ctx, *(rec[k] for k in ("R", "U", "V", "P", "H")), rec["form"],
         name=name or d.get("name", ""), params=params,
         inverse_fields=None if inv is None else
-        {k: expr("inverse", v) for k, v in inv.items()})
+        parse_record(ctx, inv, "map inverse", inv))
 
 
 def load_map(ctx: Context, path) -> ReciprocalMap:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..gasdyn import (FIELDS, InvalidParams, OneForm,
+from ..gasdyn import (FIELDS, RESIDUAL_NAMES, InvalidParams, OneForm,
                       conservation_law_forms, reduce_on_manifold,
                       system_residuals, total_derivative)
 from ..liealg import AutomorphismMatrix
@@ -133,8 +133,7 @@ def verify_point_symmetry(T: PointMap, solve_for: str = "x") -> Report:
         fyp = (-j[0][1] * dx_phi + j[0][0] * dy_phi) / detj
         jets["%s_x" % fname] = fxp
         jets["%s_y" % fname] = fyp
-    for name, F in zip(("mass", "momentum-x", "momentum-y", "entropy"),
-                       system_residuals(ctx)):
+    for name, F in zip(RESIDUAL_NAMES, system_residuals(ctx)):
         transformed = F.substitute({**sub, **jets})
         r = reduce_on_manifold(transformed, solve_for)
         rep.add(name, r.is_zero(), "" if r.is_zero() else str(r))
@@ -311,14 +310,14 @@ def composition_additivity(fam: OneParamFamily, n_points: int = 100,
 # --- first-order transport relations -----------------------------------------
 
 
-def appendix_pde_residuals(T: ReciprocalMap, A: AutomorphismMatrix,
-                           a11=None) -> Report:
+def appendix_pde_residuals(T: ReciprocalMap,
+                           A: AutomorphismMatrix) -> Report:
     """Residuals of the displayed first-order relations tying the partial
     derivatives of the map components to the automorphism coefficients.
 
     Left-hand sides are exact derivatives of T's components; right-hand
-    sides are the stated closed forms.  a11 participates only through the
-    center relations (not part of this block).
+    sides are the stated closed forms.  The center multiplier a11 enters
+    only the center relations (center_pde_residuals).
     """
     ctx = T.ctx
     v = lambda n: Expr.var(ctx, n)

@@ -264,6 +264,20 @@ def test_malformed_map_file_is_usage_error(capsys, tmp_path, record, key):
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("record, key", [
+    ({"zeta_rho": "rho", "form": [["1", "0"]]}, "form"),
+    ({"zeta_rho": 5}, "zeta_rho"),
+])
+def test_malformed_generator_file_is_usage_error(capsys, tmp_path, record,
+                                                 key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    assert main(["verify-generator", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(key) in err
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     # a bug is not a verification FAIL (1) nor a usage error (2)
     def broken(args):

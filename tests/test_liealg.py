@@ -5,13 +5,15 @@ import random
 
 import pytest
 
+from recipgas import liealg
 from recipgas.gasdyn import standard_context
 from recipgas.liealg import (AutomorphismMatrix, FunctionalConstant,
                              LieAlgebra, NotClosed, SingularMatrix,
                              automorphism_constraints, commutator,
                              commutator_table_text, generator,
                              generator_from_dict, jacobi_residuals,
-                             membership, reciprocal_algebra, standard_basis,
+                             megaideal_constraints, membership,
+                             reciprocal_algebra, standard_basis,
                              verify_automorphism_solution, x_f, x_h,
                              zero_generator)
 from recipgas.symkernel import Expr, parse
@@ -71,6 +73,28 @@ def test_not_closed(ctx, basis):
     assert not ei.value.residual.is_zero()
 
 
+def test_derived_of_not_closed_raises(ctx, basis):
+    # the derived algebra reads the same table: no silent "[]" element
+    rdr = generator(ctx, zr=parse(ctx, "rho"), label="rho*d_rho")
+    with pytest.raises(NotClosed):
+        LieAlgebra([basis[2], rdr]).derived_algebra()
+
+
+def test_one_commutator_per_pair(ctx, monkeypatch):
+    calls = []
+
+    def counted(X, Y):
+        calls.append((X.label, Y.label))
+        return commutator(X, Y)
+
+    monkeypatch.setattr(liealg, "commutator", counted)
+    L = reciprocal_algebra(ctx)
+    L.derived_algebra()
+    L.center()
+    # derived algebra and center both read the one cached table
+    assert len(calls) == 7 * 6 // 2 == len(set(calls))
+
+
 def test_derived_series(ctx):
     L = reciprocal_algebra(ctx)
     Lp = L.derived_algebra()
@@ -108,9 +132,7 @@ def test_jacobi_property(ctx):
 
 
 def test_automorphism_constraints_nine(ctx):
-    L = reciprocal_algebra(ctx)
-    table = L.derived_algebra().derived_algebra().constant_table()
-    cons = automorphism_constraints(ctx, table)
+    cons = megaideal_constraints(ctx)
     assert len(cons) == 9
     texts = {str(c) for c in cons}
     assert "a33*a44-a34*a43-a33" in texts
@@ -135,9 +157,7 @@ def test_identity_always_satisfies(ctx):
 
 
 def test_generic_matrix_fails(ctx):
-    L = reciprocal_algebra(ctx)
-    cons = automorphism_constraints(
-        ctx, L.derived_algebra().derived_algebra().constant_table())
+    cons = megaideal_constraints(ctx)
     c = lambda q: Expr.const(ctx, q)
     A = AutomorphismMatrix((
         (c(QQ(2, 3)), c(QQ(1, 5)), c(QQ(-1, 2))),
@@ -148,9 +168,7 @@ def test_generic_matrix_fails(ctx):
 
 
 def test_singular_matrix_raises(ctx):
-    L = reciprocal_algebra(ctx)
-    cons = automorphism_constraints(
-        ctx, L.derived_algebra().derived_algebra().constant_table())
+    cons = megaideal_constraints(ctx)
     one, zero = Expr.const(ctx, 1), Expr.const(ctx, 0)
     A = AutomorphismMatrix(((one, zero, zero), (one, zero, zero),
                             (zero, zero, one)))
@@ -168,6 +186,11 @@ def test_generator_json_round_trip(ctx, basis, tmp_path):
     back = generator_from_dict(ctx, json.loads(path.read_text()),
                                label="X3")
     assert back == x3
+
+
+def test_generator_record_absent_slots_are_zero(ctx):
+    assert generator_from_dict(ctx, {"zeta_rho": "rho"}) == \
+        generator(ctx, zr=parse(ctx, "rho"))
 
 
 def test_zero_generator_and_arithmetic(ctx, basis):

@@ -4,9 +4,8 @@ import pytest
 
 from recipgas.gasdyn import standard_context
 from recipgas.liealg import (AutomorphismMatrix, NotInSpan,
-                             automorphism_constraints, reciprocal_algebra,
-                             standard_basis, verify_automorphism_solution,
-                             x_f)
+                             megaideal_constraints, standard_basis,
+                             verify_automorphism_solution, x_f)
 from recipgas.symkernel import Expr, parse
 from recipgas.transforms import (appendix_pde_residuals,
                                  center_pde_residuals, bateman, compose,
@@ -28,9 +27,7 @@ def megaideal(ctx):
 
 @pytest.fixture(scope="module")
 def nine(ctx):
-    L = reciprocal_algebra(ctx)
-    return automorphism_constraints(
-        ctx, L.derived_algebra().derived_algebra().constant_table())
+    return megaideal_constraints(ctx)
 
 
 def test_pushforward_identity(ctx, megaideal):

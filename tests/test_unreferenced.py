@@ -1,8 +1,8 @@
 """Every function, class and method under src/recipgas is used somewhere.
 
-A definition counts as used when its name appears as a name, an attribute
-or an imported name anywhere in src/ or tests/.  Dunder methods are called
-by the language and are exempt.
+A definition counts as used when its name appears as a name or an
+attribute anywhere in src/ or tests/.  Importing or re-exporting a name is
+not a use.  Dunder methods are called by the language and are exempt.
 """
 
 import ast
@@ -28,8 +28,6 @@ def _definitions_and_references():
                     referenced.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     referenced.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    referenced.add(node.name)
     return defined, referenced
 
 
