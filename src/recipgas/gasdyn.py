@@ -69,7 +69,10 @@ def parse_record(ctx: Context, d, what: str, keys, default=None) -> dict:
         if not isinstance(text, str):
             raise SymkernelError("%s key %r: missing or not an expression "
                                  "string" % (what, key))
-        return parse(ctx, text)
+        try:
+            return parse(ctx, text)
+        except SymkernelError as exc:
+            raise SymkernelError("%s key %r: %s" % (what, key, exc)) from None
 
     form = d.get("form", None if default is None else [[default] * 2] * 2)
     if "form" in keys and not (isinstance(form, list) and len(form) == 2

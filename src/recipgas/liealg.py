@@ -25,11 +25,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .gasdyn import FIELDS, parse_record
-from .symkernel import Context, Expr
+from .symkernel import QQ, Context, Expr
 from .symkernel.errors import SymkernelError, VariableMismatch
 from .symkernel.linalg import (det3, nullspace, reduce_row, rref, solve,
                                transpose)
-from .symkernel.poly import QQ, pconst, pprimitive, pleading_mono
 
 SLOT_NAMES = ("zr", "zu", "zv", "zp", "zs", "m11", "m12", "m21", "m22")
 _RECORD_KEYS = ("zeta_rho", "zeta_u", "zeta_v", "zeta_p", "zeta_S")
@@ -257,9 +256,7 @@ def _vectorize(g: Generator) -> dict:
         if not s.is_polynomial():
             raise SymkernelError(
                 "slot %s of %s is not polynomial" % (SLOT_NAMES[snum], g))
-        scale = s.den[pleading_mono(s.den)]  # constant
-        for mono, c in s.num.items():
-            vec[(snum, mono)] = c / scale
+        vec.update(((snum, m), c) for m, c in s.coefficients().items())
     return vec
 
 
@@ -295,16 +292,9 @@ def _match_functional(cand: Generator, family: Generator):
     if ratio is None or ratio.is_zero():
         return None
     # split a rational scale out of the function factor
-    num = pprimitive(ratio.num)
-    lead_in = ratio.num[pleading_mono(ratio.num)]
-    lead_pp = num[pleading_mono(num)]
-    coeff = lead_in / lead_pp
-    factor = ratio / Expr.const(cand.ctx, coeff)
-    ctx = cand.ctx
-    allowed = set()
-    for idx, info in ctx.atoms.items():
-        allowed.add(info.display)
-    if not factor.free_variables() <= allowed:
+    coeff = ratio.primitive()[0]
+    factor = ratio / coeff
+    if any(cand.ctx.role(n) != "function" for n in factor.free_variables()):
         return None
     return coeff, factor
 
@@ -540,7 +530,7 @@ def automorphism_constraints(ctx: Context, table: dict):
                 e = lhs - rhs
                 if e.is_zero():
                     continue
-                canon = _canonical_poly(e)
+                canon = e.primitive()[1]
                 key = str(canon)
                 if key not in seen:
                     seen.add(key)
@@ -554,11 +544,6 @@ def megaideal_constraints(ctx: Context):
     algebra."""
     Lpp = reciprocal_algebra(ctx).derived_algebra().derived_algebra()
     return automorphism_constraints(ctx, Lpp.constant_table())
-
-
-def _canonical_poly(e: Expr) -> Expr:
-    num = pprimitive(e.num)
-    return Expr(e.ctx, num, pconst(1), _normalized=True)
 
 
 @dataclass

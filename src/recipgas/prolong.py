@@ -24,10 +24,9 @@ from .gasdyn import (FIELDS, RESIDUAL_NAMES, ConservationFormParams,
                      parametric_jets, reduce_on_manifold, system_residuals,
                      total_derivative)
 from .liealg import EquivalenceGenerator, Generator, generator, standard_basis
-from .symkernel import Context, Expr
-from .symkernel.errors import SymkernelError
+from .symkernel import QQ, Context, Expr
+from .symkernel.errors import NotPolynomialInVars, SymkernelError
 from .symkernel.linalg import nullspace, transpose
-from .symkernel.poly import QQ, padd, pmul, pvars
 
 RESIDUAL_TAGS = RESIDUAL_NAMES + ("closedness-dx", "closedness-dy")
 
@@ -135,10 +134,11 @@ def split(ds: DeterminingSystem):
     for tag, r in ds.residuals:
         if r.is_zero():
             continue
-        if any(pvars(r.den) & {r.ctx.idx(j)} for j in jets):
-            raise NotPolynomialInJets(tag)
-        for key, coeff in r.collect(jets).items():
-            out.append((tag, key, coeff))
+        try:
+            coeffs = r.collect(jets)
+        except NotPolynomialInVars:
+            raise NotPolynomialInJets(tag) from None
+        out.extend((tag, key, coeff) for key, coeff in coeffs.items())
     return out
 
 
@@ -268,7 +268,7 @@ def _candidate_vectors(slots, monos, make, clear):
     z = Expr.function(clear.ctx, FORMAL_SLOT,
                       *(Expr.var(clear.ctx, n) for n in ANSATZ_VARS))
     names = [str(a) for a in _jet(z)]
-    partials = [[d.num for d in _jet(m)] for m in monos]
+    partials = [_jet(m) for m in monos]
     vectors = []
     for s in slots:
         terms = []
@@ -280,13 +280,13 @@ def _candidate_vectors(slots, monos, make, clear):
             for key, c in rc.collect(names).items():
                 if len(key) != 1 or key[0][1] != 1:
                     raise SymkernelError("%s is not linear in the slot" % tag)
-                terms.append((ti, names.index(key[0][0]), c.num))
+                terms.append((ti, names.index(key[0][0]), c))
         for ps in partials:
             polys = {}
             for ti, k, c in terms:
-                polys[ti] = padd(polys.get(ti, {}), pmul(c, ps[k]))
+                polys[ti] = polys.get(ti, 0) + c * ps[k]
             vectors.append({(ti, mono): c for ti, p in polys.items()
-                            for mono, c in p.items()})
+                            for mono, c in p.coefficients().items()})
     return vectors
 
 

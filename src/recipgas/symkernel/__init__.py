@@ -2,8 +2,8 @@
 reduction, compiled float and mpmath evaluation."""
 
 from .context import Context
-from .errors import (DivisionByZeroExpr, NotPolynomialInVars, NumericDomain,
-                     ParseError, SymkernelError, UnboundSymbol,
+from .errors import (DegreeOverflow, DivisionByZeroExpr, NotPolynomialInVars,
+                     NumericDomain, ParseError, SymkernelError, UnboundSymbol,
                      UnknownVariable, VariableMismatch)
 from .expr import Expr
 from .numeric import DEFAULT_FN_IMPLS, compile_exprs, compile_exprs_mp
@@ -12,8 +12,7 @@ from .poly import QQ
 
 __all__ = [
     "Context", "Expr", "parse", "QQ", "DEFAULT_FN_IMPLS", "compile_exprs",
-    "compile_exprs_mp",
-    "SymkernelError", "DivisionByZeroExpr", "UnknownVariable",
-    "NotPolynomialInVars", "UnboundSymbol",
-    "NumericDomain", "ParseError", "VariableMismatch",
+    "compile_exprs_mp", "SymkernelError", "DegreeOverflow",
+    "DivisionByZeroExpr", "UnknownVariable", "NotPolynomialInVars",
+    "UnboundSymbol", "NumericDomain", "ParseError", "VariableMismatch",
 ]

@@ -1,11 +1,16 @@
 """Variable table and formal-function registry.
 
-A Context owns the ordered set of symbol names.  Plain variables carry a
-role tag (coordinate, field, differential, parameter, or jet).  Formal
-function applications such as h(S) or G(rho, S), and their derivative
-markers h'(S), G^(1,0)(rho, S), are registered as opaque generators: they
-occupy variable slots of their own and are related to each other only
-through differentiation.
+A Context owns the ordered set of symbol names.  Each carries a role tag:
+coordinate, field, parameter or jet for a plain variable, function for a
+formal function application.  Applications such as h(S) or G(rho, S), and
+their derivative markers h'(S), G^(1,0)(rho, S), are registered as opaque
+generators: they occupy variable slots of their own and are related to
+each other only through differentiation.
+
+A Context grows as expressions name new formal applications, and it takes
+no lock: a Context and the Exprs built on it belong to one thread.  Code
+outside the kernel asks a Context about names (idx, role, ensure) and
+never reads its tables.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import UnknownVariable
 
-ROLES = ("coordinate", "field", "differential", "parameter", "jet")
+ROLES = ("coordinate", "field", "parameter", "jet", "function")
 
 
 @dataclass(frozen=True)
@@ -27,17 +32,9 @@ class AtomInfo:
 
 
 @dataclass
-class VarInfo:
-    name: str
-    role: str
-    base: str | None = None   # for jets: the field name
-    coord: str | None = None  # for jets: the coordinate name
-
-
-@dataclass
 class Context:
     names: list = field(default_factory=list)
-    info: dict = field(default_factory=dict)      # name -> VarInfo
+    roles: dict = field(default_factory=dict)     # name -> role
     index: dict = field(default_factory=dict)     # name -> int
     atoms: dict = field(default_factory=dict)     # index -> AtomInfo
     atom_index: dict = field(default_factory=dict)  # key -> index
@@ -55,7 +52,7 @@ class Context:
         idx = len(self.names)
         self.names.append(name)
         self.index[name] = idx
-        self.info[name] = VarInfo(name, role, base, coord)
+        self.roles[name] = role
         return idx
 
     def ensure(self, name: str, role: str = "parameter") -> int:
@@ -70,7 +67,7 @@ class Context:
             raise UnknownVariable(name) from None
 
     def role(self, name: str) -> str:
-        return self.info[name].role
+        return self.roles[name]
 
     def atom_slot(self, fname: str, orders: tuple, args: tuple) -> int:
         """Variable slot for a formal application, creating it if new."""
@@ -82,13 +79,10 @@ class Context:
         idx = len(self.names)
         self.names.append(display)
         self.index[display] = idx
-        self.info[display] = VarInfo(display, "parameter")
+        self.roles[display] = "function"
         self.atoms[idx] = AtomInfo(fname, orders, tuple(args), display)
         self.atom_index[key] = idx
         return idx
-
-    def display_name(self, idx: int) -> str:
-        return self.names[idx]
 
 
 def _atom_display(fname: str, orders: tuple, args: tuple) -> str:

@@ -34,3 +34,7 @@ class ParseError(SymkernelError):
 
 class VariableMismatch(SymkernelError):
     pass
+
+
+class DegreeOverflow(SymkernelError):
+    """A total degree beyond the packed-monomial limit of 2^15 - 1."""

@@ -19,9 +19,9 @@ from .errors import (DivisionByZeroExpr, NotPolynomialInVars,
                      UnknownVariable, VariableMismatch)
 from .numeric import compile_exprs
 from .poly import (MONO_ONE, QQ, QONE, Poly, mono_items, mono_pack, padd,
-                   pconst, pderiv, pdiv_exact, peval, pgcd, pis_const,
-                   pis_zero, pleading_mono, pmul, pneg, ppow, pscale,
-                   psorted_terms, pvar, pvars)
+                   pconst, pcontent, pderiv, pdiv_exact, peval, pgcd,
+                   pis_const, pis_zero, pleading_mono, pmul, pneg, ppow,
+                   pscale, psorted_terms, pvar, pvars)
 
 _POLY_ONE = pconst(1)
 
@@ -74,8 +74,33 @@ class Expr:
             return QQ(0)
         return self.num[MONO_ONE] / self.den[MONO_ONE]
 
+    # --- polynomial views -------------------------------------------------
+
+    def as_numer_denom(self):
+        """(numerator, denominator) as polynomial Exprs; the denominator
+        is monic."""
+        return (Expr(self.ctx, self.num, _POLY_ONE, _normalized=True),
+                Expr(self.ctx, self.den, _POLY_ONE, _normalized=True))
+
+    def primitive(self):
+        """(c, P): the numerator is c*P, and P is a polynomial with coprime
+        integer coefficients whose leading one (in the kernel's term
+        order) is positive.  The zero expression gives (0, 0)."""
+        if not self.num:
+            return QQ(0), self
+        c = pcontent(self.num)
+        p = self.num if c == 1 else pscale(self.num, QONE / c)
+        return c, Expr(self.ctx, p, _POLY_ONE, _normalized=True)
+
+    def coefficients(self) -> dict:
+        """{monomial: QQ} of a polynomial; the monomial keys are opaque,
+        equal for equal monomials of one Context."""
+        if not pis_const(self.den):
+            raise NotPolynomialInVars("not a polynomial: %s" % self)
+        return dict(self.num)
+
     def free_variables(self) -> set:
-        return {self.ctx.display_name(i)
+        return {self.ctx.names[i]
                 for i in pvars(self.num) | pvars(self.den)}
 
     def depends_on(self, *names) -> bool:
@@ -97,8 +122,9 @@ class Expr:
 
     def __add__(self, other):
         other = self._coerce(other)
-        if self.den == other.den:
-            return Expr(self.ctx, padd(self.num, other.num), self.den)
+        if self.den == other.den:   # a sum over 1 is canonical as it is
+            return Expr(self.ctx, padd(self.num, other.num), self.den,
+                        _normalized=pis_const(self.den))
         g = pgcd(self.den, other.den)
         if pis_const(g):
             num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
@@ -122,6 +148,8 @@ class Expr:
     def __mul__(self, other):
         other = self._coerce(other)
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if pis_const(d1) and pis_const(d2):   # a product of polynomials
+            return Expr(self.ctx, pmul(n1, n2), d1, _normalized=True)
         if not (pis_const(n1) or pis_const(d2)):
             g = pgcd(n1, d2)
             if not pis_const(g):
@@ -175,9 +203,8 @@ class Expr:
         if dd.is_zero():
             if nd.is_polynomial():
                 return Expr(self.ctx, nd.num, pmul(self.den, nd.den))
-            return nd / Expr(self.ctx, self.den, _POLY_ONE, _normalized=True)
-        den_e = Expr(self.ctx, self.den, _POLY_ONE, _normalized=True)
-        num_e = Expr(self.ctx, self.num, _POLY_ONE, _normalized=True)
+            return nd / self.as_numer_denom()[1]
+        num_e, den_e = self.as_numer_denom()
         return (nd * den_e - num_e * dd) / (den_e * den_e)
 
     # --- substitution ---------------------------------------------------
@@ -225,7 +252,7 @@ class Expr:
             groups.setdefault(tgt, {})[rest] = c
         out = {}
         for tgt in sorted(groups):
-            key = tuple((ctx.display_name(v), e) for v, e in tgt)
+            key = tuple((ctx.names[v], e) for v, e in tgt)
             out[key] = Expr(ctx, groups[tgt], self.den)
         return out
 
@@ -261,7 +288,7 @@ class Expr:
         for m, c in psorted_terms(p):
             factors = []
             for v, e in mono_items(m):
-                nm = self.ctx.display_name(v)
+                nm = self.ctx.names[v]
                 factors.append(nm if e == 1 else "%s^%d" % (nm, e))
             mono = "*".join(factors)
             if not mono:

@@ -2,8 +2,9 @@
 
 Infix `+ - * / ^` with integer literals (rationals are written a/b),
 identifiers `[A-Za-z_][A-Za-z0-9_]*`, function application `h(S)`, and
-derivative markers `h'(S)`.  Whitespace is insignificant; errors carry
-line and column.
+derivative markers `h'(S)`.  A plain identifier must be a name declared
+in the Context; a function name need not be.  Whitespace is insignificant;
+errors carry line and column.
 """
 
 from __future__ import annotations
@@ -164,6 +165,7 @@ def _atom(ctx, toks):
     if ch.isdigit():
         return Expr.const(ctx, toks.number())
     if ch.isalpha() or ch == "_":
+        line, col = toks.line, toks.col
         name, primes = toks.ident()
         if toks.peek() == "(":
             toks.take("(")
@@ -177,7 +179,8 @@ def _atom(ctx, toks):
             return Expr.function(ctx, name, *args, orders=orders)
         if primes:
             toks.error("prime marker without function application")
-        ctx.ensure(name)
+        if name not in ctx.index:
+            raise ParseError("unknown name %r" % name, line, col)
         return Expr.var(ctx, name)
     if ch == "":
         toks.error("unexpected end of input")

@@ -4,8 +4,9 @@ A polynomial is a dict mapping packed monomials to nonzero rational
 coefficients.  A monomial is a single integer: 16-bit fields hold the
 exponent of each variable (variable i at bits 16*(i+1)..), and the lowest
 field accumulates the total degree.  Monomial multiplication is integer
-addition; divisibility uses a guard-bit trick.  Exponents must stay below
-2^15, far beyond anything this engine produces.
+addition; divisibility uses a guard-bit trick.  The total degree, and so
+every exponent, stays below 2^15: mono_pack, pvar, pmul and ppow raise
+DegreeOverflow before a field could carry into its neighbour.
 
 Plain integer comparison of packed monomials is an admissible term order
 (total, multiplication-compatible, with 1 minimal), used internally for
@@ -18,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd as _igcd
+
+from .errors import DegreeOverflow
 
 try:
     from gmpy2 import mpq as QQ
@@ -33,6 +36,7 @@ Poly = dict
 MONO_ONE: Mono = 0
 _FB = 16
 _MASK = 0xFFFF
+_MAX_DEGREE = 0x7FFF
 _GUARDS: dict = {}
 
 
@@ -46,12 +50,24 @@ def _guard(nwords: int) -> int:
     return g
 
 
+def _check_degree(total: int) -> None:
+    if total > _MAX_DEGREE:
+        raise DegreeOverflow("total degree %d exceeds the kernel limit %d"
+                             % (total, _MAX_DEGREE))
+
+
+def pdegree(p: Poly) -> int:
+    """Total degree; 0 for a constant or zero polynomial."""
+    return max(m & _MASK for m in p) if p else 0
+
+
 def mono_pack(pairs) -> Mono:
     m = 0
     total = 0
     for idx, exp in pairs:
         m += exp << (_FB * (idx + 1))
         total += exp
+    _check_degree(total)
     return m + total
 
 
@@ -107,6 +123,7 @@ def pconst(c) -> Poly:
 
 
 def pvar(idx: int, exp: int = 1) -> Poly:
+    _check_degree(exp)
     return {(exp << (_FB * (idx + 1))) + exp: QONE}
 
 
@@ -180,12 +197,15 @@ def pmul(a: Poly, b: Poly) -> Poly:
         (m1, c1), = a.items()
         if m1 == MONO_ONE:
             return pscale(b, c1)
+        _check_degree((m1 & _MASK) + pdegree(b))
         return {m1 + m2: c1 * c2 for m2, c2 in b.items()}
     if len(b) == 1:
         (m2, c2), = b.items()
         if m2 == MONO_ONE:
             return pscale(a, c2)
+        _check_degree(pdegree(a) + (m2 & _MASK))
         return {m1 + m2: c1 * c2 for m1, c1 in a.items()}
+    _check_degree(pdegree(a) + pdegree(b))
     r: Poly = {}
     get = r.get
     for m1, c1 in a.items():
@@ -206,6 +226,7 @@ def pmul(a: Poly, b: Poly) -> Poly:
 def ppow(a: Poly, n: int) -> Poly:
     if n < 0:
         raise ValueError("negative power on polynomial")
+    _check_degree(pdegree(a) * n)
     r = pconst(1)
     base = a
     while n:
@@ -215,10 +236,6 @@ def ppow(a: Poly, n: int) -> Poly:
         if n:
             base = pmul(base, base)
     return r
-
-
-def pmul_mono(a: Poly, mono: Mono, coeff) -> Poly:
-    return {m + mono: c * coeff for m, c in a.items()}
 
 
 def pderiv(a: Poly, idx: int) -> Poly:
@@ -331,8 +348,9 @@ def pdiv_exact(a: Poly, b: Poly) -> Poly:
     return q
 
 
-def _qcontent(a: Poly):
-    """Rational content carrying the sign of the internal leading term."""
+def pcontent(a: Poly):
+    """Rational content of a nonzero polynomial, carrying the sign of the
+    internal leading term."""
     num_gcd = 0
     den_lcm = 1
     for c in a.values():
@@ -349,7 +367,7 @@ def pprimitive(a: Poly) -> Poly:
     """Scale so coefficients are coprime integers, leading one positive."""
     if not a:
         return {}
-    cont = _qcontent(a)
+    cont = pcontent(a)
     if cont == 1:
         return dict(a)
     inv = QONE / cont
@@ -521,17 +539,8 @@ def pgcd(a: Poly, b: Poly) -> Poly:
         return pprimitive(a)
 
     ma, mb = _mono_content(a), _mono_content(b)
-    common_mono = None
+    common_mono = _mono_content({ma: QONE, mb: QONE})   # gcd of ma and mb
     if ma or mb:
-        common = dict(mono_items(ma))
-        mbd = dict(mono_items(mb))
-        for v in list(common):
-            e = mbd.get(v)
-            if e is None:
-                del common[v]
-            elif e < common[v]:
-                common[v] = e
-        common_mono = mono_pack(sorted(common.items()))
         if ma:
             a = {mono_div(m, ma): c for m, c in a.items()}
         if mb:
@@ -553,5 +562,5 @@ def pgcd(a: Poly, b: Poly) -> Poly:
         g = pprimitive(pmul(gc, _from_recursive(gr, main)))
 
     if common_mono:
-        g = pmul_mono(g, common_mono, QONE)
+        g = {m + common_mono: c for m, c in g.items()}
     return g

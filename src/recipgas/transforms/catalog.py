@@ -109,7 +109,7 @@ def one_param_bateman(ctx: Context, entropy="identity") -> OneParamFamily:
     V = vv / d1
     P = p / d1
     R = rho * d1 / d2
-    H = S if entropy == "identity" else _entropy(ctx, entropy)
+    H = _entropy(ctx, entropy)
     f = ((1 + eps * (p + rho * vv ** 2), -eps * rho * u * vv),
          (-eps * rho * u * vv, 1 + eps * (p + rho * u ** 2)))
     inverse = {
@@ -141,7 +141,7 @@ def one_param_q13(ctx: Context, q12=0, q13=1,
     V = q13e * (vv + lam * u) / den
     R = rho * (lam * (p + q12e) - q13e) / (lam * (p + q12e + rho * q2) - q13e)
     P = (q13e * p + lam * (p * q12e + q12e ** 2 + q13e ** 2)) / den
-    H = S if entropy == "identity" else _entropy(ctx, entropy)
+    H = _entropy(ctx, entropy)
 
     A1 = p + q12e + rho * vv ** 2
     B1 = -(rho * u * vv + q13e)
@@ -183,7 +183,7 @@ def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
     R = rho * den / (k2e * lm * (p + q12e + rho * q2) - 2 * k1e)
     P = (k2e * q12e * (p + q12e) * (1 - lam ** 2)
          + 2 * k1e * (q12e * (1 - lam ** 2) - lam ** 2 * p)) / den
-    H = S if entropy == "identity" else _entropy(ctx, entropy)
+    H = _entropy(ctx, entropy)
 
     A1 = p + q12e + rho * vv ** 2
     B1 = -rho * u * vv
@@ -221,7 +221,7 @@ def one_param_linear(ctx: Context, k2=1, q12=0,
     # sign of the q12 correction fixed by the k1 -> 0 limit of the
     # exponential branch and by d p'/d eps = k2*(p' + q12)^2
     P = (p + a * q12e * (p + q12e)) / den
-    H = S if entropy == "identity" else _entropy(ctx, entropy)
+    H = _entropy(ctx, entropy)
     f = ((1 - a * (p + q12e + rho * vv ** 2), a * rho * u * vv),
          (a * rho * u * vv, 1 - a * (p + q12e + rho * u ** 2)))
     neg = {"a": -a}

@@ -58,9 +58,7 @@ class ReciprocalMap:
     def denominators(self) -> list:
         """The distinct denominators of the components, as polynomial
         Exprs in component order."""
-        ctx = self.ctx
-        one = Expr.const(ctx, 1).den
-        return list(dict.fromkeys(Expr(ctx, c.den, one)
+        return list(dict.fromkeys(c.as_numer_denom()[1]
                                   for c in self.components()
                                   if not c.is_polynomial()))
 
@@ -195,8 +193,7 @@ def _solve_linear_fractional(e: Expr, var: str, value: Expr,
     var in both numerator and denominator; remaining fields in the
     coefficients are replaced through pre_sub."""
     ctx = e.ctx
-    num_c = Expr(ctx, e.num, Expr.const(ctx, 1).den).collect([var])
-    den_c = Expr(ctx, e.den, Expr.const(ctx, 1).den).collect([var])
+    num_c, den_c = (part.collect([var]) for part in e.as_numer_denom())
     for cm in list(num_c) + list(den_c):
         if cm and cm[0][1] > 1:
             raise NotInvertible("component is not linear-fractional in %s"
@@ -243,9 +240,6 @@ def invert(T: ReciprocalMap) -> ReciprocalMap:
     finv = tuple(
         tuple((adj[i][j] / det).substitute(inv_fields) for j in range(2))
         for i in range(2))
-    fields = {k: e.substitute(inv_fields) for k, e in
-              [("rho", v("rho")), ("u", v("u")), ("v", v("v")),
-               ("p", v("p")), ("S", v("S"))]}
     return ReciprocalMap(inv_fields["rho"], inv_fields["u"],
                          inv_fields["v"], inv_fields["p"], inv_fields["S"],
                          finv, name=T.name + "^-1",

@@ -45,14 +45,9 @@ def pushforward(T: ReciprocalMap, X: Generator) -> Generator:
 
 
 def _collectable_names(ctx, exprs):
-    names = set()
-    for e in exprs:
-        for n in e.free_variables():
-            idx = ctx.index[n]
-            info = ctx.info[n]
-            if idx in ctx.atoms or info.role in ("field", "coordinate", "jet"):
-                names.add(n)
-    return sorted(names)
+    """The free names of exprs that are not parameters."""
+    return sorted({n for e in exprs for n in e.free_variables()
+                   if ctx.role(n) != "parameter"})
 
 
 def decompose(Xp: Generator, basis) -> list:

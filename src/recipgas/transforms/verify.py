@@ -17,9 +17,8 @@ from ..gasdyn import (FIELDS, RESIDUAL_NAMES, InvalidParams, OneForm,
                       system_residuals, total_derivative)
 from ..liealg import AutomorphismMatrix
 from ..reports import Report
-from ..symkernel import Expr, compile_exprs, compile_exprs_mp
+from ..symkernel import QQ, Expr, compile_exprs, compile_exprs_mp
 from ..symkernel.errors import DivisionByZeroExpr, NumericDomain
-from ..symkernel.poly import QQ
 from .maps import OneParamFamily, PointMap, ReciprocalMap
 
 DEFAULT_SEED = 20240801
@@ -53,32 +52,33 @@ def coordinate_closedness_residuals(T: ReciprocalMap, solve_for: str = "x"):
             ("closedness-dy", dy_form.closedness_residual(solve_for))]
 
 
-def verify_reciprocal(T: ReciprocalMap, solve_for: str = "x",
-                      seed: int = DEFAULT_SEED) -> Report:
-    rep = Report("reciprocity of %s" % (T.name or "map"))
-    residuals = transformed_law_residuals(T, solve_for) + \
-        coordinate_closedness_residuals(T, solve_for)
+def _residual_report(title: str, residuals, seed: int = DEFAULT_SEED):
+    """One item per (name, residual), passing when the residual is zero,
+    and a witness point of the first nonzero residual."""
+    rep = Report(title)
     for name, r in residuals:
         rep.add(name, r.is_zero(), "" if r.is_zero() else "residual nonzero")
+    bad = next(((n, r) for n, r in residuals if not r.is_zero()), None)
+    w = bad and witness_point(bad[1], seed=seed)
+    if w:
+        rep.witness = {k: str(v) for k, v in sorted(w[0].items())}
+        rep.witness["__residual__"] = "%s = %s" % (bad[0], w[1])
+    return rep
+
+
+def verify_reciprocal(T: ReciprocalMap, solve_for: str = "x",
+                      seed: int = DEFAULT_SEED) -> Report:
+    rep = _residual_report(
+        "reciprocity of %s" % (T.name or "map"),
+        transformed_law_residuals(T, solve_for)
+        + coordinate_closedness_residuals(T, solve_for), seed)
     det = T.det_f()
     rep.add("det-form-matrix-nonzero", not det.is_zero(), str(det))
     rep.add("density-map-nonzero", not T.R.is_zero(), str(T.R))
     rep.extras["form_matrix_constant"] = all(
         not e.depends_on(*FIELDS) for row in T.f for e in row)
-    rep.side_conditions.extend(_side_conditions(T))
-    if not rep.passed:
-        bad = [(n, r) for n, r in residuals if not r.is_zero()]
-        if bad:
-            w = witness_point(bad[0][1], seed=seed)
-            if w is not None:
-                point, value = w
-                rep.witness = {k: str(v) for k, v in sorted(point.items())}
-                rep.witness["__residual__"] = "%s = %s" % (bad[0][0], value)
+    rep.side_conditions.extend("%s != 0" % d for d in T.denominators())
     return rep
-
-
-def _side_conditions(T: ReciprocalMap):
-    return ["%s != 0" % d for d in T.denominators()]
 
 
 def witness_point(residual: Expr, seed: int = DEFAULT_SEED,
@@ -90,13 +90,11 @@ def witness_point(residual: Expr, seed: int = DEFAULT_SEED,
     for _ in range(attempts):
         point = {}
         for n in names:
-            info = ctx.info.get(n)
-            role = info.role if info is not None else "parameter"
             if n in ("rho", "p"):
                 point[n] = QQ(rng.randint(32, 128), 64)
             elif n in ("u", "v"):
                 point[n] = QQ(rng.choice([-1, 1]) * rng.randint(7, 128), 64)
-            elif role == "jet":
+            elif ctx.role(n) == "jet":
                 point[n] = QQ(rng.randint(-64, 64), 64)
             else:
                 point[n] = QQ(rng.choice([-1, 1]) * rng.randint(16, 128), 64)
@@ -398,20 +396,8 @@ def appendix_pde_residuals(T: ReciprocalMap,
          (f12 * RUV * a35 - f22 * PU2 * a35 - f22 * a45) / 2),
     ]
 
-    rep = Report("transport relations of %s" % (T.name or "map"))
-    for name, lhs, rhs in relations:
-        r = lhs - rhs
-        rep.add(name, r.is_zero(), "" if r.is_zero() else "residual nonzero")
-    if not rep.passed:
-        for name, lhs, rhs in relations:
-            r = lhs - rhs
-            if not r.is_zero():
-                w = witness_point(r)
-                if w is not None:
-                    rep.witness = {k: str(v) for k, v in sorted(w[0].items())}
-                    rep.witness["__residual__"] = "%s = %s" % (name, w[1])
-                break
-    return rep
+    return _residual_report("transport relations of %s" % (T.name or "map"),
+                            [(n, lhs - rhs) for n, lhs, rhs in relations])
 
 
 def center_pde_residuals(T: ReciprocalMap, a11, a33, a54) -> Report:
@@ -421,9 +407,6 @@ def center_pde_residuals(T: ReciprocalMap, a11, a33, a54) -> Report:
     v = lambda n: Expr.var(ctx, n)
     u, vv = v("u"), v("v")
     q2 = u ** 2 + vv ** 2
-    a11 = a11 if isinstance(a11, Expr) else Expr.const(ctx, a11)
-    a33 = a33 if isinstance(a33, Expr) else Expr.const(ctx, a33)
-    a54 = a54 if isinstance(a54, Expr) else Expr.const(ctx, a54)
     p = v("p")
     R, U, V, P, H = T.R, T.U, T.V, T.P, T.H
     f11, f12, f21, f22 = T.f[0][0], T.f[0][1], T.f[1][0], T.f[1][1]
@@ -439,8 +422,6 @@ def center_pde_residuals(T: ReciprocalMap, a11, a33, a54) -> Report:
         ("xfdy_v", f21.diff("v"), u * (f11 * a11 - f22) / q2),
         ("yfdy_v", f22.diff("v"), u * (f12 * a11 + f21) / q2),
     ]
-    rep = Report("center transport relations of %s" % (T.name or "map"))
-    for name, lhs, rhs in relations:
-        r = lhs - rhs
-        rep.add(name, r.is_zero(), "" if r.is_zero() else "residual nonzero")
-    return rep
+    return _residual_report(
+        "center transport relations of %s" % (T.name or "map"),
+        [(n, lhs - rhs) for n, lhs, rhs in relations])

@@ -1,10 +1,15 @@
 """Acceptance suite: every criterion at its stated tolerance and budget.
 
 Each test prints one PASS/FAIL line; `recipgas paper-suite` runs the same
-checks from the command line.
+checks from the command line.  The report of every exact criterion (all
+but 7 and 9, whose details are floating-point text) must equal its
+recorded JSON in data/paper_suite_exact.json, so a refactor that changes
+a verdict, a residual or a rendered expression fails here.
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,8 @@ BUDGET_SECONDS = {
     "1": 5, "2": 5, "3": 5, "4": 60, "5": 120,
     "6": 120, "7": 30, "8": 30, "9": 10, "10": 10,
 }
+EXACT_REPORTS = json.loads((Path(__file__).parent / "data" /
+                            "paper_suite_exact.json").read_text())
 
 
 @pytest.mark.parametrize("num, fn", ALL_CRITERIA, ids=[n for n, _ in
@@ -26,6 +33,8 @@ def test_criterion(num, fn, capsys):
         print("\n%-4s criterion %-2s (%5.2fs)  %s"
               % (report.verdict, num, elapsed, report.title))
     assert report.passed, report.to_text()
+    if num in EXACT_REPORTS:
+        assert report.to_json_dict() == EXACT_REPORTS[num]
     assert elapsed < BUDGET_SECONDS[num], (
         "criterion %s exceeded its %ds budget: %.1fs"
         % (num, BUDGET_SECONDS[num], elapsed))

@@ -166,10 +166,15 @@ def test_bad_sizes_are_usage_errors(capsys, argv):
     ("verify-point", "--catalog", "E1"),
     ("lie-check", "--family", "bateman"),
     ("transform", "--catalog", "nonsense"),
+    # a misspelt word is an unknown name, not a new free variable
+    ("verify-map", "--catalog", "bateman", "--b1", "fromal"),
+    ("verify-point", "--catalog", "munk_prim", "--param", "psi=idnetity"),
+    # a total degree beyond the packed-exponent limit
+    ("verify-map", "--catalog", "one_param_q13", "--param", "q13=x^40000"),
 ])
 def test_bad_catalog_requests_are_usage_errors(capsys, argv):
-    # a point map where a reciprocal map is needed, or a parameter the
-    # entry does not take: exit 2 with one line, not a traceback
+    # a point map where a reciprocal map is needed, a parameter the entry
+    # does not take, or a bad value: exit 2 with one line, not a traceback
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -254,6 +259,8 @@ def test_map_file_takes_no_catalog_flags(capsys, tmp_path, extra):
       "form": [["1", "0"]]}, "form"),
     ({"R": "rho", "U": "u", "V": "v", "P": "p", "H": 1,
       "form": [["1", "0"], ["0", "1"]]}, "H"),
+    ({"R": "rho", "U": "u", "V": "vv", "P": "p", "H": "S",
+      "form": [["1", "0"], ["0", "1"]]}, "V"),
 ])
 def test_malformed_map_file_is_usage_error(capsys, tmp_path, record, key):
     path = tmp_path / "bad.json"
@@ -267,6 +274,7 @@ def test_malformed_map_file_is_usage_error(capsys, tmp_path, record, key):
 @pytest.mark.parametrize("record, key", [
     ({"zeta_rho": "rho", "form": [["1", "0"]]}, "form"),
     ({"zeta_rho": 5}, "zeta_rho"),
+    ({"zeta_u": "rho*uu"}, "zeta_u"),
 ])
 def test_malformed_generator_file_is_usage_error(capsys, tmp_path, record,
                                                  key):

@@ -4,7 +4,8 @@ import pytest
 
 from recipgas.gasdyn import standard_context
 from recipgas.symkernel import Expr, parse
-from recipgas.symkernel.errors import ParseError
+from recipgas.symkernel.errors import (DegreeOverflow, ParseError,
+                                       UnknownVariable)
 from recipgas.symkernel.poly import QQ
 
 
@@ -57,6 +58,27 @@ def test_parse_error_position(ctx):
         parse(ctx, "u')")
     with pytest.raises(ParseError):
         parse(ctx, "u^v")
+
+
+def test_unknown_name_is_a_parse_error(ctx):
+    # a misspelt name must not become a new free variable
+    with pytest.raises(ParseError, match="unknown name 'fromal'") as ei:
+        parse(ctx, "u +\n  2*fromal")
+    assert (ei.value.line, ei.value.col) == (2, 5)
+    with pytest.raises(UnknownVariable):
+        Expr.var(ctx, "fromal")
+    with pytest.raises(ParseError, match="unknown name 'idnetity'"):
+        parse(ctx, "idnetity")
+    # a function name needs no declaration: it names a formal application
+    assert parse(ctx, "newfn(S)") == Expr.function(ctx, "newfn",
+                                                   parse(ctx, "S"))
+
+
+def test_exponent_beyond_the_degree_limit(ctx):
+    # x^70000 used to wrap around into x^4465*y
+    with pytest.raises(DegreeOverflow):
+        parse(ctx, "x^70000")
+    assert str(parse(ctx, "x^32767")) == "x^32767"
 
 
 def test_parse_division_by_zero(ctx):

@@ -7,10 +7,10 @@ import pytest
 
 from recipgas.gasdyn import standard_context
 from recipgas.symkernel import Expr, parse
-from recipgas.symkernel.errors import (DivisionByZeroExpr,
+from recipgas.symkernel.errors import (DegreeOverflow, DivisionByZeroExpr,
                                        NotPolynomialInVars, NumericDomain,
                                        UnboundSymbol, UnknownVariable)
-from recipgas.symkernel.poly import QQ
+from recipgas.symkernel.poly import QQ, mono_pack, pmul, ppow, pvar
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +258,63 @@ def test_deterministic_rendering(ctx):
     assert str(e) == str(parse(ctx, "1+p^2+u+v"))
     # graded lex: higher degree first, then earlier declaration order
     assert str(e) == "p^2+u+v+1"
+
+
+def test_numer_denom_and_primitive(ctx):
+    e = parse(ctx, "(6*u^2-4*v)/(3*p+6)")
+    num, den = e.as_numer_denom()
+    assert num == parse(ctx, "2*u^2-4/3*v") and den == parse(ctx, "p+2")
+    c, prim = e.primitive()
+    assert c * prim == num
+    assert prim in (parse(ctx, "3*u^2-2*v"), parse(ctx, "2*v-3*u^2"))
+    assert Expr.const(ctx, 0).primitive()[0] == 0
+
+
+def test_coefficients_of_a_polynomial(ctx):
+    e = parse(ctx, "3*u^2*v - 1/2")
+    coeffs = e.coefficients()
+    assert sorted(coeffs.values()) == [QQ(-1, 2), QQ(3)]
+    assert coeffs == (e * 1).coefficients()
+    assert (e + parse(ctx, "p")).coefficients().keys() > coeffs.keys()
+    with pytest.raises(NotPolynomialInVars):
+        parse(ctx, "1/u").coefficients()
+
+
+def test_formal_applications_have_the_function_role(ctx):
+    assert ctx.role(str(parse(ctx, "h(S)"))) == "function"
+    assert ctx.role("q12") == "parameter"
+
+
+# the total degree of a packed monomial must stay below 2^15; each case
+# below was silently wrong or a TypeError before the bound was checked
+
+
+def test_degree_bound_in_mono_pack_and_pvar():
+    with pytest.raises(DegreeOverflow):
+        mono_pack([(0, 20000), (1, 20000)])
+    with pytest.raises(DegreeOverflow):
+        pvar(0, 1 << 15)
+
+
+def test_degree_bound_in_pmul_and_ppow(ctx):
+    x = pvar(ctx.idx("x"))
+    with pytest.raises(DegreeOverflow):
+        pmul(ppow(x, 20000), ppow(x, 20000))
+    with pytest.raises(DegreeOverflow):
+        ppow(x, 1 << 15)
+    assert pmul(ppow(x, 16383), ppow(x, 16384)) == ppow(x, 32767)
+
+
+def test_product_beyond_the_degree_limit(ctx):
+    # x^20000 * x^20000 used to give a wrong monomial silently
+    a = parse(ctx, "x^20000")
+    with pytest.raises(DegreeOverflow):
+        a * a
+
+
+def test_quotient_beyond_the_degree_limit(ctx):
+    # (x^33000*y)/x^33000 used to raise a TypeError in pvars
+    with pytest.raises(DegreeOverflow):
+        parse(ctx, "(x^33000*y)/x^33000")
+    with pytest.raises(DegreeOverflow):
+        parse(ctx, "x^16000*y") * parse(ctx, "x^16767")
