@@ -28,6 +28,9 @@ from .transforms import (bateman, bateman_simplified, compose,
                          pushforward_matrix, theorem_map, verify_reciprocal)
 from .transforms.verify import DEFAULT_SEED
 
+ANSATZ_DEGREE = 4   # criterion 5: the full generator list needs degree 4
+FLOW_TOL = 1e-9     # criterion 7: Lie-equation and additivity residuals
+
 APPENDIX_NINE = (
     "a44*a33-a43*a34-a33", "a54*a33-a53*a34-a43", "a54*a43-a53*a44-a53",
     "a45*a33-a43*a35-a34", "a55*a33-a53*a35-a44", "a55*a43-a54-a53*a45",
@@ -175,11 +178,11 @@ def criterion_4(ctx=None, seed=DEFAULT_SEED) -> Report:
     return rep
 
 
-def criterion_5(ctx=None, seed=DEFAULT_SEED, degree=4) -> Report:
+def criterion_5(ctx=None, seed=DEFAULT_SEED) -> Report:
     """Polynomial-ansatz recovery of the full generator list."""
     ctx = ctx or standard_context()
-    rep = Report("criterion 5: ansatz recovery (degree %d)" % degree)
-    sol = solve_ansatz(ctx, degree)
+    rep = Report("criterion 5: ansatz recovery (degree %d)" % ANSATZ_DEGREE)
+    sol = solve_ansatz(ctx, ANSATZ_DEGREE)
     rep.add("every basis element re-verified", sol.reverified)
     one = Expr.const(ctx, 1)
     targets = list(standard_basis(ctx)) + [x_h(ctx, one).with_label("Xh1"),
@@ -232,7 +235,7 @@ def criterion_6(ctx=None, seed=DEFAULT_SEED) -> Report:
     return rep
 
 
-def criterion_7(ctx=None, seed=DEFAULT_SEED, tol=1e-9) -> Report:
+def criterion_7(ctx=None, seed=DEFAULT_SEED) -> Report:
     """Flow consistency and group composition."""
     ctx = ctx or standard_context()
     rep = Report("criterion 7: Lie equations and composition")
@@ -244,10 +247,11 @@ def criterion_7(ctx=None, seed=DEFAULT_SEED, tol=1e-9) -> Report:
     ]
     for fam in fams:
         res = lie_equation_check(fam, n_points=100, seed=seed)
-        rep.add("flow residual %s < %g" % (fam.name, tol),
-                res.max_residual < tol, "%.3e" % res.max_residual)
+        rep.add("flow residual %s < %g" % (fam.name, FLOW_TOL),
+                res.max_residual < FLOW_TOL, "%.3e" % res.max_residual)
     dev = composition_additivity(fams[0], n_points=100, seed=seed)
-    rep.add("composition additivity < %g" % tol, dev < tol, "%.3e" % dev)
+    rep.add("composition additivity < %g" % FLOW_TOL, dev < FLOW_TOL,
+            "%.3e" % dev)
     E1 = involution_E1_reciprocal(ctx)
     rep.add("E1 . E1 = identity (exact)", compose(E1, E1).is_identity())
     return rep

@@ -83,6 +83,18 @@ def _at_least(low):
     return convert
 
 
+def _tolerance(text):
+    """argparse type: a positive finite float."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            "must be a positive finite number, got %s" % text)
+    return value
+
+
+_tolerance.__name__ = "number"
+
+
 def _emit(args, text_report, json_dict):
     if args.format == "json":
         body = json.dumps(json_dict, indent=2, sort_keys=True) + "\n"
@@ -362,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("lie-check", help="finite-difference flow consistency")
     _add_entry(p, "--family", "one_param_bateman", OneParamFamily)
     p.add_argument("--points", type=_at_least(1), default=100)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(fn=cmd_lie_check)
 
     p = add("transform", help="transform an exact solution numerically")
@@ -377,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("constant", "shear", "vortex"))
     _add_entry(p, "--catalog", "bateman_simplified", *MAP_KINDS)
     p.add_argument("--nodes", type=_at_least(3), default=17)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(fn=cmd_closedness)
 
     p = add("paper-suite", help="run every acceptance criterion")

@@ -51,7 +51,7 @@ def standard_context() -> Context:
         ctx.declare(f, "field")
     for f in FIELDS:
         for c in COORDS:
-            ctx.declare("%s_%s" % (f, c), "jet", base=f, coord=c)
+            ctx.declare("%s_%s" % (f, c), "jet")
     for p in _PARAMETERS:
         ctx.declare(p, "parameter")
     return ctx

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .gasdyn import FIELDS, parse_record
+from .gasdyn import FIELDS, parse_record, total_derivative
 from .symkernel import QQ, Context, Expr
 from .symkernel.errors import SymkernelError, VariableMismatch
 from .symkernel.linalg import (det3, nullspace, reduce_row, rref, solve,
@@ -167,6 +167,12 @@ class EquivalenceGenerator:
 
     def field_slots(self):
         return (self.zr, self.zu, self.zv, self.zp, self.zs)
+
+    def matrix(self):
+        """The form matrix of the classical prolongation,
+        ((D_x xi_x, D_y xi_x), (D_x xi_y, D_y xi_y))."""
+        return tuple(tuple(total_derivative(xi, c) for c in ("x", "y"))
+                     for xi in (self.xi_x, self.xi_y))
 
 
 def equivalence_generator(ctx, xi_x=0, xi_y=0, zr=0, zu=0, zv=0, zp=0, zs=0,

@@ -37,6 +37,13 @@ class NewtonDivergence(SymkernelError):
     pass
 
 
+PATH_STEPS = 8           # Simpson subintervals per cell of a path
+LOOP_STEPS = 256         # Simpson subintervals per segment of a loop
+DEN_FLOOR = 1e-9         # smallest |map denominator| at a grid node
+NEWTON_TOL = 1e-12       # Newton stops at |rx| + |ry| below this
+RESIDUAL_FLOOR = 1e-13   # FD residuals below it on both grids converged
+
+
 @dataclass(frozen=True)
 class GridSpec:
     x0: float
@@ -66,8 +73,7 @@ class GridSolution:
     v: np.ndarray
     p: np.ndarray
     S: np.ndarray
-    evaluator: object = None     # fields(x, y) -> (rho, u, v, p, S)
-    provenance: str = ""
+    evaluator: object            # fields(x, y) -> (rho, u, v, p, S)
 
     def arrays(self):
         return (self.rho, self.u, self.v, self.p, self.S)
@@ -83,7 +89,6 @@ class ConstantFlow:
     rho0: float = 1.0
     p0: float = 1.0
     S0: float = 0.0
-    family: str = "constant"
 
     def fields(self, x, y):
         return (self.rho0, self.u0, self.v0, self.p0, self.S0)
@@ -96,7 +101,6 @@ class ShearFlow:
     rho_fn: object
     S_fn: object
     p0: float = 1.0
-    family: str = "shear"
 
     @staticmethod
     def example() -> "ShearFlow":
@@ -118,7 +122,6 @@ class VortexFlow:
     rho0: float = 1.0
     p0: float = 1.0
     s0: float = 0.0
-    family: str = "vortex"
 
     def fields(self, x, y):
         r2 = x * x + y * y
@@ -136,7 +139,7 @@ def make_solution(flow, grid: GridSpec) -> GridSolution:
     flow.fields(x, y) is called once with the coordinate arrays of the
     whole grid, so it must accept numpy arrays; it may return scalars for
     fields that are constant."""
-    if getattr(flow, "family", "") == "vortex":
+    if isinstance(flow, VortexFlow):
         rmin = min(math.hypot(x, y) for x in (grid.x0, grid.x0 + grid.hx * (grid.nx - 1))
                    for y in (grid.y0, grid.y0 + grid.hy * (grid.ny - 1)))
         if grid.x0 <= 0.0 <= grid.x0 + grid.hx * (grid.nx - 1) and \
@@ -149,8 +152,7 @@ def make_solution(flow, grid: GridSpec) -> GridSolution:
               for v in flow.fields(X, Y)]
     if np.any(arrays[0] <= 0):
         raise InvalidParams("density must stay positive on the grid")
-    return GridSolution(grid, *arrays, evaluator=flow,
-                        provenance=getattr(flow, "family", "analytic"))
+    return GridSolution(grid, *arrays, evaluator=flow)
 
 
 # --- finite-difference residuals ------------------------------------------------
@@ -233,46 +235,47 @@ class _MapEvaluator:
         """The primed fields in FIELDS at the points (x, y)."""
         return self._at(self._fields, x, y)
 
-    def check_domain(self, xs, ys, floor=1e-9):
+    def check_domain(self, xs, ys):
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        small = (np.abs(self._at(self._dens, X, Y)) < floor).any(axis=0)
+        small = (np.abs(self._at(self._dens, X, Y)) < DEN_FLOOR).any(axis=0)
         if small.any():
             i, j = np.argwhere(small)[0]
             raise DomainViolation(
                 "map denominator vanishes near (%g, %g)" % (xs[i], ys[j]))
 
 
+def _path_steps(ev: _MapEvaluator, axis, other, a, b):
+    """Increments of x' and y' from a to b along axis (0 = x, 1 = y), the
+    other coordinate held at other (broadcast against a), by Simpson with
+    PATH_STEPS subintervals; dx' and dy' have coefficients f[axis] and
+    f[2 + axis] there."""
+    def integrand(t):
+        o = np.asarray(other)[..., None]
+        f = ev.form_at(t, o) if axis == 0 else ev.form_at(o, t)
+        return f[[axis, 2 + axis]]
+    return simpson_line(integrand, a, b, PATH_STEPS)
+
+
 def primed_coordinates(sol: GridSolution, T: ReciprocalMap,
-                       quad_factor: int = 8, path: str = "xy"):
+                       path: str = "xy"):
     """x', y' at every grid node by Simpson path integration from the grid
     origin (anchored to zero), along x first then y, or y first."""
     g = sol.grid
     ev = _MapEvaluator(T, sol.evaluator)
     xs, ys = g.xs(), g.ys()
     ev.check_domain(xs, ys)
-    nseg = max(2, quad_factor)
     first = {"xy": 0, "yx": 1}.get(path)
     if first is None:
         raise ValueError("path must be 'xy' or 'yx'")
     outer, inner = (xs, ys) if first == 0 else (ys, xs)
 
-    def steps(axis, other, a, b):
-        """Increments of x' and y' from a to b along axis (0 = x, 1 = y),
-        the other coordinate held at other (broadcast against a); dx' and
-        dy' have coefficients f[axis] and f[2 + axis] there."""
-        def integrand(t):
-            o = np.asarray(other)[..., None]
-            f = ev.form_at(t, o) if axis == 0 else ev.form_at(o, t)
-            return f[[axis, 2 + axis]]
-        return simpson_line(integrand, a, b, nseg)
-
     # along the grid edge on the first axis, then across the second axis;
     # the running sums start from zero and from the edge values
-    edge = steps(first, inner[0], outer[:-1], outer[1:])
+    edge = _path_steps(ev, first, inner[0], outer[:-1], outer[1:])
     edge = np.cumsum(np.concatenate([np.zeros((2, 1)), edge], axis=1),
                      axis=1)
-    across = steps(1 - first, outer[:, None], inner[None, :-1],
-                   inner[None, 1:])
+    across = _path_steps(ev, 1 - first, outer[:, None], inner[None, :-1],
+                         inner[None, 1:])
     cur = np.cumsum(np.concatenate([edge[:, :, None], across], axis=2),
                     axis=2)
     if first == 1:
@@ -289,16 +292,11 @@ class TransformedFlow:
     points come from Newton inversion of the coordinate map through the
     original analytic flow."""
 
-    family = "transformed"
-
     def __init__(self, sol: GridSolution, T: ReciprocalMap, xp, yp,
-                 tol: float = 1e-12, max_iter: int = 50):
-        self.sol = sol
-        self.T = T
+                 max_iter: int = 50):
         self.ev = _MapEvaluator(T, sol.evaluator)
         self.xp = xp
         self.yp = yp
-        self.tol = tol
         self.max_iter = max_iter
         g = sol.grid
         self._xs, self._ys = g.xs(), g.ys()
@@ -322,11 +320,8 @@ class TransformedFlow:
         y at x."""
         i, j = node
         x0, y0 = self._xs[i], self._ys[j]
-        n = 8
-        along_x = simpson_line(
-            lambda t: self.ev.form_at(t, y0[:, None])[[0, 2]], x0, x, n)
-        along_y = simpson_line(
-            lambda t: self.ev.form_at(x[:, None], t)[[1, 3]], y0, y, n)
+        along_x = _path_steps(self.ev, 0, y0, x0, x)
+        along_y = _path_steps(self.ev, 1, x, y0, y)
         return (self.xp[i, j] + along_x[0] + along_y[0],
                 self.yp[i, j] + along_x[1] + along_y[1])
 
@@ -334,7 +329,7 @@ class TransformedFlow:
         """Original coordinates of primed points (scalars or arrays that
         broadcast together) by Newton iteration, all points at once.  A
         point stops at the first iterate whose residual |rx| + |ry| is
-        below tol."""
+        below NEWTON_TOL."""
         xt, yt = np.broadcast_arrays(np.asarray(xt, dtype=float),
                                      np.asarray(yt, dtype=float))
         shape = xt.shape
@@ -345,7 +340,7 @@ class TransformedFlow:
             fx, fy = self._forward(x[active], y[active],
                                    (ni[active], nj[active]))
             rx, ry = fx - xt[active], fy - yt[active]
-            going = ~(abs(rx) + abs(ry) < self.tol)
+            going = ~(abs(rx) + abs(ry) < NEWTON_TOL)
             active, rx, ry = active[going], rx[going], ry[going]
             if not active.size:
                 break
@@ -370,79 +365,73 @@ class TransformedFlow:
 
 
 def transform_solution(sol: GridSolution, T: ReciprocalMap,
-                       quad_factor: int = 8, path: str = "xy",
-                       margin_cells: int = 1,
+                       path: str = "xy", margin_cells: int = 1,
                        target_grid: GridSpec | None = None) -> GridSolution:
     """Transform an analytic grid solution: primed fields through the field
     maps, primed coordinates by path integration, output resampled on a
-    rectangular primed grid lying inside the image.
+    rectangular primed grid lying inside the image, margin_cells cells in
+    from its edges.
 
     Passing target_grid pins the output grid (e.g. for refinement studies
     comparing residuals over an identical primed region)."""
-    if sol.evaluator is None:
-        raise InvalidParams("solution carries no analytic evaluator")
     g = sol.grid
-    if g.nx < 3 or g.ny < 3:
-        raise GridTooSmall("need at least 3 nodes per direction")
-    xp, yp = primed_coordinates(sol, T, quad_factor=quad_factor, path=path)
+    # fd_residuals needs 3 nodes, and the margins must leave some width
+    need = 3 if target_grid is not None else max(3, 2 * margin_cells + 2)
+    if min(g.nx, g.ny) < need:
+        raise GridTooSmall("need at least %d nodes per direction" % need)
+    xp, yp = primed_coordinates(sol, T, path=path)
     tf = TransformedFlow(sol, T, xp, yp)
     if target_grid is not None:
         pg = target_grid
     else:
-        nxp, nyp = g.nx, g.ny
         lox = np.max(xp[0, :]) if xp[0, 0] < xp[-1, 0] else np.max(xp[-1, :])
         hix = np.min(xp[-1, :]) if xp[0, 0] < xp[-1, 0] else np.min(xp[0, :])
         loy = np.max(yp[:, 0]) if yp[0, 0] < yp[0, -1] else np.max(yp[:, -1])
         hiy = np.min(yp[:, -1]) if yp[0, 0] < yp[0, -1] else np.min(yp[:, 0])
         if not (hix > lox and hiy > loy):
             raise DomainViolation("image of the grid is degenerate")
-        hxp = (hix - lox) / (nxp - 1)
-        hyp = (hiy - loy) / (nyp - 1)
+        hxp = (hix - lox) / (g.nx - 1)
+        hyp = (hiy - loy) / (g.ny - 1)
         lox += margin_cells * hxp
         hix -= margin_cells * hxp
         loy += margin_cells * hyp
         hiy -= margin_cells * hyp
-        hxp = (hix - lox) / (nxp - 1)
-        hyp = (hiy - loy) / (nyp - 1)
+        hxp = (hix - lox) / (g.nx - 1)
+        hyp = (hiy - loy) / (g.ny - 1)
         pg = GridSpec(float(lox), float(loy), float(hxp), float(hyp),
-                      nxp, nyp)
-    out = make_solution(tf, pg)
-    out.provenance = "%s<-%s" % (T.name, sol.provenance)
-    return out
+                      g.nx, g.ny)
+    return make_solution(tf, pg)
 
 
-def transform_convergence_ratios(flow, T: ReciprocalMap, grid: GridSpec,
-                                 quad_factor: int = 8,
-                                 floor: float = 1e-13) -> dict:
+def transform_convergence_ratios(flow, T: ReciprocalMap,
+                                 grid: GridSpec) -> dict:
     """Max-norm FD residual ratios of the transformed solution between a
     grid and its refinement, over an identical primed region.  Equations
-    whose residuals sit at the rounding floor on both grids are reported
+    whose residuals sit below RESIDUAL_FLOOR on both grids are reported
     with ratio None (already converged)."""
     s1 = make_solution(flow, grid)
-    out1 = transform_solution(s1, T, quad_factor=quad_factor)
+    out1 = transform_solution(s1, T)
     r1 = fd_residuals(out1)
     s2 = make_solution(flow, grid.refined())
-    out2 = transform_solution(s2, T, quad_factor=quad_factor,
-                              target_grid=out1.grid.refined())
+    out2 = transform_solution(s2, T, target_grid=out1.grid.refined())
     r2 = fd_residuals(out2)
     out = {}
     for k in r1:
-        if r1[k] < floor and r2[k] < floor:
+        if r1[k] < RESIDUAL_FLOOR and r2[k] < RESIDUAL_FLOOR:
             out[k] = None
         else:
             out[k] = r1[k] / r2[k] if r2[k] else float("inf")
     return out
 
 
-def transform_roundtrip_error(sol: GridSolution, T: ReciprocalMap,
-                              quad_factor: int = 8) -> float:
+def transform_roundtrip_error(sol: GridSolution, T: ReciprocalMap) -> float:
     """Transform with T then with its inverse; compare the recovered fields
     with the original analytic flow at the corresponding points.
 
     The roundtrip coordinates are the original ones translated so that the
     second anchor sits at zero; the anchor's preimage locates them."""
-    first = transform_solution(sol, T, quad_factor=quad_factor)
-    second = transform_solution(first, invert(T), quad_factor=quad_factor)
+    first = transform_solution(sol, T)
+    second = transform_solution(first, invert(T))
     xa, ya = first.evaluator.invert_point(first.grid.x0, first.grid.y0)
     X, Y = np.meshgrid(second.grid.xs(), second.grid.ys(), indexing="ij")
     ref = sol.evaluator.fields(X + xa, Y + ya)
@@ -450,12 +439,10 @@ def transform_roundtrip_error(sol: GridSolution, T: ReciprocalMap,
                for r, q in zip(ref, second.arrays()))
 
 
-def loop_closedness(sol: GridSolution, T: ReciprocalMap, loop,
-                    n_per_segment: int = 256) -> float:
+def loop_closedness(sol: GridSolution, T: ReciprocalMap, loop) -> float:
     """|loop integral of dx'| + |loop integral of dy'| along a closed
-    polyline, by composite Simpson on each segment with analytic fields."""
-    if sol.evaluator is None:
-        raise InvalidParams("solution carries no analytic evaluator")
+    polyline, by composite Simpson with LOOP_STEPS subintervals on each
+    segment with analytic fields."""
     pts = [tuple(map(float, p)) for p in loop]
     if pts[0] != pts[-1]:
         raise DomainViolation("loop is not closed")
@@ -471,8 +458,7 @@ def loop_closedness(sol: GridSolution, T: ReciprocalMap, loop,
                          f[2] * delta[:, 0] + f[3] * delta[:, 1]])
 
     nseg = len(pts) - 1
-    seg = simpson_line(integrand, np.zeros(nseg), np.ones(nseg),
-                       n_per_segment)
+    seg = simpson_line(integrand, np.zeros(nseg), np.ones(nseg), LOOP_STEPS)
     # the segment integrals are added in loop order
     return float(abs(sum(seg[0], 0.0)) + abs(sum(seg[1], 0.0)))
 

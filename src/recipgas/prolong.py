@@ -39,15 +39,17 @@ class DegenerateDelta(SymkernelError):
     pass
 
 
-def prolong(X: Generator) -> dict:
-    """Prolonged coefficients {(field, coord): Expr} for all ten jets."""
+def prolong(X) -> dict:
+    """Prolonged coefficients {(field, coord): Expr} for all ten jets of a
+    Generator or an EquivalenceGenerator, from its form matrix."""
     ctx = X.ctx
+    (m11, m12), (m21, m22) = X.matrix()
     out = {}
     for f, z in zip(FIELDS, X.field_slots()):
         fx = Expr.var(ctx, f + "_x")
         fy = Expr.var(ctx, f + "_y")
-        out[(f, "x")] = total_derivative(z, "x") - fx * X.m11 - fy * X.m21
-        out[(f, "y")] = total_derivative(z, "y") - fx * X.m12 - fy * X.m22
+        out[(f, "x")] = total_derivative(z, "x") - fx * m11 - fy * m21
+        out[(f, "y")] = total_derivative(z, "y") - fx * m12 - fy * m22
     return out
 
 
@@ -99,10 +101,8 @@ def determining_residuals(X: Generator, solve_for: str = "x") -> DeterminingSyst
     """The six reduced residuals; X generates a one-parameter group of
     reciprocal transformations iff all six normalize to zero."""
     res = _system_residuals(X, prolong(X), solve_for)
-    c_dx = total_derivative(X.m12, "x") - total_derivative(X.m11, "y")
-    c_dy = total_derivative(X.m22, "x") - total_derivative(X.m21, "y")
-    res.append((RESIDUAL_TAGS[4], reduce_on_manifold(c_dx, solve_for)))
-    res.append((RESIDUAL_TAGS[5], reduce_on_manifold(c_dy, solve_for)))
+    for tag, row in zip(RESIDUAL_TAGS[4:], X.matrix()):
+        res.append((tag, OneForm(*row).closedness_residual(solve_for)))
     return DeterminingSystem(X, res, solve_for)
 
 
@@ -110,16 +110,7 @@ def equivalence_residuals(Xe: EquivalenceGenerator,
                           solve_for: str = "x") -> DeterminingSystem:
     """Point-symmetry determining residuals with classical prolongation
     zeta_fx = D_x zeta_f - f_x D_x xi_x - f_y D_x xi_y."""
-    ctx = Xe.ctx
-    dxx = {c: total_derivative(Xe.xi_x, c) for c in ("x", "y")}
-    dxy = {c: total_derivative(Xe.xi_y, c) for c in ("x", "y")}
-    pro = {}
-    for f, z in zip(FIELDS, Xe.field_slots()):
-        fx = Expr.var(ctx, f + "_x")
-        fy = Expr.var(ctx, f + "_y")
-        pro[(f, "x")] = total_derivative(z, "x") - fx * dxx["x"] - fy * dxy["x"]
-        pro[(f, "y")] = total_derivative(z, "y") - fx * dxx["y"] - fy * dxy["y"]
-    return DeterminingSystem(Xe, _system_residuals(Xe, pro, solve_for),
+    return DeterminingSystem(Xe, _system_residuals(Xe, prolong(Xe), solve_for),
                              solve_for)
 
 
@@ -324,15 +315,13 @@ def solve_ansatz(ctx: Context, max_degree: int = 4) -> AnsatzSolution:
 
 
 def solve_ansatz_first_method(ctx: Context, params: ConservationFormParams,
-                              max_degree: int = 2,
-                              include_zp: bool = False) -> AnsatzSolution:
-    """Two-step-method ansatz: polynomial field slots, form slots derived
-    from invariance of the conserved forms.  With include_zp=False this is
-    the zp = 0 case, whose solutions should be spanned by the two
-    equivalence families at constant function slices."""
+                              max_degree: int = 2) -> AnsatzSolution:
+    """Two-step-method ansatz in the zp = 0 case: polynomial field slots
+    zr, zu, zv, zs, form slots derived from invariance of the conserved
+    forms.  Its solutions should be spanned by the two equivalence
+    families at constant function slices."""
     delta = _flux_matrix(ctx, params)[4]
     return _solve_ansatz(
-        ["zr", "zu", "zv", "zs"] + (["zp"] if include_zp else []),
-        _monomials(ctx, max_degree),
+        ["zr", "zu", "zv", "zs"], _monomials(ctx, max_degree),
         lambda s, value: first_method_generator(ctx, params, **{s: value}),
         Expr.var(ctx, "u") ** 4 * delta ** 2)

@@ -39,26 +39,21 @@ class Context:
     atoms: dict = field(default_factory=dict)     # index -> AtomInfo
     atom_index: dict = field(default_factory=dict)  # key -> index
 
-    def declare(self, name: str, role: str = "parameter",
-                base: str | None = None, coord: str | None = None) -> int:
+    def declare(self, name: str, role: str = "parameter") -> int:
         if role not in ROLES:
             raise ValueError("unknown role %r" % role)
         if name in self.index:
             raise ValueError("variable %r already declared" % name)
-        if role == "jet":
-            if base not in self.index or coord not in self.index:
-                raise UnknownVariable(
-                    "jet %r must reference declared field and coordinate" % name)
         idx = len(self.names)
         self.names.append(name)
         self.index[name] = idx
         self.roles[name] = role
         return idx
 
-    def ensure(self, name: str, role: str = "parameter") -> int:
+    def ensure(self, name: str) -> int:
         if name in self.index:
             return self.index[name]
-        return self.declare(name, role)
+        return self.declare(name)
 
     def idx(self, name: str) -> int:
         try:

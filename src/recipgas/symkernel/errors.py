@@ -18,7 +18,10 @@ class NotPolynomialInVars(SymkernelError):
 
 
 class UnboundSymbol(SymkernelError):
-    pass
+    """An evaluation needs a value for names the assignment lacks."""
+
+    def __init__(self, *names):
+        super().__init__("no value for %s" % ", ".join(names))
 
 
 class NumericDomain(SymkernelError):

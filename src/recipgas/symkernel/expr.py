@@ -16,7 +16,7 @@ import numbers
 
 from .context import Context
 from .errors import (DivisionByZeroExpr, NotPolynomialInVars,
-                     UnknownVariable, VariableMismatch)
+                     UnboundSymbol, UnknownVariable, VariableMismatch)
 from .numeric import compile_exprs
 from .poly import (MONO_ONE, QQ, QONE, Poly, mono_items, mono_pack, padd,
                    pconst, pcontent, pderiv, pdiv_exact, peval, pgcd,
@@ -265,17 +265,20 @@ class Expr:
 
     # --- numeric evaluation ----------------------------------------------
 
-    def eval_numeric(self, assignment: dict,
-                     fn_impls: dict | None = None) -> float:
+    def eval_numeric(self, assignment: dict) -> float:
         """Float value at a point; see compile_exprs."""
-        return float(compile_exprs([self], fn_impls)(assignment)[0])
+        return float(compile_exprs([self])(assignment)[0])
 
     def eval_rational(self, assignment: dict):
         """Exact evaluation at a rational point.
 
         Every free variable, including formal-function atoms (by display
-        name), must be assigned a rational value.
+        name), must be assigned a rational value; UnboundSymbol names those
+        that are not, before anything is substituted.
         """
+        missing = sorted(self.free_variables() - set(assignment))
+        if missing:
+            raise UnboundSymbol(*missing)
         bindings = {n: Expr.const(self.ctx, v) for n, v in assignment.items()}
         return self.substitute(bindings).as_rational()
 

@@ -26,7 +26,8 @@ import numpy as np
 from .errors import NumericDomain, UnboundSymbol
 from .poly import QZERO, mono_items, pis_const
 
-DEFAULT_FN_IMPLS = {
+# implementations of the elementary functions the float evaluator computes
+FN_IMPLS = {
     "tan": np.tan,
     "sin": np.sin,
     "cos": np.cos,
@@ -52,25 +53,23 @@ class _Numbers(NamedTuple):
     constant: object   # (rational, env) -> source text of its value
     convert: object    # applied to each input value, or None
     nonzero: object    # true when a denominator value has no zero
+    impls: dict        # function name -> implementation of its atoms
 
 
-_FLOATS = _Numbers(lambda c, env: repr(float(c)), _float, np.all)
+_FLOATS = _Numbers(lambda c, env: repr(float(c)), _float, np.all, FN_IMPLS)
 
 
-def compile_exprs(exprs, fn_impls: dict | None = None):
+def compile_exprs(exprs):
     """evaluate(assignment) -> [value of each Expr], compiled once.
 
     The assignment maps variable names, and formal-function atoms by
     display name, to floats or to numpy arrays that broadcast together.
-    An atom it lacks is computed from its arguments by fn_impls, keyed by
-    function name or, for a derivative marker, by (name, orders), over
-    DEFAULT_FN_IMPLS.  A missing name raises UnboundSymbol; a zero
-    denominator or a non-finite value raises NumericDomain.
+    An atom it lacks is computed from its arguments when FN_IMPLS has its
+    function; a derivative marker never is.  A missing name raises
+    UnboundSymbol; a zero denominator or a non-finite value raises
+    NumericDomain.
     """
-    impls = dict(DEFAULT_FN_IMPLS)
-    if fn_impls:
-        impls.update(fn_impls)
-    raw = _generate(list(exprs), impls, _ZERO_MESSAGE, _FLOATS)
+    raw = _generate(list(exprs), _ZERO_MESSAGE, _FLOATS)
 
     def evaluate(assignment: dict) -> list:
         try:
@@ -108,8 +107,8 @@ def compile_exprs_mp(exprs):
             env[name] = mpmath.mpf(c.numerator) / c.denominator
         return name
 
-    raw = _generate(list(exprs), {}, _ZERO_MESSAGE,
-                    _Numbers(constant, None, bool))
+    raw = _generate(list(exprs), _ZERO_MESSAGE,
+                    _Numbers(constant, None, bool, {}))
 
     def evaluate(assignment: dict) -> list:
         try:
@@ -120,7 +119,7 @@ def compile_exprs_mp(exprs):
     return evaluate
 
 
-def _generate(exprs, impls: dict, zero_message: str, numbers: _Numbers):
+def _generate(exprs, zero_message: str, numbers: _Numbers):
     """The generated function of the assignment, without error mapping."""
     ctx = exprs[0].ctx if exprs else None
     env = {"_float": numbers.convert, "_all": numbers.nonzero,
@@ -134,7 +133,7 @@ def _generate(exprs, impls: dict, zero_message: str, numbers: _Numbers):
         """The local holding variable idx to the power e."""
         if idx not in top:
             if idx in ctx.atoms:
-                env["_atom%d" % idx] = _atom(ctx.atoms[idx], impls, numbers)
+                env["_atom%d" % idx] = _atom(ctx.atoms[idx], numbers)
                 value = "_atom%d(a)" % idx
             else:
                 value = read % ctx.names[idx]
@@ -179,15 +178,14 @@ def _generate(exprs, impls: dict, zero_message: str, numbers: _Numbers):
     return env["_evaluate"]
 
 
-def _atom(info, impls: dict, numbers: _Numbers):
+def _atom(info, numbers: _Numbers):
     """Value of a formal-function atom: from the assignment by display
     name, else its implementation applied to its arguments."""
     display = info.display
-    key = (info.fname, info.orders) if any(info.orders) else info.fname
-    fn = impls.get(key)
+    fn = None if any(info.orders) else numbers.impls.get(info.fname)
     convert = numbers.convert or (lambda v: v)
-    args = _generate(list(info.args), impls,
-                     "zero denominator in %s" % display, numbers)
+    args = _generate(list(info.args), "zero denominator in %s" % display,
+                     numbers)
 
     def value(a):
         if display in a:

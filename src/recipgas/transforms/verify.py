@@ -23,6 +23,11 @@ from .maps import OneParamFamily, PointMap, ReciprocalMap
 
 DEFAULT_SEED = 20240801
 
+WITNESS_ATTEMPTS = 200     # seeded rational draws of witness_point
+# eps ranges and singular-set guards of the Lie and additivity checks
+LIE_EPS, LIE_GUARD, LIE_RATE_GUARD = 0.25, 0.3, 6.0
+ADD_EPS, ADD_GUARD = 0.125, 5e-2
+
 RECIP_LAW_NAMES = ("mass-flux", "momentum-y-flux", "momentum-x-flux",
                    "entropy-flux")
 
@@ -81,13 +86,12 @@ def verify_reciprocal(T: ReciprocalMap, solve_for: str = "x",
     return rep
 
 
-def witness_point(residual: Expr, seed: int = DEFAULT_SEED,
-                  attempts: int = 200):
+def witness_point(residual: Expr, seed: int = DEFAULT_SEED):
     """Rational point where the residual evaluates to a nonzero value."""
     rng = random.Random(seed)
     ctx = residual.ctx
     names = sorted(residual.free_variables())
-    for _ in range(attempts):
+    for _ in range(WITNESS_ATTEMPTS):
         point = {}
         for n in names:
             if n in ("rho", "p"):
@@ -185,9 +189,8 @@ def _eval_poly_mp(evaluate, assign):
 
 
 def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
-                       seed: int = DEFAULT_SEED, step: float = 1e-6,
-                       eps_range: float = 0.25, guard: float = 0.3,
-                       rate_guard: float = 6.0) -> LieCheckResult:
+                       seed: int = DEFAULT_SEED,
+                       step: float = 1e-6) -> LieCheckResult:
     """Max over seeded samples of |d/deps T_eps - zeta(T_eps)| on all nine
     component slots; the eps-derivative is a central difference with the
     given step, taken in extended precision (stencil nodes included) so
@@ -195,9 +198,10 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
     noise.
 
     Samples keep a margin from the family's singular sets: a point is
-    redrawn when any component denominator falls below `guard` in absolute
-    value at a stencil node, or when its logarithmic eps-derivative exceeds
-    `rate_guard` (which would inflate the truncation term cubically).
+    redrawn when any component denominator falls below LIE_GUARD in
+    absolute value at a stencil node, or when its logarithmic
+    eps-derivative exceeds LIE_RATE_GUARD (which would inflate the
+    truncation term cubically).
     """
     import mpmath
     if fam.link_spec is None:
@@ -222,7 +226,7 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
                 raise NumericDomain(
                     "could not sample away from singular sets")
             state = sample_float_state(rng)
-            eps = mpmath.mpf(rng.uniform(-eps_range, eps_range))
+            eps = mpmath.mpf(rng.uniform(-LIE_EPS, LIE_EPS))
             mstate = {k: mpmath.mpf(v) for k, v in state.items()}
             stencil = []
             den_vals = []
@@ -230,13 +234,13 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
                 a = dict(mstate)
                 a[fam.symbol] = fam.link(e, mpmath)
                 row = _eval_poly_mp(dens, a)
-                if any(abs(val) < guard for val in row):
+                if any(abs(val) < LIE_GUARD for val in row):
                     break
                 stencil.append(a)
                 den_vals.append(row)
             if len(stencil) < 3:
                 continue
-            if any(abs(hi - lo) / (2 * mstep * abs(mid)) > rate_guard
+            if any(abs(hi - lo) / (2 * mstep * abs(mid)) > LIE_RATE_GUARD
                    for lo, mid, hi in zip(*den_vals)):
                 continue
             vals = [_eval_poly_mp(comps, a) for a in stencil]
@@ -259,10 +263,9 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
 
 
 def composition_additivity(fam: OneParamFamily, n_points: int = 100,
-                           seed: int = DEFAULT_SEED,
-                           eps_range: float = 0.125,
-                           guard: float = 5e-2) -> float:
-    """Max deviation |T_e1(T_e2(x)) - T_{e1+e2}(x)| over seeded samples."""
+                           seed: int = DEFAULT_SEED) -> float:
+    """Max deviation |T_e1(T_e2(x)) - T_{e1+e2}(x)| over seeded samples,
+    kept ADD_GUARD away from the map's singular sets."""
     if fam.link_spec is None:
         raise NumericDomain("family %s has symbolic parameters" % fam.name)
     _require_points(n_points)
@@ -283,17 +286,17 @@ def composition_additivity(fam: OneParamFamily, n_points: int = 100,
         if attempts > 50 * n_points:
             raise NumericDomain("could not sample away from singular sets")
         state = sample_float_state(rng)
-        e1 = rng.uniform(-eps_range, eps_range)
-        e2 = rng.uniform(-eps_range, eps_range)
+        e1 = rng.uniform(-ADD_EPS, ADD_EPS)
+        e2 = rng.uniform(-ADD_EPS, ADD_EPS)
         try:
             a2 = fam.numeric_assignment(e2, state)
-            if margin(a2) < guard:
+            if margin(a2) < ADD_GUARD:
                 continue
             inner = dict(zip(FIELDS, fields(a2)))
             inner["S"] = state["S"]
             a1 = fam.numeric_assignment(e1, inner)
             a12 = fam.numeric_assignment(e1 + e2, state)
-            if min(margin(a1), margin(a12)) < guard:
+            if min(margin(a1), margin(a12)) < ADD_GUARD:
                 continue
             outer_fields = fields(a1)
             direct_fields = fields(a12)

@@ -61,8 +61,7 @@ def test_first_method_zero_pressure_slot(ctx):
     # with the pressure slot pinned to zero, the two-step method only
     # recovers the two equivalence families at constant function slices
     params = ConservationFormParams.make(ctx, 1, 1, 0, 0, 0, 0)
-    sol = solve_ansatz_first_method(ctx, params, max_degree=2,
-                                    include_zp=False)
+    sol = solve_ansatz_first_method(ctx, params, max_degree=2)
     assert sol.dimension == 2
     one = Expr.const(ctx, 1)
     assert membership(x_h(ctx, one), sol.generators) is not None

@@ -153,6 +153,34 @@ def test_bad_sizes_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("lie-check", "--tol", "nan"),
+    ("lie-check", "--tol", "0"),
+    ("closedness", "--tol", "-1"),
+    ("closedness", "--tol", "inf"),
+])
+def test_bad_tolerances_are_usage_errors(capsys, argv):
+    # a tolerance no residual can pass would read as a verification FAIL
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be a positive finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flow", ["constant", "shear", "vortex"])
+def test_grid_without_width_is_a_usage_error(capsys, flow):
+    # the 1-cell margins of the primed grid leave 3 nodes no width
+    assert main(["transform", "--flow", flow, "--nodes", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(["transform", "--flow", flow, "--nodes", "4"]) == 0
+
+
+def test_unbound_parameter_is_named(capsys):
+    assert main(["transform", "--catalog", "theorem"]) == 2
+    assert capsys.readouterr().err == "error: no value for a35\n"
+
+
+@pytest.mark.parametrize("argv", [
     ("verify-map", "--catalog", "munk_prim"),
     ("verify-map", "--catalog", "E1_point"),
     ("verify-point", "--catalog", "E1", "--param", "psi=1"),

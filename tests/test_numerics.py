@@ -55,10 +55,18 @@ def test_rigid_vortex_is_stencil_exact():
     assert max(fd_residuals(sol).values()) < 1e-12
 
 
-def test_grid_guards():
+def test_grid_guards(ctx):
     with pytest.raises(GridTooSmall):
         fd_residuals(make_solution(ConstantFlow(),
                                    GridSpec(0, 0, 0.1, 0.1, 2, 3)))
+    # a 1-cell margin on each side leaves a 3-node grid no width
+    T = bateman_simplified(ctx, 1, 0, entropy="identity")
+    narrow = make_solution(ConstantFlow(), GridSpec(0, 0, 0.5, 0.5, 4, 3))
+    with pytest.raises(GridTooSmall):
+        transform_solution(narrow, T)
+    assert transform_solution(narrow, T, margin_cells=0).grid.ny == 3
+    wide = make_solution(ConstantFlow(), GridSpec(0, 0, 0.5, 0.5, 4, 4))
+    assert max(fd_residuals(transform_solution(wide, T)).values()) < 1e-12
     with pytest.raises(InvalidParams):
         make_solution(VortexFlow(), GridSpec(-0.5, -0.5, 0.25, 0.25, 5, 5))
     with pytest.raises(InvalidParams):

@@ -253,6 +253,18 @@ def test_eval_errors(ctx):
         parse(ctx, "1/(p-1)").eval_numeric({"p": 1.0})
 
 
+def test_eval_rational_unbound_names_leave_the_context_alone():
+    # F(S) stays unbound when S is bound; no F(2), F(3), ... is declared
+    ctx = standard_context()
+    e = parse(ctx, "F(S)*u")
+    size = len(ctx.names)
+    for i in range(5):
+        with pytest.raises(UnboundSymbol, match=r"no value for F\(S\)$"):
+            e.eval_rational({"S": QQ(i + 2), "u": QQ(1)})
+    assert len(ctx.names) == size
+    assert e.eval_rational({"F(S)": QQ(3), "u": QQ(2)}) == 6
+
+
 def test_deterministic_rendering(ctx):
     e = parse(ctx, "v+u+p^2+1")
     assert str(e) == str(parse(ctx, "1+p^2+u+v"))
