@@ -15,7 +15,7 @@ from .liealg import (AutomorphismMatrix, FunctionalConstant, commutator,
 from .numerics import (ConstantFlow, GridSpec, ShearFlow, VortexFlow,
                        fd_residuals, loop_closedness, make_solution,
                        primed_coordinates, transform_convergence_ratios,
-                       transform_solution, unit_square_loop)
+                       transform_solution)
 from .prolong import (case_generators, determining_residuals,
                       form_coeffs_from_invariance, solve_ansatz)
 from .reports import Report
@@ -326,7 +326,7 @@ def criterion_9(ctx=None, seed=DEFAULT_SEED) -> Report:
             all(v is not None and 3.5 <= v <= 4.5 for v in
                 vratios.values()),
             str({k: round(v, 2) for k, v in vratios.items()}))
-    lc = loop_closedness(s1, Tb, unit_square_loop())
+    lc = loop_closedness(s1, Tb, s1.grid.boundary_loop())
     rep.add("loop closedness < 1e-8", lc < 1e-8, "%.2e" % lc)
     return rep
 

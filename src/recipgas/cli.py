@@ -19,7 +19,7 @@ from .liealg import (commutator_table_text, generator_from_dict,
                      standard_basis, verify_automorphism_solution, x_f, x_h)
 from .numerics import (ConstantFlow, GridSpec, ShearFlow, VortexFlow,
                        fd_residuals, loop_closedness, make_solution,
-                       transform_solution, unit_square_loop)
+                       transform_solution)
 from .prolong import determining_residuals
 from .reports import Report
 from .symkernel import Expr, parse
@@ -270,8 +270,9 @@ def cmd_transform(args) -> int:
 def cmd_closedness(args) -> int:
     ctx = standard_context()
     T = _catalog_map(ctx, args, entropy="identity")
-    sol = make_solution(_flow(args), _flow_grid(args))
-    val = loop_closedness(sol, T, unit_square_loop())
+    grid = _flow_grid(args)
+    sol = make_solution(_flow(args), grid)
+    val = loop_closedness(sol, T, grid.boundary_loop())
     rep = Report("loop closedness of %s on %s" % (args.entry, args.flow))
     rep.add("|loop dx'| + |loop dy'| < %g" % args.tol, val < args.tol,
             "%.3e" % val)

@@ -59,6 +59,13 @@ class GridSpec:
     def ys(self):
         return self.y0 + self.hy * np.arange(self.ny)
 
+    def boundary_loop(self):
+        """The grid's boundary as a closed counterclockwise polyline."""
+        x1 = self.x0 + self.hx * (self.nx - 1)
+        y1 = self.y0 + self.hy * (self.ny - 1)
+        return [(self.x0, self.y0), (x1, self.y0), (x1, y1), (self.x0, y1),
+                (self.x0, self.y0)]
+
     def refined(self) -> "GridSpec":
         """Same extent, half the spacing."""
         return GridSpec(self.x0, self.y0, self.hx / 2, self.hy / 2,
@@ -462,6 +469,3 @@ def loop_closedness(sol: GridSolution, T: ReciprocalMap, loop) -> float:
     # the segment integrals are added in loop order
     return float(abs(sum(seg[0], 0.0)) + abs(sum(seg[1], 0.0)))
 
-
-def unit_square_loop():
-    return [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]

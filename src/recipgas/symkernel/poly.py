@@ -523,6 +523,27 @@ def _try_div(a: Poly, b: Poly) -> bool:
         return False
 
 
+def _coefficients_over(a: Poly, idxs) -> list:
+    """Coefficients of a viewed as a polynomial in the variables idxs, each
+    a Poly in the other variables."""
+    mask = 0
+    for i in idxs:
+        mask |= _MASK << (_FB * (i + 1))
+    groups: dict = {}
+    for m, c in a.items():
+        extra = m & mask
+        coeff = groups.get(extra)
+        if coeff is None:
+            coeff = groups[extra] = {}
+        coeff[m - extra] = c
+    out = []
+    for extra, coeff in groups.items():
+        # m - extra still counts the degree of extra in its lowest field
+        deg = sum(e for _, e in mono_items(extra))
+        out.append({m - deg: c for m, c in coeff.items()})
+    return out
+
+
 def pgcd(a: Poly, b: Poly) -> Poly:
     """Primitive greatest common divisor (positive leading coefficient)."""
     if not a:
@@ -548,9 +569,21 @@ def pgcd(a: Poly, b: Poly) -> Poly:
         if pis_const(a) or pis_const(b):
             return {common_mono: QONE} if common_mono else pconst(1)
 
-    shared = pvars(a) & pvars(b)
+    va, vb = pvars(a), pvars(b)
+    shared = va & vb
     if not shared:
         g = pconst(1)
+    elif va != vb and shared in (va, vb):
+        # the gcd lies in the smaller variable set, so it is the gcd of the
+        # smaller polynomial with every coefficient of the larger one over
+        # the extra variables
+        if shared == va:
+            a, b, va, vb = b, a, vb, va
+        g = b
+        for coeff in sorted(_coefficients_over(a, va - vb), key=len):
+            g = pgcd(g, coeff)
+            if pis_const(g):
+                break
     else:
         main = min(shared, key=lambda v: pdegree_in(a, v) + pdegree_in(b, v))
         ra, rb = _to_recursive(a, main), _to_recursive(b, main)

@@ -84,15 +84,22 @@ def _nine_slot_method(ctx):
     return range(9), _one_slot, Expr.var(ctx, "u") ** 4, 4, 6
 
 
-def _first_method(ctx):
-    params = ConservationFormParams.make(ctx, 1, 1, 0, 0, 0, 0)
+def _first_method(ctx, q12=0):
+    params = ConservationFormParams.make(ctx, 1, 1, q12, q12, 0, 0)
     delta = _flux_matrix(ctx, params)[4]
     make = lambda s, value: first_method_generator(ctx, params, **{s: value})
     return (("zr", "zu", "zv", "zs", "zp"), make,
             Expr.var(ctx, "u") ** 4 * delta ** 2, 2, 2)
 
 
-@pytest.mark.parametrize("method", [_nine_slot_method, _first_method])
+def _first_method_quarter(ctx):
+    # off q12 = q22 = 0 the formal-slot residuals put numerators in the
+    # fields and the slot atoms over denominators in the fields alone
+    return _first_method(ctx, Fraction(1, 4))
+
+
+@pytest.mark.parametrize("method", [_nine_slot_method, _first_method,
+                                    _first_method_quarter])
 def test_candidate_vectors_match_full_pipeline(ctx, method):
     # the one-run-per-slot vectors equal those of the full pipeline run on
     # each concrete one-monomial candidate, for every slot

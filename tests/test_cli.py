@@ -114,6 +114,26 @@ def test_transform_and_closedness(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("nodes", [3, 5])
+def test_closedness_loop_is_the_grid_boundary(capsys, monkeypatch, nodes):
+    # the vortex grid sits at origin (0.5, 0.3), away from the core at r = 0
+    loops = []
+    real = cli.loop_closedness
+
+    def captured(sol, T, loop):
+        loops.append(loop)
+        return real(sol, T, loop)
+
+    monkeypatch.setattr(cli, "loop_closedness", captured)
+    code, _ = run(capsys, "closedness", "--flow", "vortex",
+                  "--nodes", str(nodes))
+    assert code == 0
+    x1 = y1 = (nodes - 1) / 24
+    assert loops == [[(0.5, 0.3), (0.5 + x1, 0.3), (0.5 + x1, 0.3 + y1),
+                      (0.5, 0.3 + y1), (0.5, 0.3)]]
+    assert all(x >= 0.5 for x, _ in loops[0])
+
+
 def test_json_format_and_out_file(capsys, tmp_path):
     path = tmp_path / "rep.json"
     code, _ = run(capsys, "--format", "json", "--out", str(path),

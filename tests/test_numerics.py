@@ -10,8 +10,7 @@ from recipgas.numerics import (ConstantFlow, DomainViolation, GridSpec,
                                fd_residuals, loop_closedness,
                                make_solution, primed_coordinates,
                                transform_convergence_ratios,
-                               transform_roundtrip_error, transform_solution,
-                               unit_square_loop)
+                               transform_roundtrip_error, transform_solution)
 from recipgas.symkernel import parse
 from recipgas.transforms import (bateman, bateman_simplified, identity_map,
                                  reciprocal_map)
@@ -153,14 +152,15 @@ def test_domain_violation(ctx):
 
 def test_loop_closedness(ctx, shear_solution):
     T = bateman(ctx, 1, 0, 1, 0, entropy="identity")
-    assert loop_closedness(shear_solution, T, unit_square_loop()) < 1e-8
+    square = shear_solution.grid.boundary_loop()
+    assert square == [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
+    assert loop_closedness(shear_solution, T, square) < 1e-8
     const = make_solution(ConstantFlow(), GridSpec(0, 0, 0.1, 0.1, 11, 11))
-    assert loop_closedness(const, T, unit_square_loop()) < 1e-12
+    assert loop_closedness(const, T, const.grid.boundary_loop()) < 1e-12
     f = ((T.f[0][0] + parse(ctx, "rho"), T.f[0][1]),
          (T.f[1][0], T.f[1][1]))
     broken = reciprocal_map(ctx, T.R, T.U, T.V, T.P, T.H, f, name="broken")
-    assert loop_closedness(shear_solution, broken,
-                           unit_square_loop()) > 1e-3
+    assert loop_closedness(shear_solution, broken, square) > 1e-3
 
 
 def test_loop_must_be_closed(ctx, shear_solution):
