@@ -12,8 +12,12 @@ Subpackages:
 """
 
 from .gasdyn import standard_context
+from .liealg import equivalence_generator
+from .prolong import equivalence_residuals, solve_ansatz_first_method
 from .symkernel import Context, Expr, parse
 
 __version__ = "0.1.0"
 
-__all__ = ["Context", "Expr", "parse", "standard_context", "__version__"]
+__all__ = ["Context", "Expr", "parse", "standard_context",
+           "equivalence_generator", "equivalence_residuals",
+           "solve_ansatz_first_method", "__version__"]

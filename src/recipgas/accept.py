@@ -30,6 +30,7 @@ from .transforms.verify import DEFAULT_SEED
 
 ANSATZ_DEGREE = 4   # criterion 5: the full generator list needs degree 4
 FLOW_TOL = 1e-9     # criterion 7: Lie-equation and additivity residuals
+LOOP_TOL = 1e-8     # criterion 9: loop integrals of dx' and dy'
 
 APPENDIX_NINE = (
     "a44*a33-a43*a34-a33", "a54*a33-a53*a34-a43", "a54*a43-a53*a44-a53",
@@ -327,7 +328,8 @@ def criterion_9(ctx=None, seed=DEFAULT_SEED) -> Report:
                 vratios.values()),
             str({k: round(v, 2) for k, v in vratios.items()}))
     lc = loop_closedness(s1, Tb, s1.grid.boundary_loop())
-    rep.add("loop closedness < 1e-8", lc < 1e-8, "%.2e" % lc)
+    # the label spells LOOP_TOL as 1e-8; "%g" would render it 1e-08
+    rep.add("loop closedness < 1e-8", lc < LOOP_TOL, "%.2e" % lc)
     return rep
 
 

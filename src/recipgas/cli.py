@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -39,6 +40,8 @@ def _parse_value(ctx, text):
         return Fraction(text)
     except ValueError:
         return parse(ctx, text)
+    except ZeroDivisionError:
+        raise SymkernelError("zero denominator in value %r" % text) from None
 
 
 def _params(ctx, args, **defaults):
@@ -144,7 +147,7 @@ def cmd_commutators(args) -> int:
 def cmd_verify_generator(args) -> int:
     ctx = standard_context()
     if args.file:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             g = generator_from_dict(ctx, json.load(fh))
     else:
         g = _named_generator(ctx, args.generator)
@@ -259,7 +262,7 @@ def cmd_transform(args) -> int:
     res = fd_residuals(out)
     rep = Report("transform %s under %s" % (args.flow, args.entry))
     worst = max(res.values())
-    rep.add("transformed residuals finite", worst == worst, "")
+    rep.add("transformed residuals finite", math.isfinite(worst), "")
     for k, v in res.items():
         rep.extras["residual_" + k] = "%.3e" % v
     rep.extras["primed_grid"] = "origin (%.6g, %.6g) spacing (%.3g, %.3g)" \
@@ -357,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_point)
 
     p = add("solve-ansatz", help="polynomial-ansatz generator search")
-    p.add_argument("--degree", type=_at_least(0), default=4)
+    p.add_argument("--degree", type=_at_least(0),
+                   default=accept.ANSATZ_DEGREE)
     p.set_defaults(fn=cmd_solve_ansatz)
 
     p = add("pushforward",
@@ -375,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("lie-check", help="finite-difference flow consistency")
     _add_entry(p, "--family", "one_param_bateman", OneParamFamily)
     p.add_argument("--points", type=_at_least(1), default=100)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=accept.FLOW_TOL)
     p.set_defaults(fn=cmd_lie_check)
 
     p = add("transform", help="transform an exact solution numerically")
@@ -390,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("constant", "shear", "vortex"))
     _add_entry(p, "--catalog", "bateman_simplified", *MAP_KINDS)
     p.add_argument("--nodes", type=_at_least(3), default=17)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=accept.LOOP_TOL)
     p.set_defaults(fn=cmd_closedness)
 
     p = add("paper-suite", help="run every acceptance criterion")
@@ -404,7 +408,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (SymkernelError, OSError, json.JSONDecodeError) as exc:
+    except (SymkernelError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except Exception as exc:

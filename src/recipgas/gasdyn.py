@@ -8,8 +8,7 @@ The governing system over fields (rho, u, v, p, S) of (x, y):
     F3 = rho*(u*v_x + v*v_y) + p_y
     F4 = u*S_x + v*S_y
 
-The state pressure law p = G(rho, S) is carried as a formal function; it is
-not referenced by F1..F4.
+No state pressure law p = G(rho, S) enters F1..F4.
 """
 
 from __future__ import annotations
@@ -83,11 +82,6 @@ def parse_record(ctx: Context, d, what: str, keys, default=None) -> dict:
     return {key: tuple(tuple(expr(key, t) for t in row) for row in form)
             if key == "form" else expr(key, d.get(key, default))
             for key in keys}
-
-
-def state_equation(ctx: Context) -> Expr:
-    """The formal pressure law G(rho, S)."""
-    return Expr.function(ctx, "G", Expr.var(ctx, "rho"), Expr.var(ctx, "S"))
 
 
 def system_residuals(ctx: Context):
@@ -189,26 +183,6 @@ class ConservationFormParams:
         return ConservationFormParams.make(
             ctx, *(parse(ctx, n) for n in ("q11", "q21", "q12", "q22",
                                            "q13", "q23")))
-
-
-def conservation_forms(ctx: Context, params: ConservationFormParams):
-    """The conserved flux forms
-
-        S1 = q11*((p + q12 + rho*v^2) dx - (rho*u*v + q13) dy)
-        S2 = q21*(-(rho*u*v + q23) dx + (p + q22 + rho*u^2) dy)
-
-    Closedness on the solution manifold is checked per parameter choice via
-    OneForm.closedness_residual, not assumed.
-    """
-    if params.q11.is_zero() or params.q21.is_zero():
-        raise InvalidParams("q11*q21 must be nonzero")
-    v = lambda n: Expr.var(ctx, n)
-    rho, u, vv, p = v("rho"), v("u"), v("v"), v("p")
-    s1 = OneForm(params.q11 * (p + params.q12 + rho * vv ** 2),
-                 -params.q11 * (rho * u * vv + params.q13))
-    s2 = OneForm(-params.q21 * (rho * u * vv + params.q23),
-                 params.q21 * (p + params.q22 + rho * u ** 2))
-    return s1, s2
 
 
 def conservation_law_forms(ctx: Context):

@@ -121,11 +121,6 @@ class Generator:
         body = ", ".join(parts) if parts else "0"
         return "%s(%s)" % (self.label or "Generator", body)
 
-    def to_dict(self):
-        d = {k: str(z) for k, z in zip(_RECORD_KEYS, self.field_slots())}
-        d["form"] = [[str(m) for m in row] for row in self.matrix()]
-        return d
-
 
 def generator(ctx: Context, zr=0, zu=0, zv=0, zp=0, zs=0,
               m=((0, 0), (0, 0)), label="", func=None) -> Generator:
@@ -141,9 +136,10 @@ def zero_generator(ctx: Context) -> Generator:
 
 
 def generator_from_dict(ctx: Context, d: dict, label="") -> Generator:
-    """The generator of a to_dict() record.  An absent slot is 0; a slot
-    that is not an expression string, or a form that is not 2x2, raises a
-    SymkernelError that names its key."""
+    """The generator of a JSON record with keys zeta_rho, zeta_u, zeta_v,
+    zeta_p, zeta_S and form, and an optional label.  An absent slot is 0;
+    a slot that is not an expression string, or a form that is not 2x2,
+    raises a SymkernelError that names its key."""
     rec = parse_record(ctx, d, "generator", _RECORD_KEYS + ("form",), "0")
     return generator(ctx, *(rec[k] for k in _RECORD_KEYS), m=rec["form"],
                      label=label or d.get("label", ""))
@@ -578,19 +574,3 @@ def verify_automorphism_solution(A: AutomorphismMatrix,
     residuals = [c.substitute(bindings) for c in constraints]
     ok = all(r.is_zero() for r in residuals)
     return AutomorphismReport(satisfied=ok, det=det, residuals=residuals)
-
-
-def jacobi_residuals(table: dict, dim: int):
-    """sum_m (c_ij^m c_mk^n + c_jk^m c_mi^n + c_ki^m c_mj^n) over all i<j<k, n."""
-    out = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                for n in range(dim):
-                    s = QQ(0)
-                    for m in range(dim):
-                        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                            s += _constant(table, a, b, m) * \
-                                _constant(table, m, c, n)
-                    out.append(((i, j, k, n), s))
-    return out

@@ -22,7 +22,7 @@ import numpy as np
 from .gasdyn import FIELDS, RESIDUAL_NAMES, InvalidParams
 from .symkernel import compile_exprs
 from .symkernel.errors import SymkernelError
-from .transforms.maps import ReciprocalMap, invert
+from .transforms.maps import ReciprocalMap
 
 
 class GridTooSmall(SymkernelError):
@@ -429,21 +429,6 @@ def transform_convergence_ratios(flow, T: ReciprocalMap,
         else:
             out[k] = r1[k] / r2[k] if r2[k] else float("inf")
     return out
-
-
-def transform_roundtrip_error(sol: GridSolution, T: ReciprocalMap) -> float:
-    """Transform with T then with its inverse; compare the recovered fields
-    with the original analytic flow at the corresponding points.
-
-    The roundtrip coordinates are the original ones translated so that the
-    second anchor sits at zero; the anchor's preimage locates them."""
-    first = transform_solution(sol, T)
-    second = transform_solution(first, invert(T))
-    xa, ya = first.evaluator.invert_point(first.grid.x0, first.grid.y0)
-    X, Y = np.meshgrid(second.grid.xs(), second.grid.ys(), indexing="ij")
-    ref = sol.evaluator.fields(X + xa, Y + ya)
-    return max(float(np.max(np.abs(r - q)))
-               for r, q in zip(ref, second.arrays()))
 
 
 def loop_closedness(sol: GridSolution, T: ReciprocalMap, loop) -> float:

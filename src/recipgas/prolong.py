@@ -65,14 +65,6 @@ class DeterminingSystem:
     def nonzero(self):
         return [(t, r) for t, r in self.residuals if not r.is_zero()]
 
-    def report_text(self) -> str:
-        lines = []
-        for tag, r in self.residuals:
-            verdict = "ZERO" if r.is_zero() else "NONZERO"
-            lines.append("%-14s %-8s %s" % (tag, verdict, r))
-        lines.append("verdict: %s" % ("PASS" if self.is_zero() else "FAIL"))
-        return "\n".join(lines)
-
 
 def _system_residuals(X, pro, solve_for):
     """The four system residuals F1..F4 under the prolonged generator,

@@ -107,10 +107,6 @@ class Expr:
         idxs = {self.ctx.idx(n) for n in names}
         return bool((pvars(self.num) | pvars(self.den)) & idxs)
 
-    def normalize(self) -> "Expr":
-        """Expressions are canonical by construction; returns self."""
-        return self
-
     # --- arithmetic -----------------------------------------------------
 
     def _coerce(self, other):
@@ -255,13 +251,6 @@ class Expr:
             key = tuple((ctx.names[v], e) for v, e in tgt)
             out[key] = Expr(ctx, groups[tgt], self.den)
         return out
-
-    def monomial(self, key) -> "Expr":
-        """The monomial Expr corresponding to a collect() key."""
-        e = Expr.const(self.ctx, 1)
-        for name, exp in key:
-            e = e * Expr.var(self.ctx, name) ** exp
-        return e
 
     # --- numeric evaluation ----------------------------------------------
 

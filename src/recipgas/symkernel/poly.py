@@ -16,16 +16,11 @@ by declaration order.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from fractions import Fraction as QQ
 from functools import cmp_to_key
 from math import gcd as _igcd
 
 from .errors import DegreeOverflow
-
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    QQ = Fraction
 
 QONE = QQ(1)
 QZERO = QQ(0)

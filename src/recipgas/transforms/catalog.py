@@ -122,8 +122,8 @@ def one_param_bateman(ctx: Context, entropy="identity") -> OneParamFamily:
     gen = standard_basis(ctx)[2].scale(-2).with_label("-2*X3")
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_bateman",
                        inverse_fields=inverse)
-    return OneParamFamily("one_param_bateman", m, "eps", ("linear", 1.0), gen,
-                          lambda s: -s)
+    return OneParamFamily("one_param_bateman", m, "eps", ("linear", 1.0),
+                          gen)
 
 
 def one_param_q13(ctx: Context, q12=0, q13=1,
@@ -162,8 +162,8 @@ def one_param_q13(ctx: Context, q12=0, q13=1,
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_q13",
                        params={"q12": q12e, "q13": q13e},
                        inverse_fields=inverse)
-    return OneParamFamily("one_param_q13", m, "lam", _link("tan", q13e), gen,
-                          lambda s: -s)
+    return OneParamFamily("one_param_q13", m, "lam", _link("tan", q13e),
+                          gen)
 
 
 def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
@@ -202,8 +202,8 @@ def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_exp",
                        params={"k1": k1e, "k2": k2e, "q12": q12e},
                        inverse_fields=inverse)
-    return OneParamFamily("one_param_exp", m, "lam", _link("exp", k1e), gen,
-                          lambda s: 1.0 / s)
+    return OneParamFamily("one_param_exp", m, "lam", _link("exp", k1e),
+                          gen)
 
 
 def one_param_linear(ctx: Context, k2=1, q12=0,
@@ -233,7 +233,7 @@ def one_param_linear(ctx: Context, k2=1, q12=0,
                        params={"k2": k2e, "q12": q12e},
                        inverse_fields=inverse)
     return OneParamFamily("one_param_linear", m, "a", _link("linear", k2e),
-                          gen, lambda s: -s)
+                          gen)
 
 
 def theorem_map(ctx: Context, alpha=None, beta=None, k=None, a11=1,

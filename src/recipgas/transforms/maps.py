@@ -71,18 +71,6 @@ class ReciprocalMap:
         return idf and self.det_f() == 1 and self.f[0][0] == 1 \
             and self.f[0][1].is_zero() and self.f[1][0].is_zero()
 
-    def to_dict(self) -> dict:
-        d = {
-            "R": str(self.R), "U": str(self.U), "V": str(self.V),
-            "P": str(self.P), "H": str(self.H),
-            "form": [[str(self.f[0][0]), str(self.f[0][1])],
-                     [str(self.f[1][0]), str(self.f[1][1])]],
-            "params": {k: str(v) for k, v in self.params.items()},
-        }
-        if self.inverse_fields is not None:
-            d["inverse"] = {k: str(v) for k, v in self.inverse_fields.items()}
-        return d
-
     def __str__(self):
         return "%s: rho'=%s, u'=%s, v'=%s, p'=%s, S'=%s" % (
             self.name or "map", self.R, self.U, self.V, self.P, self.H)
@@ -109,8 +97,9 @@ def identity_map(ctx: Context) -> ReciprocalMap:
 
 
 def map_from_dict(ctx: Context, d: dict, name="") -> ReciprocalMap:
-    """The map of a to_dict() record; a missing or mis-shaped key raises a
-    SymkernelError that names it."""
+    """The map of a JSON record with keys R, U, V, P, H and form, and
+    optional inverse, params and name; a missing or mis-shaped key raises
+    a SymkernelError that names it."""
     rec = parse_record(ctx, d, "map", ("R", "U", "V", "P", "H", "form"))
     inv, params = d.get("inverse"), d.get("params", {})
     if not (inv is None or isinstance(inv, dict)):
@@ -125,7 +114,7 @@ def map_from_dict(ctx: Context, d: dict, name="") -> ReciprocalMap:
 
 
 def load_map(ctx: Context, path) -> ReciprocalMap:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return map_from_dict(ctx, json.load(fh))
 
 
@@ -264,7 +253,6 @@ class OneParamFamily:
     symbol: str
     link_spec: tuple | None
     generator: Generator
-    inverse_symbol_map: object     # symbol value of T_{-eps} given symbol value
 
     @property
     def ctx(self):

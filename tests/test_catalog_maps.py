@@ -228,7 +228,10 @@ def test_wrong_kind_lists_the_entries_of_the_kind_needed(ctx, name, kinds):
 
 def test_map_json_round_trip(ctx, tmp_path):
     T = bateman(ctx, 1, 2, 1, 3, entropy="identity")
-    d = T.to_dict()
+    d = {"R": str(T.R), "U": str(T.U), "V": str(T.V), "P": str(T.P),
+         "H": str(T.H), "form": [[str(c) for c in row] for row in T.f],
+         "params": {k: str(v) for k, v in T.params.items()},
+         "inverse": {k: str(v) for k, v in T.inverse_fields.items()}}
     path = tmp_path / "m.json"
     path.write_text(json.dumps(d))
     back = map_from_dict(ctx, json.loads(path.read_text()), name="bateman")

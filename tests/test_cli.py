@@ -11,9 +11,7 @@ import pytest
 
 from recipgas import cli
 from recipgas.cli import build_parser, main
-from recipgas.gasdyn import standard_context
 from recipgas.reports import Report
-from recipgas.transforms import identity_map
 from recipgas.transforms.catalog import entries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -219,6 +217,10 @@ def test_unbound_parameter_is_named(capsys):
     ("verify-point", "--catalog", "munk_prim", "--param", "psi=idnetity"),
     # a total degree beyond the packed-exponent limit
     ("verify-map", "--catalog", "one_param_q13", "--param", "q13=x^40000"),
+    # a zero denominator in a rational value
+    ("verify-map", "--catalog", "bateman", "--param", "b1=1/0"),
+    ("verify-map", "--catalog", "bateman", "--b1", "1/0"),
+    ("lie-check", "--param", "entropy=1/0"),
 ])
 def test_bad_catalog_requests_are_usage_errors(capsys, argv):
     # a point map where a reciprocal map is needed, a parameter the entry
@@ -293,7 +295,8 @@ def test_module_entry_point():
 def test_map_file_takes_no_catalog_flags(capsys, tmp_path, extra):
     # the flags would be dropped in favour of the file, so they are refused
     path = tmp_path / "identity.json"
-    path.write_text(json.dumps(identity_map(standard_context()).to_dict()))
+    path.write_text(json.dumps({"R": "rho", "U": "u", "V": "v", "P": "p",
+                                "H": "S", "form": [["1", "0"], ["0", "1"]]}))
     assert main(["verify-map", "--file", str(path)]) == 0
     capsys.readouterr()
     assert main(["verify-map", "--file", str(path), *extra]) == 2
@@ -332,6 +335,23 @@ def test_malformed_generator_file_is_usage_error(capsys, tmp_path, record,
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert repr(key) in err
+
+
+@pytest.mark.parametrize("command", ["verify-map", "verify-generator"])
+def test_file_not_utf8_is_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main([command, "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_infinite_transformed_residual_fails(capsys, monkeypatch):
+    # inf == inf, so only a finiteness test catches a blown-up residual
+    monkeypatch.setattr(cli, "fd_residuals",
+                        lambda sol: {"mass": float("inf")})
+    code, out = run(capsys, "transform", "--nodes", "5")
+    assert code == 1 and "verdict: FAIL" in out
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

@@ -53,13 +53,6 @@ def test_deterministic_given_seed(ctx):
     assert a == b
 
 
-def test_inverse_symbol_map(ctx):
-    fam = one_param_exp(ctx, k1=1, k2=1, q12=0)
-    assert fam.inverse_symbol_map(2.0) == 0.5
-    fam2 = one_param_bateman(ctx)
-    assert fam2.inverse_symbol_map(0.25) == -0.25
-
-
 def test_stencil_in_extended_precision(ctx):
     # the residual is the pure O(step^2) truncation term: no rounding
     # floor of order 1e-17/step from double-precision stencil nodes
