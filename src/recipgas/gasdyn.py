@@ -56,13 +56,18 @@ def standard_context() -> Context:
     return ctx
 
 
-def parse_record(ctx: Context, d, what: str, keys, default=None) -> dict:
+def parse_record(ctx: Context, d, what: str, keys, default=None,
+                 extra=()) -> dict:
     """{key: Expr} for the expression strings of a JSON record; the key
     "form" holds a 2x2 list and reads as a tuple of rows.  An absent key
-    reads as `default`, or is an error when that is None.  Each error is a
-    SymkernelError that names the key."""
+    reads as `default`, or is an error when that is None.  A key outside
+    `keys` and the non-expression keys `extra` is an error.  Each error is
+    a SymkernelError that names the key."""
     if not isinstance(d, dict):
         raise SymkernelError("a %s is a JSON object" % what)
+    for key in d:
+        if key not in keys and key not in extra:
+            raise SymkernelError("%s key %r: unknown" % (what, key))
 
     def expr(key, text):
         if not isinstance(text, str):

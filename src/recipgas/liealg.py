@@ -27,8 +27,8 @@ from functools import cached_property
 from .gasdyn import FIELDS, parse_record, total_derivative
 from .symkernel import QQ, Context, Expr
 from .symkernel.errors import SymkernelError, VariableMismatch
-from .symkernel.linalg import (det3, nullspace, reduce_row, rref, solve,
-                               transpose)
+from .symkernel.linalg import (det3, mul2, nullspace, reduce_row, rref,
+                               solve, transpose)
 
 SLOT_NAMES = ("zr", "zu", "zv", "zp", "zs", "m11", "m12", "m21", "m22")
 _RECORD_KEYS = ("zeta_rho", "zeta_u", "zeta_v", "zeta_p", "zeta_S")
@@ -138,9 +138,10 @@ def zero_generator(ctx: Context) -> Generator:
 def generator_from_dict(ctx: Context, d: dict, label="") -> Generator:
     """The generator of a JSON record with keys zeta_rho, zeta_u, zeta_v,
     zeta_p, zeta_S and form, and an optional label.  An absent slot is 0;
-    a slot that is not an expression string, or a form that is not 2x2,
-    raises a SymkernelError that names its key."""
-    rec = parse_record(ctx, d, "generator", _RECORD_KEYS + ("form",), "0")
+    a slot that is not an expression string, a form that is not 2x2, or
+    any other key raises a SymkernelError that names the key."""
+    rec = parse_record(ctx, d, "generator", _RECORD_KEYS + ("form",), "0",
+                       extra=("label",))
     return generator(ctx, *(rec[k] for k in _RECORD_KEYS), m=rec["form"],
                      label=label or d.get("label", ""))
 
@@ -191,14 +192,11 @@ def commutator(X: Generator, Y: Generator) -> Generator:
     fields = [X.apply(zy) - Y.apply(zx)
               for zx, zy in zip(X.field_slots(), Y.field_slots())]
     mx, my = X.matrix(), Y.matrix()
-    m = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            acc = X.apply(my[i][j]) - Y.apply(mx[i][j])
-            for k in range(2):
-                acc = acc + my[i][k] * mx[k][j] - mx[i][k] * my[k][j]
-            m[i][j] = acc
-    return Generator(*fields, m[0][0], m[0][1], m[1][0], m[1][1])
+    flat = lambda m: m[0] + m[1]
+    m = [X.apply(ey) - Y.apply(ex) + yx - xy
+         for ex, ey, yx, xy in zip(flat(mx), flat(my), flat(mul2(my, mx)),
+                                   flat(mul2(mx, my)))]
+    return Generator(*fields, *m)
 
 
 # --- the standard basis -----------------------------------------------------

@@ -41,6 +41,7 @@ PATH_STEPS = 8           # Simpson subintervals per cell of a path
 LOOP_STEPS = 256         # Simpson subintervals per segment of a loop
 DEN_FLOOR = 1e-9         # smallest |map denominator| at a grid node
 NEWTON_TOL = 1e-12       # Newton stops at |rx| + |ry| below this
+NEWTON_MAX_ITER = 50     # Newton iterations before NewtonDivergence
 RESIDUAL_FLOOR = 1e-13   # FD residuals below it on both grids converged
 
 
@@ -299,12 +300,10 @@ class TransformedFlow:
     points come from Newton inversion of the coordinate map through the
     original analytic flow."""
 
-    def __init__(self, sol: GridSolution, T: ReciprocalMap, xp, yp,
-                 max_iter: int = 50):
+    def __init__(self, sol: GridSolution, T: ReciprocalMap, xp, yp):
         self.ev = _MapEvaluator(T, sol.evaluator)
         self.xp = xp
         self.yp = yp
-        self.max_iter = max_iter
         g = sol.grid
         self._xs, self._ys = g.xs(), g.ys()
 
@@ -343,7 +342,7 @@ class TransformedFlow:
         xt, yt = xt.ravel(), yt.ravel()
         x, y, (ni, nj) = self._initial_guess(xt, yt)
         active = np.arange(xt.size)
-        for _ in range(self.max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             fx, fy = self._forward(x[active], y[active],
                                    (ni[active], nj[active]))
             rx, ry = fx - xt[active], fy - yt[active]
@@ -372,7 +371,7 @@ class TransformedFlow:
 
 
 def transform_solution(sol: GridSolution, T: ReciprocalMap,
-                       path: str = "xy", margin_cells: int = 1,
+                       margin_cells: int = 1,
                        target_grid: GridSpec | None = None) -> GridSolution:
     """Transform an analytic grid solution: primed fields through the field
     maps, primed coordinates by path integration, output resampled on a
@@ -386,7 +385,7 @@ def transform_solution(sol: GridSolution, T: ReciprocalMap,
     need = 3 if target_grid is not None else max(3, 2 * margin_cells + 2)
     if min(g.nx, g.ny) < need:
         raise GridTooSmall("need at least %d nodes per direction" % need)
-    xp, yp = primed_coordinates(sol, T, path=path)
+    xp, yp = primed_coordinates(sol, T)
     tf = TransformedFlow(sol, T, xp, yp)
     if target_grid is not None:
         pg = target_grid

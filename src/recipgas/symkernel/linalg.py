@@ -101,6 +101,22 @@ def nullspace(rows, ncols, one=1):
     return basis
 
 
+def det2(m):
+    """Determinant of a 2x2 matrix of field elements."""
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def adj2(m):
+    """Adjugate of a 2x2 matrix: m adj2(m) = adj2(m) m = det2(m) I."""
+    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+
+
+def mul2(a, b):
+    """Product a b of 2x2 matrices."""
+    return tuple(tuple(r[0] * b[0][j] + r[1] * b[1][j] for j in (0, 1))
+                 for r in a)
+
+
 def det3(m):
     """Determinant of a 3x3 matrix of field elements."""
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])

@@ -10,8 +10,9 @@ errors carry line and column.
 from __future__ import annotations
 
 from .context import Context
-from .errors import ParseError
+from .errors import DegreeOverflow, ParseError
 from .expr import Expr
+from .poly import MAX_DEGREE
 
 
 class _Tokens:
@@ -58,7 +59,10 @@ class _Tokens:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self._advance(1)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:   # beyond Python's integer string limit
+            self.error("integer literal too long")
 
     def ident(self):
         self.skip_ws()
@@ -136,6 +140,8 @@ def _power(ctx, toks):
 
 
 def _exponent(ctx, toks):
+    """A signed integer exponent or right-associative tower, refused with
+    DegreeOverflow before it is computed when beyond the degree limit."""
     sign = 1
     while toks.take("-"):
         sign = -sign
@@ -151,7 +157,12 @@ def _exponent(ctx, toks):
         m = _exponent(ctx, toks)
         if m < 0:
             toks.error("negative exponent tower")
-        n = n ** m
+        # |n| >= 2 with m above the limit's bit length puts |n|^m beyond it
+        big = abs(n) > 1 and m > MAX_DEGREE.bit_length()
+        n = MAX_DEGREE + 1 if big else n ** m
+    if abs(n) > MAX_DEGREE:
+        raise DegreeOverflow("exponent beyond the kernel limit %d"
+                             % MAX_DEGREE)
     return sign * n
 
 

@@ -31,7 +31,7 @@ Poly = dict
 MONO_ONE: Mono = 0
 _FB = 16
 _MASK = 0xFFFF
-_MAX_DEGREE = 0x7FFF
+MAX_DEGREE = 0x7FFF
 _GUARDS: dict = {}
 
 
@@ -46,9 +46,9 @@ def _guard(nwords: int) -> int:
 
 
 def _check_degree(total: int) -> None:
-    if total > _MAX_DEGREE:
+    if total > MAX_DEGREE:
         raise DegreeOverflow("total degree %d exceeds the kernel limit %d"
-                             % (total, _MAX_DEGREE))
+                             % (total, MAX_DEGREE))
 
 
 def pdegree(p: Poly) -> int:

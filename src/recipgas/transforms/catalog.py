@@ -10,14 +10,15 @@ not a first-order truncation.
 from __future__ import annotations
 
 import inspect
+from dataclasses import replace
 from typing import get_type_hints
 
 from ..gasdyn import (ConservationFormParams, InvalidParams,
                       ParamConstraintViolated)
-from ..liealg import standard_basis
+from ..liealg import Generator, standard_basis
 from ..prolong import case_generators
 from ..symkernel import Context, Expr
-from .maps import (OneParamFamily, PointMap, ReciprocalMap,
+from .maps import (LEAVES, OneParamFamily, PointMap, ReciprocalMap,
                    UnknownCatalogEntry, identity_map, point_map,
                    reciprocal_map)
 
@@ -44,12 +45,16 @@ def _psi(ctx, psi):
     return _conv(ctx, psi)
 
 
-def _link(kind: str, c: Expr):
-    """The leaf link (kind, c) of a family, None when c is symbolic."""
-    try:
-        return (kind, float(c.as_rational()))
-    except ValueError:
-        return None
+def _family(T: ReciprocalMap, symbol: str, leaf: str, rate: Expr,
+            gen: Generator) -> OneParamFamily:
+    """The family T_eps over the leaf `symbol`.  Its inverse is the member
+    T_-eps, read from the group-inverse leaf of LEAVES, with S kept."""
+    sub = {symbol: LEAVES[leaf][1](Expr.var(T.ctx, symbol))}
+    inverse = {n: e.substitute(sub) for n, e in T.field_map().items()
+               if n != "S"}
+    inverse["S"] = Expr.var(T.ctx, "S")
+    return OneParamFamily(T.name, replace(T, inverse_fields=inverse),
+                          symbol, leaf, rate, gen)
 
 
 def bateman(ctx: Context, b1=None, b2=None, b3=None, b4=None,
@@ -91,16 +96,14 @@ def bateman(ctx: Context, b1=None, b2=None, b3=None, b4=None,
 def bateman_simplified(ctx: Context, b3=1, b4=0,
                        entropy="formal") -> ReciprocalMap:
     """Normal form with the pressure shift and field scaling removed."""
-    T = bateman(ctx, 1, 0, b3, b4, entropy=entropy)
-    return ReciprocalMap(T.R, T.U, T.V, T.P, T.H, T.f,
-                         name="bateman_simplified", params=T.params,
-                         inverse_fields=T.inverse_fields)
+    return replace(bateman(ctx, 1, 0, b3, b4, entropy=entropy),
+                   name="bateman_simplified")
 
 
 def one_param_bateman(ctx: Context, entropy="identity") -> OneParamFamily:
     """Flow of -2*X3, written over the group parameter itself."""
     v = lambda n: Expr.var(ctx, n)
-    rho, u, vv, p, S = (v(n) for n in ("rho", "u", "v", "p", "S"))
+    rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
     eps = v("eps")
     q2 = u ** 2 + vv ** 2
     d1 = 1 + eps * p
@@ -112,18 +115,9 @@ def one_param_bateman(ctx: Context, entropy="identity") -> OneParamFamily:
     H = _entropy(ctx, entropy)
     f = ((1 + eps * (p + rho * vv ** 2), -eps * rho * u * vv),
          (-eps * rho * u * vv, 1 + eps * (p + rho * u ** 2)))
-    inverse = {
-        "p": p / (1 - eps * p),
-        "u": u / (1 - eps * p),
-        "v": vv / (1 - eps * p),
-        "rho": rho * (1 - eps * p) / (1 - eps * (p + rho * q2)),
-        "S": S,
-    }
     gen = standard_basis(ctx)[2].scale(-2).with_label("-2*X3")
-    m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_bateman",
-                       inverse_fields=inverse)
-    return OneParamFamily("one_param_bateman", m, "eps", ("linear", 1.0),
-                          gen)
+    m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_bateman")
+    return _family(m, "eps", "linear", Expr.const(ctx, 1), gen)
 
 
 def one_param_q13(ctx: Context, q12=0, q13=1,
@@ -133,7 +127,7 @@ def one_param_q13(ctx: Context, q12=0, q13=1,
     q12e, q13e = _conv(ctx, q12), _conv(ctx, q13)
     if q13e.is_zero():
         raise ParamConstraintViolated("one_param_q13 requires q13 != 0")
-    rho, u, vv, p, S = (v(n) for n in ("rho", "u", "v", "p", "S"))
+    rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
     lam = v("lam")
     q2 = u ** 2 + vv ** 2
     den = q13e - lam * (p + q12e)
@@ -154,16 +148,11 @@ def one_param_q13(ctx: Context, q12=0, q13=1,
          ((2 * lam - lq * (A2 + lam * A1)) / opl,
           (1 - lam ** 2 - lq * (B2 + lam * B1)) / opl))
 
-    neg = {"lam": -lam}
-    inverse = {"rho": R.substitute(neg), "u": U.substitute(neg),
-               "v": V.substitute(neg), "p": P.substitute(neg), "S": S}
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, q13e, -q13e)
     gen = case_generators("b", params, ctx, k=1)
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_q13",
-                       params={"q12": q12e, "q13": q13e},
-                       inverse_fields=inverse)
-    return OneParamFamily("one_param_q13", m, "lam", _link("tan", q13e),
-                          gen)
+                       params={"q12": q12e, "q13": q13e})
+    return _family(m, "lam", "tan", q13e, gen)
 
 
 def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
@@ -173,7 +162,7 @@ def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
     k1e, k2e, q12e = _conv(ctx, k1), _conv(ctx, k2), _conv(ctx, q12)
     if k1e.is_zero():
         raise ParamConstraintViolated("one_param_exp requires k1 != 0")
-    rho, u, vv, p, S = (v(n) for n in ("rho", "u", "v", "p", "S"))
+    rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
     lam = v("lam")
     q2 = u ** 2 + vv ** 2
     lm = lam ** 2 - 1
@@ -194,16 +183,11 @@ def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
     f = (((1 + scale * A1) * il2, scale * B1 * il2),
          (scale * A2 * il2, (1 + scale * B2) * il2))
 
-    invs = {"lam": 1 / lam}
-    inverse = {"rho": R.substitute(invs), "u": U.substitute(invs),
-               "v": V.substitute(invs), "p": P.substitute(invs), "S": S}
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, 0, 0)
     gen = case_generators("c", params, ctx, k1=k1e, k2=k2e)
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_exp",
-                       params={"k1": k1e, "k2": k2e, "q12": q12e},
-                       inverse_fields=inverse)
-    return OneParamFamily("one_param_exp", m, "lam", _link("exp", k1e),
-                          gen)
+                       params={"k1": k1e, "k2": k2e, "q12": q12e})
+    return _family(m, "lam", "exp", k1e, gen)
 
 
 def one_param_linear(ctx: Context, k2=1, q12=0,
@@ -211,7 +195,7 @@ def one_param_linear(ctx: Context, k2=1, q12=0,
     """Flow of the pure pressure-inversion branch (k1 = 0); leaf a = k2*eps."""
     v = lambda n: Expr.var(ctx, n)
     k2e, q12e = _conv(ctx, k2), _conv(ctx, q12)
-    rho, u, vv, p, S = (v(n) for n in ("rho", "u", "v", "p", "S"))
+    rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
     a = v("a")
     q2 = u ** 2 + vv ** 2
     den = 1 - a * (p + q12e)
@@ -224,16 +208,11 @@ def one_param_linear(ctx: Context, k2=1, q12=0,
     H = _entropy(ctx, entropy)
     f = ((1 - a * (p + q12e + rho * vv ** 2), a * rho * u * vv),
          (a * rho * u * vv, 1 - a * (p + q12e + rho * u ** 2)))
-    neg = {"a": -a}
-    inverse = {"rho": R.substitute(neg), "u": U.substitute(neg),
-               "v": V.substitute(neg), "p": P.substitute(neg), "S": S}
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, 0, 0)
     gen = case_generators("c", params, ctx, k1=0, k2=k2e)
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_linear",
-                       params={"k2": k2e, "q12": q12e},
-                       inverse_fields=inverse)
-    return OneParamFamily("one_param_linear", m, "a", _link("linear", k2e),
-                          gen)
+                       params={"k2": k2e, "q12": q12e})
+    return _family(m, "a", "linear", k2e, gen)
 
 
 def theorem_map(ctx: Context, alpha=None, beta=None, k=None, a11=1,

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from ..gasdyn import FIELDS, parse_record
 from ..liealg import Generator
 from ..symkernel import Context, Expr
-from ..symkernel.errors import SymkernelError
+from ..symkernel.errors import NumericDomain, SymkernelError
+from ..symkernel.linalg import adj2, det2, mul2
 
 
 class NotInvertible(SymkernelError):
@@ -63,7 +65,18 @@ class ReciprocalMap:
                                   if not c.is_polynomial()))
 
     def det_f(self) -> Expr:
-        return self.f[0][0] * self.f[1][1] - self.f[0][1] * self.f[1][0]
+        return det2(self.f)
+
+    def substitute(self, sub: dict) -> "ReciprocalMap":
+        """The map with `sub` substituted into its nine components and its
+        inverse values."""
+        s = lambda e: e.substitute(sub)
+        inv = self.inverse_fields
+        return replace(
+            self, R=s(self.R), U=s(self.U), V=s(self.V), P=s(self.P),
+            H=s(self.H), f=tuple(tuple(map(s, row)) for row in self.f),
+            inverse_fields=None if inv is None else
+            {k: s(e) for k, e in inv.items()})
 
     def is_identity(self) -> bool:
         ctx = self.ctx
@@ -98,9 +111,10 @@ def identity_map(ctx: Context) -> ReciprocalMap:
 
 def map_from_dict(ctx: Context, d: dict, name="") -> ReciprocalMap:
     """The map of a JSON record with keys R, U, V, P, H and form, and
-    optional inverse, params and name; a missing or mis-shaped key raises
-    a SymkernelError that names it."""
-    rec = parse_record(ctx, d, "map", ("R", "U", "V", "P", "H", "form"))
+    optional inverse (keyed by field names), params and name; a missing,
+    mis-shaped or unknown key raises a SymkernelError that names it."""
+    rec = parse_record(ctx, d, "map", ("R", "U", "V", "P", "H", "form"),
+                       extra=("inverse", "params", "name"))
     inv, params = d.get("inverse"), d.get("params", {})
     if not (inv is None or isinstance(inv, dict)):
         raise SymkernelError("map key 'inverse': not an object")
@@ -109,8 +123,8 @@ def map_from_dict(ctx: Context, d: dict, name="") -> ReciprocalMap:
     return reciprocal_map(
         ctx, *(rec[k] for k in ("R", "U", "V", "P", "H")), rec["form"],
         name=name or d.get("name", ""), params=params,
-        inverse_fields=None if inv is None else
-        parse_record(ctx, inv, "map inverse", inv))
+        inverse_fields=None if inv is None else parse_record(
+            ctx, inv, "map inverse", [n for n in FIELDS if n in inv]))
 
 
 def load_map(ctx: Context, path) -> ReciprocalMap:
@@ -159,21 +173,12 @@ def point_map(ctx: Context, Xc=None, Yc=None, R=None, U=None, V=None,
 
 def compose(T1: ReciprocalMap, T2: ReciprocalMap) -> ReciprocalMap:
     """T1 after T2 (apply T2 first)."""
-    sub = T2.field_map()
-    fields = {k: v.substitute(sub) for k, v in T1.field_map().items()}
-    f1 = [[T1.f[i][j].substitute(sub) for j in range(2)] for i in range(2)]
-    f2 = T2.f
-    fc = tuple(
-        tuple(f1[i][0] * f2[0][j] + f1[i][1] * f2[1][j] for j in range(2))
-        for i in range(2))
-    inv = None
-    if T1.inverse_fields is not None and T2.inverse_fields is not None:
-        inv1 = T1.inverse_fields
-        inv = {k: v.substitute(inv1) for k, v in T2.inverse_fields.items()}
-    return ReciprocalMap(fields["rho"], fields["u"], fields["v"],
-                         fields["p"], fields["S"], fc,
-                         name="%s.%s" % (T1.name, T2.name),
-                         inverse_fields=inv)
+    T = replace(T1, inverse_fields=None).substitute(T2.field_map())
+    inv1, inv2 = T1.inverse_fields, T2.inverse_fields
+    inv = None if inv1 is None or inv2 is None else \
+        {k: v.substitute(inv1) for k, v in inv2.items()}
+    return replace(T, f=mul2(T.f, T2.f), name="%s.%s" % (T1.name, T2.name),
+                   params={}, inverse_fields=inv)
 
 
 def _solve_linear_fractional(e: Expr, var: str, value: Expr,
@@ -225,10 +230,8 @@ def invert(T: ReciprocalMap) -> ReciprocalMap:
     det = T.det_f()
     if det.is_zero():
         raise NotInvertible("form matrix is singular")
-    adj = ((T.f[1][1], -T.f[0][1]), (-T.f[1][0], T.f[0][0]))
-    finv = tuple(
-        tuple((adj[i][j] / det).substitute(inv_fields) for j in range(2))
-        for i in range(2))
+    finv = tuple(tuple((e / det).substitute(inv_fields) for e in row)
+                 for row in adj2(T.f))
     return ReciprocalMap(inv_fields["rho"], inv_fields["u"],
                          inv_fields["v"], inv_fields["p"], inv_fields["S"],
                          finv, name=T.name + "^-1",
@@ -238,53 +241,58 @@ def invert(T: ReciprocalMap) -> ReciprocalMap:
 # --- one-parameter families ---------------------------------------------------
 
 
+# The leaf laws of the one-parameter families, by leaf: the leaf value at
+# x = c*eps in the arithmetic of lib (math for floats, mpmath for mpf
+# values), and the leaf of the group inverse T_-eps as a function of the
+# leaf t of T_eps.
+LEAVES = {
+    "linear": (lambda x, lib: x, lambda t: -t),
+    "tan": (lambda x, lib: lib.tan(x), lambda t: -t),
+    "exp": (lambda x, lib: lib.exp(x), lambda t: 1 / t),
+}
+
+
 @dataclass(frozen=True)
 class OneParamFamily:
     """A map family T_eps written over one transcendental leaf.
 
-    map_sym holds the transformation with `symbol` free; link_spec names
-    the leaf's dependence on the group parameter, one of ("linear", c) for
-    c*eps, ("tan", c) for tan(c*eps) or ("exp", c) for exp(c*eps), and is
-    None when c is symbolic.  generator is the claimed infinitesimal
-    generator, the eps-derivative of the family at eps = 0.
+    map_sym holds the transformation with `symbol` free, and the leaf
+    `symbol` takes the value LEAVES[leaf] at rate*eps, for the exact Expr
+    rate c.  generator is the claimed infinitesimal generator, the
+    eps-derivative of the family at eps = 0.
     """
     name: str
     map_sym: ReciprocalMap
     symbol: str
-    link_spec: tuple | None
+    leaf: str
+    rate: Expr
     generator: Generator
 
     @property
     def ctx(self):
         return self.map_sym.ctx
 
+    @cached_property
+    def _rate_float(self) -> float:
+        try:
+            return float(self.rate.as_rational())
+        except ValueError:
+            raise NumericDomain(
+                "family %s has symbolic parameters" % self.name) from None
+
     def link(self, eps, lib=math):
         """Leaf value at the group parameter in the arithmetic of `lib`
-        (math for floats, mpmath for mpf values)."""
-        if self.link_spec is None:
-            raise SymkernelError(
-                "family %s has symbolic parameters" % self.name)
-        kind, c = self.link_spec
-        x = c * eps
-        return x if kind == "linear" else getattr(lib, kind)(x)
+        (math for floats, mpmath for mpf values); NumericDomain when the
+        rate is symbolic."""
+        return LEAVES[self.leaf][0](self._rate_float * eps, lib)
 
     def map_at(self, value) -> ReciprocalMap:
         """Substitute an exact (rational or Expr) leaf value."""
         ctx = self.ctx
         val = value if isinstance(value, Expr) else Expr.const(ctx, value)
-        sub = {self.symbol: val}
-        f = tuple(tuple(self.map_sym.f[i][j].substitute(sub)
-                        for j in range(2)) for i in range(2))
-        inv = None
-        if self.map_sym.inverse_fields is not None:
-            inv = {k: e.substitute(sub)
-                   for k, e in self.map_sym.inverse_fields.items()}
-        return ReciprocalMap(
-            self.map_sym.R.substitute(sub), self.map_sym.U.substitute(sub),
-            self.map_sym.V.substitute(sub), self.map_sym.P.substitute(sub),
-            self.map_sym.H.substitute(sub), f,
-            name="%s@%s" % (self.name, val), params={self.symbol: val},
-            inverse_fields=inv)
+        return replace(self.map_sym.substitute({self.symbol: val}),
+                       name="%s@%s" % (self.name, val),
+                       params={self.symbol: val})
 
     def numeric_assignment(self, eps: float, state: dict) -> dict:
         a = dict(state)

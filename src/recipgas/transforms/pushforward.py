@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..liealg import AutomorphismMatrix, Generator, NotInSpan
 from ..symkernel import Expr
 from ..symkernel.errors import SymkernelError
-from ..symkernel.linalg import solve, transpose
+from ..symkernel.linalg import adj2, mul2, solve, transpose
 from .maps import NotInvertible, ReciprocalMap
 
 
@@ -23,24 +23,15 @@ def pushforward(T: ReciprocalMap, X: Generator) -> Generator:
     """T_* X, expressed in primed variables (same symbol names)."""
     if T.inverse_fields is None:
         raise NotInvertible("%s has no inverse attached" % T.name)
-    ctx = T.ctx
-    fields = [X.apply(comp) for comp in
-              (T.R, T.U, T.V, T.P, T.H)]
-    xf = [[X.apply(T.f[i][j]) for j in range(2)] for i in range(2)]
-    mx = X.matrix()
-    num = [[xf[i][j] + T.f[i][0] * mx[0][j] + T.f[i][1] * mx[1][j]
-            for j in range(2)] for i in range(2)]
+    fields = [X.apply(comp) for comp in (T.R, T.U, T.V, T.P, T.H)]
+    num = tuple(tuple(X.apply(e) + fm for e, fm in zip(row, fmrow))
+                for row, fmrow in zip(T.f, mul2(T.f, X.matrix())))
     det = T.det_f()
     if det.is_zero():
         raise NotInvertible("form matrix of %s is singular" % T.name)
-    adj = ((T.f[1][1], -T.f[0][1]), (-T.f[1][0], T.f[0][0]))
-    m = [[(num[i][0] * adj[0][j] + num[i][1] * adj[1][j]) / det
-          for j in range(2)] for i in range(2)]
+    m = [e / det for row in mul2(num, adj2(T.f)) for e in row]
     inv = T.inverse_fields
-    fields = [e.substitute(inv) for e in fields]
-    m = [[m[i][j].substitute(inv) for j in range(2)] for i in range(2)]
-    return Generator(fields[0], fields[1], fields[2], fields[3], fields[4],
-                     m[0][0], m[0][1], m[1][0], m[1][1],
+    return Generator(*(e.substitute(inv) for e in fields + m),
                      label="%s_*(%s)" % (T.name, X.label))
 
 

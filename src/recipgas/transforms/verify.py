@@ -19,6 +19,7 @@ from ..liealg import AutomorphismMatrix
 from ..reports import Report
 from ..symkernel import QQ, Expr, compile_exprs, compile_exprs_mp
 from ..symkernel.errors import DivisionByZeroExpr, NumericDomain
+from ..symkernel.linalg import adj2, det2, mul2
 from .maps import OneParamFamily, PointMap, ReciprocalMap
 
 DEFAULT_SEED = 20240801
@@ -120,21 +121,20 @@ def verify_point_symmetry(T: PointMap, solve_for: str = "x") -> Report:
     ctx = T.ctx
     rep = Report("point symmetry of %s" % (T.name or "map"))
     j = T.jacobian()
-    detj = j[0][0] * j[1][1] - j[0][1] * j[1][0]
+    detj = det2(j)
     rep.add("coordinate-jacobian-nonsingular", not detj.is_zero(), str(detj))
     if detj.is_zero():
         return rep
     sub = T.field_map()
+    a = adj2(j)
     jets = {}
     for fname in FIELDS:
         phi = sub[fname]
         dx_phi = total_derivative(phi, "x")
         dy_phi = total_derivative(phi, "y")
         # (D_x phi, D_y phi)^T = J^T (f_x', f_y')^T
-        fxp = (j[1][1] * dx_phi - j[1][0] * dy_phi) / detj
-        fyp = (-j[0][1] * dx_phi + j[0][0] * dy_phi) / detj
-        jets["%s_x" % fname] = fxp
-        jets["%s_y" % fname] = fyp
+        jets["%s_x" % fname] = (a[0][0] * dx_phi + a[1][0] * dy_phi) / detj
+        jets["%s_y" % fname] = (a[0][1] * dx_phi + a[1][1] * dy_phi) / detj
     for name, F in zip(RESIDUAL_NAMES, system_residuals(ctx)):
         transformed = F.substitute({**sub, **jets})
         r = reduce_on_manifold(transformed, solve_for)
@@ -176,7 +176,9 @@ class LieCheckResult:
         return rep
 
 
-def _require_points(n_points: int):
+def _require_points(fam: OneParamFamily, n_points: int):
+    """Refuse a symbolic rate (NumericDomain) and an empty sample."""
+    fam.link(0)
     if n_points < 1:
         raise InvalidParams("need at least one sample point, got %d"
                             % n_points)
@@ -204,9 +206,7 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
     truncation term cubically).
     """
     import mpmath
-    if fam.link_spec is None:
-        raise NumericDomain("family %s has symbolic parameters" % fam.name)
-    _require_points(n_points)
+    _require_points(fam, n_points)
     rng = random.Random(seed)
     T = fam.map_sym
     gen = fam.generator
@@ -245,19 +245,12 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
                 continue
             vals = [_eval_poly_mp(comps, a) for a in stencil]
             z = _eval_poly_mp(zeta, dict(zip(FIELDS, vals[1])))
-            resid = mpmath.mpf(0)
-            for i in range(5):
-                d = (vals[2][i] - vals[0][i]) / (2 * mstep)
-                resid = max(resid, abs(d - z[i]))
+            # d/deps of the fields is zeta; of the form matrix, M_zeta f
             mz = ((z[5], z[6]), (z[7], z[8]))
             fmid = ((vals[1][5], vals[1][6]), (vals[1][7], vals[1][8]))
-            for i in range(2):
-                for j in range(2):
-                    d = (vals[2][5 + 2 * i + j] - vals[0][5 + 2 * i + j]) \
-                        / (2 * mstep)
-                    z_ij = mz[i][0] * fmid[0][j] + mz[i][1] * fmid[1][j]
-                    resid = max(resid, abs(d - z_ij))
-            worst = max(worst, resid)
+            d = [(hi - lo) / (2 * mstep) for lo, hi in zip(vals[0], vals[2])]
+            want = z[:5] + [e for row in mul2(mz, fmid) for e in row]
+            worst = max(worst, *(abs(a - b) for a, b in zip(d, want)))
             done += 1
     return LieCheckResult(fam.name, float(worst), n_points)
 
@@ -266,9 +259,7 @@ def composition_additivity(fam: OneParamFamily, n_points: int = 100,
                            seed: int = DEFAULT_SEED) -> float:
     """Max deviation |T_e1(T_e2(x)) - T_{e1+e2}(x)| over seeded samples,
     kept ADD_GUARD away from the map's singular sets."""
-    if fam.link_spec is None:
-        raise NumericDomain("family %s has symbolic parameters" % fam.name)
-    _require_points(n_points)
+    _require_points(fam, n_points)
     T = fam.map_sym
     fields = compile_exprs(T.components()[:5])
     dens = compile_exprs(T.denominators())

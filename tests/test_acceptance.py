@@ -1,10 +1,12 @@
 """Acceptance suite: every criterion at its stated tolerance and budget.
 
 Each test prints one PASS/FAIL line; `recipgas paper-suite` runs the same
-checks from the command line.  The report of every exact criterion (all
-but 7 and 9, whose details are floating-point text) must equal its
-recorded JSON in data/paper_suite_exact.json, so a refactor that changes
-a verdict, a residual or a rendered expression fails here.
+checks from the command line.  The report of every criterion but 9 must
+equal its recorded JSON in data/paper_suite_exact.json, so a refactor that
+changes a verdict, a residual or a rendered expression fails here.
+Criterion 7's floating-point text comes only from mpmath and Python
+floats, so it is stable; criterion 9's goes through numpy and is not
+pinned.
 """
 
 import json

@@ -80,6 +80,18 @@ def test_family_member_at_rational_parameter_passes(ctx):
     assert compose(T, Ti).is_identity()
 
 
+def test_family_inverse_is_the_group_inverse(ctx):
+    # the attached inverse comes from the leaf law (T_eps^-1 = T_-eps);
+    # composing it with the symbolic-leaf map must give the identity
+    fams = [one_param_bateman(ctx),
+            one_param_q13(ctx, q12=QQ(1, 3), q13=QQ(1, 2)),
+            one_param_exp(ctx, k1=QQ(1, 2), k2=2),
+            one_param_linear(ctx, k2=QQ(3, 2), q12=QQ(1, 3))]
+    for fam in fams:
+        T = fam.map_sym
+        assert compose(T, invert(T)).is_identity(), fam.name
+
+
 def test_theorem_map_symbolic(ctx):
     for a11 in (1, -1):
         assert verify_reciprocal(theorem_map(ctx, a11=a11)).passed

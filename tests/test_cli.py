@@ -312,6 +312,16 @@ def test_map_file_takes_no_catalog_flags(capsys, tmp_path, extra):
       "form": [["1", "0"], ["0", "1"]]}, "H"),
     ({"R": "rho", "U": "u", "V": "vv", "P": "p", "H": "S",
       "form": [["1", "0"], ["0", "1"]]}, "V"),
+    ({"R": "rho", "U": "u", "V": "v", "P": "p", "H": "S",
+      "form": [["1", "0"], ["0", "1"]], "Q": "p"}, "Q"),
+    ({"R": "rho", "U": "u", "V": "v", "P": "p", "H": "S",
+      "form": [["1", "0"], ["0", "1"]], "inverse": {"zz": "rho"}}, "zz"),
+    ({"R": "rho^2^2^2^2^2", "U": "u", "V": "v", "P": "p", "H": "S",
+      "form": [["1", "0"], ["0", "1"]]}, "R"),
+    ({"R": "rho^9^9^9", "U": "u", "V": "v", "P": "p", "H": "S",
+      "form": [["1", "0"], ["0", "1"]]}, "R"),
+    ({"R": "2^(9^9)", "U": "u", "V": "v", "P": "p", "H": "S",
+      "form": [["1", "0"], ["0", "1"]]}, "R"),
 ])
 def test_malformed_map_file_is_usage_error(capsys, tmp_path, record, key):
     path = tmp_path / "bad.json"
@@ -326,6 +336,7 @@ def test_malformed_map_file_is_usage_error(capsys, tmp_path, record, key):
     ({"zeta_rho": "rho", "form": [["1", "0"]]}, "form"),
     ({"zeta_rho": 5}, "zeta_rho"),
     ({"zeta_u": "rho*uu"}, "zeta_u"),
+    ({"zeta_rh": "rho"}, "zeta_rh"),
 ])
 def test_malformed_generator_file_is_usage_error(capsys, tmp_path, record,
                                                  key):

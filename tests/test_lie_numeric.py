@@ -42,8 +42,9 @@ def test_composition_additivity(ctx):
 
 def test_symbolic_family_rejects_numeric_check(ctx):
     fam = one_param_q13(ctx, q12=parse(ctx, "q12"), q13=parse(ctx, "q13"))
-    with pytest.raises(NumericDomain):
-        lie_equation_check(fam, n_points=2)
+    for check in (lie_equation_check, composition_additivity):
+        with pytest.raises(NumericDomain):
+            check(fam, n_points=2)
 
 
 def test_deterministic_given_seed(ctx):

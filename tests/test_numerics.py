@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from recipgas import numerics
 from recipgas.gasdyn import standard_context
 from recipgas.numerics import (ConstantFlow, DomainViolation, GridSpec,
                                GridTooSmall, InvalidParams, NewtonDivergence,
@@ -209,12 +210,13 @@ def test_batched_inversion_matches_single_points(ctx):
         assert np.array_equal(got.ravel(), want)
 
 
-def test_newton_iteration_limit(ctx):
+def test_newton_iteration_limit(ctx, monkeypatch):
     T = bateman(ctx, 1, 0, 1, 0, entropy="identity")
     sol = make_solution(VortexFlow(w0=1, m=1),
                         GridSpec(0.5, 0.3, 1 / 16, 1 / 16, 9, 9))
     xp, yp = primed_coordinates(sol, T)
-    tf = TransformedFlow(sol, T, xp, yp, max_iter=1)
+    monkeypatch.setattr(numerics, "NEWTON_MAX_ITER", 1)
+    tf = TransformedFlow(sol, T, xp, yp)
     with pytest.raises(NewtonDivergence):
         tf.invert_point(0.5 * (xp[0, 0] + xp[1, 1]),
                         0.5 * (yp[0, 0] + yp[1, 1]))

@@ -58,6 +58,10 @@ def test_parse_error_position(ctx):
         parse(ctx, "u')")
     with pytest.raises(ParseError):
         parse(ctx, "u^v")
+    # beyond Python's integer string limit; was a ValueError
+    for text in ("9" * 5000, "u^" + "9" * 5000):
+        with pytest.raises(ParseError, match="too long"):
+            parse(ctx, text)
 
 
 def test_unknown_name_is_a_parse_error(ctx):
@@ -75,10 +79,13 @@ def test_unknown_name_is_a_parse_error(ctx):
 
 
 def test_exponent_beyond_the_degree_limit(ctx):
-    # x^70000 used to wrap around into x^4465*y
-    with pytest.raises(DegreeOverflow):
-        parse(ctx, "x^70000")
+    # x^70000 used to wrap around into x^4465*y; the towers used to be
+    # computed before any bound, and 2^65536 failed to format in the message
+    for text in ("x^70000", "rho^2^2^2^2^2", "rho^9^9^9", "2^(9^9)"):
+        with pytest.raises(DegreeOverflow):
+            parse(ctx, text)
     assert str(parse(ctx, "x^32767")) == "x^32767"
+    assert str(parse(ctx, "x^2^14")) == "x^16384"
 
 
 def test_parse_division_by_zero(ctx):
