@@ -1,9 +1,14 @@
 """Canonical symbolic expressions: ratios of multivariate polynomials over Q.
 
-Every Expr is kept in canonical form at construction: numerator and
-denominator share no polynomial factor, and the denominator is monic under
-graded-lex order.  Mathematically equal expressions in this class are
-therefore structurally equal, and comparison with zero decides identities.
+An Expr stores an integer numerator and an integer denominator, kept in
+canonical form at construction: they share no polynomial factor and no
+integer content, and the leading denominator coefficient (in the kernel's
+packed term order) is positive.  Mathematically equal expressions in this
+class are therefore structurally equal, and comparison with zero decides
+identities.  Exact rationals (QQ) appear only at the boundary: constants
+in, and as_rational, coefficients, primitive, as_numer_denom and the
+rendered text out, all of which read the expression with a monic
+denominator.
 
 Formal function applications (h(S), F(S), G(rho,S), tan(x), ...) are opaque
 generators; differentiation relates them to their derivative markers via the
@@ -13,15 +18,16 @@ chain rule, and nothing else is assumed about them.
 from __future__ import annotations
 
 import numbers
+from math import gcd
 
 from .context import Context
 from .errors import (DivisionByZeroExpr, NotPolynomialInVars,
                      UnboundSymbol, UnknownVariable, VariableMismatch)
 from .numeric import compile_exprs
-from .poly import (MONO_ONE, QQ, QONE, Poly, mono_items, mono_pack, padd,
+from .poly import (MONO_ONE, QQ, Poly, mono_items, mono_pack, padd,
                    pconst, pcontent, pderiv, pdiv_exact, peval, pgcd,
                    pis_const, pis_zero, pleading_mono, pmul, pneg, ppow,
-                   pscale, psorted_terms, pvar, pvars)
+                   pprimitive, psorted_terms, pvar, pvars)
 
 _POLY_ONE = pconst(1)
 
@@ -40,7 +46,9 @@ class Expr:
 
     @staticmethod
     def const(ctx: Context, value) -> "Expr":
-        return Expr(ctx, pconst(QQ(value)), _POLY_ONE, _normalized=True)
+        q = QQ(value)
+        return Expr(ctx, pconst(q.numerator), {MONO_ONE: q.denominator},
+                    _normalized=True)
 
     @staticmethod
     def var(ctx: Context, name: str) -> "Expr":
@@ -72,15 +80,15 @@ class Expr:
             raise ValueError("not a constant: %s" % self)
         if pis_zero(self.num):
             return QQ(0)
-        return self.num[MONO_ONE] / self.den[MONO_ONE]
+        return QQ(self.num[MONO_ONE], self.den[MONO_ONE])
 
     # --- polynomial views -------------------------------------------------
 
     def as_numer_denom(self):
         """(numerator, denominator) as polynomial Exprs; the denominator
         is monic."""
-        return (Expr(self.ctx, self.num, _POLY_ONE, _normalized=True),
-                Expr(self.ctx, self.den, _POLY_ONE, _normalized=True))
+        lc = {MONO_ONE: _leading(self.den)}
+        return Expr(self.ctx, self.num, lc), Expr(self.ctx, self.den, lc)
 
     def primitive(self):
         """(c, P): the numerator is c*P, and P is a polynomial with coprime
@@ -88,16 +96,16 @@ class Expr:
         order) is positive.  The zero expression gives (0, 0)."""
         if not self.num:
             return QQ(0), self
-        c = pcontent(self.num)
-        p = self.num if c == 1 else pscale(self.num, QONE / c)
-        return c, Expr(self.ctx, p, _POLY_ONE, _normalized=True)
+        c = QQ(pcontent(self.num), _leading(self.den))
+        return c, _poly(self.ctx, pprimitive(self.num))
 
     def coefficients(self) -> dict:
         """{monomial: QQ} of a polynomial; the monomial keys are opaque,
         equal for equal monomials of one Context."""
         if not pis_const(self.den):
             raise NotPolynomialInVars("not a polynomial: %s" % self)
-        return dict(self.num)
+        d = self.den[MONO_ONE]
+        return {m: QQ(c, d) for m, c in self.num.items()}
 
     def free_variables(self) -> set:
         return {self.ctx.names[i]
@@ -120,7 +128,7 @@ class Expr:
         other = self._coerce(other)
         if self.den == other.den:   # a sum over 1 is canonical as it is
             return Expr(self.ctx, padd(self.num, other.num), self.den,
-                        _normalized=pis_const(self.den))
+                        _normalized=self.den == _POLY_ONE)
         g = pgcd(self.den, other.den)
         if pis_const(g):
             num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
@@ -144,17 +152,16 @@ class Expr:
     def __mul__(self, other):
         other = self._coerce(other)
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if pis_const(d1) and pis_const(d2):   # a product of polynomials
+        if d1 == _POLY_ONE and d2 == _POLY_ONE:   # a product of polynomials
             return Expr(self.ctx, pmul(n1, n2), d1, _normalized=True)
-        if not (pis_const(n1) or pis_const(d2)):
-            g = pgcd(n1, d2)
-            if not pis_const(g):
-                n1, d2 = pdiv_exact(n1, g), pdiv_exact(d2, g)
-        if not (pis_const(n2) or pis_const(d1)):
-            g = pgcd(n2, d1)
-            if not pis_const(g):
-                n2, d1 = pdiv_exact(n2, g), pdiv_exact(d1, g)
-        return Expr(self.ctx, pmul(n1, n2), pmul(d1, d2))
+        if not (n1 and n2):
+            return Expr(self.ctx, {}, _POLY_ONE, _normalized=True)
+        # with n1 cancelled against d2 and n2 against d1, the product of
+        # two canonical pairs is canonical, its leading denominator
+        # coefficient a product of positive ones
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
+        return Expr(self.ctx, pmul(n1, n2), pmul(d1, d2), _normalized=True)
 
     __rmul__ = __mul__
 
@@ -179,7 +186,7 @@ class Expr:
         return Expr(self.ctx, ppow(self.num, n), ppow(self.den, n))
 
     def __eq__(self, other):
-        if isinstance(other, numbers.Rational) or type(other) is type(QQ(0)):
+        if isinstance(other, numbers.Rational):
             other = Expr.const(self.ctx, other)
         if not isinstance(other, Expr):
             return NotImplemented
@@ -199,8 +206,8 @@ class Expr:
         if dd.is_zero():
             if nd.is_polynomial():
                 return Expr(self.ctx, nd.num, pmul(self.den, nd.den))
-            return nd / self.as_numer_denom()[1]
-        num_e, den_e = self.as_numer_denom()
+            return nd / _poly(self.ctx, self.den)
+        num_e, den_e = _poly(self.ctx, self.num), _poly(self.ctx, self.den)
         return (nd * den_e - num_e * dd) / (den_e * den_e)
 
     # --- substitution ---------------------------------------------------
@@ -273,11 +280,14 @@ class Expr:
 
     # --- rendering --------------------------------------------------------
 
-    def _poly_str(self, p: Poly) -> str:
+    def _poly_str(self, p: Poly, lc: int) -> str:
+        """p/lc, so that the denominator reads as monic."""
         if pis_zero(p):
             return "0"
         parts = []
         for m, c in psorted_terms(p):
+            if lc != 1:
+                c = QQ(c, lc)
             factors = []
             for v, e in mono_items(m):
                 nm = self.ctx.names[v]
@@ -298,10 +308,11 @@ class Expr:
         return "".join(parts)
 
     def __str__(self):
-        ns = self._poly_str(self.num)
+        lc = _leading(self.den)
+        ns = self._poly_str(self.num, lc)
         if pis_const(self.den):
             return ns
-        ds = self._poly_str(self.den)
+        ds = self._poly_str(self.den, lc)
         nw = ns if len(self.num) <= 1 else "(%s)" % ns
         return "%s/(%s)" % (nw, ds)
 
@@ -314,26 +325,45 @@ def _coeff_str(c) -> str:
     return "%s/%s" % (c.numerator, c.denominator)
 
 
+def _leading(p: Poly) -> int:
+    """The leading coefficient in the kernel's term order."""
+    return p[pleading_mono(p)]
+
+
+def _poly(ctx: Context, p: Poly) -> Expr:
+    """The polynomial p as an Expr; over 1 it is canonical as it is."""
+    return Expr(ctx, p, _POLY_ONE, _normalized=True)
+
+
+def _cancel(num: Poly, den: Poly):
+    """num/g and den/g for their gcd g, a polynomial times an integer."""
+    if not (pis_const(num) or pis_const(den)):
+        g = pgcd(num, den)
+        if not pis_const(g):
+            num, den = pdiv_exact(num, g), pdiv_exact(den, g)
+    c = gcd(*den.values())
+    if c != 1:
+        c = gcd(c, *num.values())
+        if c != 1:
+            num = {m: x // c for m, x in num.items()}
+            den = {m: x // c for m, x in den.items()}
+    return num, den
+
+
 def _normalize(num: Poly, den: Poly):
     if pis_zero(den):
         raise DivisionByZeroExpr("denominator is identically zero")
     if pis_zero(num):
         return {}, _POLY_ONE
-    if not pis_const(den):
-        g = pgcd(num, den)
-        if not pis_const(g):
-            num, den = pdiv_exact(num, g), pdiv_exact(den, g)
-    lc = den[pleading_mono(den)]
-    if lc != 1:
-        inv = QONE / lc
-        num = pscale(num, inv)
-        den = pscale(den, inv)
+    num, den = _cancel(num, den)
+    if _leading(den) < 0:
+        return pneg(num), pneg(den)
     return num, den
 
 
 def _poly_deriv_expr(ctx: Context, p: Poly, idx: int, name: str) -> Expr:
     """Total derivative of a polynomial, chaining through formal atoms."""
-    out = Expr(ctx, pderiv(p, idx), _POLY_ONE)
+    out = _poly(ctx, pderiv(p, idx))
     for aidx in sorted(pvars(p)):
         info = ctx.atoms.get(aidx)
         if info is None:
@@ -352,7 +382,7 @@ def _poly_deriv_expr(ctx: Context, p: Poly, idx: int, name: str) -> Expr:
                                    orders=tuple(orders))
             chain = chain + marker * da
         if not chain.is_zero():
-            out = out + Expr(ctx, dp, _POLY_ONE) * chain
+            out = out + _poly(ctx, dp) * chain
     return out
 
 

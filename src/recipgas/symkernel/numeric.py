@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericDomain, UnboundSymbol
-from .poly import QZERO, mono_items, pis_const
+from .poly import QQ, mono_items, pis_const, pleading_mono
 
 # implementations of the elementary functions the float evaluator computes
 FN_IMPLS = {
@@ -125,7 +125,7 @@ def _generate(exprs, zero_message: str, numbers: _Numbers):
     env = {"_float": numbers.convert, "_all": numbers.nonzero,
            "NumericDomain": NumericDomain}
     read = "_float(a[%r])" if numbers.convert else "a[%r]"
-    zero = numbers.constant(QZERO, env)
+    zero = numbers.constant(QQ(0), env)
     lines = []
     top = {}        # variable index -> highest power held in a local
 
@@ -160,14 +160,17 @@ def _generate(exprs, zero_message: str, numbers: _Numbers):
 
     dens = {}
     for k, e in enumerate(exprs):
-        poly("r%d" % k, e.num)
+        # the rational coefficients over a monic denominator
+        lc = e.den[pleading_mono(e.den)]
+        poly("r%d" % k, _over(e.num, lc))
         if pis_const(e.den):     # a monic constant denominator is 1
             continue
-        key = tuple(e.den.items())
+        den = _over(e.den, lc)
+        key = tuple(den.items())
         d = dens.get(key)
         if d is None:
             d = dens[key] = "d%d" % len(dens)
-            poly(d, e.den)
+            poly(d, den)
             lines.append("if not _all(%s): raise NumericDomain(%r)"
                          % (d, zero_message))
         lines.append("r%d = r%d / %s" % (k, k, d))
@@ -176,6 +179,11 @@ def _generate(exprs, zero_message: str, numbers: _Numbers):
     src = "def _evaluate(a):\n" + "".join("    %s\n" % ln for ln in body)
     exec(compile(src, "<compile_exprs>", "exec"), env)
     return env["_evaluate"]
+
+
+def _over(p, lc: int):
+    """The polynomial p/lc, with QQ coefficients where lc is not 1."""
+    return p if lc == 1 else {m: QQ(c, lc) for m, c in p.items()}
 
 
 def _atom(info, numbers: _Numbers):

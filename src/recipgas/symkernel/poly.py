@@ -1,9 +1,14 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials over the integers.
 
-A polynomial is a dict mapping packed monomials to nonzero rational
-coefficients.  A monomial is a single integer: 16-bit fields hold the
-exponent of each variable (variable i at bits 16*(i+1)..), and the lowest
-field accumulates the total degree.  Monomial multiplication is integer
+A polynomial is a dict mapping packed monomials to nonzero Python int
+coefficients; exact rationals (QQ) appear only where expr.py meets the
+rest of the program.  Pseudo-division and the subresultant PRS are exact
+over an integral domain, so every gcd and exact division below stays in
+Z[x].
+
+A monomial is a single integer: 16-bit fields hold the exponent of each
+variable (variable i at bits 16*(i+1)..), and the lowest field
+accumulates the total degree.  Monomial multiplication is integer
 addition; divisibility uses a guard-bit trick.  The total degree, and so
 every exponent, stays below 2^15: mono_pack, pvar, pmul and ppow raise
 DegreeOverflow before a field could carry into its neighbour.
@@ -16,14 +21,12 @@ by declaration order.
 
 from __future__ import annotations
 
+# the kernel's boundary type for exact rationals (see expr.py)
 from fractions import Fraction as QQ
 from functools import cmp_to_key
 from math import gcd as _igcd
 
 from .errors import DegreeOverflow
-
-QONE = QQ(1)
-QZERO = QQ(0)
 
 Mono = int
 Poly = dict
@@ -112,14 +115,13 @@ def mono_cmp(m1: Mono, m2: Mono) -> int:
 MONO_KEY = cmp_to_key(mono_cmp)
 
 
-def pconst(c) -> Poly:
-    c = QQ(c)
+def pconst(c: int) -> Poly:
     return {MONO_ONE: c} if c else {}
 
 
 def pvar(idx: int, exp: int = 1) -> Poly:
     _check_degree(exp)
-    return {(exp << (_FB * (idx + 1))) + exp: QONE}
+    return {(exp << (_FB * (idx + 1))) + exp: 1}
 
 
 def pis_zero(p: Poly) -> bool:
@@ -304,7 +306,7 @@ def peval(a: Poly, value_of, mul, add, one):
             term = mul(term, vpow(v, e))
         total = term if total is None else add(total, term)
     if total is None:
-        return mul(one, QZERO)
+        return mul(one, 0)
     return total
 
 
@@ -312,13 +314,20 @@ def peval(a: Poly, value_of, mul, add, one):
 
 
 def pdiv_exact(a: Poly, b: Poly) -> Poly:
-    """Quotient a/b assuming b divides a exactly; raises ValueError otherwise."""
+    """Quotient a/b over Z, assuming b divides a exactly; raises ValueError
+    otherwise, also when a coefficient quotient is not an integer."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if pis_const(b):
-        inv = QONE / b[MONO_ONE]
-        return pscale(a, inv)
-    q: Poly = {}
+        d = b[MONO_ONE]
+        q: Poly = {}
+        for m, c in a.items():
+            qc = c // d
+            if qc * d != c:
+                raise ValueError("inexact polynomial division")
+            q[m] = qc
+        return q
+    q = {}
     rem = dict(a)
     lmb = max(b)
     lcb = b[lmb]
@@ -327,7 +336,9 @@ def pdiv_exact(a: Poly, b: Poly) -> Poly:
         t = mono_div(lma, lmb)
         if t is None:
             raise ValueError("inexact polynomial division")
-        c = rem[lma] / lcb
+        c, r = divmod(rem[lma], lcb)
+        if r:
+            raise ValueError("inexact polynomial division")
         q[t] = c
         for m, cb in b.items():
             mm = m + t
@@ -343,52 +354,50 @@ def pdiv_exact(a: Poly, b: Poly) -> Poly:
     return q
 
 
-def pcontent(a: Poly):
-    """Rational content of a nonzero polynomial, carrying the sign of the
+def pcontent(a: Poly) -> int:
+    """Integer content of a nonzero polynomial, carrying the sign of the
     internal leading term."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in a.values():
-        num_gcd = _igcd(num_gcd, abs(int(c.numerator)))
-        d = int(c.denominator)
-        den_lcm = den_lcm * d // _igcd(den_lcm, d)
-    cont = QQ(num_gcd, den_lcm)
-    if a[max(a)] < 0:
-        cont = -cont
-    return cont
+    cont = _igcd(*a.values())
+    return -cont if a[max(a)] < 0 else cont
 
 
 def pprimitive(a: Poly) -> Poly:
-    """Scale so coefficients are coprime integers, leading one positive."""
+    """Divide by the content: coprime coefficients, leading one positive."""
     if not a:
         return {}
     cont = pcontent(a)
     if cont == 1:
         return dict(a)
-    inv = QONE / cont
-    return {m: c * inv for m, c in a.items()}
+    return {m: c // cont for m, c in a.items()}
+
+
+def _mono_gcd(m1: Mono, m2: Mono) -> Mono:
+    """Componentwise minimum of the exponent words of two monomials
+    without their degree field (see _mono_content)."""
+    g = _guard((max(m1, m2).bit_length() + _FB - 1) // _FB)
+    # guard bit of a field survives the subtraction where m1 >= m2 there
+    keep2 = (((m1 | g) - m2) & g) >> (_FB - 1)
+    keep2 *= _MASK
+    return (m2 & keep2) | (m1 & ~keep2)
+
+
+def _with_degree(words: int) -> Mono:
+    """The monomial of exponent words shifted down by one field.  As
+    2^16 = 1 mod 2^16 - 1, the words leave the sum of their fields, the
+    total degree (below 2^15), as their remainder mod 2^16 - 1."""
+    return (words << _FB) + words % _MASK
 
 
 def _mono_content(a: Poly) -> Mono:
-    """Largest monomial dividing every term."""
+    """Largest monomial dividing every term: the componentwise minimum of
+    the packed exponent words, unpacked once for its total degree."""
     it = iter(a)
-    first = next(it)
-    if first == MONO_ONE:
-        return MONO_ONE
-    common = dict(mono_items(first))
+    common = next(it) >> _FB
     for m in it:
-        if m == MONO_ONE:
-            return MONO_ONE
-        mm = dict(mono_items(m))
-        for v in list(common):
-            e = mm.get(v)
-            if e is None:
-                del common[v]
-            elif e < common[v]:
-                common[v] = e
         if not common:
             return MONO_ONE
-    return mono_pack(sorted(common.items()))
+        common = _mono_gcd(common, m >> _FB)
+    return _with_degree(common) if common else MONO_ONE
 
 
 def _to_recursive(a: Poly, idx: int) -> dict:
@@ -510,7 +519,7 @@ def _subresultant_gcd(f: dict, g: dict) -> dict:
 
 
 def _try_div(a: Poly, b: Poly) -> bool:
-    """True when b divides a exactly."""
+    """True when b divides a exactly over Z."""
     try:
         pdiv_exact(a, b)
         return True
@@ -533,8 +542,9 @@ def _coefficients_over(a: Poly, idxs) -> list:
         coeff[m - extra] = c
     out = []
     for extra, coeff in groups.items():
-        # m - extra still counts the degree of extra in its lowest field
-        deg = sum(e for _, e in mono_items(extra))
+        # m - extra still counts the degree of extra in its lowest field,
+        # which is extra mod 2^16 - 1 (see _with_degree)
+        deg = extra % _MASK
         out.append({m - deg: c for m, c in coeff.items()})
     return out
 
@@ -549,20 +559,26 @@ def pgcd(a: Poly, b: Poly) -> Poly:
         return pconst(1)
     if a == b:
         return pprimitive(a)
-    if len(b) <= len(a) and _try_div(a, b):
-        return pprimitive(b)
-    if len(a) < len(b) and _try_div(b, a):
-        return pprimitive(a)
+    # a divisor over Q divides over Z once its content is removed
+    if len(b) <= len(a):
+        pb = pprimitive(b)
+        if _try_div(a, pb):
+            return pb
+    if len(a) < len(b):
+        pa = pprimitive(a)
+        if _try_div(b, pa):
+            return pa
 
     ma, mb = _mono_content(a), _mono_content(b)
-    common_mono = _mono_content({ma: QONE, mb: QONE})   # gcd of ma and mb
+    common_mono = _with_degree(_mono_gcd(ma >> _FB, mb >> _FB)) \
+        if ma and mb else MONO_ONE
     if ma or mb:
         if ma:
-            a = {mono_div(m, ma): c for m, c in a.items()}
+            a = {m - ma: c for m, c in a.items()}
         if mb:
-            b = {mono_div(m, mb): c for m, c in b.items()}
+            b = {m - mb: c for m, c in b.items()}
         if pis_const(a) or pis_const(b):
-            return {common_mono: QONE} if common_mono else pconst(1)
+            return {common_mono: 1} if common_mono else pconst(1)
 
     va, vb = pvars(a), pvars(b)
     shared = va & vb

@@ -47,14 +47,17 @@ def _psi(ctx, psi):
 
 def _family(T: ReciprocalMap, symbol: str, leaf: str, rate: Expr,
             gen: Generator) -> OneParamFamily:
-    """The family T_eps over the leaf `symbol`.  Its inverse is the member
-    T_-eps, read from the group-inverse leaf of LEAVES, with S kept."""
-    sub = {symbol: LEAVES[leaf][1](Expr.var(T.ctx, symbol))}
-    inverse = {n: e.substitute(sub) for n, e in T.field_map().items()
-               if n != "S"}
-    inverse["S"] = Expr.var(T.ctx, "S")
-    return OneParamFamily(T.name, replace(T, inverse_fields=inverse),
-                          symbol, leaf, rate, gen)
+    """The family T_eps over the leaf `symbol`.  When its entropy map is
+    S -> S, its inverse is the member T_-eps, read from the group-inverse
+    leaf of LEAVES; a formal entropy map H = F(S) gets no inverse."""
+    S = Expr.var(T.ctx, "S")
+    if T.H == S:
+        sub = {symbol: LEAVES[leaf][1](Expr.var(T.ctx, symbol))}
+        inverse = {n: e.substitute(sub) for n, e in T.field_map().items()
+                   if n != "S"}
+        inverse["S"] = S
+        T = replace(T, inverse_fields=inverse)
+    return OneParamFamily(T.name, T, symbol, leaf, rate, gen)
 
 
 def bateman(ctx: Context, b1=None, b2=None, b3=None, b4=None,

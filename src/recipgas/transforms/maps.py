@@ -111,8 +111,9 @@ def identity_map(ctx: Context) -> ReciprocalMap:
 
 def map_from_dict(ctx: Context, d: dict, name="") -> ReciprocalMap:
     """The map of a JSON record with keys R, U, V, P, H and form, and
-    optional inverse (keyed by field names), params and name; a missing,
-    mis-shaped or unknown key raises a SymkernelError that names it."""
+    optional inverse (keyed by all five field names), params and name; a
+    missing, mis-shaped or unknown key raises a SymkernelError that names
+    it."""
     rec = parse_record(ctx, d, "map", ("R", "U", "V", "P", "H", "form"),
                        extra=("inverse", "params", "name"))
     inv, params = d.get("inverse"), d.get("params", {})
@@ -120,11 +121,17 @@ def map_from_dict(ctx: Context, d: dict, name="") -> ReciprocalMap:
         raise SymkernelError("map key 'inverse': not an object")
     if not isinstance(params, dict):
         raise SymkernelError("map key 'params': not an object")
+    if inv is not None:
+        inv = parse_record(ctx, inv, "map inverse",
+                           [n for n in FIELDS if n in inv])
+        missing = [n for n in FIELDS if n not in inv]
+        if missing:
+            raise SymkernelError(
+                "map key 'inverse': missing %s (an inverse names all of "
+                "%s)" % (", ".join(map(repr, missing)), ", ".join(FIELDS)))
     return reciprocal_map(
         ctx, *(rec[k] for k in ("R", "U", "V", "P", "H")), rec["form"],
-        name=name or d.get("name", ""), params=params,
-        inverse_fields=None if inv is None else parse_record(
-            ctx, inv, "map inverse", [n for n in FIELDS if n in inv]))
+        name=name or d.get("name", ""), params=params, inverse_fields=inv)
 
 
 def load_map(ctx: Context, path) -> ReciprocalMap:

@@ -9,6 +9,7 @@ tests in the symbolic kernel; failures produce rational witness points.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -68,8 +69,33 @@ def _residual_report(title: str, residuals, seed: int = DEFAULT_SEED):
     w = bad and witness_point(bad[1], seed=seed)
     if w:
         rep.witness = {k: str(v) for k, v in sorted(w[0].items())}
-        rep.witness["__residual__"] = "%s = %s" % (bad[0], w[1])
+        rep.witness["__residual__"] = "%s = %s" % (bad[0], _value_text(w[1]))
     return rep
+
+
+def _value_text(q) -> str:
+    """str(q) of a rational, or, when its digits pass Python's limit on
+    integer string conversion, its sign, a decimal approximation and the
+    digit counts of its numerator and denominator."""
+    try:
+        return str(q)
+    except ValueError:
+        pass
+    num, den = abs(q.numerator), q.denominator
+    lg = math.log10(num) - math.log10(den)
+    exp = math.floor(lg)
+    mant, shift = ("%.6e" % 10 ** (lg - exp)).split("e")
+    return "%s%se%+d (approximately; %d-digit numerator, %d-digit " \
+        "denominator)" % ("-" if q < 0 else "", mant, exp + int(shift),
+                          _digits(num), _digits(den))
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of n > 0, without converting it."""
+    d = int(math.log10(n)) + 1     # off by at most one near a power of 10
+    if 10 ** (d - 1) > n:
+        return d - 1
+    return d + 1 if 10 ** d <= n else d
 
 
 def verify_reciprocal(T: ReciprocalMap, solve_for: str = "x",

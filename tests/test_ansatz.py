@@ -75,7 +75,7 @@ def _full_pipeline_vector(g, clear):
     for ti, (tag, r) in enumerate(determining_residuals(g).residuals):
         rc = r * clear
         assert rc.is_polynomial(), tag
-        for mono, c in rc.num.items():
+        for mono, c in rc.coefficients().items():
             vec[(ti, mono)] = c
     return vec
 

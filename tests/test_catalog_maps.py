@@ -92,6 +92,20 @@ def test_family_inverse_is_the_group_inverse(ctx):
         assert compose(T, invert(T)).is_identity(), fam.name
 
 
+def test_formal_entropy_family_has_no_inverse(ctx):
+    # with H = F(S) the member T_-eps is not the inverse, so none is
+    # attached and invert refuses; the identity-entropy family keeps its
+    # group inverse
+    for build in (one_param_bateman, one_param_q13, one_param_exp,
+                  one_param_linear):
+        T = build(ctx, entropy="formal").map_sym
+        assert T.inverse_fields is None, build.__name__
+        with pytest.raises(NotInvertible):
+            invert(T)
+        T = build(ctx, entropy="identity").map_sym
+        assert compose(T, invert(T)).is_identity(), build.__name__
+
+
 def test_theorem_map_symbolic(ctx):
     for a11 in (1, -1):
         assert verify_reciprocal(theorem_map(ctx, a11=a11)).passed

@@ -322,6 +322,11 @@ def test_map_file_takes_no_catalog_flags(capsys, tmp_path, extra):
       "form": [["1", "0"], ["0", "1"]]}, "R"),
     ({"R": "2^(9^9)", "U": "u", "V": "v", "P": "p", "H": "S",
       "form": [["1", "0"], ["0", "1"]]}, "R"),
+    # an inverse names all five fields or is left out
+    ({"R": "rho", "U": "u", "V": "v", "P": "p", "H": "S",
+      "form": [["1", "0"], ["0", "1"]], "inverse": {"p": "p"}}, "rho"),
+    ({"R": "rho", "U": "u", "V": "v", "P": "p", "H": "S",
+      "form": [["1", "0"], ["0", "1"]], "inverse": {}}, "S"),
 ])
 def test_malformed_map_file_is_usage_error(capsys, tmp_path, record, key):
     path = tmp_path / "bad.json"
@@ -330,6 +335,32 @@ def test_malformed_map_file_is_usage_error(capsys, tmp_path, record, key):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert repr(key) in err
+
+
+def test_witness_beyond_integer_string_limit(capsys, tmp_path):
+    # the witness residual of rho -> rho^16384 has more digits than Python
+    # converts to a string; the report approximates it and ends with the
+    # verdict
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"R": "rho^2^14", "U": "u", "V": "v",
+                                "P": "p", "H": "S",
+                                "form": [["1", "0"], ["0", "1"]]}))
+    assert main(["verify-map", "--file", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "-digit numerator" in out and "verdict: FAIL" in out
+
+
+def test_value_text_beyond_integer_string_limit():
+    from fractions import Fraction
+
+    from recipgas.transforms.verify import _value_text
+    assert _value_text(Fraction(-3, 7)) == "-3/7"
+    assert _value_text(Fraction(3 * 10 ** 5000, 7)) == (
+        "4.285714e+4999 (approximately; 5001-digit numerator, 1-digit "
+        "denominator)")
+    assert _value_text(Fraction(-1, 10 ** 6000 - 1)) == (
+        "-1.000000e-6000 (approximately; 1-digit numerator, 6000-digit "
+        "denominator)")
 
 
 @pytest.mark.parametrize("record, key", [

@@ -1,18 +1,25 @@
-"""Differential tests of the polynomial gcd against sympy.
+"""Differential tests of the integer polynomial kernel against sympy.
 
-Each case is a pair g*a1, g*b1 in up to seven of the variables criterion 6
-works in, drawn with one of four variable-set shapes: the second
-polynomial's variables a proper subset of the first's (tried in both
-argument orders), equal sets, overlapping sets and disjoint sets.
+The gcd cases are pairs g*a1, g*b1 in up to seven of the variables
+criterion 6 works in, drawn with one of four variable-set shapes: the
+second polynomial's variables a proper subset of the first's (tried in
+both argument orders), equal sets, overlapping sets and disjoint sets.
+The arithmetic cases check padd, pmul, ppow, pderiv, Expr.diff and
+Expr.substitute in the same variables, and the canonical form of Expr.
+A polynomial is drawn with rational coefficients and then cleared of
+their denominators, since the kernel's coefficients are integers.
 """
+
+from math import gcd, lcm
 
 import pytest
 
 from recipgas.gasdyn import standard_context
-from recipgas.symkernel import Expr, parse
+from recipgas.symkernel import DivisionByZeroExpr, Expr, parse
 from recipgas.symkernel.poly import (QQ, mono_items, mono_pack, padd, pconst,
-                                     pcontent, pdiv_exact, pgcd, pmul,
-                                     pprimitive, pvars)
+                                     pcontent, pderiv, pdiv_exact, pgcd,
+                                     pleading_mono, pmul, ppow, pprimitive,
+                                     pvars)
 
 sympy = pytest.importorskip("sympy", minversion="1.14")
 pytest.importorskip("hypothesis")
@@ -27,12 +34,18 @@ GENS = [sympy.Symbol(CTX.names[i]) for i in INDICES]
 
 # a numerator met while det_f of the symbolic one_param_q13 is formed,
 # against its denominator, with which it is coprime
-DET_F_NUM = parse(CTX, "-rho^2*u^2*v^2*lam^4+rho^2*u^3*v*lam^3"
-                       "-rho^2*u*v^3*lam^3+rho^2*u^2*v^2*lam^2"
-                       "+(rho*u^2+rho*v^2)*(p+q12)*lam^2"
-                       "-(rho*u^2+rho*v^2)*q13*lam"
-                       "+((p+q12)*lam-q13)^2").coefficients()
-DET_F_DEN = parse(CTX, "q13^2*(1+lam^2)^2").coefficients()
+def _clear(p):
+    """The rational polynomial p times the lcm of its denominators."""
+    k = lcm(*(c.denominator for c in p.values())) if p else 1
+    return {m: int(c * k) for m, c in p.items()}
+
+
+DET_F_NUM = _clear(parse(CTX, "-rho^2*u^2*v^2*lam^4+rho^2*u^3*v*lam^3"
+                              "-rho^2*u*v^3*lam^3+rho^2*u^2*v^2*lam^2"
+                              "+(rho*u^2+rho*v^2)*(p+q12)*lam^2"
+                              "-(rho*u^2+rho*v^2)*q13*lam"
+                              "+((p+q12)*lam-q13)^2").coefficients())
+DET_F_DEN = _clear(parse(CTX, "q13^2*(1+lam^2)^2").coefficients())
 
 
 def _to_sympy(p):
@@ -45,8 +58,8 @@ def _to_sympy(p):
 
 
 def _from_sympy(p):
-    return {mono_pack([(i, e) for i, e in zip(INDICES, exps) if e]):
-            QQ(int(c.p), int(c.q)) for exps, c in p.terms()}
+    return _clear({mono_pack([(i, e) for i, e in zip(INDICES, exps) if e]):
+                   QQ(int(c.p), int(c.q)) for exps, c in p.terms()})
 
 
 @st.composite
@@ -68,7 +81,7 @@ def _poly(draw, names, max_terms):
                      QQ(num, den)})
     # equal monomials may cancel
     assume(pvars(p) == set(idxs))
-    return p
+    return _clear(p)
 
 
 @st.composite
@@ -79,7 +92,7 @@ def _factor(draw, names):
     mono = mono_pack([(i, draw(st.integers(0, 1))) for i in idxs])
     poly = draw(_poly(names, 3)) if names and draw(st.booleans()) \
         else pconst(draw(st.integers(1, 4)))
-    return pmul({mono: QQ(1)}, poly)
+    return pmul({mono: 1}, poly)
 
 
 @st.composite
@@ -98,7 +111,7 @@ def _subset_case(draw):
     for exps in draw(st.lists(
             st.tuples(*[st.integers(0, 2) for _ in extra]),
             min_size=2, max_size=3, unique=True)):
-        x = {mono_pack([(i, e) for i, e in zip(extra, exps) if e]): QQ(1)}
+        x = {mono_pack([(i, e) for i, e in zip(extra, exps) if e]): 1}
         m = draw(st.sampled_from((pconst(1), f1, f2, pmul(f1, f2))))
         c = draw(_poly(sb, 2)) if draw(st.booleans()) \
             else pconst(draw(st.integers(1, 3)))
@@ -169,3 +182,105 @@ def test_pgcd_subset_matches_sympy(swap, case):
 @given(data=st.data())
 def test_pgcd_matches_sympy(shape, data):
     _check(shape, *data.draw(_case(shape)))
+
+
+# --- arithmetic and calculus ---------------------------------------------
+
+
+def _sym(e):
+    """An Expr of polynomials in VARS as a sympy expression."""
+    num, den = e.as_numer_denom()
+    return _to_sympy(num.coefficients()).as_expr() / \
+        _to_sympy(den.coefficients()).as_expr()
+
+
+def _same(e, want):
+    """e equals the sympy expression want, and e is in lowest terms."""
+    n, d = sympy.fraction(sympy.cancel(sympy.together(want)))
+    num, den = (_to_sympy(x.coefficients()).as_expr()
+                for x in e.as_numer_denom())
+    assert sympy.expand(num * d - den * n) == 0
+    quo, rem = sympy.div(den, d, *GENS)
+    assert rem == 0 and quo.is_number
+
+
+@st.composite
+def _poly_in(draw, max_vars=7, max_terms=4):
+    names = draw(st.permutations(VARS))[:draw(st.integers(1, max_vars))]
+    return draw(_poly(names, max_terms))
+
+
+@st.composite
+def _ratfun(draw):
+    """A quotient of two drawn polynomials over 7 or fewer of VARS."""
+    num = draw(_poly_in(max_terms=3))
+    den = draw(_poly_in(max_vars=4, max_terms=3)) if draw(st.booleans()) \
+        else pconst(draw(st.integers(1, 6)))
+    return Expr(CTX, num, pconst(1)) / Expr(CTX, den, pconst(1))
+
+
+@given(a=_poly_in(), b=_poly_in())
+def test_padd_matches_sympy(a, b):
+    assert _to_sympy(padd(a, b)) == _to_sympy(a) + _to_sympy(b)
+
+
+@given(a=_poly_in(), b=_poly_in())
+def test_pmul_matches_sympy(a, b):
+    assert _to_sympy(pmul(a, b)) == _to_sympy(a) * _to_sympy(b)
+
+
+@given(a=_poly_in(max_vars=4, max_terms=3), n=st.integers(0, 4))
+def test_ppow_matches_sympy(a, n):
+    assert _to_sympy(ppow(a, n)) == _to_sympy(a) ** n
+
+
+@given(a=_poly_in(), var=st.sampled_from(VARS))
+def test_pderiv_matches_sympy(a, var):
+    got = pderiv(a, CTX.idx(var))
+    assert _to_sympy(got) == _to_sympy(a).diff(sympy.Symbol(var))
+
+
+@given(e=_ratfun(), var=st.sampled_from(VARS))
+def test_expr_diff_matches_sympy(e, var):
+    _same(e.diff(var), sympy.diff(_sym(e), sympy.Symbol(var)))
+
+
+@given(e=_ratfun(), data=st.data())
+def test_expr_substitute_matches_sympy(e, data):
+    # a simultaneous substitution of up to three variables by polynomials
+    # and quotients in VARS
+    names = data.draw(st.lists(st.sampled_from(VARS), min_size=1,
+                               max_size=3, unique=True))
+    repl = {n: data.draw(_ratfun()) for n in names}
+    try:
+        got = e.substitute(repl)
+    except DivisionByZeroExpr:
+        assume(False)
+    want = _sym(e).subs({sympy.Symbol(n): _sym(r) for n, r in repl.items()},
+                        simultaneous=True)
+    _same(got, want)
+
+
+def _assert_canonical(e):
+    num, den = e.num, e.den
+    assert all(type(c) is int for c in (*num.values(), *den.values()))
+    assert gcd(*num.values(), *den.values()) == 1
+    assert den[pleading_mono(den)] > 0
+    assert pgcd(num, den) == pconst(1) or not num
+
+
+@given(e=_ratfun(), e2=_ratfun(), k=st.sampled_from((-6, -2, -1, 2, 3, 12)),
+       f=_poly_in(max_vars=3, max_terms=2))
+def test_expr_canonical_form(e, e2, k, f):
+    # integer numerator and denominator, joint content 1, positive leading
+    # denominator coefficient, no common factor; sums, products and
+    # quotients keep that form
+    for x in (e, e + e2, e - e2, e * e2, e / e2, e + k, e * k, e / k,
+              e / 2 + e / 6):
+        _assert_canonical(x)
+    assert e / 2 + e / 6 == e * 2 / 3
+    # a/b is (k*a)/(k*b) and (f*a)/(f*b), structurally
+    for mul in ({0: k}, pmul({0: k}, f)):
+        other = Expr(CTX, pmul(mul, e.num), pmul(mul, e.den))
+        assert (other.num, other.den) == (e.num, e.den)
+        assert other == e and hash(other) == hash(e)
