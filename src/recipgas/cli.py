@@ -194,7 +194,8 @@ def cmd_solve_ansatz(args) -> int:
 
 def cmd_pushforward(args) -> int:
     ctx = standard_context()
-    T = _catalog_map(ctx, args)
+    # a map with a formal entropy map has no inverse to push forward by
+    T = _catalog_map(ctx, args, entropy="identity")
     x = standard_basis(ctx)
     rep = Report("pushforward under %s" % T.name)
     if args.generator:

@@ -25,7 +25,7 @@ from .errors import (DivisionByZeroExpr, NotPolynomialInVars,
                      UnboundSymbol, UnknownVariable, VariableMismatch)
 from .numeric import compile_exprs
 from .poly import (MONO_ONE, QQ, Poly, mono_items, mono_pack, padd,
-                   pconst, pcontent, pderiv, pdiv_exact, peval, pgcd,
+                   pconst, pcontent, pderiv, pdiv_exact, pgcd,
                    pis_const, pis_zero, pleading_mono, pmul, pneg, ppow,
                    pprimitive, psorted_terms, pvar, pvars)
 
@@ -321,8 +321,22 @@ class Expr:
 
 def _coeff_str(c) -> str:
     if c.denominator == 1:
-        return str(c.numerator)
-    return "%s/%s" % (c.numerator, c.denominator)
+        return _int_str(c.numerator)
+    return "%s/%s" % (_int_str(c.numerator), _int_str(c.denominator))
+
+
+# str() refuses an integer past Python's 4300-digit limit; pieces of at
+# most _DIGITS digits stay inside it
+_DIGITS = 4000
+_PIECE = 10 ** _DIGITS
+
+
+def _int_str(n: int) -> str:
+    """The exact decimal text of n, written piece by piece."""
+    if -_PIECE < n < _PIECE:
+        return str(n)
+    high, low = divmod(abs(n), _PIECE)
+    return "-" * (n < 0) + _int_str(high) + str(low).zfill(_DIGITS)
 
 
 def _leading(p: Poly) -> int:
@@ -388,6 +402,7 @@ def _poly_deriv_expr(ctx: Context, p: Poly, idx: int, name: str) -> Expr:
 
 def _subs_pair(e: Expr, bound: dict) -> Expr:
     ctx = e.ctx
+    powers: dict = {}    # (idx, exp) -> value of the variable to exp
 
     def value_of(idx):
         if idx in bound:
@@ -401,12 +416,27 @@ def _subs_pair(e: Expr, bound: dict) -> Expr:
                                  orders=info.orders)
         return Expr(ctx, pvar(idx), _POLY_ONE, _normalized=True)
 
-    one = Expr.const(ctx, 1)
-    num = peval(e.num, value_of, lambda a, b: a * b, lambda a, b: a + b, one)
-    den = peval(e.den, value_of, lambda a, b: a * b, lambda a, b: a + b, one)
-    if not isinstance(num, Expr):
-        num = Expr.const(ctx, num)
-    if not isinstance(den, Expr):
-        den = Expr.const(ctx, den)
-    return num / den
+    def power(idx, exp):
+        """Square and multiply, so x^e takes about 2*log2(e) products."""
+        r = powers.get((idx, exp))
+        if r is None:
+            if exp == 1:
+                r = value_of(idx)
+            else:
+                r = power(idx, exp // 2)
+                r = r * r
+                if exp % 2:
+                    r = r * power(idx, 1)
+            powers[(idx, exp)] = r
+        return r
 
+    def evaluate(p: Poly) -> Expr:
+        total = 0
+        for i, (m, c) in enumerate(p.items()):
+            term = c
+            for idx, exp in mono_items(m):
+                term = term * power(idx, exp)
+            total = term if i == 0 else total + term
+        return total if isinstance(total, Expr) else Expr.const(ctx, total)
+
+    return evaluate(e.num) / evaluate(e.den)

@@ -281,35 +281,6 @@ def pdegree_in(a: Poly, idx: int) -> int:
     return d
 
 
-def peval(a: Poly, value_of, mul, add, one):
-    """Generic evaluation; value_of(idx) returns the value of a variable."""
-    cache: dict = {}
-
-    def vpow(v, e):
-        key = (v, e)
-        r = cache.get(key)
-        if r is None:
-            base = cache.get((v, 1))
-            if base is None:
-                base = value_of(v)
-                cache[(v, 1)] = base
-            r = base
-            for _ in range(e - 1):
-                r = mul(r, base)
-            cache[key] = r
-        return r
-
-    total = None
-    for m, c in a.items():
-        term = c
-        for v, e in mono_items(m):
-            term = mul(term, vpow(v, e))
-        total = term if total is None else add(total, term)
-    if total is None:
-        return mul(one, 0)
-    return total
-
-
 # --- exact division and gcd ---------------------------------------------
 
 

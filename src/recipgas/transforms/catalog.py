@@ -15,10 +15,10 @@ from typing import get_type_hints
 
 from ..gasdyn import (ConservationFormParams, InvalidParams,
                       ParamConstraintViolated)
-from ..liealg import Generator, standard_basis
+from ..liealg import standard_basis
 from ..prolong import case_generators
 from ..symkernel import Context, Expr
-from .maps import (LEAVES, OneParamFamily, PointMap, ReciprocalMap,
+from .maps import (OneParamFamily, PointMap, ReciprocalMap,
                    UnknownCatalogEntry, identity_map, point_map,
                    reciprocal_map)
 
@@ -45,21 +45,6 @@ def _psi(ctx, psi):
     return _conv(ctx, psi)
 
 
-def _family(T: ReciprocalMap, symbol: str, leaf: str, rate: Expr,
-            gen: Generator) -> OneParamFamily:
-    """The family T_eps over the leaf `symbol`.  When its entropy map is
-    S -> S, its inverse is the member T_-eps, read from the group-inverse
-    leaf of LEAVES; a formal entropy map H = F(S) gets no inverse."""
-    S = Expr.var(T.ctx, "S")
-    if T.H == S:
-        sub = {symbol: LEAVES[leaf][1](Expr.var(T.ctx, symbol))}
-        inverse = {n: e.substitute(sub) for n, e in T.field_map().items()
-                   if n != "S"}
-        inverse["S"] = S
-        T = replace(T, inverse_fields=inverse)
-    return OneParamFamily(T.name, T, symbol, leaf, rate, gen)
-
-
 def bateman(ctx: Context, b1=None, b2=None, b3=None, b4=None,
             entropy="formal") -> ReciprocalMap:
     """The four-parameter pressure-inversion family (b1*b3 != 0)."""
@@ -70,7 +55,7 @@ def bateman(ctx: Context, b1=None, b2=None, b3=None, b4=None,
     b4 = _conv(ctx, b4) if b4 is not None else v("b4")
     if b1.is_zero() or b3.is_zero():
         raise ParamConstraintViolated("bateman requires b1*b3 != 0")
-    rho, u, vv, p, S = (v(n) for n in ("rho", "u", "v", "p", "S"))
+    rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
     w = p + b2
     q2 = u ** 2 + vv ** 2
     c = b1 ** 2 * b3
@@ -81,19 +66,8 @@ def bateman(ctx: Context, b1=None, b2=None, b3=None, b4=None,
     H = _entropy(ctx, entropy)
     f = ((( p + b2 + rho * vv ** 2) / b1, -rho * u * vv / b1),
          ((-rho * u * vv) / b1, (p + b2 + rho * u ** 2) / b1))
-    inverse = None
-    if entropy == "identity":
-        wp = c / (b4 - p)
-        inverse = {
-            "p": wp - b2,
-            "u": u * wp / b1,
-            "v": vv * wp / b1,
-            "rho": rho * (b4 - p) / (b3 * (b4 - p - rho * q2)),
-            "S": S,
-        }
     return reciprocal_map(ctx, R, U, V, P, H, f, name="bateman",
-                          params={"b1": b1, "b2": b2, "b3": b3, "b4": b4},
-                          inverse_fields=inverse)
+                          params={"b1": b1, "b2": b2, "b3": b3, "b4": b4})
 
 
 def bateman_simplified(ctx: Context, b3=1, b4=0,
@@ -120,7 +94,7 @@ def one_param_bateman(ctx: Context, entropy="identity") -> OneParamFamily:
          (-eps * rho * u * vv, 1 + eps * (p + rho * u ** 2)))
     gen = standard_basis(ctx)[2].scale(-2).with_label("-2*X3")
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_bateman")
-    return _family(m, "eps", "linear", Expr.const(ctx, 1), gen)
+    return OneParamFamily(m.name, m, "eps", "linear", Expr.const(ctx, 1), gen)
 
 
 def one_param_q13(ctx: Context, q12=0, q13=1,
@@ -155,7 +129,7 @@ def one_param_q13(ctx: Context, q12=0, q13=1,
     gen = case_generators("b", params, ctx, k=1)
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_q13",
                        params={"q12": q12e, "q13": q13e})
-    return _family(m, "lam", "tan", q13e, gen)
+    return OneParamFamily(m.name, m, "lam", "tan", q13e, gen)
 
 
 def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
@@ -190,7 +164,7 @@ def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
     gen = case_generators("c", params, ctx, k1=k1e, k2=k2e)
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_exp",
                        params={"k1": k1e, "k2": k2e, "q12": q12e})
-    return _family(m, "lam", "exp", k1e, gen)
+    return OneParamFamily(m.name, m, "lam", "exp", k1e, gen)
 
 
 def one_param_linear(ctx: Context, k2=1, q12=0,
@@ -215,7 +189,7 @@ def one_param_linear(ctx: Context, k2=1, q12=0,
     gen = case_generators("c", params, ctx, k1=0, k2=k2e)
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_linear",
                        params={"k2": k2e, "q12": q12e})
-    return _family(m, "a", "linear", k2e, gen)
+    return OneParamFamily(m.name, m, "a", "linear", k2e, gen)
 
 
 def theorem_map(ctx: Context, alpha=None, beta=None, k=None, a11=1,
@@ -238,7 +212,7 @@ def theorem_map(ctx: Context, alpha=None, beta=None, k=None, a11=1,
         raise ParamConstraintViolated("a11^2 = 1 required")
     psi_e = _psi(ctx, psi)
     g = a34 / a35
-    rho, u, vv, p, S = (v(n) for n in ("rho", "u", "v", "p", "S"))
+    rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
     q2 = u ** 2 + vv ** 2
     pg = p - g
     ab2 = alpha ** 2 + beta ** 2
@@ -252,22 +226,10 @@ def theorem_map(ctx: Context, alpha=None, beta=None, k=None, a11=1,
           k * (-alpha * (p + rho * u ** 2 - g) + beta * ruv)),
          (k * a11 * (alpha * (p + rho * vv ** 2 - g) + beta * ruv),
           -k * a11 * (alpha * ruv + beta * (p + rho * u ** 2 - g))))
-    inverse = None
-    if entropy == "identity":
-        pg_p = -2 / (a35 * p + a45)
-        p_inv = g + pg_p
-        u_inv = pg_p * (beta * u - alpha * a11 * vv) / (psi_e * ab2)
-        v_inv = pg_p * (alpha * u + beta * a11 * vv) / (psi_e * ab2)
-        c2 = psi_e ** 2 * a35 * ab2
-        q2_inv = u_inv ** 2 + v_inv ** 2
-        rho_inv = rho * c2 * pg_p / (2 * pg_p - rho * c2 * q2_inv)
-        inverse = {"p": p_inv, "u": u_inv, "v": v_inv, "rho": rho_inv,
-                   "S": S}
     return reciprocal_map(
         ctx, R, U, V, P, H, f, name="theorem",
         params={"alpha": alpha, "beta": beta, "k": k, "a11": a11,
-                "a34": a34, "a35": a35, "a45": a45},
-        inverse_fields=inverse)
+                "a34": a34, "a35": a35, "a45": a45})
 
 
 def mu_plus(ctx: Context, a33=1, a54=0, a11=1, alpha=1, beta=0,
@@ -281,7 +243,7 @@ def mu_plus(ctx: Context, a33=1, a54=0, a11=1, alpha=1, beta=0,
     if not (a11e ** 2 - 1).is_zero():
         raise ParamConstraintViolated("a11^2 = 1 required")
     psi_e = _psi(ctx, psi)
-    rho, u, vv, p, S = (v(n) for n in ("rho", "u", "v", "p", "S"))
+    rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
     ab2 = alpha_e ** 2 + beta_e ** 2
     P = p / a33e - a54e
     R = rho / (a33e * psi_e ** 2 * ab2)
@@ -289,19 +251,9 @@ def mu_plus(ctx: Context, a33=1, a54=0, a11=1, alpha=1, beta=0,
     V = a11e * psi_e * (alpha_e * vv - beta_e * u)
     H = _entropy(ctx, entropy)
     f = ((a11e * alpha_e, a11e * beta_e), (-beta_e, alpha_e))
-    inverse = None
-    if entropy == "identity":
-        inverse = {
-            "p": a33e * (p + a54e),
-            "rho": a33e * psi_e ** 2 * ab2 * rho,
-            "u": (alpha_e * u - beta_e * a11e * vv) / (psi_e * ab2),
-            "v": (beta_e * u + alpha_e * a11e * vv) / (psi_e * ab2),
-            "S": S,
-        }
     return reciprocal_map(ctx, R, U, V, P, H, f, name="mu_plus",
                           params={"a33": a33e, "a54": a54e, "a11": a11e,
-                                  "alpha": alpha_e, "beta": beta_e},
-                          inverse_fields=inverse)
+                                  "alpha": alpha_e, "beta": beta_e})
 
 
 def mu_minus(ctx: Context, a33=1, a54=0, a11=1, alpha=1, beta=0,
@@ -312,7 +264,7 @@ def mu_minus(ctx: Context, a33=1, a54=0, a11=1, alpha=1, beta=0,
     a33e, a54e, a11e = _conv(ctx, a33), _conv(ctx, a54), _conv(ctx, a11)
     alpha_e, beta_e = _conv(ctx, alpha), _conv(ctx, beta)
     psi_e = _psi(ctx, psi)
-    rho, u, vv, p, S = (v(n) for n in ("rho", "u", "v", "p", "S"))
+    rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
     ab2 = alpha_e ** 2 + beta_e ** 2
     q2 = u ** 2 + vv ** 2
     P = p / a33e - a54e + rho * q2 / a33e
@@ -346,20 +298,14 @@ def involution_E2(ctx: Context) -> PointMap:
 
 def involution_E1_reciprocal(ctx: Context) -> ReciprocalMap:
     v = lambda n: Expr.var(ctx, n)
-    fields = {n: v(n) for n in ("rho", "u", "v", "p", "S")}
-    fields["u"] = -v("u")
-    return reciprocal_map(ctx, fields["rho"], fields["u"], fields["v"],
-                          fields["p"], fields["S"], ((-1, 0), (0, 1)),
-                          name="E1", inverse_fields=dict(fields))
+    return reciprocal_map(ctx, v("rho"), -v("u"), v("v"), v("p"), v("S"),
+                          ((-1, 0), (0, 1)), name="E1")
 
 
 def involution_E2_reciprocal(ctx: Context) -> ReciprocalMap:
     v = lambda n: Expr.var(ctx, n)
-    fields = {n: v(n) for n in ("rho", "u", "v", "p", "S")}
-    fields["v"] = -v("v")
-    return reciprocal_map(ctx, fields["rho"], fields["u"], fields["v"],
-                          fields["p"], fields["S"], ((1, 0), (0, -1)),
-                          name="E2", inverse_fields=dict(fields))
+    return reciprocal_map(ctx, v("rho"), v("u"), -v("v"), v("p"), v("S"),
+                          ((1, 0), (0, -1)), name="E2")
 
 
 CATALOG = {

@@ -7,8 +7,8 @@ through a 2x2 coefficient matrix f:
     dx' = f11 dx + f12 dy,   dy' = f21 dx + f22 dy,
 
 all coefficients functions of (rho, u, v, p, S).  Primed quantities are
-expressed in the same variable names; an attached inverse gives the
-original fields as functions of the symbols read as primed values.
+expressed in the same variable names; an inverse gives the original
+fields as functions of the symbols read as primed values.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from ..gasdyn import FIELDS, parse_record
 from ..liealg import Generator
 from ..symkernel import Context, Expr
 from ..symkernel.errors import NumericDomain, SymkernelError
-from ..symkernel.linalg import adj2, det2, mul2
+from ..symkernel.linalg import adj2, det2, mul2, rref
 
 
 class NotInvertible(SymkernelError):
@@ -103,10 +103,8 @@ def reciprocal_map(ctx: Context, R, U, V, P, H, f, name="", params=None,
 
 def identity_map(ctx: Context) -> ReciprocalMap:
     v = lambda n: Expr.var(ctx, n)
-    return reciprocal_map(
-        ctx, v("rho"), v("u"), v("v"), v("p"), v("S"),
-        ((1, 0), (0, 1)), name="identity",
-        inverse_fields={n: v(n) for n in FIELDS})
+    return reciprocal_map(ctx, v("rho"), v("u"), v("v"), v("p"), v("S"),
+                          ((1, 0), (0, 1)), name="identity")
 
 
 def map_from_dict(ctx: Context, d: dict, name="") -> ReciprocalMap:
@@ -188,52 +186,70 @@ def compose(T1: ReciprocalMap, T2: ReciprocalMap) -> ReciprocalMap:
                    params={}, inverse_fields=inv)
 
 
-def _solve_linear_fractional(e: Expr, var: str, value: Expr,
-                             pre_sub: dict) -> Expr:
-    """Solve e(var, ...) == value for var, where e is at most degree 1 in
-    var in both numerator and denominator; remaining fields in the
-    coefficients are replaced through pre_sub."""
+# The steps of the inverse solve: the unknowns of each, in order.  A step
+# solves the components of its unknowns for them, given S and the fields
+# of the earlier steps.
+_STEPS = (("p",), ("u", "v"), ("rho",))
+
+
+def _inner_fields(e: Expr) -> set:
+    """The fields that the formal applications in e take as arguments."""
     ctx = e.ctx
-    num_c, den_c = (part.collect([var]) for part in e.as_numer_denom())
-    for cm in list(num_c) + list(den_c):
-        if cm and cm[0][1] > 1:
-            raise NotInvertible("component is not linear-fractional in %s"
-                                % var)
-    key1 = ((var, 1),)
-    n1 = num_c.get(key1, Expr.const(ctx, 0)).substitute(pre_sub)
-    n0 = num_c.get((), Expr.const(ctx, 0)).substitute(pre_sub)
-    d1 = den_c.get(key1, Expr.const(ctx, 0)).substitute(pre_sub)
-    d0 = den_c.get((), Expr.const(ctx, 0)).substitute(pre_sub)
-    denom = n1 - value * d1
-    if denom.is_zero():
-        raise NotInvertible("degenerate relation for %s" % var)
-    return (value * d0 - n0) / denom
+    atoms = [Expr.var(ctx, n) for n in e.free_variables()
+             if ctx.role(n) == "function"]
+    return {o for o in FIELDS for a in atoms if not a.diff(o).is_zero()}
 
 
-def invert(T: ReciprocalMap) -> ReciprocalMap:
-    """Inverse map; uses the attached inverse when present, otherwise
-    attempts a triangular linear-fractional solve (p first, then u, v,
-    then rho), requiring the entropy map to be the identity."""
+def solve_inverse(T: ReciprocalMap) -> dict:
+    """The original fields as functions of the primed ones (read in the
+    same symbol names): T's attached inverse as given, or else solved step
+    by step over _STEPS, which requires the entropy map S -> S.  In a step
+    numerator minus primed value times denominator of each component must
+    be affine in the step's unknowns, and the system is solved exactly;
+    anything else raises NotInvertible."""
+    if T.inverse_fields is not None:
+        return T.inverse_fields
     ctx = T.ctx
     v = lambda n: Expr.var(ctx, n)
-    if T.inverse_fields is not None:
-        inv_fields = T.inverse_fields
-    else:
-        if not (T.H == v("S")):
-            raise NotInvertible("entropy map is not the identity")
-        inv_fields = {"S": v("S")}
-        order = [("p", T.P, ("S",)), ("u", T.U, ("p", "S")),
-                 ("v", T.V, ("p", "u", "S")),
-                 ("rho", T.R, ("p", "u", "v", "S"))]
-        for name, comp, allowed in order:
+    if T.H != v("S"):
+        raise NotInvertible("entropy map is not the identity")
+    zero, one = Expr.const(ctx, 0), Expr.const(ctx, 1)
+    comps, inv = T.field_map(), {}
+    for unknowns in _STEPS:
+        rows = []
+        for name in unknowns:
+            comp = comps[name]
+            inner = _inner_fields(comp)
             extraneous = [o for o in FIELDS
-                          if o != name and o not in allowed
-                          and comp.depends_on(o)]
+                          if o not in unknowns + ("S",) and o not in inv
+                          and (comp.depends_on(o) or o in inner)]
             if extraneous:
                 raise NotInvertible(
                     "component %s couples fields %s" % (name, extraneous))
-            inv_fields[name] = _solve_linear_fractional(
-                comp, name, v(name), inv_fields)
+            parts = [part.collect(unknowns) for part in comp.as_numer_denom()]
+            if inner & set(unknowns) or any(sum(e for _, e in key) > 1
+                                            for part in parts for key in part):
+                raise NotInvertible(
+                    "component %s is not linear-fractional in %s"
+                    % (name, ", ".join(unknowns)))
+            row = {}
+            for part, scale in zip(parts, (one, -v(name))):
+                for key, c in part.items():
+                    col = unknowns.index(key[0][0]) if key else len(unknowns)
+                    row[col] = row.get(col, 0) + scale * c.substitute(inv)
+            rows.append(row)
+        pivots = rref(rows)
+        for col, name in enumerate(unknowns):
+            if col not in pivots:
+                raise NotInvertible("degenerate relation for %s" % name)
+            inv[name] = -pivots[col].get(len(unknowns), zero)
+    inv["S"] = v("S")
+    return inv
+
+
+def invert(T: ReciprocalMap) -> ReciprocalMap:
+    """The inverse map, its fields from solve_inverse."""
+    inv_fields = solve_inverse(T)
     det = T.det_f()
     if det.is_zero():
         raise NotInvertible("form matrix is singular")
@@ -250,12 +266,11 @@ def invert(T: ReciprocalMap) -> ReciprocalMap:
 
 # The leaf laws of the one-parameter families, by leaf: the leaf value at
 # x = c*eps in the arithmetic of lib (math for floats, mpmath for mpf
-# values), and the leaf of the group inverse T_-eps as a function of the
-# leaf t of T_eps.
+# values).
 LEAVES = {
-    "linear": (lambda x, lib: x, lambda t: -t),
-    "tan": (lambda x, lib: lib.tan(x), lambda t: -t),
-    "exp": (lambda x, lib: lib.exp(x), lambda t: 1 / t),
+    "linear": lambda x, lib: x,
+    "tan": lambda x, lib: lib.tan(x),
+    "exp": lambda x, lib: lib.exp(x),
 }
 
 
@@ -291,7 +306,7 @@ class OneParamFamily:
         """Leaf value at the group parameter in the arithmetic of `lib`
         (math for floats, mpmath for mpf values); NumericDomain when the
         rate is symbolic."""
-        return LEAVES[self.leaf][0](self._rate_float * eps, lib)
+        return LEAVES[self.leaf](self._rate_float * eps, lib)
 
     def map_at(self, value) -> ReciprocalMap:
         """Substitute an exact (rational or Expr) leaf value."""

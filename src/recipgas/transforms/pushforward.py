@@ -2,7 +2,7 @@
 generator basis.
 
 The pushforward applies the generator to each map component and re-expresses
-the result in primed variables through the attached inverse; the form part
+the result in primed variables through the map's inverse; the form part
 transforms as
 
     M' = (X(f) + f * M_X) * f^{-1},
@@ -12,17 +12,19 @@ with all coefficient functions rewritten in primed symbols.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..liealg import AutomorphismMatrix, Generator, NotInSpan
 from ..symkernel import Expr
 from ..symkernel.errors import SymkernelError
 from ..symkernel.linalg import adj2, mul2, solve, transpose
-from .maps import NotInvertible, ReciprocalMap
+from .maps import NotInvertible, ReciprocalMap, solve_inverse
 
 
 def pushforward(T: ReciprocalMap, X: Generator) -> Generator:
-    """T_* X, expressed in primed variables (same symbol names)."""
-    if T.inverse_fields is None:
-        raise NotInvertible("%s has no inverse attached" % T.name)
+    """T_* X, expressed in primed variables (same symbol names) through
+    the inverse of solve_inverse."""
+    inv = solve_inverse(T)
     fields = [X.apply(comp) for comp in (T.R, T.U, T.V, T.P, T.H)]
     num = tuple(tuple(X.apply(e) + fm for e, fm in zip(row, fmrow))
                 for row, fmrow in zip(T.f, mul2(T.f, X.matrix())))
@@ -30,7 +32,6 @@ def pushforward(T: ReciprocalMap, X: Generator) -> Generator:
     if det.is_zero():
         raise NotInvertible("form matrix of %s is singular" % T.name)
     m = [e / det for row in mul2(num, adj2(T.f)) for e in row]
-    inv = T.inverse_fields
     return Generator(*(e.substitute(inv) for e in fields + m),
                      label="%s_*(%s)" % (T.name, X.label))
 
@@ -70,6 +71,8 @@ def decompose(Xp: Generator, basis) -> list:
 def pushforward_matrix(T: ReciprocalMap, basis) -> AutomorphismMatrix:
     """Columns are the decompositions of T_* basis[i] over the primed
     basis; entry (n, i) multiplies basis[n]."""
+    # solve the inverse once, not once per basis element
+    T = replace(T, inverse_fields=solve_inverse(T))
     cols = []
     for X in basis:
         cols.append(decompose(pushforward(T, X), basis))

@@ -18,8 +18,8 @@ import pytest
 from recipgas.accept import ALL_CRITERIA, criterion_9
 
 BUDGET_SECONDS = {
-    "1": 5, "2": 5, "3": 5, "4": 60, "5": 10,
-    "6": 10, "7": 30, "8": 30, "9": 10, "10": 10,
+    "1": 5, "2": 5, "3": 5, "4": 10, "5": 10,
+    "6": 10, "7": 10, "8": 10, "9": 10, "10": 10,
 }
 EXACT_REPORTS = json.loads((Path(__file__).parent / "data" /
                             "paper_suite_exact.json").read_text())

@@ -80,22 +80,32 @@ def test_family_member_at_rational_parameter_passes(ctx):
     assert compose(T, Ti).is_identity()
 
 
+# The leaf of the group inverse T_-eps as a function of the leaf t of
+# T_eps, by leaf law: the oracle for the solved inverse of a family.
+GROUP_INVERSE_LEAF = {"linear": lambda t: -t, "tan": lambda t: -t,
+                      "exp": lambda t: 1 / t}
+
+
 def test_family_inverse_is_the_group_inverse(ctx):
-    # the attached inverse comes from the leaf law (T_eps^-1 = T_-eps);
-    # composing it with the symbolic-leaf map must give the identity
+    # the solved inverse of the symbolic-leaf map is the member at the
+    # group-inverse leaf (T_eps^-1 = T_-eps), form included, and composes
+    # with the map to the identity
     fams = [one_param_bateman(ctx),
             one_param_q13(ctx, q12=QQ(1, 3), q13=QQ(1, 2)),
+            one_param_q13(ctx, q12=parse(ctx, "q12"), q13=parse(ctx, "q13")),
             one_param_exp(ctx, k1=QQ(1, 2), k2=2),
             one_param_linear(ctx, k2=QQ(3, 2), q12=QQ(1, 3))]
     for fam in fams:
         T = fam.map_sym
-        assert compose(T, invert(T)).is_identity(), fam.name
+        Ti = invert(T)
+        leaf = GROUP_INVERSE_LEAF[fam.leaf](parse(ctx, fam.symbol))
+        assert Ti.components() == fam.map_at(leaf).components(), fam.name
+        assert compose(T, Ti).is_identity(), fam.name
 
 
 def test_formal_entropy_family_has_no_inverse(ctx):
-    # with H = F(S) the member T_-eps is not the inverse, so none is
-    # attached and invert refuses; the identity-entropy family keeps its
-    # group inverse
+    # with H = F(S) the member T_-eps is not the inverse: none is attached
+    # and invert refuses; the identity-entropy family inverts
     for build in (one_param_bateman, one_param_q13, one_param_exp,
                   one_param_linear):
         T = build(ctx, entropy="formal").map_sym
@@ -197,11 +207,108 @@ def test_invert_round_trips(ctx):
     Ti = invert(T)
     assert compose(T, Ti).is_identity()
     assert compose(Ti, T).is_identity()
-    # triangular inversion without the stored inverse agrees
-    bare = reciprocal_map(ctx, T.R, T.U, T.V, T.P, T.H, T.f, name="bare")
-    Tc = invert(bare)
-    for k, e in Ti.field_map().items():
-        assert (Tc.field_map()[k] - e).is_zero()
+    assert Ti.field_map() == bateman_inverse(ctx, T.params)
+
+
+# The closed-form inverses of the catalog's maps with entropy S -> S, as
+# the catalog typed them before invert solved them: reference data for the
+# solver.  params are the map's own, psi the value of psi(S).
+
+def bateman_inverse(ctx, params):
+    """The paper's inverse of the pressure-inversion family."""
+    b1, b2, b3, b4 = (params[n] for n in ("b1", "b2", "b3", "b4"))
+    rho, u, v, p, S = (parse(ctx, n) for n in ("rho", "u", "v", "p", "S"))
+    wp = b1 ** 2 * b3 / (b4 - p)
+    return {"rho": rho * (b4 - p) / (b3 * (b4 - p - rho * (u ** 2 + v ** 2))),
+            "u": u * wp / b1, "v": v * wp / b1, "p": wp - b2, "S": S}
+
+
+def theorem_inverse(ctx, params, psi):
+    alpha, beta, a11, a34, a35, a45 = (
+        params[n] for n in ("alpha", "beta", "a11", "a34", "a35", "a45"))
+    rho, u, v, p, S = (parse(ctx, n) for n in ("rho", "u", "v", "p", "S"))
+    ab2 = alpha ** 2 + beta ** 2
+    pg = -2 / (a35 * p + a45)
+    ui = pg * (beta * u - alpha * a11 * v) / (psi * ab2)
+    vi = pg * (alpha * u + beta * a11 * v) / (psi * ab2)
+    c2 = psi ** 2 * a35 * ab2
+    return {"rho": rho * c2 * pg / (2 * pg - rho * c2 * (ui ** 2 + vi ** 2)),
+            "u": ui, "v": vi, "p": a34 / a35 + pg, "S": S}
+
+
+def mu_plus_inverse(ctx, params, psi):
+    a33, a54, a11, alpha, beta = (
+        params[n] for n in ("a33", "a54", "a11", "alpha", "beta"))
+    rho, u, v, p, S = (parse(ctx, n) for n in ("rho", "u", "v", "p", "S"))
+    ab2 = alpha ** 2 + beta ** 2
+    return {"rho": a33 * psi ** 2 * ab2 * rho,
+            "u": (alpha * u - beta * a11 * v) / (psi * ab2),
+            "v": (beta * u + alpha * a11 * v) / (psi * ab2),
+            "p": a33 * (p + a54), "S": S}
+
+
+def test_solved_inverse_matches_the_typed_closed_forms(ctx):
+    sym = lambda n: parse(ctx, n)
+    psi = parse(ctx, "psi(S)")
+    cases = [
+        (bateman(ctx, entropy="identity"), bateman_inverse, None),
+        (bateman(ctx, 1, 2, 1, 3, entropy="identity"), bateman_inverse,
+         None),
+        (bateman(ctx, QQ(1, 2), -1, 3, QQ(2, 5), entropy="identity"),
+         bateman_inverse, None),
+        (theorem_map(ctx, entropy="identity"), theorem_inverse, psi),
+        (theorem_map(ctx, a11=-1, entropy="identity"), theorem_inverse, psi),
+        (theorem_map(ctx, alpha=1, beta=2, k=1, a11=1, a34=QQ(1, 2), a35=2,
+                     a45=3, psi=1, entropy="identity"), theorem_inverse, 1),
+        (mu_plus(ctx, a33=sym("a33"), a54=sym("a54"), alpha=sym("alpha"),
+                 beta=sym("beta"), entropy="identity"), mu_plus_inverse, psi),
+        (mu_plus(ctx, a33=sym("a33"), a54=sym("a54"), a11=-1,
+                 alpha=sym("alpha"), beta=sym("beta"), entropy="identity"),
+         mu_plus_inverse, psi),
+        (mu_plus(ctx, a33=2, a54=QQ(1, 3), a11=-1, alpha=1, beta=1, psi=1,
+                 entropy="identity"), mu_plus_inverse, 1),
+    ]
+    for T, reference, psi_value in cases:
+        expect = reference(ctx, T.params) if psi_value is None else \
+            reference(ctx, T.params, psi_value)
+        assert invert(T).field_map() == expect, (T.name, T.params)
+
+
+def test_theorem_round_trip_with_formal_psi(ctx):
+    T = theorem_map(ctx, entropy="identity")
+    assert T.inverse_fields is None
+    Ti = invert(T)
+    assert compose(T, Ti).is_identity()
+    assert compose(Ti, T).is_identity()
+
+
+def _record(**fields):
+    d = {"R": "rho", "U": "u", "V": "v", "P": "p", "H": "S",
+         "form": [["1", "0"], ["0", "1"]]}
+    d.update(fields)
+    return d
+
+
+def test_invert_solves_coupled_velocities(ctx):
+    # u and v are solved together, so a rotation-like velocity map with
+    # no inverse in its record inverts
+    T = map_from_dict(ctx, _record(U="u-v", V="u+v"))
+    Ti = invert(T)
+    assert Ti.U == parse(ctx, "(u+v)/2") and Ti.V == parse(ctx, "(v-u)/2")
+    assert compose(T, Ti).is_identity() and compose(Ti, T).is_identity()
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"U": "u^2"}, "not linear-fractional"),
+    ({"U": "u*v"}, "not linear-fractional"),
+    ({"P": "p+F(p)"}, "not linear-fractional"),
+    ({"U": "u+F(rho)"}, "couples fields"),
+    ({"U": "u", "V": "2*u"}, "degenerate"),
+    ({"H": "F(S)"}, "entropy"),
+])
+def test_invert_refuses_what_it_cannot_solve(ctx, fields, message):
+    with pytest.raises(NotInvertible, match=message):
+        invert(map_from_dict(ctx, _record(**fields)))
 
 
 def test_invert_symbolic_bateman(ctx):
@@ -210,10 +317,8 @@ def test_invert_symbolic_bateman(ctx):
 
 
 def test_invert_requires_identity_entropy(ctx):
-    T = bateman(ctx, 1, 0, 1, 0, entropy="formal")
-    bare = reciprocal_map(ctx, T.R, T.U, T.V, T.P, T.H, T.f)
     with pytest.raises(NotInvertible):
-        invert(bare)
+        invert(bateman(ctx, 1, 0, 1, 0, entropy="formal"))
 
 
 def test_theorem_inverse(ctx):
@@ -257,7 +362,7 @@ def test_map_json_round_trip(ctx, tmp_path):
     d = {"R": str(T.R), "U": str(T.U), "V": str(T.V), "P": str(T.P),
          "H": str(T.H), "form": [[str(c) for c in row] for row in T.f],
          "params": {k: str(v) for k, v in T.params.items()},
-         "inverse": {k: str(v) for k, v in T.inverse_fields.items()}}
+         "inverse": {k: str(v) for k, v in invert(T).field_map().items()}}
     path = tmp_path / "m.json"
     path.write_text(json.dumps(d))
     back = map_from_dict(ctx, json.loads(path.read_text()), name="bateman")

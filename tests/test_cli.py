@@ -91,6 +91,15 @@ def test_pushforward(capsys):
     assert "satisfies the automorphism constraints" in out
 
 
+@pytest.mark.parametrize("argv", [[], ["--catalog", "theorem"]])
+def test_pushforward_defaults_to_the_identity_entropy(capsys, argv):
+    # the default entry bateman and the symbolic theorem map (formal psi)
+    # push forward through their solved inverses
+    code, out = run(capsys, "pushforward", *argv)
+    assert code == 0, out
+    assert "satisfies the automorphism constraints" in out
+
+
 def test_automorphism(capsys):
     code, out = run(capsys, "automorphism")
     assert code == 0
@@ -348,6 +357,41 @@ def test_witness_beyond_integer_string_limit(capsys, tmp_path):
     assert main(["verify-map", "--file", str(path)]) == 1
     out = capsys.readouterr().out
     assert "-digit numerator" in out and "verdict: FAIL" in out
+
+
+def _digits_value(digits):
+    """The integer of a decimal digit string, read in pieces that stay
+    inside Python's integer string limit."""
+    n = 0
+    for i in range(0, len(digits), 1000):
+        piece = digits[i:i + 1000]
+        n = n * 10 ** len(piece) + int(piece)
+    return n
+
+
+@pytest.mark.parametrize("field, value, code", [
+    ("R", "(2*rho)^2^14", 1),
+    ("H", "F(2^16384*S)", 0),
+])
+def test_coefficient_beyond_integer_string_limit(capsys, tmp_path, field,
+                                                 value, code):
+    # 2^16384 has 4933 digits, more than Python converts to a string; the
+    # report, and the atom key of F(2^16384*S), write it out exactly
+    record = {"R": "rho", "U": "u", "V": "v", "P": "p", "H": "S",
+              "form": [["1", "0"], ["0", "1"]], field: value}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(record))
+    assert main(["verify-map", "--file", str(path)]) == code
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith("verdict: %s" % ("PASS", "FAIL")[code])
+    if field == "R":
+        line = next(ln for ln in out.splitlines()
+                    if "density-map-nonzero" in ln)
+        digits = line.split(": ", 1)[1]
+        assert digits.endswith("*rho^16384")
+        digits = digits[:-len("*rho^16384")]
+        assert len(digits) == 4933
+        assert _digits_value(digits) == 2 ** 16384
 
 
 def test_value_text_beyond_integer_string_limit():

@@ -191,6 +191,35 @@ def test_substitute_pressure_inverse(ctx):
     assert sub == parse(ctx, "b1^2*b3/(b4-p)")
 
 
+def test_substitute_powers_by_squaring(ctx, monkeypatch):
+    # x^16384 = x^(2^14) takes 14 squarings, not 16383 products
+    e = parse(ctx, "rho^16384+rho^3*u")
+    value = parse(ctx, "2*u/3")
+    calls = []
+    mul = Expr.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Expr, "__mul__", counted)
+    monkeypatch.setattr(Expr, "__rmul__", counted)
+    out = e.substitute({"rho": value})
+    monkeypatch.undo()
+    assert 0 < len(calls) <= 40
+    assert out == value ** 16384 + value ** 3 * parse(ctx, "u")
+
+
+def test_coefficients_render_beyond_integer_string_limit(ctx):
+    # Python's str() stops at 4300 digits; the text is exact past it, zero
+    # digits inside the number included
+    zeros = "0" * 5000
+    assert str(parse(ctx, "10^5000*u-3")) == "1%s*u-3" % zeros
+    assert str(parse(ctx, "-u/10^5000")) == "-1/1%s*u" % zeros
+    e = parse(ctx, "(10^9000+7)*u")
+    assert str(e) == "1%s7*u" % ("0" * 8999)
+
+
 def test_substitute_into_functions(ctx):
     e = Expr.function(ctx, "h", parse(ctx, "S"))
     moved = e.substitute({"S": parse(ctx, "p")})
