@@ -147,10 +147,13 @@ def cmd_commutators(args) -> int:
 def cmd_verify_generator(args) -> int:
     ctx = standard_context()
     if args.file:
+        if args.generator is not None:
+            raise SymkernelError("--file takes no --generator")
         with open(args.file, encoding="utf-8") as fh:
             g = generator_from_dict(ctx, json.load(fh))
     else:
-        g = _named_generator(ctx, args.generator)
+        name = "X3" if args.generator is None else args.generator
+        g = _named_generator(ctx, name)
     ds = determining_residuals(g, args.reduction)
     rep = Report("determining equations for %s" % (g.label or args.file))
     for tag, r in ds.residuals:
@@ -343,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-generator",
             help="determining-equation residuals of a generator")
     p.add_argument("--file", default=None, help="generator JSON file")
-    p.add_argument("--generator", default="X3",
-                   help="named basis generator (X1..X5, Xh, XF, Xh1, XF1)")
+    p.add_argument("--generator", default=None, help="named basis "
+                   "generator (X1..X5, Xh, XF, Xh1, XF1; default X3)")
     p.add_argument("--reduction", choices=("x", "y"), default="x")
     p.set_defaults(fn=cmd_verify_generator)
 

@@ -113,6 +113,9 @@ class Generator:
             return NotImplemented
         return all(a == b for a, b in zip(self.slots(), other.slots()))
 
+    def __hash__(self):
+        return hash(self.slots())
+
     def __str__(self):
         parts = []
         for nm, s in zip(SLOT_NAMES, self.slots()):

@@ -168,7 +168,7 @@ class Expr:
     def __truediv__(self, other):
         other = self._coerce(other)
         if other.is_zero():
-            raise DivisionByZeroExpr(str(other))
+            raise DivisionByZeroExpr("division by zero")
         return self * Expr(other.ctx, other.den, other.num)
 
     def __rtruediv__(self, other):

@@ -66,8 +66,7 @@ def bateman(ctx: Context, b1=None, b2=None, b3=None, b4=None,
     H = _entropy(ctx, entropy)
     f = ((( p + b2 + rho * vv ** 2) / b1, -rho * u * vv / b1),
          ((-rho * u * vv) / b1, (p + b2 + rho * u ** 2) / b1))
-    return reciprocal_map(ctx, R, U, V, P, H, f, name="bateman",
-                          params={"b1": b1, "b2": b2, "b3": b3, "b4": b4})
+    return reciprocal_map(ctx, R, U, V, P, H, f, name="bateman")
 
 
 def bateman_simplified(ctx: Context, b3=1, b4=0,
@@ -127,8 +126,7 @@ def one_param_q13(ctx: Context, q12=0, q13=1,
 
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, q13e, -q13e)
     gen = case_generators("b", params, ctx, k=1)
-    m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_q13",
-                       params={"q12": q12e, "q13": q13e})
+    m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_q13")
     return OneParamFamily(m.name, m, "lam", "tan", q13e, gen)
 
 
@@ -162,8 +160,7 @@ def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
 
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, 0, 0)
     gen = case_generators("c", params, ctx, k1=k1e, k2=k2e)
-    m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_exp",
-                       params={"k1": k1e, "k2": k2e, "q12": q12e})
+    m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_exp")
     return OneParamFamily(m.name, m, "lam", "exp", k1e, gen)
 
 
@@ -187,8 +184,7 @@ def one_param_linear(ctx: Context, k2=1, q12=0,
          (a * rho * u * vv, 1 - a * (p + q12e + rho * u ** 2)))
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, 0, 0)
     gen = case_generators("c", params, ctx, k1=0, k2=k2e)
-    m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_linear",
-                       params={"k2": k2e, "q12": q12e})
+    m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_linear")
     return OneParamFamily(m.name, m, "a", "linear", k2e, gen)
 
 
@@ -226,10 +222,7 @@ def theorem_map(ctx: Context, alpha=None, beta=None, k=None, a11=1,
           k * (-alpha * (p + rho * u ** 2 - g) + beta * ruv)),
          (k * a11 * (alpha * (p + rho * vv ** 2 - g) + beta * ruv),
           -k * a11 * (alpha * ruv + beta * (p + rho * u ** 2 - g))))
-    return reciprocal_map(
-        ctx, R, U, V, P, H, f, name="theorem",
-        params={"alpha": alpha, "beta": beta, "k": k, "a11": a11,
-                "a34": a34, "a35": a35, "a45": a45})
+    return reciprocal_map(ctx, R, U, V, P, H, f, name="theorem")
 
 
 def mu_plus(ctx: Context, a33=1, a54=0, a11=1, alpha=1, beta=0,
@@ -251,9 +244,7 @@ def mu_plus(ctx: Context, a33=1, a54=0, a11=1, alpha=1, beta=0,
     V = a11e * psi_e * (alpha_e * vv - beta_e * u)
     H = _entropy(ctx, entropy)
     f = ((a11e * alpha_e, a11e * beta_e), (-beta_e, alpha_e))
-    return reciprocal_map(ctx, R, U, V, P, H, f, name="mu_plus",
-                          params={"a33": a33e, "a54": a54e, "a11": a11e,
-                                  "alpha": alpha_e, "beta": beta_e})
+    return reciprocal_map(ctx, R, U, V, P, H, f, name="mu_plus")
 
 
 def mu_minus(ctx: Context, a33=1, a54=0, a11=1, alpha=1, beta=0,
@@ -273,9 +264,7 @@ def mu_minus(ctx: Context, a33=1, a54=0, a11=1, alpha=1, beta=0,
     V = a11e * rho * psi_e * (alpha_e * vv - beta_e * u)
     H = _entropy(ctx, entropy)
     f = ((beta_e * a11e, -alpha_e * a11e), (alpha_e, beta_e))
-    return reciprocal_map(ctx, R, U, V, P, H, f, name="mu_minus",
-                          params={"a33": a33e, "a54": a54e, "a11": a11e,
-                                  "alpha": alpha_e, "beta": beta_e})
+    return reciprocal_map(ctx, R, U, V, P, H, f, name="mu_minus")
 
 
 def munk_prim(ctx: Context, psi="formal") -> PointMap:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from ..gasdyn import FIELDS, parse_record
@@ -42,8 +42,6 @@ class ReciprocalMap:
     H: Expr
     f: tuple                      # ((f11, f12), (f21, f22))
     name: str = ""
-    params: dict = field(default_factory=dict)
-    inverse_fields: dict | None = None
 
     @property
     def ctx(self) -> Context:
@@ -68,15 +66,11 @@ class ReciprocalMap:
         return det2(self.f)
 
     def substitute(self, sub: dict) -> "ReciprocalMap":
-        """The map with `sub` substituted into its nine components and its
-        inverse values."""
+        """The map with `sub` substituted into its nine components."""
         s = lambda e: e.substitute(sub)
-        inv = self.inverse_fields
         return replace(
             self, R=s(self.R), U=s(self.U), V=s(self.V), P=s(self.P),
-            H=s(self.H), f=tuple(tuple(map(s, row)) for row in self.f),
-            inverse_fields=None if inv is None else
-            {k: s(e) for k, e in inv.items()})
+            H=s(self.H), f=tuple(tuple(map(s, row)) for row in self.f))
 
     def is_identity(self) -> bool:
         ctx = self.ctx
@@ -89,16 +83,11 @@ class ReciprocalMap:
             self.name or "map", self.R, self.U, self.V, self.P, self.H)
 
 
-def reciprocal_map(ctx: Context, R, U, V, P, H, f, name="", params=None,
-                   inverse_fields=None) -> ReciprocalMap:
+def reciprocal_map(ctx: Context, R, U, V, P, H, f, name="") -> ReciprocalMap:
     conv = lambda x: x if isinstance(x, Expr) else Expr.const(ctx, x)
     fm = ((conv(f[0][0]), conv(f[0][1])), (conv(f[1][0]), conv(f[1][1])))
-    inv = None
-    if inverse_fields is not None:
-        inv = {k: conv(v) for k, v in inverse_fields.items()}
     return ReciprocalMap(conv(R), conv(U), conv(V), conv(P), conv(H), fm,
-                         name=name, params=dict(params or {}),
-                         inverse_fields=inv)
+                         name=name)
 
 
 def identity_map(ctx: Context) -> ReciprocalMap:
@@ -109,27 +98,13 @@ def identity_map(ctx: Context) -> ReciprocalMap:
 
 def map_from_dict(ctx: Context, d: dict, name="") -> ReciprocalMap:
     """The map of a JSON record with keys R, U, V, P, H and form, and
-    optional inverse (keyed by all five field names), params and name; a
-    missing, mis-shaped or unknown key raises a SymkernelError that names
-    it."""
+    optional name; a missing, mis-shaped or unknown key raises a
+    SymkernelError that names it."""
     rec = parse_record(ctx, d, "map", ("R", "U", "V", "P", "H", "form"),
-                       extra=("inverse", "params", "name"))
-    inv, params = d.get("inverse"), d.get("params", {})
-    if not (inv is None or isinstance(inv, dict)):
-        raise SymkernelError("map key 'inverse': not an object")
-    if not isinstance(params, dict):
-        raise SymkernelError("map key 'params': not an object")
-    if inv is not None:
-        inv = parse_record(ctx, inv, "map inverse",
-                           [n for n in FIELDS if n in inv])
-        missing = [n for n in FIELDS if n not in inv]
-        if missing:
-            raise SymkernelError(
-                "map key 'inverse': missing %s (an inverse names all of "
-                "%s)" % (", ".join(map(repr, missing)), ", ".join(FIELDS)))
+                       extra=("name",))
     return reciprocal_map(
         ctx, *(rec[k] for k in ("R", "U", "V", "P", "H")), rec["form"],
-        name=name or d.get("name", ""), params=params, inverse_fields=inv)
+        name=name or d.get("name", ""))
 
 
 def load_map(ctx: Context, path) -> ReciprocalMap:
@@ -178,12 +153,8 @@ def point_map(ctx: Context, Xc=None, Yc=None, R=None, U=None, V=None,
 
 def compose(T1: ReciprocalMap, T2: ReciprocalMap) -> ReciprocalMap:
     """T1 after T2 (apply T2 first)."""
-    T = replace(T1, inverse_fields=None).substitute(T2.field_map())
-    inv1, inv2 = T1.inverse_fields, T2.inverse_fields
-    inv = None if inv1 is None or inv2 is None else \
-        {k: v.substitute(inv1) for k, v in inv2.items()}
-    return replace(T, f=mul2(T.f, T2.f), name="%s.%s" % (T1.name, T2.name),
-                   params={}, inverse_fields=inv)
+    T = T1.substitute(T2.field_map())
+    return replace(T, f=mul2(T.f, T2.f), name="%s.%s" % (T1.name, T2.name))
 
 
 # The steps of the inverse solve: the unknowns of each, in order.  A step
@@ -202,13 +173,10 @@ def _inner_fields(e: Expr) -> set:
 
 def solve_inverse(T: ReciprocalMap) -> dict:
     """The original fields as functions of the primed ones (read in the
-    same symbol names): T's attached inverse as given, or else solved step
-    by step over _STEPS, which requires the entropy map S -> S.  In a step
-    numerator minus primed value times denominator of each component must
-    be affine in the step's unknowns, and the system is solved exactly;
-    anything else raises NotInvertible."""
-    if T.inverse_fields is not None:
-        return T.inverse_fields
+    same symbol names), solved step by step over _STEPS, which requires
+    the entropy map S -> S.  In a step numerator minus primed value times
+    denominator of each component must be affine in the step's unknowns,
+    and the system is solved exactly; anything else raises NotInvertible."""
     ctx = T.ctx
     v = lambda n: Expr.var(ctx, n)
     if T.H != v("S"):
@@ -257,8 +225,7 @@ def invert(T: ReciprocalMap) -> ReciprocalMap:
                  for row in adj2(T.f))
     return ReciprocalMap(inv_fields["rho"], inv_fields["u"],
                          inv_fields["v"], inv_fields["p"], inv_fields["S"],
-                         finv, name=T.name + "^-1",
-                         inverse_fields=T.field_map())
+                         finv, name=T.name + "^-1")
 
 
 # --- one-parameter families ---------------------------------------------------
@@ -313,8 +280,7 @@ class OneParamFamily:
         ctx = self.ctx
         val = value if isinstance(value, Expr) else Expr.const(ctx, value)
         return replace(self.map_sym.substitute({self.symbol: val}),
-                       name="%s@%s" % (self.name, val),
-                       params={self.symbol: val})
+                       name="%s@%s" % (self.name, val))
 
     def numeric_assignment(self, eps: float, state: dict) -> dict:
         a = dict(state)

@@ -12,8 +12,6 @@ with all coefficient functions rewritten in primed symbols.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..liealg import AutomorphismMatrix, Generator, NotInSpan
 from ..symkernel import Expr
 from ..symkernel.errors import SymkernelError
@@ -71,11 +69,7 @@ def decompose(Xp: Generator, basis) -> list:
 def pushforward_matrix(T: ReciprocalMap, basis) -> AutomorphismMatrix:
     """Columns are the decompositions of T_* basis[i] over the primed
     basis; entry (n, i) multiplies basis[n]."""
-    # solve the inverse once, not once per basis element
-    T = replace(T, inverse_fields=solve_inverse(T))
-    cols = []
-    for X in basis:
-        cols.append(decompose(pushforward(T, X), basis))
+    cols = [decompose(pushforward(T, X), basis) for X in basis]
     entries = tuple(tuple(cols[i][n] for i in range(len(basis)))
                     for n in range(len(basis)))
     return AutomorphismMatrix(entries)

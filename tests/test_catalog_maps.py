@@ -1,5 +1,6 @@
 """The transformation catalog: reciprocity, composition, inversion."""
 
+import inspect
 import json
 
 import pytest
@@ -104,16 +105,37 @@ def test_family_inverse_is_the_group_inverse(ctx):
 
 
 def test_formal_entropy_family_has_no_inverse(ctx):
-    # with H = F(S) the member T_-eps is not the inverse: none is attached
-    # and invert refuses; the identity-entropy family inverts
+    # with H = F(S) the member T_-eps is not the inverse: invert refuses;
+    # the identity-entropy family inverts
     for build in (one_param_bateman, one_param_q13, one_param_exp,
                   one_param_linear):
         T = build(ctx, entropy="formal").map_sym
-        assert T.inverse_fields is None, build.__name__
         with pytest.raises(NotInvertible):
             invert(T)
         T = build(ctx, entropy="identity").map_sym
         assert compose(T, invert(T)).is_identity(), build.__name__
+
+
+@pytest.mark.parametrize("name", entries(ReciprocalMap, OneParamFamily))
+def test_double_inverse_is_the_map(ctx, name):
+    # invert solves every inverse, that of an inverse included: it gives
+    # back the nine components of the map; mu_minus is not invertible
+    build = CATALOG[name]
+    kw = {"entropy": "identity"} if "entropy" in \
+        inspect.signature(build).parameters else {}
+    T = build(ctx, **kw)
+    T = T.map_sym if isinstance(T, OneParamFamily) else T
+    if name == "mu_minus":
+        with pytest.raises(NotInvertible):
+            invert(T)
+        return
+    assert invert(invert(T)).components() == T.components()
+
+
+def test_equal_maps_hash_equal(ctx):
+    T, T2 = bateman(ctx), bateman(ctx)
+    assert T is not T2 and T == T2 and hash(T) == hash(T2)
+    assert len({T, T2}) == 1
 
 
 def test_theorem_map_symbolic(ctx):
@@ -207,12 +229,19 @@ def test_invert_round_trips(ctx):
     Ti = invert(T)
     assert compose(T, Ti).is_identity()
     assert compose(Ti, T).is_identity()
-    assert Ti.field_map() == bateman_inverse(ctx, T.params)
+    assert Ti.field_map() == bateman_inverse(
+        ctx, _params(ctx, b1=1, b2=2, b3=1, b4=3))
 
 
 # The closed-form inverses of the catalog's maps with entropy S -> S, as
 # the catalog typed them before invert solved them: reference data for the
 # solver.  params are the map's own, psi the value of psi(S).
+
+def _params(ctx, **values):
+    """The parameters of a map as Exprs: numbers, or names that stay
+    symbolic."""
+    return {k: parse(ctx, str(v)) for k, v in values.items()}
+
 
 def bateman_inverse(ctx, params):
     """The paper's inverse of the pressure-inversion family."""
@@ -250,33 +279,42 @@ def mu_plus_inverse(ctx, params, psi):
 def test_solved_inverse_matches_the_typed_closed_forms(ctx):
     sym = lambda n: parse(ctx, n)
     psi = parse(ctx, "psi(S)")
+    b_sym = dict(b1="b1", b2="b2", b3="b3", b4="b4")
+    th_sym = dict(alpha="alpha", beta="beta", a34="a34", a35="a35",
+                  a45="a45")
+    mu_sym = dict(a33="a33", a54="a54", alpha="alpha", beta="beta")
     cases = [
-        (bateman(ctx, entropy="identity"), bateman_inverse, None),
+        (bateman(ctx, entropy="identity"), bateman_inverse, b_sym, None),
         (bateman(ctx, 1, 2, 1, 3, entropy="identity"), bateman_inverse,
-         None),
+         dict(b1=1, b2=2, b3=1, b4=3), None),
         (bateman(ctx, QQ(1, 2), -1, 3, QQ(2, 5), entropy="identity"),
-         bateman_inverse, None),
-        (theorem_map(ctx, entropy="identity"), theorem_inverse, psi),
-        (theorem_map(ctx, a11=-1, entropy="identity"), theorem_inverse, psi),
+         bateman_inverse, dict(b1=QQ(1, 2), b2=-1, b3=3, b4=QQ(2, 5)), None),
+        (theorem_map(ctx, entropy="identity"), theorem_inverse,
+         dict(th_sym, a11=1), psi),
+        (theorem_map(ctx, a11=-1, entropy="identity"), theorem_inverse,
+         dict(th_sym, a11=-1), psi),
         (theorem_map(ctx, alpha=1, beta=2, k=1, a11=1, a34=QQ(1, 2), a35=2,
-                     a45=3, psi=1, entropy="identity"), theorem_inverse, 1),
+                     a45=3, psi=1, entropy="identity"), theorem_inverse,
+         dict(alpha=1, beta=2, a11=1, a34=QQ(1, 2), a35=2, a45=3), 1),
         (mu_plus(ctx, a33=sym("a33"), a54=sym("a54"), alpha=sym("alpha"),
-                 beta=sym("beta"), entropy="identity"), mu_plus_inverse, psi),
+                 beta=sym("beta"), entropy="identity"), mu_plus_inverse,
+         dict(mu_sym, a11=1), psi),
         (mu_plus(ctx, a33=sym("a33"), a54=sym("a54"), a11=-1,
                  alpha=sym("alpha"), beta=sym("beta"), entropy="identity"),
-         mu_plus_inverse, psi),
+         mu_plus_inverse, dict(mu_sym, a11=-1), psi),
         (mu_plus(ctx, a33=2, a54=QQ(1, 3), a11=-1, alpha=1, beta=1, psi=1,
-                 entropy="identity"), mu_plus_inverse, 1),
+                 entropy="identity"), mu_plus_inverse,
+         dict(a33=2, a54=QQ(1, 3), a11=-1, alpha=1, beta=1), 1),
     ]
-    for T, reference, psi_value in cases:
-        expect = reference(ctx, T.params) if psi_value is None else \
-            reference(ctx, T.params, psi_value)
-        assert invert(T).field_map() == expect, (T.name, T.params)
+    for T, reference, params, psi_value in cases:
+        values = _params(ctx, **params)
+        expect = reference(ctx, values) if psi_value is None else \
+            reference(ctx, values, psi_value)
+        assert invert(T).field_map() == expect, (T.name, params)
 
 
 def test_theorem_round_trip_with_formal_psi(ctx):
     T = theorem_map(ctx, entropy="identity")
-    assert T.inverse_fields is None
     Ti = invert(T)
     assert compose(T, Ti).is_identity()
     assert compose(Ti, T).is_identity()
@@ -360,15 +398,13 @@ def test_wrong_kind_lists_the_entries_of_the_kind_needed(ctx, name, kinds):
 def test_map_json_round_trip(ctx, tmp_path):
     T = bateman(ctx, 1, 2, 1, 3, entropy="identity")
     d = {"R": str(T.R), "U": str(T.U), "V": str(T.V), "P": str(T.P),
-         "H": str(T.H), "form": [[str(c) for c in row] for row in T.f],
-         "params": {k: str(v) for k, v in T.params.items()},
-         "inverse": {k: str(v) for k, v in invert(T).field_map().items()}}
+         "H": str(T.H), "form": [[str(c) for c in row] for row in T.f]}
     path = tmp_path / "m.json"
     path.write_text(json.dumps(d))
     back = map_from_dict(ctx, json.loads(path.read_text()), name="bateman")
     for a, b in zip(back.components(), T.components()):
         assert (a - b).is_zero()
-    assert back.inverse_fields is not None
+    assert invert(back).field_map() == invert(T).field_map()
     assert verify_reciprocal(back).passed
 
 

@@ -45,6 +45,19 @@ def test_verify_generator_from_file(capsys, tmp_path):
     assert "verdict: FAIL" in out
 
 
+def test_generator_file_takes_no_generator_flag(capsys, tmp_path):
+    # --generator would be dropped in favour of the file, so it is refused;
+    # with neither flag the generator is X3
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"zeta_rho": "rho"}))
+    assert main(["verify-generator", "--file", str(path),
+                 "--generator", "X3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    code, out = run(capsys, "verify-generator")
+    assert code == 0 and "determining equations for X3" in out
+
+
 def test_verify_map_catalog(capsys):
     code, out = run(capsys, "verify-map", "--catalog", "bateman",
                     "--b1", "1", "--b2", "0", "--b3", "1", "--b4", "0")
@@ -243,10 +256,15 @@ def test_bad_catalog_requests_are_usage_errors(capsys, argv):
     (("verify-point", "--catalog", "munk_prim", "--param", "psi=identity"),
      "'identity'"),
     (("verify-map", "--catalog", "bateman", "--b1", "formal"), "'formal'"),
+    (("verify-point", "--catalog", "munk_prim", "--param", "psi=0"),
+     "division by zero"),
+    (("verify-map", "--catalog", "theorem", "--param", "psi=0"),
+     "division by zero"),
 ])
 def test_words_are_not_parameter_values(capsys, argv, value):
     # only entropy takes the words identity/formal; elsewhere they must not
-    # become free variables of a different, symbolic map
+    # become free variables of a different, symbolic map.  A value that
+    # makes a denominator zero is refused with a message that says so
     assert main(list(argv)) == 2
     assert value in capsys.readouterr().err
 
@@ -323,19 +341,21 @@ def test_map_file_takes_no_catalog_flags(capsys, tmp_path, extra):
       "form": [["1", "0"], ["0", "1"]]}, "V"),
     ({"R": "rho", "U": "u", "V": "v", "P": "p", "H": "S",
       "form": [["1", "0"], ["0", "1"]], "Q": "p"}, "Q"),
+    # a map carries no inverse and no params: both keys are unknown
     ({"R": "rho", "U": "u", "V": "v", "P": "p", "H": "S",
-      "form": [["1", "0"], ["0", "1"]], "inverse": {"zz": "rho"}}, "zz"),
+      "form": [["1", "0"], ["0", "1"]], "inverse": {"zz": "rho"}}, "inverse"),
     ({"R": "rho^2^2^2^2^2", "U": "u", "V": "v", "P": "p", "H": "S",
       "form": [["1", "0"], ["0", "1"]]}, "R"),
     ({"R": "rho^9^9^9", "U": "u", "V": "v", "P": "p", "H": "S",
       "form": [["1", "0"], ["0", "1"]]}, "R"),
     ({"R": "2^(9^9)", "U": "u", "V": "v", "P": "p", "H": "S",
       "form": [["1", "0"], ["0", "1"]]}, "R"),
-    # an inverse names all five fields or is left out
     ({"R": "rho", "U": "u", "V": "v", "P": "p", "H": "S",
-      "form": [["1", "0"], ["0", "1"]], "inverse": {"p": "p"}}, "rho"),
+      "form": [["1", "0"], ["0", "1"]],
+      "inverse": {"rho": "2*rho", "u": "u", "v": "v", "p": "p", "S": "S"}},
+     "inverse"),
     ({"R": "rho", "U": "u", "V": "v", "P": "p", "H": "S",
-      "form": [["1", "0"], ["0", "1"]], "inverse": {}}, "S"),
+      "form": [["1", "0"], ["0", "1"]], "params": {"b1": "1"}}, "params"),
 ])
 def test_malformed_map_file_is_usage_error(capsys, tmp_path, record, key):
     path = tmp_path / "bad.json"

@@ -229,3 +229,11 @@ def test_commutator_table_text(ctx):
     assert lines[0].split() == ["X1", "X2", "X3", "X4", "X5", "Xh", "XF"]
     assert "-X3" in text and "-X4" in text and "-X5" in text
     assert "X[" in text  # the functional entry
+
+
+def test_equal_generators_hash_equal(basis):
+    # equality reads only the nine slots, not the label, and so does hash
+    x3 = basis[2]
+    other = x3.with_label("other")
+    assert x3 == other and hash(x3) == hash(other)
+    assert len({x3, other}) == 1
