@@ -25,10 +25,9 @@ from .prolong import determining_residuals
 from .reports import Report
 from .symkernel import Expr, parse
 from .symkernel.errors import SymkernelError
-from .transforms import (OneParamFamily, PointMap, ReciprocalMap, catalog,
-                         lie_equation_check, load_map, pushforward,
-                         pushforward_matrix, verify_point_symmetry,
-                         verify_reciprocal)
+from .transforms import (OneParamFamily, catalog, lie_equation_check,
+                         load_map, pushforward, pushforward_matrix,
+                         verify_point_symmetry, verify_reciprocal)
 from .transforms.catalog import entries, parameters
 from .transforms.verify import DEFAULT_SEED
 
@@ -46,7 +45,7 @@ def _parse_value(ctx, text):
 
 def _params(ctx, args, **defaults):
     """Parameters for the command's catalog entry: `defaults` for those the
-    entry takes, then --param, then --b1..--b4."""
+    entry takes, then --param."""
     out = {k: v for k, v in defaults.items()
            if k in parameters(args.entry, *args.kinds)}
     for item in args.param:
@@ -54,10 +53,6 @@ def _params(ctx, args, **defaults):
             raise SymkernelError("--param expects name=value, got %r" % item)
         k, v = item.split("=", 1)
         out[k.strip()] = _parse_value(ctx, v.strip())
-    for nm in ("b1", "b2", "b3", "b4"):
-        value = getattr(args, nm, None)
-        if value is not None:
-            out[nm] = _parse_value(ctx, value)
     return out
 
 
@@ -164,10 +159,8 @@ def cmd_verify_generator(args) -> int:
 def cmd_verify_map(args) -> int:
     ctx = standard_context()
     if args.file:
-        if args.entry or args.param or \
-                {args.b1, args.b2, args.b3, args.b4} != {None}:
-            raise SymkernelError(
-                "--file takes no --catalog, --param or --b1..--b4")
+        if args.entry or args.param:
+            raise SymkernelError("--file takes no --catalog or --param")
         T = load_map(ctx, args.file)
     else:
         T = _catalog_map(ctx, args)
@@ -177,7 +170,7 @@ def cmd_verify_map(args) -> int:
 
 def cmd_verify_point(args) -> int:
     ctx = standard_context()
-    rep = verify_point_symmetry(_entry(ctx, args))
+    rep = verify_point_symmetry(_catalog_map(ctx, args))
     return _emit_report(args, rep)
 
 
@@ -307,9 +300,6 @@ def cmd_paper_suite(args) -> int:
     return 0 if ok else 1
 
 
-MAP_KINDS = (ReciprocalMap, OneParamFamily)
-
-
 def _add_entry(p, flag, default, *kinds):
     """The catalog entry a command takes, of one of the given kinds, and
     its parameters."""
@@ -352,15 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_generator)
 
     p = add("verify-map", help="reciprocity of a transformation")
-    _add_entry(p, "--catalog", None, *MAP_KINDS)
+    _add_entry(p, "--catalog", None)
     p.add_argument("--file", default=None, help="map JSON file")
-    for nm in ("b1", "b2", "b3", "b4"):
-        p.add_argument("--" + nm, default=None)
     p.add_argument("--reduction", choices=("x", "y"), default="x")
     p.set_defaults(fn=cmd_verify_map)
 
     p = add("verify-point", help="point-symmetry verification")
-    _add_entry(p, "--catalog", "munk_prim", PointMap)
+    _add_entry(p, "--catalog", "munk_prim")
     p.set_defaults(fn=cmd_verify_point)
 
     p = add("solve-ansatz", help="polynomial-ansatz generator search")
@@ -370,10 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("pushforward",
             help="generator pushforward and decomposition")
-    _add_entry(p, "--catalog", "bateman", *MAP_KINDS)
+    _add_entry(p, "--catalog", "bateman")
     p.add_argument("--generator", default=None)
-    for nm in ("b1", "b2", "b3", "b4"):
-        p.add_argument("--" + nm, default=None)
     p.set_defaults(fn=cmd_pushforward)
 
     p = add("automorphism",
@@ -389,14 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("transform", help="transform an exact solution numerically")
     p.add_argument("--flow", default="shear",
                    choices=("constant", "shear", "vortex"))
-    _add_entry(p, "--catalog", "bateman_simplified", *MAP_KINDS)
+    _add_entry(p, "--catalog", "bateman_simplified")
     p.add_argument("--nodes", type=_at_least(3), default=17)
     p.set_defaults(fn=cmd_transform)
 
     p = add("closedness", help="loop integrals of dx', dy'")
     p.add_argument("--flow", default="shear",
                    choices=("constant", "shear", "vortex"))
-    _add_entry(p, "--catalog", "bateman_simplified", *MAP_KINDS)
+    _add_entry(p, "--catalog", "bateman_simplified")
     p.add_argument("--nodes", type=_at_least(3), default=17)
     p.add_argument("--tol", type=_tolerance, default=accept.LOOP_TOL)
     p.set_defaults(fn=cmd_closedness)

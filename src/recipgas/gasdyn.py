@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .symkernel import Context, Expr, parse
-from .symkernel.errors import SymkernelError
+from .symkernel.errors import InvalidParams, SymkernelError
 
 FIELDS = ("rho", "u", "v", "p", "S")
 # the residuals F1..F4 of the governing system, by name
@@ -31,10 +31,6 @@ _PARAMETERS = (
     "a11", "a33", "a34", "a35", "a43", "a44", "a45", "a53", "a54", "a55",
     "alpha", "beta", "mu", "g",
 )
-
-
-class InvalidParams(SymkernelError):
-    pass
 
 
 class ParamConstraintViolated(SymkernelError):
@@ -176,9 +172,8 @@ class ConservationFormParams:
 
     @staticmethod
     def make(ctx: Context, q11=1, q21=1, q12=0, q22=0, q13=0, q23=0):
-        conv = lambda x: x if isinstance(x, Expr) else Expr.const(ctx, x)
-        p = ConservationFormParams(conv(q11), conv(q21), conv(q12),
-                                   conv(q22), conv(q13), conv(q23))
+        p = ConservationFormParams(*(Expr.coerce(ctx, q) for q in
+                                     (q11, q21, q12, q22, q13, q23)))
         if p.q11.is_zero() or p.q21.is_zero():
             raise InvalidParams("q11*q21 must be nonzero")
         return p

@@ -127,10 +127,8 @@ class Generator:
 
 def generator(ctx: Context, zr=0, zu=0, zv=0, zp=0, zs=0,
               m=((0, 0), (0, 0)), label="", func=None) -> Generator:
-    conv = lambda x: x if isinstance(x, Expr) else Expr.const(ctx, x)
-    return Generator(conv(zr), conv(zu), conv(zv), conv(zp), conv(zs),
-                     conv(m[0][0]), conv(m[0][1]),
-                     conv(m[1][0]), conv(m[1][1]),
+    return Generator(*(Expr.coerce(ctx, s) for s in
+                       (zr, zu, zv, zp, zs, *m[0], *m[1])),
                      label=label, func=func)
 
 
@@ -149,37 +147,14 @@ def generator_from_dict(ctx: Context, d: dict, label="") -> Generator:
                      label=label or d.get("label", ""))
 
 
-@dataclass(frozen=True)
-class EquivalenceGenerator:
-    """Point-transformation generator with coordinate slots and no forms."""
-    xi_x: Expr
-    xi_y: Expr
-    zr: Expr
-    zu: Expr
-    zv: Expr
-    zp: Expr
-    zs: Expr
-    label: str = ""
-
-    @property
-    def ctx(self):
-        return self.zr.ctx
-
-    def field_slots(self):
-        return (self.zr, self.zu, self.zv, self.zp, self.zs)
-
-    def matrix(self):
-        """The form matrix of the classical prolongation,
-        ((D_x xi_x, D_y xi_x), (D_x xi_y, D_y xi_y))."""
-        return tuple(tuple(total_derivative(xi, c) for c in ("x", "y"))
-                     for xi in (self.xi_x, self.xi_y))
-
-
 def equivalence_generator(ctx, xi_x=0, xi_y=0, zr=0, zu=0, zv=0, zp=0, zs=0,
-                          label="") -> EquivalenceGenerator:
-    conv = lambda x: x if isinstance(x, Expr) else Expr.const(ctx, x)
-    return EquivalenceGenerator(conv(xi_x), conv(xi_y), conv(zr), conv(zu),
-                                conv(zv), conv(zp), conv(zs), label=label)
+                          label="") -> Generator:
+    """The point-transformation generator with coordinate slots xi_x,
+    xi_y: its form slots are the classical prolongation's
+    ((D_x xi_x, D_y xi_x), (D_x xi_y, D_y xi_y))."""
+    m = [[total_derivative(Expr.coerce(ctx, xi), c) for c in ("x", "y")]
+         for xi in (xi_x, xi_y)]
+    return generator(ctx, zr, zu, zv, zp, zs, m=m, label=label)
 
 
 # --- commutator ------------------------------------------------------------

@@ -23,7 +23,7 @@ from .gasdyn import (FIELDS, RESIDUAL_NAMES, ConservationFormParams,
                      InvalidParams, OneForm, ParamConstraintViolated,
                      parametric_jets, reduce_on_manifold, system_residuals,
                      total_derivative)
-from .liealg import EquivalenceGenerator, Generator, generator, standard_basis
+from .liealg import Generator, generator, standard_basis
 from .symkernel import QQ, Context, Expr
 from .symkernel.errors import NotPolynomialInVars, SymkernelError
 from .symkernel.linalg import nullspace, transpose
@@ -39,9 +39,10 @@ class DegenerateDelta(SymkernelError):
     pass
 
 
-def prolong(X) -> dict:
+def prolong(X: Generator) -> dict:
     """Prolonged coefficients {(field, coord): Expr} for all ten jets of a
-    Generator or an EquivalenceGenerator, from its form matrix."""
+    generator, from its form matrix; for a point generator
+    (equivalence_generator) that matrix is the classical prolongation's."""
     ctx = X.ctx
     (m11, m12), (m21, m22) = X.matrix()
     out = {}
@@ -98,9 +99,10 @@ def determining_residuals(X: Generator, solve_for: str = "x") -> DeterminingSyst
     return DeterminingSystem(X, res, solve_for)
 
 
-def equivalence_residuals(Xe: EquivalenceGenerator,
+def equivalence_residuals(Xe: Generator,
                           solve_for: str = "x") -> DeterminingSystem:
-    """Point-symmetry determining residuals with classical prolongation
+    """Point-symmetry determining residuals of a point generator, whose
+    form matrix gives the classical prolongation
     zeta_fx = D_x zeta_f - f_x D_x xi_x - f_y D_x xi_y."""
     return DeterminingSystem(Xe, _system_residuals(Xe, prolong(Xe), solve_for),
                              solve_for)
@@ -183,7 +185,7 @@ def case_generators(branch: str, params: ConservationFormParams,
     branch "c" (zp != 0, q13 = 0): requires q13 = q23 = 0 and q22 = q12;
         returns k2*(2*X3 + 2*q12*X4 + q12^2*X5) + k1*(2*X4 + 2*q12*X5 - X2).
     """
-    conv = lambda x: x if isinstance(x, Expr) else Expr.const(ctx, x)
+    k, k1, k2 = (Expr.coerce(ctx, c) for c in (k, k1, k2))
     x1, x2, x3, x4, x5 = standard_basis(ctx)
     x3f = x3.scale(2)
     q12 = params.q12
@@ -194,15 +196,15 @@ def case_generators(branch: str, params: ConservationFormParams,
             raise ParamConstraintViolated("branch b needs q23 = -q13")
         q13 = params.q13
         g = (x3f + x4.scale(2 * q12) + x1.scale(q13)
-             + x5.scale(q12 ** 2 + q13 ** 2)).scale(conv(k))
+             + x5.scale(q12 ** 2 + q13 ** 2)).scale(k)
         return g.with_label("case-b")
     if branch == "c":
         if not params.q13.is_zero() or not params.q23.is_zero():
             raise ParamConstraintViolated("branch c needs q13 = q23 = 0")
         if not (params.q22 - params.q12).is_zero():
             raise ParamConstraintViolated("branch c needs q22 = q12")
-        g = (x3f + x4.scale(2 * q12) + x5.scale(q12 ** 2)).scale(conv(k2)) + \
-            (x4.scale(2) + x5.scale(2 * q12) - x2).scale(conv(k1))
+        g = (x3f + x4.scale(2 * q12) + x5.scale(q12 ** 2)).scale(k2) + \
+            (x4.scale(2) + x5.scale(2 * q12) - x2).scale(k1)
         return g.with_label("case-c")
     raise ValueError("branch must be 'b' or 'c'")
 

@@ -39,5 +39,9 @@ class VariableMismatch(SymkernelError):
     pass
 
 
+class InvalidParams(SymkernelError):
+    pass
+
+
 class DegreeOverflow(SymkernelError):
     """A total degree beyond the packed-monomial limit of 2^15 - 1."""

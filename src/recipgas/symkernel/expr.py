@@ -21,7 +21,7 @@ import numbers
 from math import gcd
 
 from .context import Context
-from .errors import (DivisionByZeroExpr, NotPolynomialInVars,
+from .errors import (DivisionByZeroExpr, InvalidParams, NotPolynomialInVars,
                      UnboundSymbol, UnknownVariable, VariableMismatch)
 from .numeric import compile_exprs
 from .poly import (MONO_ONE, QQ, Poly, mono_items, mono_pack, padd,
@@ -51,13 +51,25 @@ class Expr:
                     _normalized=True)
 
     @staticmethod
+    def coerce(ctx: Context, value) -> "Expr":
+        """value as an Expr of ctx: an Expr of ctx as it is, a number as a
+        constant; a string raises InvalidParams and an Expr of another
+        context VariableMismatch."""
+        if isinstance(value, Expr):
+            if value.ctx is not ctx:
+                raise VariableMismatch("expressions from different contexts")
+            return value
+        if isinstance(value, str):
+            raise InvalidParams("%r is not a number or an expression" % value)
+        return Expr.const(ctx, value)
+
+    @staticmethod
     def var(ctx: Context, name: str) -> "Expr":
         return Expr(ctx, pvar(ctx.idx(name)), _POLY_ONE, _normalized=True)
 
     @staticmethod
     def function(ctx: Context, fname: str, *args, orders=None) -> "Expr":
-        args = tuple(a if isinstance(a, Expr) else Expr.const(ctx, a)
-                     for a in args)
+        args = tuple(Expr.coerce(ctx, a) for a in args)
         if orders is None:
             orders = (0,) * len(args)
         idx = ctx.atom_slot(fname, tuple(orders), args)
@@ -193,6 +205,8 @@ class Expr:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.is_constant():     # as the rational it equals
+            return hash(self.as_rational())
         return hash((frozenset(self.num.items()),
                      frozenset(self.den.items())))
 

@@ -18,17 +18,15 @@ from ..gasdyn import (ConservationFormParams, InvalidParams,
 from ..liealg import standard_basis
 from ..prolong import case_generators
 from ..symkernel import Context, Expr
-from .maps import (OneParamFamily, PointMap, ReciprocalMap,
-                   UnknownCatalogEntry, identity_map, point_map,
-                   reciprocal_map)
+from .maps import (OneParamFamily, ReciprocalMap, UnknownCatalogEntry,
+                   identity_map, reciprocal_map)
 
 
-def _conv(ctx, x):
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, str):
-        raise InvalidParams("%r is not a number or an expression" % x)
-    return Expr.const(ctx, x)
+def _exprs(ctx, **values) -> list:
+    """The values as Exprs of ctx, in order; None gives the symbol of its
+    keyword."""
+    return [Expr.var(ctx, n) if x is None else Expr.coerce(ctx, x)
+            for n, x in values.items()]
 
 
 def _entropy(ctx, entropy: str) -> Expr:
@@ -42,17 +40,14 @@ def _entropy(ctx, entropy: str) -> Expr:
 def _psi(ctx, psi):
     if psi == "formal":
         return Expr.function(ctx, "psi", Expr.var(ctx, "S"))
-    return _conv(ctx, psi)
+    return Expr.coerce(ctx, psi)
 
 
 def bateman(ctx: Context, b1=None, b2=None, b3=None, b4=None,
             entropy="formal") -> ReciprocalMap:
     """The four-parameter pressure-inversion family (b1*b3 != 0)."""
     v = lambda n: Expr.var(ctx, n)
-    b1 = _conv(ctx, b1) if b1 is not None else v("b1")
-    b2 = _conv(ctx, b2) if b2 is not None else v("b2")
-    b3 = _conv(ctx, b3) if b3 is not None else v("b3")
-    b4 = _conv(ctx, b4) if b4 is not None else v("b4")
+    b1, b2, b3, b4 = _exprs(ctx, b1=b1, b2=b2, b3=b3, b4=b4)
     if b1.is_zero() or b3.is_zero():
         raise ParamConstraintViolated("bateman requires b1*b3 != 0")
     rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
@@ -100,7 +95,7 @@ def one_param_q13(ctx: Context, q12=0, q13=1,
                   entropy="identity") -> OneParamFamily:
     """Flow of the rotation-coupled branch; leaf lam = tan(eps*q13)."""
     v = lambda n: Expr.var(ctx, n)
-    q12e, q13e = _conv(ctx, q12), _conv(ctx, q13)
+    q12e, q13e = _exprs(ctx, q12=q12, q13=q13)
     if q13e.is_zero():
         raise ParamConstraintViolated("one_param_q13 requires q13 != 0")
     rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
@@ -134,7 +129,7 @@ def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
                   entropy="identity") -> OneParamFamily:
     """Flow of the scaling-coupled branch (k1 != 0); leaf lam = exp(k1*eps)."""
     v = lambda n: Expr.var(ctx, n)
-    k1e, k2e, q12e = _conv(ctx, k1), _conv(ctx, k2), _conv(ctx, q12)
+    k1e, k2e, q12e = _exprs(ctx, k1=k1, k2=k2, q12=q12)
     if k1e.is_zero():
         raise ParamConstraintViolated("one_param_exp requires k1 != 0")
     rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
@@ -168,7 +163,7 @@ def one_param_linear(ctx: Context, k2=1, q12=0,
                      entropy="identity") -> OneParamFamily:
     """Flow of the pure pressure-inversion branch (k1 = 0); leaf a = k2*eps."""
     v = lambda n: Expr.var(ctx, n)
-    k2e, q12e = _conv(ctx, k2), _conv(ctx, q12)
+    k2e, q12e = _exprs(ctx, k2=k2, q12=q12)
     rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
     a = v("a")
     q2 = u ** 2 + vv ** 2
@@ -193,13 +188,8 @@ def theorem_map(ctx: Context, alpha=None, beta=None, k=None, a11=1,
                 entropy="formal") -> ReciprocalMap:
     """The general family produced by the megaideal analysis (a35 != 0)."""
     v = lambda n: Expr.var(ctx, n)
-    alpha = _conv(ctx, alpha) if alpha is not None else v("alpha")
-    beta = _conv(ctx, beta) if beta is not None else v("beta")
-    k = _conv(ctx, k) if k is not None else v("k")
-    a11 = _conv(ctx, a11)
-    a34 = _conv(ctx, a34) if a34 is not None else v("a34")
-    a35 = _conv(ctx, a35) if a35 is not None else v("a35")
-    a45 = _conv(ctx, a45) if a45 is not None else v("a45")
+    alpha, beta, k, a11, a34, a35, a45 = _exprs(
+        ctx, alpha=alpha, beta=beta, k=k, a11=a11, a34=a34, a35=a35, a45=a45)
     if a35.is_zero():
         raise ParamConstraintViolated("theorem map requires a35 != 0")
     if (alpha ** 2 + beta ** 2).is_zero():
@@ -229,8 +219,8 @@ def mu_plus(ctx: Context, a33=1, a54=0, a11=1, alpha=1, beta=0,
             psi="formal", entropy="formal") -> ReciprocalMap:
     """Constant-form branch; equivalent to an equivalence transformation."""
     v = lambda n: Expr.var(ctx, n)
-    a33e, a54e, a11e = _conv(ctx, a33), _conv(ctx, a54), _conv(ctx, a11)
-    alpha_e, beta_e = _conv(ctx, alpha), _conv(ctx, beta)
+    a33e, a54e, a11e, alpha_e, beta_e = _exprs(
+        ctx, a33=a33, a54=a54, a11=a11, alpha=alpha, beta=beta)
     if a33e.is_zero():
         raise ParamConstraintViolated("a33 != 0 required")
     if not (a11e ** 2 - 1).is_zero():
@@ -252,8 +242,8 @@ def mu_minus(ctx: Context, a33=1, a54=0, a11=1, alpha=1, beta=0,
     """Candidate from the opposite sign branch; fails the reciprocity
     verification except on isentropic irrotational solutions."""
     v = lambda n: Expr.var(ctx, n)
-    a33e, a54e, a11e = _conv(ctx, a33), _conv(ctx, a54), _conv(ctx, a11)
-    alpha_e, beta_e = _conv(ctx, alpha), _conv(ctx, beta)
+    a33e, a54e, a11e, alpha_e, beta_e = _exprs(
+        ctx, a33=a33, a54=a54, a11=a11, alpha=alpha, beta=beta)
     psi_e = _psi(ctx, psi)
     rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
     ab2 = alpha_e ** 2 + beta_e ** 2
@@ -267,22 +257,11 @@ def mu_minus(ctx: Context, a33=1, a54=0, a11=1, alpha=1, beta=0,
     return reciprocal_map(ctx, R, U, V, P, H, f, name="mu_minus")
 
 
-def munk_prim(ctx: Context, psi="formal") -> PointMap:
-    """Projective velocity/density rescaling by a function of entropy."""
-    v = lambda n: Expr.var(ctx, n)
-    psi_e = _psi(ctx, psi)
-    return point_map(ctx, R=v("rho") / psi_e ** 2, U=v("u") * psi_e,
-                     V=v("v") * psi_e, name="munk_prim")
-
-
-def involution_E1(ctx: Context) -> PointMap:
-    v = lambda n: Expr.var(ctx, n)
-    return point_map(ctx, Xc=-v("x"), U=-v("u"), name="E1")
-
-
-def involution_E2(ctx: Context) -> PointMap:
-    v = lambda n: Expr.var(ctx, n)
-    return point_map(ctx, Yc=-v("y"), V=-v("v"), name="E2")
+def munk_prim(ctx: Context, psi="formal") -> ReciprocalMap:
+    """Projective velocity/density rescaling by a function of entropy: the
+    point transformation mu_plus at its identity parameters."""
+    return replace(mu_plus(ctx, psi=psi, entropy="identity"),
+                   name="munk_prim")
 
 
 def involution_E1_reciprocal(ctx: Context) -> ReciprocalMap:
@@ -311,8 +290,6 @@ CATALOG = {
     "E1": involution_E1_reciprocal,
     "E2": involution_E2_reciprocal,
     "munk_prim": munk_prim,
-    "E1_point": involution_E1,
-    "E2_point": involution_E2,
 }
 
 

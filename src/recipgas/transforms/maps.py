@@ -1,14 +1,16 @@
-"""Transformation records: reciprocal maps, point maps, one-parameter
-families, and their composition/inversion algebra.
+"""Transformation records: reciprocal maps, one-parameter families, and
+their composition/inversion algebra.
 
 A reciprocal map sends fields through (R, U, V, P, H) and differentials
 through a 2x2 coefficient matrix f:
 
     dx' = f11 dx + f12 dy,   dy' = f21 dx + f22 dy,
 
-all coefficients functions of (rho, u, v, p, S).  Primed quantities are
-expressed in the same variable names; an inverse gives the original
-fields as functions of the symbols read as primed values.
+all coefficients functions of (rho, u, v, p, S).  A point transformation
+is the reciprocal map whose f is its coordinate Jacobian, e.g. x' = -x
+has f = ((-1, 0), (0, 1)).  Primed quantities are expressed in the same
+variable names; an inverse gives the original fields as functions of the
+symbols read as primed values.
 """
 
 from __future__ import annotations
@@ -84,10 +86,9 @@ class ReciprocalMap:
 
 
 def reciprocal_map(ctx: Context, R, U, V, P, H, f, name="") -> ReciprocalMap:
-    conv = lambda x: x if isinstance(x, Expr) else Expr.const(ctx, x)
-    fm = ((conv(f[0][0]), conv(f[0][1])), (conv(f[1][0]), conv(f[1][1])))
-    return ReciprocalMap(conv(R), conv(U), conv(V), conv(P), conv(H), fm,
-                         name=name)
+    conv = lambda x: Expr.coerce(ctx, x)
+    return ReciprocalMap(*map(conv, (R, U, V, P, H)),
+                         tuple(tuple(map(conv, row)) for row in f), name=name)
 
 
 def identity_map(ctx: Context) -> ReciprocalMap:
@@ -110,42 +111,6 @@ def map_from_dict(ctx: Context, d: dict, name="") -> ReciprocalMap:
 def load_map(ctx: Context, path) -> ReciprocalMap:
     with open(path, encoding="utf-8") as fh:
         return map_from_dict(ctx, json.load(fh))
-
-
-@dataclass(frozen=True)
-class PointMap:
-    """Finite point transformation; coordinates may change, differentials
-    follow the coordinate Jacobian."""
-    Xc: Expr
-    Yc: Expr
-    R: Expr
-    U: Expr
-    V: Expr
-    P: Expr
-    H: Expr
-    name: str = ""
-
-    @property
-    def ctx(self):
-        return self.Xc.ctx
-
-    def field_map(self) -> dict:
-        return {"rho": self.R, "u": self.U, "v": self.V,
-                "p": self.P, "S": self.H}
-
-    def jacobian(self):
-        return ((self.Xc.diff("x"), self.Xc.diff("y")),
-                (self.Yc.diff("x"), self.Yc.diff("y")))
-
-
-def point_map(ctx: Context, Xc=None, Yc=None, R=None, U=None, V=None,
-              P=None, H=None, name="") -> PointMap:
-    v = lambda n: Expr.var(ctx, n)
-    conv = lambda x, d: d if x is None else (
-        x if isinstance(x, Expr) else Expr.const(ctx, x))
-    return PointMap(conv(Xc, v("x")), conv(Yc, v("y")), conv(R, v("rho")),
-                    conv(U, v("u")), conv(V, v("v")), conv(P, v("p")),
-                    conv(H, v("S")), name=name)
 
 
 # --- composition and inversion ----------------------------------------------
@@ -277,8 +242,7 @@ class OneParamFamily:
 
     def map_at(self, value) -> ReciprocalMap:
         """Substitute an exact (rational or Expr) leaf value."""
-        ctx = self.ctx
-        val = value if isinstance(value, Expr) else Expr.const(ctx, value)
+        val = Expr.coerce(self.ctx, value)
         return replace(self.map_sym.substitute({self.symbol: val}),
                        name="%s@%s" % (self.name, val))
 

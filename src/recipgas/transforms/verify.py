@@ -21,7 +21,7 @@ from ..reports import Report
 from ..symkernel import QQ, Expr, compile_exprs, compile_exprs_mp
 from ..symkernel.errors import DivisionByZeroExpr, NumericDomain
 from ..symkernel.linalg import adj2, det2, mul2
-from .maps import OneParamFamily, PointMap, ReciprocalMap
+from .maps import OneParamFamily, ReciprocalMap
 
 DEFAULT_SEED = 20240801
 
@@ -141,12 +141,13 @@ def witness_point(residual: Expr, seed: int = DEFAULT_SEED):
 # --- point symmetries ---------------------------------------------------------
 
 
-def verify_point_symmetry(T: PointMap, solve_for: str = "x") -> Report:
-    """Chain-rule transformed residuals reduce to combinations of the
-    original system on the solution manifold."""
+def verify_point_symmetry(T: ReciprocalMap, solve_for: str = "x") -> Report:
+    """Chain-rule transformed residuals, with the form matrix as the
+    coordinate Jacobian, reduce to combinations of the original system on
+    the solution manifold."""
     ctx = T.ctx
     rep = Report("point symmetry of %s" % (T.name or "map"))
-    j = T.jacobian()
+    j = T.f
     detj = det2(j)
     rep.add("coordinate-jacobian-nonsingular", not detj.is_zero(), str(detj))
     if detj.is_zero():

@@ -9,18 +9,17 @@ from recipgas.gasdyn import standard_context
 from recipgas.symkernel import parse
 from recipgas.symkernel.poly import QQ
 from recipgas.transforms import (CATALOG, NotInvertible, OneParamFamily,
-                                 ParamConstraintViolated, PointMap,
-                                 ReciprocalMap, UnknownCatalogEntry, bateman,
+                                 ParamConstraintViolated, ReciprocalMap,
+                                 UnknownCatalogEntry, bateman,
                                  bateman_simplified, catalog, compose,
                                  identity_map, invert,
                                  involution_E1_reciprocal,
-                                 involution_E2_reciprocal, involution_E1,
-                                 involution_E2, map_from_dict, mu_minus,
-                                 mu_plus, munk_prim, one_param_bateman,
-                                 one_param_exp, one_param_linear,
-                                 one_param_q13, reciprocal_map,
-                                 theorem_map, verify_point_symmetry,
-                                 verify_reciprocal)
+                                 involution_E2_reciprocal, map_from_dict,
+                                 mu_minus, mu_plus, munk_prim,
+                                 one_param_bateman, one_param_exp,
+                                 one_param_linear, one_param_q13,
+                                 reciprocal_map, theorem_map,
+                                 verify_point_symmetry, verify_reciprocal)
 from recipgas.transforms.catalog import entries
 
 
@@ -193,16 +192,35 @@ def test_broken_map_fails_on_closedness(ctx):
 
 
 def test_point_symmetries(ctx):
-    for pm in (munk_prim(ctx), involution_E1(ctx), involution_E2(ctx)):
+    for pm in (munk_prim(ctx), involution_E1_reciprocal(ctx),
+               involution_E2_reciprocal(ctx)):
         assert verify_point_symmetry(pm).passed
     ident = catalog(ctx, "identity")
     assert verify_reciprocal(ident).passed
 
 
 def test_point_symmetry_negative_control(ctx):
-    from recipgas.transforms import point_map
-    bad = point_map(ctx, U=parse(ctx, "2*u"), name="u-doubling")
+    # u -> 2u fails both criteria of test_point_and_reciprocal_criteria_agree
+    rho, u, v, p, S = (parse(ctx, n) for n in ("rho", "u", "v", "p", "S"))
+    bad = reciprocal_map(ctx, rho, 2 * u, v, p, S, ((1, 0), (0, 1)),
+                         name="u-doubling")
     assert not verify_point_symmetry(bad).passed
+    assert not verify_reciprocal(bad).passed
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_point_and_reciprocal_criteria_agree(ctx, name):
+    # two independent criteria: the transformed system vanishes on the
+    # manifold (the form matrix read as the coordinate Jacobian), and the
+    # pulled-back conserved forms are closed
+    T = catalog(ctx, name)
+    T = T.map_sym if isinstance(T, OneParamFamily) else T
+    assert verify_point_symmetry(T).passed == verify_reciprocal(T).passed
+
+
+def test_munk_prim_is_mu_plus_at_identity_parameters(ctx):
+    assert munk_prim(ctx).components() == \
+        mu_plus(ctx, entropy="identity").components()
 
 
 def test_involutions(ctx):
@@ -376,7 +394,7 @@ def test_catalog_lookup(ctx):
 
 
 def test_registry_entries_are_their_declared_kind(ctx):
-    kinds = (ReciprocalMap, OneParamFamily, PointMap)
+    kinds = (ReciprocalMap, OneParamFamily)
     assert sorted(n for k in kinds for n in entries(k)) == sorted(CATALOG)
     assert len(set(CATALOG.values())) == len(CATALOG)
     for kind in kinds:
@@ -385,8 +403,8 @@ def test_registry_entries_are_their_declared_kind(ctx):
 
 
 @pytest.mark.parametrize("name,kinds", [
-    ("munk_prim", (ReciprocalMap, OneParamFamily)),
-    ("E1", (PointMap,)),
+    ("munk_prim", (OneParamFamily,)),
+    ("E1", (OneParamFamily,)),
     ("bateman", (OneParamFamily,)),
 ])
 def test_wrong_kind_lists_the_entries_of_the_kind_needed(ctx, name, kinds):

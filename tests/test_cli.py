@@ -60,7 +60,8 @@ def test_generator_file_takes_no_generator_flag(capsys, tmp_path):
 
 def test_verify_map_catalog(capsys):
     code, out = run(capsys, "verify-map", "--catalog", "bateman",
-                    "--b1", "1", "--b2", "0", "--b3", "1", "--b4", "0")
+                    "--param", "b1=1", "--param", "b2=0", "--param", "b3=1",
+                    "--param", "b4=0")
     assert code == 0 and "verdict: PASS" in out
 
 
@@ -89,6 +90,16 @@ def test_missing_file_is_usage_error(capsys):
 def test_verify_point(capsys):
     code, out = run(capsys, "verify-point", "--catalog", "munk_prim")
     assert code == 0 and "verdict: PASS" in out
+
+
+@pytest.mark.parametrize("name", ["munk_prim", "E1", "E2"])
+def test_verify_point_report_is_pinned(capsys, name):
+    # the point-symmetry reports as recorded in data/verify_point_*.json
+    code, out = run(capsys, "--format", "json", "verify-point",
+                    "--catalog", name)
+    assert code == 0
+    path = Path(__file__).parent / "data" / ("verify_point_%s.json" % name)
+    assert out == path.read_text()
 
 
 def test_solve_ansatz_degree0(capsys):
@@ -221,32 +232,33 @@ def test_unbound_parameter_is_named(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify-map", "--catalog", "munk_prim"),
-    ("verify-map", "--catalog", "E1_point"),
+    ("verify-map", "--catalog", "munk_prim", "--param", "a33=2"),
+    ("lie-check", "--family", "munk_prim"),
     ("verify-point", "--catalog", "E1", "--param", "psi=1"),
     ("verify-map", "--catalog", "bateman", "--param", "zz=1"),
     ("lie-check", "--family", "one_param_linear", "--param", "zz=1"),
     ("verify-point", "--catalog", "munk_prim", "--param", "zz=1"),
-    ("verify-map", "--catalog", "bateman_simplified", "--b3", "0"),
-    ("verify-map", "--catalog", "one_param_q13", "--b1", "5"),
+    ("verify-map", "--catalog", "bateman_simplified", "--param", "b3=0"),
+    ("verify-map", "--catalog", "one_param_q13", "--param", "b1=5"),
     ("verify-point", "--catalog", "munk_prim", "--param", "psi=identity"),
-    ("verify-map", "--catalog", "bateman", "--b1", "formal"),
-    ("verify-point", "--catalog", "E1"),
+    ("verify-map", "--catalog", "bateman", "--param", "b1=formal"),
+    ("lie-check", "--family", "E1"),
     ("lie-check", "--family", "bateman"),
     ("transform", "--catalog", "nonsense"),
     # a misspelt word is an unknown name, not a new free variable
-    ("verify-map", "--catalog", "bateman", "--b1", "fromal"),
+    ("verify-map", "--catalog", "bateman", "--param", "b1=fromal"),
     ("verify-point", "--catalog", "munk_prim", "--param", "psi=idnetity"),
     # a total degree beyond the packed-exponent limit
     ("verify-map", "--catalog", "one_param_q13", "--param", "q13=x^40000"),
     # a zero denominator in a rational value
     ("verify-map", "--catalog", "bateman", "--param", "b1=1/0"),
-    ("verify-map", "--catalog", "bateman", "--b1", "1/0"),
+    ("pushforward", "--param", "b1=1/0"),
     ("lie-check", "--param", "entropy=1/0"),
 ])
 def test_bad_catalog_requests_are_usage_errors(capsys, argv):
-    # a point map where a reciprocal map is needed, a parameter the entry
-    # does not take, or a bad value: exit 2 with one line, not a traceback
+    # a map where a family is needed, a parameter the entry does not take
+    # (munk_prim takes only psi of mu_plus), or a bad value: exit 2 with
+    # one line, not a traceback
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -255,7 +267,8 @@ def test_bad_catalog_requests_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize("argv,value", [
     (("verify-point", "--catalog", "munk_prim", "--param", "psi=identity"),
      "'identity'"),
-    (("verify-map", "--catalog", "bateman", "--b1", "formal"), "'formal'"),
+    (("verify-map", "--catalog", "bateman", "--param", "b1=formal"),
+     "'formal'"),
     (("verify-point", "--catalog", "munk_prim", "--param", "psi=0"),
      "division by zero"),
     (("verify-map", "--catalog", "theorem", "--param", "psi=0"),
@@ -317,7 +330,7 @@ def test_module_entry_point():
 @pytest.mark.parametrize("extra", [
     ("--catalog", "mu_minus"),
     ("--param", "b1=0"),
-    ("--b1", "0"),
+    ("--catalog", "munk_prim", "--param", "psi=1"),
 ])
 def test_map_file_takes_no_catalog_flags(capsys, tmp_path, extra):
     # the flags would be dropped in favour of the file, so they are refused

@@ -11,7 +11,8 @@ from recipgas.prolong import (DegenerateDelta, ParamConstraintViolated,
                               case_generators, determining_residuals,
                               equivalence_residuals,
                               form_coeffs_from_invariance, prolong, split)
-from recipgas.symkernel import Expr, parse
+from recipgas.symkernel import Expr, VariableMismatch, parse
+from recipgas.symkernel.errors import InvalidParams
 from recipgas.symkernel.poly import QQ
 
 from helpers import monomial
@@ -188,6 +189,19 @@ def test_equivalence_generators_pass(ctx):
     for g in gens:
         ds = equivalence_residuals(g)
         assert ds.is_zero(), (g.label, ds.nonzero())
+
+
+def test_point_generators_are_reciprocal_generators(ctx):
+    # the rotation and the dilation of the plane, prolonged to the forms,
+    # are X1 and X2 of the reciprocal algebra
+    x, y, u, v = (parse(ctx, n) for n in ("x", "y", "u", "v"))
+    x1, x2 = standard_basis(ctx)[:2]
+    assert equivalence_generator(ctx, xi_x=-y, xi_y=x, zu=-v, zv=u) == x1
+    assert equivalence_generator(ctx, xi_x=x, xi_y=y) == x2
+    with pytest.raises(InvalidParams):
+        generator(ctx, zr="rho")
+    with pytest.raises(VariableMismatch):
+        equivalence_generator(ctx, xi_x=parse(standard_context(), "x"))
 
 
 def test_equivalence_negative_control(ctx):

@@ -8,8 +8,9 @@ import pytest
 from recipgas.gasdyn import standard_context
 from recipgas.symkernel import Expr, parse
 from recipgas.symkernel.errors import (DegreeOverflow, DivisionByZeroExpr,
-                                       NotPolynomialInVars, NumericDomain,
-                                       UnboundSymbol, UnknownVariable)
+                                       InvalidParams, NotPolynomialInVars,
+                                       NumericDomain, UnboundSymbol,
+                                       UnknownVariable, VariableMismatch)
 from recipgas.symkernel.poly import QQ, mono_pack, pmul, ppow, pvar
 
 from helpers import monomial
@@ -367,3 +368,20 @@ def test_quotient_beyond_the_degree_limit(ctx):
         parse(ctx, "(x^33000*y)/x^33000")
     with pytest.raises(DegreeOverflow):
         parse(ctx, "x^16000*y") * parse(ctx, "x^16767")
+
+
+def test_constant_hashes_as_its_rational(ctx):
+    # equal to the number it is, so hashed as that number
+    assert len({Expr.const(ctx, 1), 1}) == 1
+    assert hash(Expr.const(ctx, QQ(1, 2))) == hash(QQ(1, 2))
+
+
+def test_coerce(ctx):
+    u = parse(ctx, "u")
+    assert Expr.coerce(ctx, u) is u
+    assert Expr.coerce(ctx, QQ(2, 3)) == QQ(2, 3)
+    with pytest.raises(InvalidParams, match="'u' is not a number or an "
+                                            "expression"):
+        Expr.coerce(ctx, "u")
+    with pytest.raises(VariableMismatch):
+        Expr.coerce(standard_context(), u)
