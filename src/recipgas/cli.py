@@ -17,7 +17,7 @@ from . import accept
 from .gasdyn import standard_context
 from .liealg import (commutator_table_text, generator_from_dict,
                      megaideal_constraints, reciprocal_algebra,
-                     standard_basis, verify_automorphism_solution, x_f, x_h)
+                     standard_basis, x_f, x_h)
 from .numerics import (ConstantFlow, GridSpec, ShearFlow, VortexFlow,
                        fd_residuals, loop_closedness, make_solution,
                        transform_solution)
@@ -27,9 +27,10 @@ from .symkernel import Expr, parse
 from .symkernel.errors import SymkernelError
 from .transforms import (OneParamFamily, catalog, lie_equation_check,
                          load_map, pushforward, pushforward_matrix,
-                         verify_point_symmetry, verify_reciprocal)
+                         verify_automorphism_solution, verify_point_symmetry,
+                         verify_reciprocal)
 from .transforms.catalog import entries, parameters
-from .transforms.verify import DEFAULT_SEED
+from .transforms.verify import DEFAULT_SEED, residual_report
 
 
 def _parse_value(ctx, text):
@@ -123,10 +124,7 @@ def _named_generator(ctx, name):
 
 
 def cmd_commutators(args) -> int:
-    ctx = standard_context()
-    if args.algebra != "lrt":
-        raise SymkernelError("only the 'lrt' algebra is built in")
-    L = reciprocal_algebra(ctx)
+    L = reciprocal_algebra(standard_context())
     text = commutator_table_text(L)
     if args.format == "json":
         table = {}
@@ -150,10 +148,9 @@ def cmd_verify_generator(args) -> int:
         name = "X3" if args.generator is None else args.generator
         g = _named_generator(ctx, name)
     ds = determining_residuals(g, args.reduction)
-    rep = Report("determining equations for %s" % (g.label or args.file))
-    for tag, r in ds.residuals:
-        rep.add(tag, r.is_zero(), "" if r.is_zero() else str(r))
-    return _emit_report(args, rep)
+    return _emit_report(args, residual_report(
+        "determining equations for %s" % (g.label or args.file),
+        ds.residuals, seed=args.seed))
 
 
 def cmd_verify_map(args) -> int:
@@ -170,7 +167,7 @@ def cmd_verify_map(args) -> int:
 
 def cmd_verify_point(args) -> int:
     ctx = standard_context()
-    rep = verify_point_symmetry(_catalog_map(ctx, args))
+    rep = verify_point_symmetry(_catalog_map(ctx, args), seed=args.seed)
     return _emit_report(args, rep)
 
 
@@ -207,10 +204,9 @@ def cmd_pushforward(args) -> int:
     else:
         M = pushforward_matrix(T, x[2:5])
         res = verify_automorphism_solution(M, megaideal_constraints(ctx))
-        rep.add("matrix satisfies the automorphism constraints",
-                res.satisfied)
-        rep.add("matrix nonsingular", not res.det.is_zero(),
-                "det = %s" % res.det)
+        det = res.extras["det"]
+        rep.add("matrix satisfies the automorphism constraints", res.passed)
+        rep.add("matrix nonsingular", not det.is_zero(), "det = %s" % det)
         for i, row in enumerate(M.entries):
             rep.extras["row_%d" % i] = "[%s]" % ", ".join(str(e)
                                                           for e in row)
@@ -329,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
 
-    p = add("commutators", help="print a commutator table")
-    p.add_argument("--algebra", default="lrt")
+    p = add("commutators", help="print the commutator table of L_rt")
     p.set_defaults(fn=cmd_commutators)
 
     p = add("verify-generator",

@@ -161,6 +161,13 @@ class OneForm:
             solve_for)
 
 
+def closedness_residuals(f, solve_for: str = "x"):
+    """[(tag, residual)] of the 1-forms dx' and dy' whose coefficients are
+    the rows of the 2x2 form matrix f, tagged closedness-dx and -dy."""
+    return [(tag, OneForm(*row).closedness_residual(solve_for))
+            for tag, row in zip(("closedness-dx", "closedness-dy"), f)]
+
+
 @dataclass(frozen=True)
 class ConservationFormParams:
     q11: Expr

@@ -522,31 +522,3 @@ def megaideal_constraints(ctx: Context):
     algebra."""
     Lpp = reciprocal_algebra(ctx).derived_algebra().derived_algebra()
     return automorphism_constraints(ctx, Lpp.constant_table())
-
-
-@dataclass
-class AutomorphismReport:
-    satisfied: bool
-    det: Expr
-    residuals: list
-
-    def __str__(self):
-        lines = ["det = %s" % self.det]
-        for i, r in enumerate(self.residuals):
-            lines.append("constraint %d residual: %s" % (i + 1, r))
-        lines.append("satisfied: %s" % self.satisfied)
-        return "\n".join(lines)
-
-
-def verify_automorphism_solution(A: AutomorphismMatrix,
-                                 constraints) -> AutomorphismReport:
-    ctx = A.entries[0][0].ctx
-    automorphism_symbols(ctx)  # declares the names bound below
-    bindings = {name: e for names, row in zip(_AUT_NAMES, A.entries)
-                for name, e in zip(names, row)}
-    det = A.det()
-    if det.is_zero():
-        raise SingularMatrix("det A normalizes to 0")
-    residuals = [c.substitute(bindings) for c in constraints]
-    ok = all(r.is_zero() for r in residuals)
-    return AutomorphismReport(satisfied=ok, det=det, residuals=residuals)

@@ -21,14 +21,12 @@ from operator import add, mul
 
 from .gasdyn import (FIELDS, RESIDUAL_NAMES, ConservationFormParams,
                      InvalidParams, OneForm, ParamConstraintViolated,
-                     parametric_jets, reduce_on_manifold, system_residuals,
-                     total_derivative)
+                     closedness_residuals, parametric_jets,
+                     reduce_on_manifold, system_residuals, total_derivative)
 from .liealg import Generator, generator, standard_basis
 from .symkernel import QQ, Context, Expr
 from .symkernel.errors import NotPolynomialInVars, SymkernelError
 from .symkernel.linalg import nullspace, transpose
-
-RESIDUAL_TAGS = RESIDUAL_NAMES + ("closedness-dx", "closedness-dy")
 
 
 class NotPolynomialInJets(SymkernelError):
@@ -94,9 +92,8 @@ def determining_residuals(X: Generator, solve_for: str = "x") -> DeterminingSyst
     """The six reduced residuals; X generates a one-parameter group of
     reciprocal transformations iff all six normalize to zero."""
     res = _system_residuals(X, prolong(X), solve_for)
-    for tag, row in zip(RESIDUAL_TAGS[4:], X.matrix()):
-        res.append((tag, OneForm(*row).closedness_residual(solve_for)))
-    return DeterminingSystem(X, res, solve_for)
+    return DeterminingSystem(
+        X, res + closedness_residuals(X.matrix(), solve_for), solve_for)
 
 
 def equivalence_residuals(Xe: Generator,

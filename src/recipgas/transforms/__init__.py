@@ -12,8 +12,8 @@ from .maps import (NotInvertible, OneParamFamily, ReciprocalMap,
 from .pushforward import decompose, pushforward, pushforward_matrix
 from .verify import (appendix_pde_residuals, center_pde_residuals,
                      composition_additivity, lie_equation_check,
-                     transformed_law_residuals, verify_point_symmetry,
-                     verify_reciprocal, witness_point)
+                     transformed_law_residuals, verify_automorphism_solution,
+                     verify_point_symmetry, verify_reciprocal, witness_point)
 
 __all__ = [
     "CATALOG", "catalog", "bateman", "bateman_simplified",
@@ -27,4 +27,5 @@ __all__ = [
     "verify_reciprocal", "verify_point_symmetry", "lie_equation_check",
     "composition_additivity", "appendix_pde_residuals",
     "center_pde_residuals", "transformed_law_residuals", "witness_point",
+    "verify_automorphism_solution",
 ]

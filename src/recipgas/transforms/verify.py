@@ -14,10 +14,10 @@ import random
 from dataclasses import dataclass
 
 from ..gasdyn import (FIELDS, RESIDUAL_NAMES, InvalidParams, OneForm,
-                      conservation_law_forms, reduce_on_manifold,
-                      system_residuals, total_derivative)
-from ..liealg import AutomorphismMatrix
-from ..reports import Report
+                      closedness_residuals, conservation_law_forms,
+                      reduce_on_manifold, system_residuals, total_derivative)
+from ..liealg import AutomorphismMatrix, SingularMatrix, automorphism_symbols
+from ..reports import CheckItem, Report
 from ..symkernel import QQ, Expr, compile_exprs, compile_exprs_mp
 from ..symkernel.errors import DivisionByZeroExpr, NumericDomain
 from ..symkernel.linalg import adj2, det2, mul2
@@ -52,17 +52,12 @@ def transformed_law_residuals(T: ReciprocalMap, solve_for: str = "x"):
     return out
 
 
-def coordinate_closedness_residuals(T: ReciprocalMap, solve_for: str = "x"):
-    dx_form = OneForm(T.f[0][0], T.f[0][1])
-    dy_form = OneForm(T.f[1][0], T.f[1][1])
-    return [("closedness-dx", dx_form.closedness_residual(solve_for)),
-            ("closedness-dy", dy_form.closedness_residual(solve_for))]
-
-
-def _residual_report(title: str, residuals, seed: int = DEFAULT_SEED):
-    """One item per (name, residual), passing when the residual is zero,
+def residual_report(title: str, residuals, side_conditions=(),
+                    seed: int = DEFAULT_SEED) -> Report:
+    """The verdict on exact residuals: one item per (name, residual),
+    passing when the residual is zero, the side conditions it holds under,
     and a witness point of the first nonzero residual."""
-    rep = Report(title)
+    rep = Report(title, side_conditions=list(side_conditions))
     for name, r in residuals:
         rep.add(name, r.is_zero(), "" if r.is_zero() else "residual nonzero")
     bad = next(((n, r) for n, r in residuals if not r.is_zero()), None)
@@ -100,16 +95,16 @@ def _digits(n: int) -> int:
 
 def verify_reciprocal(T: ReciprocalMap, solve_for: str = "x",
                       seed: int = DEFAULT_SEED) -> Report:
-    rep = _residual_report(
+    rep = residual_report(
         "reciprocity of %s" % (T.name or "map"),
         transformed_law_residuals(T, solve_for)
-        + coordinate_closedness_residuals(T, solve_for), seed)
+        + closedness_residuals(T.f, solve_for),
+        ["%s != 0" % d for d in T.denominators()], seed)
     det = T.det_f()
     rep.add("det-form-matrix-nonzero", not det.is_zero(), str(det))
     rep.add("density-map-nonzero", not T.R.is_zero(), str(T.R))
     rep.extras["form_matrix_constant"] = all(
         not e.depends_on(*FIELDS) for row in T.f for e in row)
-    rep.side_conditions.extend("%s != 0" % d for d in T.denominators())
     return rep
 
 
@@ -141,31 +136,30 @@ def witness_point(residual: Expr, seed: int = DEFAULT_SEED):
 # --- point symmetries ---------------------------------------------------------
 
 
-def verify_point_symmetry(T: ReciprocalMap, solve_for: str = "x") -> Report:
+def verify_point_symmetry(T: ReciprocalMap, solve_for: str = "x",
+                          seed: int = DEFAULT_SEED) -> Report:
     """Chain-rule transformed residuals, with the form matrix as the
     coordinate Jacobian, reduce to combinations of the original system on
     the solution manifold."""
-    ctx = T.ctx
-    rep = Report("point symmetry of %s" % (T.name or "map"))
-    j = T.f
-    detj = det2(j)
-    rep.add("coordinate-jacobian-nonsingular", not detj.is_zero(), str(detj))
-    if detj.is_zero():
-        return rep
-    sub = T.field_map()
-    a = adj2(j)
-    jets = {}
-    for fname in FIELDS:
-        phi = sub[fname]
-        dx_phi = total_derivative(phi, "x")
-        dy_phi = total_derivative(phi, "y")
-        # (D_x phi, D_y phi)^T = J^T (f_x', f_y')^T
-        jets["%s_x" % fname] = (a[0][0] * dx_phi + a[1][0] * dy_phi) / detj
-        jets["%s_y" % fname] = (a[0][1] * dx_phi + a[1][1] * dy_phi) / detj
-    for name, F in zip(RESIDUAL_NAMES, system_residuals(ctx)):
-        transformed = F.substitute({**sub, **jets})
-        r = reduce_on_manifold(transformed, solve_for)
-        rep.add(name, r.is_zero(), "" if r.is_zero() else str(r))
+    detj = det2(T.f)
+    residuals = []
+    if not detj.is_zero():
+        sub = T.field_map()
+        a = adj2(T.f)
+        jets = {}
+        for fname in FIELDS:
+            dx, dy = (total_derivative(sub[fname], c) for c in ("x", "y"))
+            # (D_x phi, D_y phi)^T = J^T (f_x', f_y')^T for phi = sub[fname]
+            jets["%s_x" % fname] = (a[0][0] * dx + a[1][0] * dy) / detj
+            jets["%s_y" % fname] = (a[0][1] * dx + a[1][1] * dy) / detj
+        for name, F in zip(RESIDUAL_NAMES, system_residuals(T.ctx)):
+            r = reduce_on_manifold(F.substitute({**sub, **jets}), solve_for)
+            residuals.append((name, r))
+    rep = residual_report("point symmetry of %s" % (T.name or "map"),
+                          residuals,
+                          ["%s != 0" % d for d in T.denominators()], seed)
+    rep.items.insert(0, CheckItem("coordinate-jacobian-nonsingular",
+                                  not detj.is_zero(), str(detj)))
     return rep
 
 
@@ -417,8 +411,8 @@ def appendix_pde_residuals(T: ReciprocalMap,
          (f12 * RUV * a35 - f22 * PU2 * a35 - f22 * a45) / 2),
     ]
 
-    return _residual_report("transport relations of %s" % (T.name or "map"),
-                            [(n, lhs - rhs) for n, lhs, rhs in relations])
+    return residual_report("transport relations of %s" % (T.name or "map"),
+                           [(n, lhs - rhs) for n, lhs, rhs in relations])
 
 
 def center_pde_residuals(T: ReciprocalMap, a11, a33, a54) -> Report:
@@ -443,6 +437,23 @@ def center_pde_residuals(T: ReciprocalMap, a11, a33, a54) -> Report:
         ("xfdy_v", f21.diff("v"), u * (f11 * a11 - f22) / q2),
         ("yfdy_v", f22.diff("v"), u * (f12 * a11 + f21) / q2),
     ]
-    return _residual_report(
+    return residual_report(
         "center transport relations of %s" % (T.name or "map"),
         [(n, lhs - rhs) for n, lhs, rhs in relations])
+
+
+def verify_automorphism_solution(A: AutomorphismMatrix,
+                                 constraints) -> Report:
+    """One item per constraint on the a_ni, passing when it vanishes at the
+    entries of A; det A is extras["det"], and a zero one raises
+    SingularMatrix."""
+    det = A.det()
+    if det.is_zero():
+        raise SingularMatrix("det A normalizes to 0")
+    bindings = {str(a): e for names, row in zip(
+        automorphism_symbols(det.ctx), A.entries) for a, e in zip(names, row)}
+    rep = residual_report("automorphism check",
+                          [("constraint %d" % (i + 1), c.substitute(bindings))
+                           for i, c in enumerate(constraints)])
+    rep.extras["det"] = det
+    return rep

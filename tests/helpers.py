@@ -1,5 +1,7 @@
 """Reference helpers shared by the tests; the package does not use them."""
 
+from fractions import Fraction
+
 from recipgas.symkernel import Expr
 
 
@@ -10,3 +12,14 @@ def monomial(ctx, key) -> Expr:
     for name, exp in key:
         e = e * Expr.var(ctx, name) ** exp
     return e
+
+
+def assert_witness_holds(report: dict, residuals: dict):
+    """The witness of a failing report (a Report's JSON dict) names one of
+    its failing checks, and that check's residual in `residuals`
+    {name: Expr} takes the witness's value at the witness point."""
+    point = {k: Fraction(v) for k, v in report["witness"].items()
+             if k != "__residual__"}
+    name, value = report["witness"]["__residual__"].split(" = ")
+    assert name in {c["name"] for c in report["checks"] if not c["passed"]}
+    assert residuals[name].eval_rational(point) == Fraction(value)

@@ -208,14 +208,29 @@ def test_point_symmetry_negative_control(ctx):
     assert not verify_reciprocal(bad).passed
 
 
+def test_singular_jacobian_fails_without_residuals(ctx):
+    # with det J = 0 the transformed jets are undefined: the report has
+    # the failing Jacobian item alone, and the map's side conditions
+    rho, u, v, p, S = (parse(ctx, n) for n in ("rho", "u", "v", "p", "S"))
+    flat = reciprocal_map(ctx, 1 / rho, u, v, p, S, ((1, 0), (1, 0)),
+                          name="flat")
+    rep = verify_point_symmetry(flat)
+    assert [(i.name, i.passed) for i in rep.items] == [
+        ("coordinate-jacobian-nonsingular", False)]
+    assert rep.side_conditions == ["rho != 0"] and rep.witness is None
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_point_and_reciprocal_criteria_agree(ctx, name):
     # two independent criteria: the transformed system vanishes on the
     # manifold (the form matrix read as the coordinate Jacobian), and the
-    # pulled-back conserved forms are closed
+    # pulled-back conserved forms are closed; both hold where the map's
+    # denominators do not vanish
     T = catalog(ctx, name)
     T = T.map_sym if isinstance(T, OneParamFamily) else T
-    assert verify_point_symmetry(T).passed == verify_reciprocal(T).passed
+    point, recip = verify_point_symmetry(T), verify_reciprocal(T)
+    assert point.passed == recip.passed
+    assert point.side_conditions == recip.side_conditions
 
 
 def test_munk_prim_is_mu_plus_at_identity_parameters(ctx):

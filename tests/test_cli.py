@@ -11,10 +11,18 @@ import pytest
 
 from recipgas import cli
 from recipgas.cli import build_parser, main
+from recipgas.gasdyn import standard_context
+from recipgas.liealg import generator_from_dict
+from recipgas.prolong import determining_residuals
 from recipgas.reports import Report
+from recipgas.transforms import verify
 from recipgas.transforms.catalog import entries
+from recipgas.transforms.verify import residual_report
+
+from helpers import assert_witness_holds
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -24,7 +32,7 @@ def run(capsys, *argv):
 
 
 def test_commutators(capsys):
-    code, out = run(capsys, "commutators", "--algebra", "lrt")
+    code, out = run(capsys, "commutators")
     assert code == 0
     assert "X3" in out and "-X3" in out and "-X5" in out
 
@@ -43,6 +51,22 @@ def test_verify_generator_from_file(capsys, tmp_path):
     code, out = run(capsys, "verify-generator", "--file", str(path))
     assert code == 1
     assert "verdict: FAIL" in out
+
+
+def test_verify_generator_report_is_pinned(capsys, tmp_path, monkeypatch):
+    # the failing generator above, as recorded in
+    # data/verify_generator_zeta_rho.json: its witness is a point where the
+    # momentum-x residual rho*(u*u_x + v*u_y) is 2233/4096
+    d = {"zeta_rho": "rho", "zeta_u": "0", "zeta_v": "0", "zeta_p": "0",
+         "zeta_S": "0", "form": [["0", "0"], ["0", "0"]]}
+    monkeypatch.chdir(tmp_path)
+    Path("g.json").write_text(json.dumps(d))
+    code, out = run(capsys, "--format", "json", "verify-generator",
+                    "--file", "g.json")
+    assert code == 1
+    assert out == (DATA / "verify_generator_zeta_rho.json").read_text()
+    ds = determining_residuals(generator_from_dict(standard_context(), d))
+    assert_witness_holds(json.loads(out), dict(ds.residuals))
 
 
 def test_generator_file_takes_no_generator_flag(capsys, tmp_path):
@@ -98,8 +122,33 @@ def test_verify_point_report_is_pinned(capsys, name):
     code, out = run(capsys, "--format", "json", "verify-point",
                     "--catalog", name)
     assert code == 0
-    path = Path(__file__).parent / "data" / ("verify_point_%s.json" % name)
-    assert out == path.read_text()
+    assert out == (DATA / ("verify_point_%s.json" % name)).read_text()
+
+
+def test_verify_map_report_is_pinned(capsys):
+    # a failing reciprocity report with both a witness and side conditions,
+    # as recorded in data/verify_map_mu_minus.json
+    code, out = run(capsys, "--format", "json", "verify-map",
+                    "--catalog", "mu_minus")
+    assert code == 1
+    assert out == (DATA / "verify_map_mu_minus.json").read_text()
+
+
+def test_verify_point_witness_is_a_failing_residual(capsys, monkeypatch):
+    # the residuals verify_point_symmetry hands to residual_report
+    seen = {}
+
+    def recording(title, residuals, *args, **kw):
+        seen.update(residuals)
+        return residual_report(title, residuals, *args, **kw)
+
+    monkeypatch.setattr(verify, "residual_report", recording)
+    code, out = run(capsys, "--format", "json", "verify-point",
+                    "--catalog", "mu_minus")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["side_conditions"] == ["rho*psi(S)^2 != 0"]
+    assert_witness_holds(rep, seen)
 
 
 def test_solve_ansatz_degree0(capsys):

@@ -13,10 +13,12 @@ from recipgas.liealg import (AutomorphismMatrix, FunctionalConstant,
                              commutator_table_text, generator,
                              generator_from_dict, megaideal_constraints,
                              membership, reciprocal_algebra, standard_basis,
-                             verify_automorphism_solution, x_f, x_h,
-                             zero_generator)
+                             x_f, x_h, zero_generator)
 from recipgas.symkernel import Expr, parse
 from recipgas.symkernel.poly import QQ
+from recipgas.transforms import verify_automorphism_solution
+
+from helpers import assert_witness_holds
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +171,7 @@ def test_identity_always_satisfies(ctx):
             table[(i, j, k)] = QQ(rng.randint(-2, 2))
         cons = automorphism_constraints(ctx, table)
         rep = verify_automorphism_solution(ident, cons)
-        assert rep.satisfied
+        assert rep.passed
 
 
 def test_generic_matrix_fails(ctx):
@@ -180,7 +182,12 @@ def test_generic_matrix_fails(ctx):
         (c(QQ(1, 7)), c(QQ(3, 2)), c(QQ(1, 3))),
         (c(QQ(-2, 5)), c(QQ(1, 2)), c(QQ(4, 3)))))
     rep = verify_automorphism_solution(A, cons)
-    assert not rep.satisfied
+    assert not rep.passed
+    at_a = {"a%d%d" % (n, i): A.entries[n - 3][i - 3]
+            for n in (3, 4, 5) for i in (3, 4, 5)}
+    assert_witness_holds(rep.to_json_dict(), {
+        "constraint %d" % (i + 1): c.substitute(at_a)
+        for i, c in enumerate(cons)})
 
 
 def test_singular_matrix_raises(ctx):
