@@ -112,12 +112,14 @@ def criterion_2(ctx=None, seed=DEFAULT_SEED) -> Report:
             membership(x[0], Z.basis) is not None and
             membership(x[1], Z.basis) is not None)
     rep.add("center dimension = 2", Z.dim() == 2, str(Z.dim()))
+    commutes = True
     for g in Z.basis:
         for b in L.basis:
             if not commutator(g, b).is_zero():
+                commutes = False
                 rep.add("central element commutes", False,
                         "[%s, %s] != 0" % (g.label, b.label))
-    rep.add("center re-verified by direct commutators", True)
+    rep.add("center re-verified by direct commutators", commutes)
     return rep
 
 

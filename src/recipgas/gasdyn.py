@@ -33,10 +33,6 @@ _PARAMETERS = (
 )
 
 
-class ParamConstraintViolated(SymkernelError):
-    pass
-
-
 def standard_context() -> Context:
     """Fresh context with the coordinate/field/jet/parameter vocabulary."""
     ctx = Context()
@@ -122,12 +118,6 @@ def main_derivatives(ctx: Context, solve_for: str = "x") -> dict:
             "rho_y": -(rho * v("v_y") + v("rho_x") * u + rho * v("u_x")) / vv,
         }
     raise ValueError("solve_for must be 'x' or 'y'")
-
-
-def parametric_jets(solve_for: str = "x"):
-    if solve_for == "x":
-        return ("rho_y", "u_x", "u_y", "v_x", "v_y", "S_y")
-    return ("rho_x", "u_x", "u_y", "v_x", "v_y", "S_x")
 
 
 def reduce_on_manifold(e: Expr, solve_for: str = "x") -> Expr:

@@ -34,16 +34,10 @@ SLOT_NAMES = ("zr", "zu", "zv", "zp", "zs", "m11", "m12", "m21", "m22")
 _RECORD_KEYS = ("zeta_rho", "zeta_u", "zeta_v", "zeta_p", "zeta_S")
 
 
-class NotClosed(SymkernelError):
-    def __init__(self, pair, residual):
-        super().__init__("commutator of %s falls outside the span" % (pair,))
-        self.pair = pair
-        self.residual = residual
-
-
 class NotInSpan(SymkernelError):
-    def __init__(self, residual=None):
-        super().__init__("generator is not in the span of the basis")
+    def __init__(self, residual=None,
+                 message="generator is not in the span of the basis"):
+        super().__init__(message)
         self.residual = residual
 
 
@@ -330,8 +324,9 @@ class LieAlgebra:
             m = _match_functional(br, g)
             if m is not None:
                 return FunctionalConstant(k, m[1], m[0])
-        raise NotClosed((self.basis[pair[0]].label, self.basis[pair[1]].label),
-                        br)
+        labels = (self.basis[pair[0]].label, self.basis[pair[1]].label)
+        raise NotInSpan(br, "commutator of %s falls outside the span"
+                        % (labels,))
 
     def _combine(self, terms) -> Generator:
         """sum c * basis[k] over the pairs (k, c) of terms."""

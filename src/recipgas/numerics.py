@@ -21,16 +21,8 @@ import numpy as np
 
 from .gasdyn import FIELDS, RESIDUAL_NAMES, InvalidParams
 from .symkernel import compile_exprs
-from .symkernel.errors import SymkernelError
+from .symkernel.errors import NumericDomain, SymkernelError
 from .transforms.maps import ReciprocalMap
-
-
-class GridTooSmall(SymkernelError):
-    pass
-
-
-class DomainViolation(SymkernelError):
-    pass
 
 
 class NewtonDivergence(SymkernelError):
@@ -170,7 +162,7 @@ def fd_residuals(sol: GridSolution) -> dict:
     """Max-norm central-difference residuals at interior nodes."""
     g = sol.grid
     if g.nx < 3 or g.ny < 3:
-        raise GridTooSmall("need at least 3 nodes per direction")
+        raise InvalidParams("need at least 3 nodes per direction")
     rho, u, v, p, S = sol.arrays()
 
     def dx(a):
@@ -248,8 +240,32 @@ class _MapEvaluator:
         small = (np.abs(self._at(self._dens, X, Y)) < DEN_FLOOR).any(axis=0)
         if small.any():
             i, j = np.argwhere(small)[0]
-            raise DomainViolation(
+            raise NumericDomain(
                 "map denominator vanishes near (%g, %g)" % (xs[i], ys[j]))
+
+    def coordinates(self, g: GridSpec, path: str = "xy"):
+        """x', y' at every node of g by Simpson path integration from the
+        grid origin (anchored to zero), along x first then y, or y
+        first."""
+        xs, ys = g.xs(), g.ys()
+        self.check_domain(xs, ys)
+        first = {"xy": 0, "yx": 1}.get(path)
+        if first is None:
+            raise ValueError("path must be 'xy' or 'yx'")
+        outer, inner = (xs, ys) if first == 0 else (ys, xs)
+
+        # along the grid edge on the first axis, then across the second
+        # axis; the running sums start from zero and from the edge values
+        edge = _path_steps(self, first, inner[0], outer[:-1], outer[1:])
+        edge = np.cumsum(np.concatenate([np.zeros((2, 1)), edge], axis=1),
+                         axis=1)
+        across = _path_steps(self, 1 - first, outer[:, None],
+                             inner[None, :-1], inner[None, 1:])
+        cur = np.cumsum(np.concatenate([edge[:, :, None], across], axis=2),
+                        axis=2)
+        if first == 1:
+            cur = cur.transpose(0, 2, 1)
+        return cur[0], cur[1]
 
 
 def _path_steps(ev: _MapEvaluator, axis, other, a, b):
@@ -266,29 +282,8 @@ def _path_steps(ev: _MapEvaluator, axis, other, a, b):
 
 def primed_coordinates(sol: GridSolution, T: ReciprocalMap,
                        path: str = "xy"):
-    """x', y' at every grid node by Simpson path integration from the grid
-    origin (anchored to zero), along x first then y, or y first."""
-    g = sol.grid
-    ev = _MapEvaluator(T, sol.evaluator)
-    xs, ys = g.xs(), g.ys()
-    ev.check_domain(xs, ys)
-    first = {"xy": 0, "yx": 1}.get(path)
-    if first is None:
-        raise ValueError("path must be 'xy' or 'yx'")
-    outer, inner = (xs, ys) if first == 0 else (ys, xs)
-
-    # along the grid edge on the first axis, then across the second axis;
-    # the running sums start from zero and from the edge values
-    edge = _path_steps(ev, first, inner[0], outer[:-1], outer[1:])
-    edge = np.cumsum(np.concatenate([np.zeros((2, 1)), edge], axis=1),
-                     axis=1)
-    across = _path_steps(ev, 1 - first, outer[:, None], inner[None, :-1],
-                         inner[None, 1:])
-    cur = np.cumsum(np.concatenate([edge[:, :, None], across], axis=2),
-                    axis=2)
-    if first == 1:
-        cur = cur.transpose(0, 2, 1)
-    return cur[0], cur[1]
+    """x', y' at every grid node of sol under T (_MapEvaluator.coordinates)."""
+    return _MapEvaluator(T, sol.evaluator).coordinates(sol.grid, path)
 
 
 # targets times grid nodes per block of the nearest-node search
@@ -298,10 +293,11 @@ _GUESS_BLOCK = 1 << 13
 class TransformedFlow:
     """Analytic evaluator for the transformed solution: fields at primed
     points come from Newton inversion of the coordinate map through the
-    original analytic flow."""
+    original analytic flow; ev is the map's evaluator over sol's flow and
+    xp, yp its primed coordinates of sol's grid."""
 
-    def __init__(self, sol: GridSolution, T: ReciprocalMap, xp, yp):
-        self.ev = _MapEvaluator(T, sol.evaluator)
+    def __init__(self, sol: GridSolution, ev: _MapEvaluator, xp, yp):
+        self.ev = ev
         self.xp = xp
         self.yp = yp
         g = sol.grid
@@ -384,9 +380,10 @@ def transform_solution(sol: GridSolution, T: ReciprocalMap,
     # fd_residuals needs 3 nodes, and the margins must leave some width
     need = 3 if target_grid is not None else max(3, 2 * margin_cells + 2)
     if min(g.nx, g.ny) < need:
-        raise GridTooSmall("need at least %d nodes per direction" % need)
-    xp, yp = primed_coordinates(sol, T)
-    tf = TransformedFlow(sol, T, xp, yp)
+        raise InvalidParams("need at least %d nodes per direction" % need)
+    ev = _MapEvaluator(T, sol.evaluator)
+    xp, yp = ev.coordinates(g)
+    tf = TransformedFlow(sol, ev, xp, yp)
     if target_grid is not None:
         pg = target_grid
     else:
@@ -395,7 +392,7 @@ def transform_solution(sol: GridSolution, T: ReciprocalMap,
         loy = np.max(yp[:, 0]) if yp[0, 0] < yp[0, -1] else np.max(yp[:, -1])
         hiy = np.min(yp[:, -1]) if yp[0, 0] < yp[0, -1] else np.min(yp[:, 0])
         if not (hix > lox and hiy > loy):
-            raise DomainViolation("image of the grid is degenerate")
+            raise NumericDomain("image of the grid is degenerate")
         hxp = (hix - lox) / (g.nx - 1)
         hyp = (hiy - loy) / (g.ny - 1)
         lox += margin_cells * hxp
@@ -436,7 +433,7 @@ def loop_closedness(sol: GridSolution, T: ReciprocalMap, loop) -> float:
     segment with analytic fields."""
     pts = [tuple(map(float, p)) for p in loop]
     if pts[0] != pts[-1]:
-        raise DomainViolation("loop is not closed")
+        raise InvalidParams("loop is not closed")
     ev = _MapEvaluator(T, sol.evaluator)
     # one row per segment
     start = np.array(pts[:-1])[:, :, None]

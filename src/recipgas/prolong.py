@@ -1,6 +1,6 @@
-"""Prolongation of reciprocal generators, determining equations, jet
-splitting, form-coefficient derivation from invariance of the conserved
-forms, and a polynomial-ansatz nullspace solver.
+"""Prolongation of reciprocal generators, determining equations,
+form-coefficient derivation from invariance of the conserved forms, and a
+polynomial-ansatz nullspace solver.
 
 The prolongation of a generator with form matrix m sends each field f to
 
@@ -20,21 +20,11 @@ from itertools import product
 from operator import add, mul
 
 from .gasdyn import (FIELDS, RESIDUAL_NAMES, ConservationFormParams,
-                     InvalidParams, OneForm, ParamConstraintViolated,
-                     closedness_residuals, parametric_jets,
+                     InvalidParams, OneForm, closedness_residuals,
                      reduce_on_manifold, system_residuals, total_derivative)
-from .liealg import Generator, generator, standard_basis
+from .liealg import Generator, SingularMatrix, generator, standard_basis
 from .symkernel import QQ, Context, Expr
-from .symkernel.errors import NotPolynomialInVars, SymkernelError
 from .symkernel.linalg import nullspace, transpose
-
-
-class NotPolynomialInJets(SymkernelError):
-    pass
-
-
-class DegenerateDelta(SymkernelError):
-    pass
 
 
 def prolong(X: Generator) -> dict:
@@ -105,25 +95,6 @@ def equivalence_residuals(Xe: Generator,
                              solve_for)
 
 
-def split(ds: DeterminingSystem):
-    """Complete jet-monomial coefficient list [(tag, mono_key, Expr)].
-
-    The system vanishes iff every coefficient vanishes; the reconstruction
-    identity sum(coeff * mono) = residual holds per residual.
-    """
-    jets = parametric_jets(ds.solve_for)
-    out = []
-    for tag, r in ds.residuals:
-        if r.is_zero():
-            continue
-        try:
-            coeffs = r.collect(jets)
-        except NotPolynomialInVars:
-            raise NotPolynomialInJets(tag) from None
-        out.extend((tag, key, coeff) for key, coeff in coeffs.items())
-    return out
-
-
 # --- first-method form coefficients -----------------------------------------
 
 
@@ -139,7 +110,7 @@ def _flux_matrix(ctx: Context, params: ConservationFormParams):
     B2 = p + params.q22 + rho * u ** 2
     delta = A1 * B2 - B1 * A2
     if delta.is_zero():
-        raise DegenerateDelta("flux coefficient matrix is singular")
+        raise SingularMatrix("flux coefficient matrix is singular")
     return A1, B1, A2, B2, delta
 
 
@@ -188,18 +159,18 @@ def case_generators(branch: str, params: ConservationFormParams,
     q12 = params.q12
     if branch == "b":
         if not (params.q22 - params.q12).is_zero():
-            raise ParamConstraintViolated("branch b needs q22 = q12")
+            raise InvalidParams("branch b needs q22 = q12")
         if not (params.q23 + params.q13).is_zero():
-            raise ParamConstraintViolated("branch b needs q23 = -q13")
+            raise InvalidParams("branch b needs q23 = -q13")
         q13 = params.q13
         g = (x3f + x4.scale(2 * q12) + x1.scale(q13)
              + x5.scale(q12 ** 2 + q13 ** 2)).scale(k)
         return g.with_label("case-b")
     if branch == "c":
         if not params.q13.is_zero() or not params.q23.is_zero():
-            raise ParamConstraintViolated("branch c needs q13 = q23 = 0")
+            raise InvalidParams("branch c needs q13 = q23 = 0")
         if not (params.q22 - params.q12).is_zero():
-            raise ParamConstraintViolated("branch c needs q22 = q12")
+            raise InvalidParams("branch c needs q22 = q12")
         g = (x3f + x4.scale(2 * q12) + x5.scale(q12 ** 2)).scale(k2) + \
             (x4.scale(2) + x5.scale(2 * q12) - x2).scale(k1)
         return g.with_label("case-c")
@@ -258,10 +229,10 @@ def _candidate_vectors(slots, monos, make, clear):
         for ti, (tag, r) in enumerate(ds.residuals):
             rc = r * clear
             if not rc.is_polynomial():
-                raise SymkernelError("denominator not cleared for %s" % tag)
+                raise RuntimeError("denominator not cleared for %s" % tag)
             for key, c in rc.collect(names).items():
                 if len(key) != 1 or key[0][1] != 1:
-                    raise SymkernelError("%s is not linear in the slot" % tag)
+                    raise RuntimeError("%s is not linear in the slot" % tag)
                 terms.append((ti, names.index(key[0][0]), c))
         for ps in partials:
             polys = {}
@@ -275,7 +246,8 @@ def _candidate_vectors(slots, monos, make, clear):
 def _solve_ansatz(slots, monos, make, clear) -> AnsatzSolution:
     """Nullspace of the determining system over the candidates
     make(slot, m); every basis element is re-verified through the full
-    determining_residuals, so the linear solve is never trusted alone."""
+    determining_residuals, so the linear solve is never trusted alone:
+    reverified says whether all of them vanish."""
     candidates = [(s, m) for s in slots for m in monos]
     vectors = _candidate_vectors(slots, monos, make, clear)
     gens = []
@@ -286,9 +258,9 @@ def _solve_ansatz(slots, monos, make, clear) -> AnsatzSolution:
             if c:
                 vals[s] = vals.get(s, 0) + m * c
         gens.append(reduce(add, (make(s, v) for s, v in vals.items())))
-    if not all(determining_residuals(g).is_zero() for g in gens):
-        raise SymkernelError("ansatz solution failed re-verification")
-    return AnsatzSolution(len(gens), gens, len(candidates), True)
+    return AnsatzSolution(
+        len(gens), gens, len(candidates),
+        all(determining_residuals(g).is_zero() for g in gens))
 
 
 def _one_slot(slot: int, value: Expr) -> Generator:

@@ -2,9 +2,10 @@
 reduction, compiled float and mpmath evaluation."""
 
 from .context import Context
-from .errors import (DegreeOverflow, DivisionByZeroExpr, NotPolynomialInVars,
-                     NumericDomain, ParseError, SymkernelError, UnboundSymbol,
-                     UnknownVariable, VariableMismatch)
+from .errors import (DegreeOverflow, DivisionByZeroExpr, InvalidParams,
+                     NotPolynomialInVars, NumericDomain, ParseError,
+                     SymkernelError, UnboundSymbol, UnknownVariable,
+                     VariableMismatch)
 from .expr import Expr
 from .numeric import FN_IMPLS, compile_exprs, compile_exprs_mp
 from .parser import parse
@@ -15,4 +16,5 @@ __all__ = [
     "compile_exprs_mp", "SymkernelError", "DegreeOverflow",
     "DivisionByZeroExpr", "UnknownVariable", "NotPolynomialInVars",
     "UnboundSymbol", "NumericDomain", "ParseError", "VariableMismatch",
+    "InvalidParams",
 ]

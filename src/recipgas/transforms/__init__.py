@@ -1,6 +1,6 @@
 """Transformation catalog, verification, and generator pushforward."""
 
-from ..gasdyn import ParamConstraintViolated
+from ..symkernel.errors import InvalidParams
 from .catalog import (CATALOG, bateman, bateman_simplified, catalog,
                       involution_E1_reciprocal, involution_E2_reciprocal,
                       identity_map, mu_minus, mu_plus, munk_prim,
@@ -22,7 +22,7 @@ __all__ = [
     "involution_E1_reciprocal", "involution_E2_reciprocal", "identity_map",
     "ReciprocalMap", "OneParamFamily", "compose", "invert",
     "reciprocal_map", "map_from_dict", "load_map",
-    "NotInvertible", "UnknownCatalogEntry", "ParamConstraintViolated",
+    "NotInvertible", "UnknownCatalogEntry", "InvalidParams",
     "pushforward", "decompose", "pushforward_matrix",
     "verify_reciprocal", "verify_point_symmetry", "lie_equation_check",
     "composition_additivity", "appendix_pde_residuals",

@@ -13,8 +13,7 @@ import inspect
 from dataclasses import replace
 from typing import get_type_hints
 
-from ..gasdyn import (ConservationFormParams, InvalidParams,
-                      ParamConstraintViolated)
+from ..gasdyn import ConservationFormParams, InvalidParams
 from ..liealg import standard_basis
 from ..prolong import case_generators
 from ..symkernel import Context, Expr
@@ -34,7 +33,7 @@ def _entropy(ctx, entropy: str) -> Expr:
         return Expr.var(ctx, "S")
     if entropy == "formal":
         return Expr.function(ctx, "F", Expr.var(ctx, "S"))
-    raise ParamConstraintViolated("entropy must be 'identity' or 'formal'")
+    raise InvalidParams("entropy must be 'identity' or 'formal'")
 
 
 def _psi(ctx, psi):
@@ -49,7 +48,7 @@ def bateman(ctx: Context, b1=None, b2=None, b3=None, b4=None,
     v = lambda n: Expr.var(ctx, n)
     b1, b2, b3, b4 = _exprs(ctx, b1=b1, b2=b2, b3=b3, b4=b4)
     if b1.is_zero() or b3.is_zero():
-        raise ParamConstraintViolated("bateman requires b1*b3 != 0")
+        raise InvalidParams("bateman requires b1*b3 != 0")
     rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
     w = p + b2
     q2 = u ** 2 + vv ** 2
@@ -97,7 +96,7 @@ def one_param_q13(ctx: Context, q12=0, q13=1,
     v = lambda n: Expr.var(ctx, n)
     q12e, q13e = _exprs(ctx, q12=q12, q13=q13)
     if q13e.is_zero():
-        raise ParamConstraintViolated("one_param_q13 requires q13 != 0")
+        raise InvalidParams("one_param_q13 requires q13 != 0")
     rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
     lam = v("lam")
     q2 = u ** 2 + vv ** 2
@@ -131,7 +130,7 @@ def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
     v = lambda n: Expr.var(ctx, n)
     k1e, k2e, q12e = _exprs(ctx, k1=k1, k2=k2, q12=q12)
     if k1e.is_zero():
-        raise ParamConstraintViolated("one_param_exp requires k1 != 0")
+        raise InvalidParams("one_param_exp requires k1 != 0")
     rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
     lam = v("lam")
     q2 = u ** 2 + vv ** 2
@@ -191,11 +190,11 @@ def theorem_map(ctx: Context, alpha=None, beta=None, k=None, a11=1,
     alpha, beta, k, a11, a34, a35, a45 = _exprs(
         ctx, alpha=alpha, beta=beta, k=k, a11=a11, a34=a34, a35=a35, a45=a45)
     if a35.is_zero():
-        raise ParamConstraintViolated("theorem map requires a35 != 0")
+        raise InvalidParams("theorem map requires a35 != 0")
     if (alpha ** 2 + beta ** 2).is_zero():
-        raise ParamConstraintViolated("alpha^2 + beta^2 != 0 required")
+        raise InvalidParams("alpha^2 + beta^2 != 0 required")
     if not (a11 ** 2 - 1).is_zero():
-        raise ParamConstraintViolated("a11^2 = 1 required")
+        raise InvalidParams("a11^2 = 1 required")
     psi_e = _psi(ctx, psi)
     g = a34 / a35
     rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
@@ -222,9 +221,9 @@ def mu_plus(ctx: Context, a33=1, a54=0, a11=1, alpha=1, beta=0,
     a33e, a54e, a11e, alpha_e, beta_e = _exprs(
         ctx, a33=a33, a54=a54, a11=a11, alpha=alpha, beta=beta)
     if a33e.is_zero():
-        raise ParamConstraintViolated("a33 != 0 required")
+        raise InvalidParams("a33 != 0 required")
     if not (a11e ** 2 - 1).is_zero():
-        raise ParamConstraintViolated("a11^2 = 1 required")
+        raise InvalidParams("a11^2 = 1 required")
     psi_e = _psi(ctx, psi)
     rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
     ab2 = alpha_e ** 2 + beta_e ** 2

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from recipgas.gasdyn import JETS, main_derivatives
 from recipgas.symkernel import Expr
 
 
@@ -12,6 +13,25 @@ def monomial(ctx, key) -> Expr:
     for name, exp in key:
         e = e * Expr.var(ctx, name) ** exp
     return e
+
+
+def parametric_jets(ctx, solve_for="x"):
+    """The jets main_derivatives(ctx, solve_for) leaves free, in JETS
+    order."""
+    eliminated = main_derivatives(ctx, solve_for)
+    return tuple(j for j in JETS if j not in eliminated)
+
+
+def split(ds):
+    """Complete jet-monomial coefficient list [(tag, mono_key, Expr)] of a
+    prolong.DeterminingSystem.
+
+    The system vanishes iff every coefficient vanishes; the reconstruction
+    identity sum(coeff * mono) = residual holds per residual.
+    """
+    jets = parametric_jets(ds.generator.ctx, ds.solve_for)
+    return [(tag, key, coeff) for tag, r in ds.residuals if not r.is_zero()
+            for key, coeff in r.collect(jets).items()]
 
 
 def assert_witness_holds(report: dict, residuals: dict):

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from recipgas import accept
 from recipgas.accept import ALL_CRITERIA, criterion_9
+from recipgas.liealg import standard_basis
 
 BUDGET_SECONDS = {
     "1": 5, "2": 5, "3": 5, "4": 10, "5": 10,
@@ -48,3 +50,21 @@ def test_criterion_9_detail_is_plain_floats():
     detail = criterion_9().items[0].detail
     assert "np." not in detail
     assert detail == "{'u': 1.0, 'v': 0.0, 'p': -1.0, 'rho': 0.5}"
+
+
+def test_center_check_fails_on_a_noncommuting_pair(monkeypatch):
+    # the direct commutator check is a verdict: one central element that
+    # fails to commute fails it
+    real = accept.commutator
+    calls = []
+
+    def first_nonzero(g, b):
+        calls.append((g, b))
+        return standard_basis(g.ctx)[2] if len(calls) == 1 else real(g, b)
+
+    monkeypatch.setattr(accept, "commutator", first_nonzero)
+    report = accept.criterion_2()
+    checks = {i.name: i.passed for i in report.items}
+    assert checks["central element commutes"] is False
+    assert checks["center re-verified by direct commutators"] is False
+    assert not report.passed

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from recipgas import prolong
+from recipgas.accept import criterion_5
+from recipgas.cli import main
 from recipgas.gasdyn import (ConservationFormParams, InvalidParams,
                              standard_context)
 from recipgas.liealg import membership, standard_basis, x_f, x_h
@@ -134,3 +136,36 @@ def test_negative_degree_is_invalid(ctx, solve):
     # no ansatz may pass on zero candidates
     with pytest.raises(InvalidParams):
         solve(ctx)
+
+
+@pytest.fixture
+def spoiled_reverification(ctx, monkeypatch):
+    """The first re-verification run (after one run per slot) sees a
+    nonzero residual."""
+    calls = []
+
+    def spoiled(g, *args):
+        calls.append(g)
+        ds = determining_residuals(g, *args)
+        if len(calls) == 10:
+            ds.residuals[0] = (ds.residuals[0][0], Expr.const(ctx, 1))
+        return ds
+
+    monkeypatch.setattr(prolong, "determining_residuals", spoiled)
+
+
+def test_failed_reverification_is_a_fail(ctx, spoiled_reverification):
+    sol = solve_ansatz(ctx, 0)
+    assert sol.dimension == 3 and sol.reverified is False
+
+
+def test_failed_reverification_fails_the_command(spoiled_reverification,
+                                                capsys):
+    assert main(["solve-ansatz", "--degree", "0"]) == 1
+    assert "FAIL all 3 basis elements re-verified" in capsys.readouterr().out
+
+
+def test_failed_reverification_fails_criterion_5(spoiled_reverification):
+    report = criterion_5()
+    assert report.items[0].name == "every basis element re-verified"
+    assert not report.items[0].passed and not report.passed

@@ -4,12 +4,14 @@ import pytest
 
 from recipgas.gasdyn import (FIELDS, JETS, ConservationFormParams,
                              InvalidParams, OneForm, conservation_law_forms,
-                             main_derivatives, parametric_jets,
-                             reduce_on_manifold, standard_context,
-                             system_residuals, total_derivative)
+                             main_derivatives, reduce_on_manifold,
+                             standard_context, system_residuals,
+                             total_derivative)
 from recipgas.prolong import _flux_matrix
 from recipgas.symkernel import parse
 from recipgas.symkernel.errors import SymkernelError
+
+from helpers import parametric_jets
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +29,8 @@ def test_main_derivative_map_contents(ctx):
     md = main_derivatives(ctx)
     assert set(md) == {"p_x", "p_y", "S_x", "rho_x"}
     assert md["S_x"] == parse(ctx, "-(v/u)*S_y")
-    assert set(parametric_jets("x")) == {"rho_y", "u_x", "u_y", "v_x",
-                                         "v_y", "S_y"}
+    assert set(parametric_jets(ctx, "x")) == {"rho_y", "u_x", "u_y",
+                                              "v_x", "v_y", "S_y"}
 
 
 def test_reduction_is_projection(ctx):
@@ -92,8 +94,6 @@ def test_state_equation_is_formal_and_unused(ctx):
 
 
 def test_parameter_errors_defined_once():
-    from recipgas import gasdyn, numerics, prolong, transforms
-    assert numerics.InvalidParams is gasdyn.InvalidParams
-    assert prolong.ParamConstraintViolated is gasdyn.ParamConstraintViolated
-    assert transforms.ParamConstraintViolated is \
-        gasdyn.ParamConstraintViolated
+    from recipgas import gasdyn, numerics, prolong, symkernel, transforms
+    for module in (gasdyn, numerics, prolong, transforms):
+        assert module.InvalidParams is symkernel.InvalidParams

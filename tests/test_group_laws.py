@@ -1,0 +1,52 @@
+"""Group laws of the map algebra, decided exactly on fixed words.
+
+The reciprocal transformations form a group acting on the equivalence
+algebra, so composition, inversion and pushforward obey laws that need no
+outside oracle (Olver 1986, ch. 1: the pushforward of vector fields
+preserves the bracket).  The maps are the Bateman map at b = (1, 0, 2, 0),
+the theorem map of criterion 8 and the involutions E1, E2, all with the
+identity entropy map, so each has an inverse.
+"""
+
+from fractions import Fraction
+from itertools import combinations, product
+
+import pytest
+
+from recipgas.gasdyn import standard_context
+from recipgas.liealg import commutator, standard_basis
+from recipgas.transforms import (bateman, compose, invert,
+                                 involution_E1_reciprocal,
+                                 involution_E2_reciprocal, pushforward,
+                                 theorem_map, verify_reciprocal)
+
+CTX = standard_context()
+MAPS = {
+    "bateman": bateman(CTX, 1, 0, 2, 0, entropy="identity"),
+    "theorem": theorem_map(CTX, alpha=1, beta=2, k=1, a11=1,
+                           a34=Fraction(1, 2), a35=2, a45=3, psi=1,
+                           entropy="identity"),
+    "E1": involution_E1_reciprocal(CTX),
+    "E2": involution_E2_reciprocal(CTX),
+}
+PAIRS = list(product(MAPS, repeat=2))
+
+
+@pytest.mark.parametrize("a, b", PAIRS)
+def test_composition_is_reciprocal(a, b):
+    assert verify_reciprocal(compose(MAPS[a], MAPS[b])).passed
+
+
+@pytest.mark.parametrize("a, b", PAIRS)
+def test_inverse_of_composition(a, b):
+    A, B = MAPS[a], MAPS[b]
+    assert invert(compose(A, B)).components() == \
+        compose(invert(B), invert(A)).components()
+
+
+@pytest.mark.parametrize("a", MAPS)
+def test_pushforward_preserves_brackets(a):
+    A = MAPS[a]
+    for X, Y in combinations(standard_basis(CTX)[2:5], 2):
+        assert pushforward(A, commutator(X, Y)) == \
+            commutator(pushforward(A, X), pushforward(A, Y))

@@ -1,16 +1,20 @@
 """Every function, class and method under src/recipgas is used by the
-program, and every name a package exports exists.
+program, every name a package exports exists, and every SymkernelError
+subclass is defined once and raised.
 
 A definition counts as used when its name appears as a name or an
 attribute anywhere in src/ or bench/, or as an attribute name the
-benchmark tracer wraps (bench/tracer.py TARGETS).  A top-level definition
-listed in a package's __all__ is the documented API and counts as used.
-A reference from tests/ does not count: a helper only tests call belongs
-in tests/.  Importing or re-exporting a name is not a use.  Dunder methods
+benchmark tracer wraps (bench/tracer.py TARGETS).  An attribute named like
+one of a builtin type's (the `split` of `"...".split(".")`) is no use of a
+top-level definition, only of a method.  A top-level definition listed in
+a package's __all__ is the documented API and counts as used.  A
+reference from tests/ does not count: a helper only tests call belongs in
+tests/.  Importing or re-exporting a name is not a use.  Dunder methods
 are called by the language and are exempt.
 """
 
 import ast
+import collections
 import functools
 import importlib
 import importlib.util
@@ -20,6 +24,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 TRACER = ROOT / "bench" / "tracer.py"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+BUILTIN_ATTRIBUTES = frozenset().union(*map(dir, (
+    str, bytes, int, float, complex, list, tuple, dict, set, frozenset,
+    object)))
 
 
 @functools.cache
@@ -66,24 +73,32 @@ def _definitions():
 
 
 def _references():
-    referenced = set()
+    """(names, attributes) referenced in src/ and bench/; the tracer's
+    targets count as attributes."""
+    names, attributes = set(), _tracer_attributes()
     for tree_dir in ("src", "bench"):
         for _path, tree in _trees(tree_dir):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
-                    referenced.add(node.id)
+                    names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    referenced.add(node.attr)
-    return referenced | _tracer_attributes()
+                    attributes.add(node.attr)
+    return names, attributes
 
 
 def test_no_unreferenced_definitions():
-    referenced = _references()
-    exported = {n for names in _exports().values() for n in names}
+    names, attributes = _references()
+    exported = {n for listed in _exports().values() for n in listed}
+
+    def used(name, top_level):
+        if top_level:
+            return name in names or name in exported or (
+                name in attributes and name not in BUILTIN_ATTRIBUTES)
+        return name in names or name in attributes
+
     unused = sorted("%s (%s)" % (name, where)
                     for name, where, top_level in _definitions()
-                    if name not in referenced
-                    and not (top_level and name in exported))
+                    if not used(name, top_level))
     assert not unused, "defined but never used by the program: " + \
         ", ".join(unused)
 
@@ -95,3 +110,31 @@ def test_exports_resolve():
                if not hasattr(importlib.import_module(mod), name)]
     assert not missing, "__all__ names that do not exist: " + \
         ", ".join(missing)
+
+
+def _raised_name(node):
+    """The class name a raise statement names, or None."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if isinstance(exc, ast.Name):
+        return exc.id
+    return exc.attr if isinstance(exc, ast.Attribute) else None
+
+
+def test_error_classes_defined_once_and_raised():
+    classes, raised = [], set()
+    for _path, tree in _trees("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = {b.id if isinstance(b, ast.Name) else
+                         getattr(b, "attr", None) for b in node.bases}
+                classes.append((node.name, bases))
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                raised.add(_raised_name(node))
+    # SymkernelError and its subclasses, direct or not
+    errors, grown = set(), {"SymkernelError"}
+    while grown:
+        errors |= grown
+        grown = {name for name, bases in classes if bases & errors} - errors
+    counts = collections.Counter(name for name, _bases in classes)
+    assert [n for n in sorted(errors) if counts[n] != 1] == []
+    assert sorted(errors - raised) == []
