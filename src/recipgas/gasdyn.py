@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .symkernel import Context, Expr, parse
+from .symkernel import Context, Expr, parse, substitute_all
 from .symkernel.errors import InvalidParams, SymkernelError
 
 FIELDS = ("rho", "u", "v", "p", "S")
@@ -120,8 +120,12 @@ def main_derivatives(ctx: Context, solve_for: str = "x") -> dict:
     raise ValueError("solve_for must be 'x' or 'y'")
 
 
-def reduce_on_manifold(e: Expr, solve_for: str = "x") -> Expr:
-    return e.substitute(main_derivatives(e.ctx, solve_for))
+def reduce_on_manifold(exprs, solve_for: str = "x") -> list:
+    """exprs with the main derivatives substituted, in one substitution."""
+    exprs = list(exprs)
+    if not exprs:
+        return exprs
+    return substitute_all(exprs, main_derivatives(exprs[0].ctx, solve_for))
 
 
 def total_derivative(e: Expr, coord: str) -> Expr:
@@ -145,17 +149,18 @@ class OneForm:
     cx: Expr
     cy: Expr
 
-    def closedness_residual(self, solve_for: str = "x") -> Expr:
-        return reduce_on_manifold(
-            total_derivative(self.cy, "x") - total_derivative(self.cx, "y"),
-            solve_for)
+    def exterior_derivative(self) -> Expr:
+        """D_x c_y - D_y c_x, the dx^dy coefficient of the form's exterior
+        derivative; the form is closed when it reduces to zero on the
+        solution manifold."""
+        return total_derivative(self.cy, "x") - total_derivative(self.cx, "y")
 
 
 def closedness_residuals(f, solve_for: str = "x"):
     """[(tag, residual)] of the 1-forms dx' and dy' whose coefficients are
     the rows of the 2x2 form matrix f, tagged closedness-dx and -dy."""
-    return [(tag, OneForm(*row).closedness_residual(solve_for))
-            for tag, row in zip(("closedness-dx", "closedness-dy"), f)]
+    return list(zip(("closedness-dx", "closedness-dy"), reduce_on_manifold(
+        [OneForm(*row).exterior_derivative() for row in f], solve_for)))
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ def _system_residuals(X, pro, solve_for):
     reduced to the solution manifold."""
     ctx = X.ctx
     out = []
-    for tag, F in zip(RESIDUAL_NAMES, system_residuals(ctx)):
+    for F in system_residuals(ctx):
         r = Expr.const(ctx, 0)
         for f, z in zip(FIELDS, X.field_slots()):
             if not z.is_zero():
@@ -74,8 +74,8 @@ def _system_residuals(X, pro, solve_for):
                     zj = pro[(f, c)]
                     if not zj.is_zero():
                         r = r + zj * d
-        out.append((tag, reduce_on_manifold(r, solve_for)))
-    return out
+        out.append(r)
+    return list(zip(RESIDUAL_NAMES, reduce_on_manifold(out, solve_for)))
 
 
 def determining_residuals(X: Generator, solve_for: str = "x") -> DeterminingSystem:

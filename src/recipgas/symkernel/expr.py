@@ -18,16 +18,17 @@ chain rule, and nothing else is assumed about them.
 from __future__ import annotations
 
 import numbers
-from math import gcd
+from math import gcd, lcm
 
 from .context import Context
 from .errors import (DivisionByZeroExpr, InvalidParams, NotPolynomialInVars,
                      UnboundSymbol, UnknownVariable, VariableMismatch)
 from .numeric import compile_exprs
 from .poly import (MONO_ONE, QQ, Poly, mono_items, mono_pack, padd,
-                   pconst, pcontent, pderiv, pdiv_exact, pgcd,
-                   pis_const, pis_zero, pleading_mono, pmul, pneg, ppow,
-                   pprimitive, psorted_terms, pvar, pvars)
+                   padd_into, pcoefficients, pconst, pcontent,
+                   pcoprime_basis, pderiv, pdiv_exact, pgcd, pis_const,
+                   pis_zero, pleading_mono, pmul, pneg, ppow, pprimitive,
+                   pscale, psorted_terms, pvar, pvars)
 
 _POLY_ONE = pconst(1)
 
@@ -227,25 +228,9 @@ class Expr:
     # --- substitution ---------------------------------------------------
 
     def substitute(self, bindings: dict) -> "Expr":
-        """Simultaneous substitution of variables and formal applications.
-
-        Keys are variable names or atom display strings like "h(S)"; values
-        are Exprs or numbers.  All replacements happen in one pass, so a
-        swap such as {"u": v, "v": u} is well defined.
-        """
-        ctx = self.ctx
-        bound = {}
-        for name, repl in bindings.items():
-            if name not in ctx.index:
-                raise UnknownVariable(name)
-            if not isinstance(repl, Expr):
-                repl = Expr.const(ctx, repl)
-            elif repl.ctx is not ctx:
-                raise VariableMismatch(name)
-            bound[ctx.index[name]] = repl
-        if not bound:
-            return self
-        return _subs_pair(self, bound)
+        """Simultaneous substitution of variables and formal applications;
+        see substitute_all."""
+        return substitute_all([self], bindings)[0]
 
     # --- coefficient extraction ------------------------------------------
 
@@ -414,43 +399,192 @@ def _poly_deriv_expr(ctx: Context, p: Poly, idx: int, name: str) -> Expr:
     return out
 
 
-def _subs_pair(e: Expr, bound: dict) -> Expr:
-    ctx = e.ctx
-    powers: dict = {}    # (idx, exp) -> value of the variable to exp
+def substitute_all(exprs, bindings: dict) -> list:
+    """Simultaneous substitution into each expression of exprs.
 
-    def value_of(idx):
-        if idx in bound:
-            return bound[idx]
-        info = ctx.atoms.get(idx)
-        if info is not None:
-            new_args = tuple(_subs_pair(a, bound) for a in info.args)
-            if all(na == a for na, a in zip(new_args, info.args)):
-                return Expr(ctx, pvar(idx), _POLY_ONE, _normalized=True)
-            return Expr.function(ctx, info.fname, *new_args,
-                                 orders=info.orders)
-        return Expr(ctx, pvar(idx), _POLY_ONE, _normalized=True)
+    Keys are variable names or atom display strings like "h(S)"; values
+    are Exprs or numbers.  All replacements happen in one pass, so a swap
+    such as {"u": v, "v": u} is well defined.  The binding set is prepared
+    once for the whole list (see _Substitution), so a caller with one
+    binding set and many expressions passes them together.
+    """
+    exprs = list(exprs)
+    if not exprs:
+        return exprs
+    ctx = exprs[0].ctx
+    bound = {}
+    for name, repl in bindings.items():
+        if name not in ctx.index:
+            raise UnknownVariable(name)
+        if not isinstance(repl, Expr):
+            repl = Expr.const(ctx, repl)
+        elif repl.ctx is not ctx:
+            raise VariableMismatch(name)
+        bound[ctx.index[name]] = repl
+    if any(e.ctx is not ctx for e in exprs):
+        raise VariableMismatch("expressions from different contexts")
+    if not bound:
+        return exprs
+    return _substitute(ctx, bound, exprs)
 
-    def power(idx, exp):
-        """Square and multiply, so x^e takes about 2*log2(e) products."""
-        r = powers.get((idx, exp))
+
+def _substitute(ctx: Context, bound: dict, exprs: list) -> list:
+    """exprs with the values bound[idx] in place of the variables idx; a
+    formal application whose arguments change is a new application."""
+    occurring = [(pvars(e.num), pvars(e.den)) for e in exprs]
+    values = {}
+    for idx in sorted(set().union(*(n | d for n, d in occurring))):
+        value = bound.get(idx)
+        if value is None:
+            info = ctx.atoms.get(idx)
+            if info is None:
+                continue
+            args = _substitute(ctx, bound, list(info.args))
+            if all(na == a for na, a in zip(args, info.args)):
+                continue
+            value = Expr.function(ctx, info.fname, *args, orders=info.orders)
+        if value.den != _POLY_ONE or value.num != pvar(idx):
+            values[idx] = value
+    if not values:
+        return exprs
+    sub = _Substitution(ctx, values)
+    return [sub.apply(e, *vs) for e, vs in zip(exprs, occurring)]
+
+
+class _Substitution:
+    """Values for some variables, prepared for substitution into many
+    expressions.
+
+    The value n_i/d_i of variable i is read as n_i over c_i times a product
+    of powers of pairwise coprime primitive polynomials b_j: c_i is the
+    integer content of d_i, and the b_j are a gcd-free basis of the
+    primitive parts, with the exponents from the refinement
+    (pcoprime_basis).  A polynomial then takes the common denominator
+    C * prod_j b_j^K_j, and each of its terms is brought over it with
+    pmul, ppow and padd alone: no Expr products and no gcds.  Powers of
+    the value numerators and of the basis are cached across the batch.
+    """
+
+    def __init__(self, ctx: Context, values: dict):
+        self.ctx = ctx
+        self.idxs = set(values)
+        self.nums = {i: v.num for i, v in values.items()}
+        self.contents = {}
+        dens, owners = [], []
+        for i, v in values.items():
+            # the leading denominator coefficient is positive, and so is
+            # the content
+            c = pcontent(v.den)
+            self.contents[i] = c
+            if not pis_const(v.den):
+                dens.append(pprimitive(v.den))
+                owners.append(i)
+        self.basis, exps = pcoprime_basis(dens)
+        self.exps = dict(zip(owners, exps))
+        self._powers: dict = {}    # (i, e) -> nums[i]^e; (-1-j, e) -> b_j^e
+        self._terms: dict = {}     # monomial -> (numerator, content, exps)
+
+    def _power(self, key, base, e):
+        r = self._powers.get(key)
         if r is None:
-            if exp == 1:
-                r = value_of(idx)
-            else:
-                r = power(idx, exp // 2)
-                r = r * r
-                if exp % 2:
-                    r = r * power(idx, 1)
-            powers[(idx, exp)] = r
+            r = self._powers[key] = ppow(base, e)
         return r
 
-    def evaluate(p: Poly) -> Expr:
-        total = 0
-        for i, (m, c) in enumerate(p.items()):
-            term = c
-            for idx, exp in mono_items(m):
-                term = term * power(idx, exp)
-            total = term if i == 0 else total + term
-        return total if isinstance(total, Expr) else Expr.const(ctx, total)
+    def _term(self, extra):
+        """The value of the monomial extra in the bound variables, as
+        (numerator, integer content, {j: exponent of b_j})."""
+        t = self._terms.get(extra)
+        if t is None:
+            num, content, exps = _POLY_ONE, 1, {}
+            for i, e in mono_items(extra):
+                num = pmul(num, self._power((i, e), self.nums[i], e))
+                content *= self.contents[i] ** e
+                for j, k in self.exps.get(i, {}).items():
+                    exps[j] = exps.get(j, 0) + k * e
+            t = self._terms[extra] = (num, content, exps)
+        return t
 
-    return evaluate(e.num) / evaluate(e.den)
+    def _basis_power(self, j, e):
+        return self._power((-1 - j, e), self.basis[j], e)
+
+    def over_basis(self, p: Poly):
+        """(N, C, K): p with the values substituted is
+        N / (C * prod_j b_j^K[j])."""
+        groups = [(coeff, self._term(extra))
+                  for extra, coeff in pcoefficients(p, self.idxs).items()]
+        C, K = 1, {}
+        for _, (_, content, exps) in groups:
+            C = lcm(C, content)
+            for j, k in exps.items():
+                if k > K.get(j, 0):
+                    K[j] = k
+        out = {}
+        for coeff, (num, content, exps) in groups:
+            t = pmul(pscale(coeff, C // content), num)
+            for j, k in K.items():
+                if k > exps.get(j, 0):
+                    t = pmul(t, self._basis_power(j, k - exps.get(j, 0)))
+            padd_into(out, t)
+        return out, C, K
+
+    def apply(self, e: Expr, num_vars: set, den_vars: set) -> Expr:
+        """e with the values substituted; num_vars and den_vars are the
+        variables of its numerator and denominator."""
+        if not (num_vars | den_vars) & self.idxs:
+            return e
+        num, C, K = self.over_basis(e.num)
+        if not den_vars & self.idxs:
+            return self._cancel(num, C, K, e.den)
+        dnum, dC, dK = self.over_basis(e.den)
+        if not dnum:
+            raise DivisionByZeroExpr("division by zero")
+        # (num / (C b^K)) / (dnum / (dC b^dK)): one normalisation
+        num, den = pscale(num, dC), pscale(dnum, C)
+        for j in K.keys() | dK.keys():
+            d = dK.get(j, 0) - K.get(j, 0)
+            if d > 0:
+                num = pmul(num, self._basis_power(j, d))
+            elif d < 0:
+                den = pmul(den, self._basis_power(j, -d))
+        return Expr(self.ctx, num, den)
+
+    def _cancel(self, num: Poly, C: int, K: dict, q: Poly) -> Expr:
+        """num / (C * prod_j b_j^K[j] * q) in canonical form, cancelled one
+        known factor at a time: exact division by each b_j, then a gcd
+        against what is left of it and against q."""
+        if not num:
+            return Expr(self.ctx, {}, _POLY_ONE, _normalized=True)
+        factors = []
+        for j, k in K.items():
+            b = self.basis[j]
+            while k:
+                try:
+                    num = pdiv_exact(num, b)
+                except ValueError:
+                    break
+                k -= 1
+            while k:
+                g = pgcd(num, b)
+                if pis_const(g):
+                    break
+                num = pdiv_exact(num, g)
+                factors.append(pdiv_exact(b, g))
+                k -= 1
+            if k:
+                factors.append(self._basis_power(j, k))
+        if not pis_const(q):
+            g = pgcd(num, q)
+            if not pis_const(g):
+                num, q = pdiv_exact(num, g), pdiv_exact(q, g)
+        # the factors are primitive, so the denominator's content is
+        # C times that of q (Gauss's lemma); each factor's leading
+        # coefficient is positive, and so is the product's
+        c = gcd(C * gcd(*q.values()), *num.values())
+        den = q
+        for f in factors:
+            den = pmul(den, f)
+        den = pscale(den, C)
+        if c != 1:
+            num = {m: x // c for m, x in num.items()}
+            den = {m: x // c for m, x in den.items()}
+        return Expr(self.ctx, num, den, _normalized=True)

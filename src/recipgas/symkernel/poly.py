@@ -144,9 +144,11 @@ def pleading_mono(p: Poly) -> Mono:
 def padd(a: Poly, b: Poly) -> Poly:
     if not a:
         return dict(b)
-    if not b:
-        return dict(a)
-    r = dict(a)
+    return padd_into(dict(a), b)
+
+
+def padd_into(r: Poly, b: Poly) -> Poly:
+    """r + b, written into r and returned."""
     for m, c in b.items():
         s = r.get(m)
         if s is None:
@@ -498,9 +500,10 @@ def _try_div(a: Poly, b: Poly) -> bool:
         return False
 
 
-def _coefficients_over(a: Poly, idxs) -> list:
-    """Coefficients of a viewed as a polynomial in the variables idxs, each
-    a Poly in the other variables."""
+def pcoefficients(a: Poly, idxs) -> dict:
+    """a viewed as a polynomial in the variables idxs: {monomial in idxs,
+    without its degree field: coefficient, a Poly in the other
+    variables}."""
     mask = 0
     for i in idxs:
         mask |= _MASK << (_FB * (i + 1))
@@ -511,12 +514,12 @@ def _coefficients_over(a: Poly, idxs) -> list:
         if coeff is None:
             coeff = groups[extra] = {}
         coeff[m - extra] = c
-    out = []
+    out = {}
     for extra, coeff in groups.items():
         # m - extra still counts the degree of extra in its lowest field,
         # which is extra mod 2^16 - 1 (see _with_degree)
         deg = extra % _MASK
-        out.append({m - deg: c for m, c in coeff.items()})
+        out[extra] = {m - deg: c for m, c in coeff.items()} if deg else coeff
     return out
 
 
@@ -562,7 +565,7 @@ def pgcd(a: Poly, b: Poly) -> Poly:
         if shared == va:
             a, b, va, vb = b, a, vb, va
         g = b
-        for coeff in sorted(_coefficients_over(a, va - vb), key=len):
+        for coeff in sorted(pcoefficients(a, va - vb).values(), key=len):
             g = pgcd(g, coeff)
             if pis_const(g):
                 break
@@ -579,3 +582,41 @@ def pgcd(a: Poly, b: Poly) -> Poly:
     if common_mono:
         g = {m + common_mono: c for m, c in g.items()}
     return g
+
+
+def pcoprime_basis(polys):
+    """A gcd-free basis of primitive polynomials with positive leading
+    coefficients, by factor refinement (Bach, Driscoll & Shallit, "Factor
+    refinement", J. Algorithms 15, 1993): (basis, exponents), where the
+    basis polynomials are pairwise coprime and polys[i] is the product of
+    basis[j]^e over exponents[i].items().  Two parts that share a factor g
+    are replaced by g and their cofactors until no two parts do, so the
+    exponents follow from the splits, not from trial division."""
+    parts: list = []           # [(poly, {input index: exponent})]
+    pending = [(p, {i: 1}) for i, p in enumerate(polys)]
+    while pending:
+        q, owners = pending.pop()
+        for k, (b, bowners) in enumerate(parts):
+            if b == q:
+                for i, e in owners.items():
+                    bowners[i] = bowners.get(i, 0) + e
+                break
+            g = pgcd(b, q)
+            if not pis_const(g):
+                del parts[k]
+                both = dict(bowners)
+                for i, e in owners.items():
+                    both[i] = both.get(i, 0) + e
+                pending.append((g, both))
+                for r, rowners in ((pdiv_exact(b, g), bowners),
+                                   (pdiv_exact(q, g), owners)):
+                    if not pis_const(r):
+                        pending.append((r, rowners))
+                break
+        else:
+            parts.append((q, owners))
+    exponents = [{} for _ in polys]
+    for j, (_, owners) in enumerate(parts):
+        for i, e in owners.items():
+            exponents[i][j] = e
+    return [b for b, _ in parts], exponents

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from ..gasdyn import FIELDS, parse_record
 from ..liealg import Generator
-from ..symkernel import Context, Expr
+from ..symkernel import Context, Expr, substitute_all
 from ..symkernel.errors import NumericDomain, SymkernelError
 from ..symkernel.linalg import adj2, det2, mul2, rref
 
@@ -69,10 +69,10 @@ class ReciprocalMap:
 
     def substitute(self, sub: dict) -> "ReciprocalMap":
         """The map with `sub` substituted into its nine components."""
-        s = lambda e: e.substitute(sub)
-        return replace(
-            self, R=s(self.R), U=s(self.U), V=s(self.V), P=s(self.P),
-            H=s(self.H), f=tuple(tuple(map(s, row)) for row in self.f))
+        R, U, V, P, H, f11, f12, f21, f22 = substitute_all(
+            self.components(), sub)
+        return replace(self, R=R, U=U, V=V, P=P, H=H,
+                       f=((f11, f12), (f21, f22)))
 
     def is_identity(self) -> bool:
         ctx = self.ctx
@@ -186,11 +186,11 @@ def invert(T: ReciprocalMap) -> ReciprocalMap:
     det = T.det_f()
     if det.is_zero():
         raise NotInvertible("form matrix is singular")
-    finv = tuple(tuple((e / det).substitute(inv_fields) for e in row)
-                 for row in adj2(T.f))
+    f11, f12, f21, f22 = substitute_all(
+        [e / det for row in adj2(T.f) for e in row], inv_fields)
     return ReciprocalMap(inv_fields["rho"], inv_fields["u"],
                          inv_fields["v"], inv_fields["p"], inv_fields["S"],
-                         finv, name=T.name + "^-1")
+                         ((f11, f12), (f21, f22)), name=T.name + "^-1")
 
 
 # --- one-parameter families ---------------------------------------------------

@@ -13,7 +13,7 @@ with all coefficient functions rewritten in primed symbols.
 from __future__ import annotations
 
 from ..liealg import AutomorphismMatrix, Generator, NotInSpan
-from ..symkernel import Expr
+from ..symkernel import Expr, substitute_all
 from ..symkernel.errors import SymkernelError
 from ..symkernel.linalg import adj2, mul2, solve, transpose
 from .maps import NotInvertible, ReciprocalMap, solve_inverse
@@ -30,7 +30,7 @@ def pushforward(T: ReciprocalMap, X: Generator) -> Generator:
     if det.is_zero():
         raise NotInvertible("form matrix of %s is singular" % T.name)
     m = [e / det for row in mul2(num, adj2(T.f)) for e in row]
-    return Generator(*(e.substitute(inv) for e in fields + m),
+    return Generator(*substitute_all(fields + m, inv),
                      label="%s_*(%s)" % (T.name, X.label))
 
 

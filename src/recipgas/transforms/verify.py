@@ -18,7 +18,8 @@ from ..gasdyn import (FIELDS, RESIDUAL_NAMES, InvalidParams, OneForm,
                       reduce_on_manifold, system_residuals, total_derivative)
 from ..liealg import AutomorphismMatrix, SingularMatrix, automorphism_symbols
 from ..reports import CheckItem, Report
-from ..symkernel import QQ, Expr, compile_exprs, compile_exprs_mp
+from ..symkernel import (QQ, Expr, compile_exprs, compile_exprs_mp,
+                         substitute_all)
 from ..symkernel.errors import DivisionByZeroExpr, NumericDomain
 from ..symkernel.linalg import adj2, det2, mul2
 from .maps import OneParamFamily, ReciprocalMap
@@ -40,16 +41,13 @@ RECIP_LAW_NAMES = ("mass-flux", "momentum-y-flux", "momentum-x-flux",
 def transformed_law_residuals(T: ReciprocalMap, solve_for: str = "x"):
     """Closedness residuals of the four conserved forms written in primed
     fields and pulled back through the form matrix."""
-    ctx = T.ctx
-    sub = T.field_map()
-    out = []
-    for name, law in zip(RECIP_LAW_NAMES, conservation_law_forms(ctx)):
-        cxp = law.cx.substitute(sub)
-        cyp = law.cy.substitute(sub)
-        pulled = OneForm(cxp * T.f[0][0] + cyp * T.f[1][0],
-                         cxp * T.f[0][1] + cyp * T.f[1][1])
-        out.append((name, pulled.closedness_residual(solve_for)))
-    return out
+    laws = conservation_law_forms(T.ctx)
+    primed = iter(substitute_all([c for law in laws for c in (law.cx, law.cy)],
+                                 T.field_map()))
+    pulled = [OneForm(*(cxp * a + cyp * b for a, b in zip(*T.f)))
+              for cxp, cyp in zip(primed, primed)]
+    return list(zip(RECIP_LAW_NAMES, reduce_on_manifold(
+        [w.exterior_derivative() for w in pulled], solve_for)))
 
 
 def residual_report(title: str, residuals, side_conditions=(),
@@ -152,9 +150,9 @@ def verify_point_symmetry(T: ReciprocalMap, solve_for: str = "x",
             # (D_x phi, D_y phi)^T = J^T (f_x', f_y')^T for phi = sub[fname]
             jets["%s_x" % fname] = (a[0][0] * dx + a[1][0] * dy) / detj
             jets["%s_y" % fname] = (a[0][1] * dx + a[1][1] * dy) / detj
-        for name, F in zip(RESIDUAL_NAMES, system_residuals(T.ctx)):
-            r = reduce_on_manifold(F.substitute({**sub, **jets}), solve_for)
-            residuals.append((name, r))
+        residuals = list(zip(RESIDUAL_NAMES, reduce_on_manifold(
+            substitute_all(system_residuals(T.ctx), {**sub, **jets}),
+            solve_for)))
     rep = residual_report("point symmetry of %s" % (T.name or "map"),
                           residuals,
                           ["%s != 0" % d for d in T.denominators()], seed)
@@ -452,8 +450,9 @@ def verify_automorphism_solution(A: AutomorphismMatrix,
         raise SingularMatrix("det A normalizes to 0")
     bindings = {str(a): e for names, row in zip(
         automorphism_symbols(det.ctx), A.entries) for a, e in zip(names, row)}
+    values = substitute_all(constraints, bindings)
     rep = residual_report("automorphism check",
-                          [("constraint %d" % (i + 1), c.substitute(bindings))
-                           for i, c in enumerate(constraints)])
+                          [("constraint %d" % (i + 1), c)
+                           for i, c in enumerate(values)])
     rep.extras["det"] = det
     return rep

@@ -331,6 +331,23 @@ def test_words_are_not_parameter_values(capsys, argv, value):
     assert value in capsys.readouterr().err
 
 
+def test_denominator_emptied_by_substitution_is_a_usage_error(
+        capsys, tmp_path, monkeypatch):
+    # no command substitutes a value that empties a denominator of the
+    # map by itself, so verify-map here first sends u to v in the map
+    # rho' = rho/(u-v): the substitution raises, and the command exits 2
+    # with the kernel's message
+    record = {"R": "rho/(u-v)", "U": "u", "V": "v", "P": "p", "H": "S",
+              "form": [["1", "0"], ["0", "1"]]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(record))
+    check = cli.verify_reciprocal
+    monkeypatch.setattr(cli, "verify_reciprocal", lambda T, *a, **k: check(
+        T.substitute({"u": T.V}), *a, **k))
+    assert main(["verify-map", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == "error: division by zero\n"
+
+
 def test_lie_check_reports_only_the_tolerance(capsys):
     code, out = run(capsys, "lie-check", "--family", "one_param_linear",
                     "--points", "5", "--tol", "1e-20")

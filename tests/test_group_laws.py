@@ -3,7 +3,8 @@
 The reciprocal transformations form a group acting on the equivalence
 algebra, so composition, inversion and pushforward obey laws that need no
 outside oracle (Olver 1986, ch. 1: the pushforward of vector fields
-preserves the bracket).  The maps are the Bateman map at b = (1, 0, 2, 0),
+preserves the bracket and composes, so the automorphism matrices of
+criterion 8 multiply).  The maps are the Bateman map at b = (1, 0, 2, 0),
 the theorem map of criterion 8 and the involutions E1, E2, all with the
 identity entropy map, so each has an inverse.
 """
@@ -18,7 +19,8 @@ from recipgas.liealg import commutator, standard_basis
 from recipgas.transforms import (bateman, compose, invert,
                                  involution_E1_reciprocal,
                                  involution_E2_reciprocal, pushforward,
-                                 theorem_map, verify_reciprocal)
+                                 pushforward_matrix, theorem_map,
+                                 verify_reciprocal)
 
 CTX = standard_context()
 MAPS = {
@@ -30,6 +32,7 @@ MAPS = {
     "E2": involution_E2_reciprocal(CTX),
 }
 PAIRS = list(product(MAPS, repeat=2))
+MEGAIDEAL = standard_basis(CTX)[2:5]
 
 
 @pytest.mark.parametrize("a, b", PAIRS)
@@ -47,6 +50,24 @@ def test_inverse_of_composition(a, b):
 @pytest.mark.parametrize("a", MAPS)
 def test_pushforward_preserves_brackets(a):
     A = MAPS[a]
-    for X, Y in combinations(standard_basis(CTX)[2:5], 2):
+    for X, Y in combinations(MEGAIDEAL, 2):
         assert pushforward(A, commutator(X, Y)) == \
             commutator(pushforward(A, X), pushforward(A, Y))
+
+
+@pytest.mark.parametrize("a, b", PAIRS)
+def test_pushforward_composes(a, b):
+    A, B = MAPS[a], MAPS[b]
+    AB = compose(A, B)
+    for X in MEGAIDEAL:
+        assert pushforward(AB, X) == pushforward(A, pushforward(B, X))
+
+
+@pytest.mark.parametrize("a, b", PAIRS)
+def test_automorphism_matrices_multiply(a, b):
+    # (AB)_* X_i = A_*(sum_n M_B[n][i] X_n), and the entries are constants
+    MA, MB, MAB = (pushforward_matrix(T, MEGAIDEAL).entries
+                   for T in (MAPS[a], MAPS[b], compose(MAPS[a], MAPS[b])))
+    assert all(e.is_constant() for row in MA + MB for e in row)
+    assert MAB == tuple(tuple(sum(MA[k][n] * MB[n][i] for n in range(3))
+                              for i in range(3)) for k in range(3))

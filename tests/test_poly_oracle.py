@@ -6,20 +6,26 @@ second polynomial's variables a proper subset of the first's (tried in
 both argument orders), equal sets, overlapping sets and disjoint sets.
 The arithmetic cases check padd, pmul, ppow, pderiv, Expr.diff and
 Expr.substitute in the same variables, and the canonical form of Expr.
+Substituted values are drawn independently or with denominators that
+share factors, and the gcd-free basis substitution reads them over is
+checked on its own.
 A polynomial is drawn with rational coefficients and then cleared of
 their denominators, since the kernel's coefficients are integers.
 """
 
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
 
 from recipgas.gasdyn import standard_context
-from recipgas.symkernel import DivisionByZeroExpr, Expr, parse
+from recipgas.symkernel import (DivisionByZeroExpr, Expr, parse,
+                                substitute_all)
 from recipgas.symkernel.poly import (QQ, mono_items, mono_pack, padd, pconst,
-                                     pcontent, pderiv, pdiv_exact, pgcd,
-                                     pleading_mono, pmul, ppow, pprimitive,
-                                     pvars)
+                                     pcontent, pcoprime_basis, pderiv,
+                                     pdiv_exact, pgcd, pis_const,
+                                     pleading_mono, pmul, pneg, ppow,
+                                     pprimitive, pvars)
 
 sympy = pytest.importorskip("sympy", minversion="1.14")
 pytest.importorskip("hypothesis")
@@ -245,20 +251,62 @@ def test_expr_diff_matches_sympy(e, var):
     _same(e.diff(var), sympy.diff(_sym(e), sympy.Symbol(var)))
 
 
-@given(e=_ratfun(), data=st.data())
-def test_expr_substitute_matches_sympy(e, data):
+@st.composite
+def _shared_values(draw, names):
+    """Values for names whose denominators share a factor g, as the inverse
+    fields of bateman and theorem_map do: g*h1 beside g*h2, and g beside
+    g^2."""
+    g = draw(_poly_in(max_vars=3, max_terms=2))
+    assume(not pis_const(g))
+    out = {}
+    for n in names:
+        kind = draw(st.sampled_from(("g*h", "g", "g^2", "1")))
+        den = {"g": g, "g^2": pmul(g, g), "1": pconst(1)}.get(kind) or \
+            pmul(g, draw(_poly_in(max_vars=3, max_terms=2)))
+        num = draw(_poly_in(max_terms=3))
+        out[n] = Expr(CTX, num, pconst(1)) / Expr(CTX, den, pconst(1))
+    return out
+
+
+@given(e=_ratfun(), e2=_ratfun(), data=st.data())
+def test_expr_substitute_matches_sympy(e, e2, data):
     # a simultaneous substitution of up to three variables by polynomials
-    # and quotients in VARS
+    # and quotients in VARS, drawn independently or over one shared factor
     names = data.draw(st.lists(st.sampled_from(VARS), min_size=1,
                                max_size=3, unique=True))
-    repl = {n: data.draw(_ratfun()) for n in names}
+    if data.draw(st.booleans()):
+        repl = data.draw(_shared_values(names))
+    else:
+        repl = {n: data.draw(_ratfun()) for n in names}
     try:
-        got = e.substitute(repl)
+        got, got2 = e.substitute(repl), e2.substitute(repl)
     except DivisionByZeroExpr:
         assume(False)
     want = _sym(e).subs({sympy.Symbol(n): _sym(r) for n, r in repl.items()},
                         simultaneous=True)
     _same(got, want)
+    _assert_canonical(got)
+    assert substitute_all([e, e2], repl) == [got, got2]
+
+
+@given(g=_poly_in(max_vars=3, max_terms=2),
+       h1=_poly_in(max_vars=3, max_terms=2),
+       h2=_poly_in(max_vars=3, max_terms=2))
+def test_coprime_basis_refines_shared_factors(g, h1, h2):
+    # the basis is pairwise coprime, and each input is the product of the
+    # basis powers its exponents name
+    polys = [pprimitive(p) for p in (pmul(g, h1), pmul(g, h2), g, pmul(g, g),
+                                     pmul(h1, h2))]
+    assume(not any(pis_const(p) for p in polys))
+    polys = [p if p[pleading_mono(p)] > 0 else pneg(p) for p in polys]
+    basis, exponents = pcoprime_basis(polys)
+    for a, b in combinations([_to_sympy(q) for q in basis], 2):
+        assert sympy.gcd(a, b).is_ground
+    for p, exps in zip(polys, exponents):
+        prod = pconst(1)
+        for j, k in exps.items():
+            prod = pmul(prod, ppow(basis[j], k))
+        assert prod == p
 
 
 def _assert_canonical(e):

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from recipgas.gasdyn import standard_context
-from recipgas.symkernel import Expr, parse
+from recipgas.symkernel import Expr, parse, substitute_all
+from recipgas.symkernel import expr as expr_module
+from recipgas.symkernel import poly as poly_module
 from recipgas.symkernel.errors import (DegreeOverflow, DivisionByZeroExpr,
                                        InvalidParams, NotPolynomialInVars,
                                        NumericDomain, UnboundSymbol,
@@ -193,22 +195,55 @@ def test_substitute_pressure_inverse(ctx):
 
 
 def test_substitute_powers_by_squaring(ctx, monkeypatch):
-    # x^16384 = x^(2^14) takes 14 squarings, not 16383 products
+    # x^16384 = x^(2^14) takes 14 squarings, not 16383 products; the
+    # powers are taken on polynomials by ppow, so count its products
     e = parse(ctx, "rho^16384+rho^3*u")
     value = parse(ctx, "2*u/3")
-    calls = []
-    mul = Expr.__mul__
+    calls, inside = [], []
 
-    def counted(self, other):
-        calls.append(other)
-        return mul(self, other)
+    def counted_ppow(a, n):
+        inside.append(n)
+        try:
+            return ppow(a, n)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(Expr, "__mul__", counted)
-    monkeypatch.setattr(Expr, "__rmul__", counted)
+    def counted_pmul(a, b):
+        if inside:
+            calls.append(b)
+        return pmul(a, b)
+
+    monkeypatch.setattr(expr_module, "ppow", counted_ppow)
+    monkeypatch.setattr(poly_module, "pmul", counted_pmul)
     out = e.substitute({"rho": value})
     monkeypatch.undo()
     assert 0 < len(calls) <= 40
     assert out == value ** 16384 + value ** 3 * parse(ctx, "u")
+
+
+def test_substitution_that_empties_a_denominator(ctx):
+    # the denominator u-v vanishes only once u is replaced
+    e = parse(ctx, "1/(u-v)")
+    for call in (lambda: e.substitute({"u": parse(ctx, "v")}),
+                 lambda: substitute_all([parse(ctx, "u"), e],
+                                        {"u": parse(ctx, "v")})):
+        with pytest.raises(DivisionByZeroExpr, match="^division by zero$"):
+            call()
+
+
+def test_substitute_all_is_substitute_per_expression(ctx):
+    # one binding set whose denominators share the factor p+1, as the
+    # inverse fields of bateman do, into expressions over 1 and not
+    bindings = {"rho": parse(ctx, "u/(p+1)"), "u": parse(ctx, "v/(p+1)^2"),
+                "v": parse(ctx, "(u+1)/(u*(p+1))"), "S": 3}
+    exprs = [parse(ctx, t) for t in (
+        "rho*u+v^2", "(rho-u)/(v+S)", "u^2/(p-1)", "p*h(S)", "0", "x")]
+    assert substitute_all(exprs, bindings) == \
+        [e.substitute(bindings) for e in exprs]
+    assert substitute_all([], bindings) == []
+    assert substitute_all(exprs, {}) == exprs
+    with pytest.raises(VariableMismatch):
+        substitute_all([exprs[0], parse(standard_context(), "u")], bindings)
 
 
 def test_coefficients_render_beyond_integer_string_limit(ctx):
