@@ -42,10 +42,10 @@ def transformed_law_residuals(T: ReciprocalMap, solve_for: str = "x"):
     """Closedness residuals of the four conserved forms written in primed
     fields and pulled back through the form matrix."""
     laws = conservation_law_forms(T.ctx)
-    primed = iter(substitute_all([c for law in laws for c in (law.cx, law.cy)],
-                                 T.field_map()))
+    primed = substitute_all([c for law in laws for c in (law.cx, law.cy)],
+                            T.field_map())
     pulled = [OneForm(*(cxp * a + cyp * b for a, b in zip(*T.f)))
-              for cxp, cyp in zip(primed, primed)]
+              for cxp, cyp in zip(primed[::2], primed[1::2])]
     return list(zip(RECIP_LAW_NAMES, reduce_on_manifold(
         [w.exterior_derivative() for w in pulled], solve_for)))
 

@@ -231,6 +231,20 @@ def test_substitution_that_empties_a_denominator(ctx):
             call()
 
 
+def test_substitution_cancels_against_the_own_denominator(ctx):
+    # v+1 keeps no substituted variable; the substituted numerator takes
+    # the factor v+1, and the basis factor p-1 of the values cancels too
+    u, rho = parse(ctx, "(v+1)/(p-1)"), parse(ctx, "2*(p-1)^2/(v-1)")
+    for text in ("u*rho/(v+1)", "(u*rho+u)/(3*v+3)", "u/(2*v+2)"):
+        want = parse(ctx, text.replace("u", "U").replace("rho", "RHO")
+                     .replace("U", "(%s)" % u).replace("RHO", "(%s)" % rho))
+        assert parse(ctx, text).substitute({"u": u, "rho": rho}) == want
+    # the basis keeps (p-1)*(v+1) whole, and only its factor p-1 cancels
+    e = parse(ctx, "u*rho").substitute({"u": parse(ctx, "1/((p-1)*(v+1))"),
+                                        "rho": parse(ctx, "(p-1)*v")})
+    assert e == parse(ctx, "v/(v+1)")
+
+
 def test_substitute_all_is_substitute_per_expression(ctx):
     # one binding set whose denominators share the factor p+1, as the
     # inverse fields of bateman do, into expressions over 1 and not
