@@ -21,6 +21,7 @@ by declaration order.
 
 from __future__ import annotations
 
+from collections import Counter
 # the kernel's boundary type for exact rationals (see expr.py)
 from fractions import Fraction as QQ
 from functools import cmp_to_key
@@ -592,22 +593,18 @@ def pcoprime_basis(polys):
     basis[j]^e over exponents[i].items().  Two parts that share a factor g
     are replaced by g and their cofactors until no two parts do, so the
     exponents follow from the splits, not from trial division."""
-    parts: list = []           # [(poly, {input index: exponent})]
-    pending = [(p, {i: 1}) for i, p in enumerate(polys)]
+    parts: list = []           # [(poly, Counter {input index: exponent})]
+    pending = [(p, Counter({i: 1})) for i, p in enumerate(polys)]
     while pending:
         q, owners = pending.pop()
         for k, (b, bowners) in enumerate(parts):
             if b == q:
-                for i, e in owners.items():
-                    bowners[i] = bowners.get(i, 0) + e
+                bowners.update(owners)
                 break
             g = pgcd(b, q)
             if not pis_const(g):
                 del parts[k]
-                both = dict(bowners)
-                for i, e in owners.items():
-                    both[i] = both.get(i, 0) + e
-                pending.append((g, both))
+                pending.append((g, bowners + owners))
                 for r, rowners in ((pdiv_exact(b, g), bowners),
                                    (pdiv_exact(q, g), owners)):
                     if not pis_const(r):
