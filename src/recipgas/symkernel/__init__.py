@@ -1,5 +1,6 @@
 """Exact symbolic kernel: expressions, parsing, sparse exact row
-reduction, compiled float and mpmath evaluation."""
+reduction, compiled float evaluation and exact integer evaluation at a
+2^-256 fixed-point scale."""
 
 from .context import Context
 from .errors import (DegreeOverflow, DivisionByZeroExpr, InvalidParams,
@@ -7,14 +8,15 @@ from .errors import (DegreeOverflow, DivisionByZeroExpr, InvalidParams,
                      SymkernelError, UnboundSymbol, UnknownVariable,
                      VariableMismatch)
 from .expr import Expr, substitute_all
-from .numeric import FN_IMPLS, compile_exprs, compile_exprs_mp
+from .numeric import (FIXED_BITS, FN_IMPLS, compile_exprs,
+                      compile_exprs_fixed)
 from .parser import parse
 from .poly import QQ
 
 __all__ = [
     "Context", "Expr", "substitute_all", "parse", "QQ", "FN_IMPLS",
-    "compile_exprs", "compile_exprs_mp", "SymkernelError", "DegreeOverflow",
-    "DivisionByZeroExpr", "UnknownVariable", "NotPolynomialInVars",
-    "UnboundSymbol", "NumericDomain", "ParseError", "VariableMismatch",
-    "InvalidParams",
+    "FIXED_BITS", "compile_exprs", "compile_exprs_fixed", "SymkernelError",
+    "DegreeOverflow", "DivisionByZeroExpr", "UnknownVariable",
+    "NotPolynomialInVars", "UnboundSymbol", "NumericDomain", "ParseError",
+    "VariableMismatch", "InvalidParams",
 ]

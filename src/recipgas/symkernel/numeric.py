@@ -2,8 +2,9 @@
 
 One code generator turns Exprs of one context into one generated Python
 function of an assignment dict.  A _Numbers record says how that code
-writes a coefficient, reads an input and tests a denominator, so the same
-generator serves two number types:
+splits an Expr into numerator and denominator, writes a coefficient,
+reads an input, tests a denominator and divides, so the same generator
+serves two number types:
 
 - compile_exprs: Python floats and, elementwise, numpy arrays, with the
   same result bit for bit: each term is float(c) * x^e * ..., terms are
@@ -12,9 +13,11 @@ generator serves two number types:
   is the product (x^(e-1)) * x, formed once per function: numpy's power
   and Python's pow differ in the last bit for a few percent of arguments,
   products do not.
-- compile_exprs_mp: mpmath numbers at the caller's working precision, in
-  the same term order; each rational coefficient is one mpf bound when
-  the function is compiled, and inputs pass through unconverted.
+- compile_exprs_fixed: Python ints X that stand for X / 2^FIXED_BITS.
+  Numerator and denominator are evaluated exactly in integers, each term
+  brought over its polynomial's total degree D by a factor
+  2^(FIXED_BITS*(D-|m|)) folded into its coefficient, and each value is
+  floor(value * 2^FIXED_BITS), from one floor division.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericDomain, UnboundSymbol
-from .poly import QQ, mono_items, pis_const, pleading_mono
+from .poly import (MONO_ONE, QQ, mono_items, pdegree, pis_const,
+                   pleading_mono)
 
 # implementations of the elementary functions the float evaluator computes
 FN_IMPLS = {
@@ -41,6 +45,9 @@ _TERMS_PER_LINE = 64
 
 _ZERO_MESSAGE = "zero denominator at the evaluation point"
 
+# fractional bits of the integer evaluator's inputs and values
+FIXED_BITS = 256
+
 
 def _float(value):
     if isinstance(value, (float, np.ndarray)):
@@ -50,13 +57,57 @@ def _float(value):
 
 class _Numbers(NamedTuple):
     """How generated code handles one number type."""
-    constant: object   # (rational, env) -> source text of its value
+    split: object      # Expr -> (numerator, denominator or None, quotient)
+    constant: object   # (coefficient, env) -> source text of its value
     convert: object    # applied to each input value, or None
     nonzero: object    # true when a denominator value has no zero
     impls: dict        # function name -> implementation of its atoms
 
 
-_FLOATS = _Numbers(lambda c, env: repr(float(c)), _float, np.all, FN_IMPLS)
+def _float_split(e):
+    """Rational coefficients over a monic denominator, which divides the
+    numerator unless it is 1."""
+    lc = e.den[pleading_mono(e.den)]
+    if pis_const(e.den):
+        return _over(e.num, lc), None, None
+    return _over(e.num, lc), _over(e.den, lc), "%s / %s"
+
+
+def _fixed_split(e):
+    """Integer numerator and denominator, each over 2^(FIXED_BITS*degree),
+    and the floor division that scales their quotient by 2^FIXED_BITS."""
+    shift = FIXED_BITS * (1 + pdegree(e.den) - pdegree(e.num))
+    if e.den == {MONO_ONE: 1}:
+        if shift == 0:
+            return _scaled(e.num), None, None
+        return _scaled(e.num), None, (
+            "%%s << %d" % shift if shift > 0 else "%%s >> %d" % -shift)
+    return _scaled(e.num), _scaled(e.den), (
+        "(%%s << %d) // %%s" % shift if shift >= 0
+        else "%%s // (%%s << %d)" % -shift)
+
+
+def _scaled(p):
+    """p with each term brought over the total degree D of p: the
+    coefficient of monomial m times 2^(FIXED_BITS*(D-|m|))."""
+    top = pdegree(p)
+    return {m: c << FIXED_BITS * (top - sum(e for _, e in mono_items(m)))
+            for m, c in p.items()}
+
+
+def _int_constant(c, env):
+    """A short coefficient as a literal, a long one as a global of the
+    generated code (decimal literals are limited in length)."""
+    if c.bit_length() <= 64:
+        return repr(c)
+    name = "_c%d" % len(env)
+    env[name] = c
+    return name
+
+
+_FLOATS = _Numbers(_float_split, lambda c, env: repr(float(c)), _float,
+                   np.all, FN_IMPLS)
+_FIXED = _Numbers(_fixed_split, _int_constant, None, bool, {})
 
 
 def compile_exprs(exprs):
@@ -88,27 +139,16 @@ def compile_exprs(exprs):
     return evaluate
 
 
-def compile_exprs_mp(exprs):
-    """evaluate(assignment) -> [value of each Expr] in mpmath arithmetic.
+def compile_exprs_fixed(exprs):
+    """evaluate(assignment) -> [floor(value * 2^FIXED_BITS) of each Expr].
 
-    Compile under the working precision the values are wanted at (for
-    example inside mpmath.workdps(40)): each rational coefficient becomes
-    one mpf then.  The assignment maps variable names, and formal-function
-    atoms by display name, to mpf values, which are used as given.  A
-    missing name raises UnboundSymbol; a zero denominator raises
+    The assignment maps variable names, and formal-function atoms by
+    display name, to ints X that stand for X / 2^FIXED_BITS.  Every value
+    is exact before its one floor division.  A missing name or an atom
+    the assignment lacks raises UnboundSymbol; a zero denominator raises
     NumericDomain.
     """
-    import mpmath
-
-    def constant(c, env):
-        name = "_q%s_%d" % (str(c.numerator).replace("-", "m"),
-                            c.denominator)
-        if name not in env:
-            env[name] = mpmath.mpf(c.numerator) / c.denominator
-        return name
-
-    raw = _generate(list(exprs), _ZERO_MESSAGE,
-                    _Numbers(constant, None, bool, {}))
+    raw = _generate(list(exprs), _ZERO_MESSAGE, _FIXED)
 
     def evaluate(assignment: dict) -> list:
         try:
@@ -125,7 +165,7 @@ def _generate(exprs, zero_message: str, numbers: _Numbers):
     env = {"_float": numbers.convert, "_all": numbers.nonzero,
            "NumericDomain": NumericDomain}
     read = "_float(a[%r])" if numbers.convert else "a[%r]"
-    zero = numbers.constant(QQ(0), env)
+    zero = numbers.constant(0, env)
     lines = []
     top = {}        # variable index -> highest power held in a local
 
@@ -160,12 +200,13 @@ def _generate(exprs, zero_message: str, numbers: _Numbers):
 
     dens = {}
     for k, e in enumerate(exprs):
-        # the rational coefficients over a monic denominator
-        lc = e.den[pleading_mono(e.den)]
-        poly("r%d" % k, _over(e.num, lc))
-        if pis_const(e.den):     # a monic constant denominator is 1
+        r = "r%d" % k
+        num, den, quotient = numbers.split(e)
+        poly(r, num)
+        if den is None:
+            if quotient:
+                lines.append("%s = %s" % (r, quotient % r))
             continue
-        den = _over(e.den, lc)
         key = tuple(den.items())
         d = dens.get(key)
         if d is None:
@@ -173,7 +214,7 @@ def _generate(exprs, zero_message: str, numbers: _Numbers):
             poly(d, den)
             lines.append("if not _all(%s): raise NumericDomain(%r)"
                          % (d, zero_message))
-        lines.append("r%d = r%d / %s" % (k, k, d))
+        lines.append("%s = %s" % (r, quotient % (r, d)))
     body = lines + ["return [%s]" % ", ".join("r%d" % k
                                               for k in range(len(exprs)))]
     src = "def _evaluate(a):\n" + "".join("    %s\n" % ln for ln in body)

@@ -18,8 +18,8 @@ from ..gasdyn import (FIELDS, RESIDUAL_NAMES, InvalidParams, OneForm,
                       reduce_on_manifold, system_residuals, total_derivative)
 from ..liealg import AutomorphismMatrix, SingularMatrix, automorphism_symbols
 from ..reports import CheckItem, Report
-from ..symkernel import (QQ, Expr, compile_exprs, compile_exprs_mp,
-                         substitute_all)
+from ..symkernel import (FIXED_BITS, QQ, Expr, compile_exprs,
+                         compile_exprs_fixed, substitute_all)
 from ..symkernel.errors import DivisionByZeroExpr, NumericDomain
 from ..symkernel.linalg import adj2, det2, mul2
 from .maps import OneParamFamily, ReciprocalMap
@@ -204,9 +204,23 @@ def _require_points(fam: OneParamFamily, n_points: int):
 
 
 def _eval_poly_mp(evaluate, assign):
-    """Values of a compiled 40-digit evaluator at one assignment; every
-    mpmath evaluation of the Lie check goes through here."""
+    """Values of a compiled integer evaluator (compile_exprs_fixed) at one
+    assignment, as floor(value * 2^FIXED_BITS); every evaluation of the
+    Lie check goes through here."""
     return evaluate(assign)
+
+
+def _fixed(x) -> int:
+    """floor(x * 2^FIXED_BITS) of a double or an mpf: exact unless x has
+    more than FIXED_BITS fractional bits."""
+    if isinstance(x, float):
+        num, den = x.as_integer_ratio()
+        return (num << FIXED_BITS) // den
+    sign, man, exp, _ = x._mpf_       # x = (-1)^sign * man * 2^exp
+    if sign:
+        man = -man
+    shift = exp + FIXED_BITS
+    return man << shift if shift >= 0 else man >> -shift
 
 
 def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
@@ -214,9 +228,11 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
                        step: float = 1e-6) -> LieCheckResult:
     """Max over seeded samples of |d/deps T_eps - zeta(T_eps)| on all nine
     component slots; the eps-derivative is a central difference with the
-    given step, taken in extended precision (stencil nodes included) so
-    the reported residual is the O(step^2) truncation term, not rounding
-    noise.
+    given step.  The stencil nodes eps +- step and the leaf values there
+    are taken to 40 digits; everything else is integer arithmetic at the
+    scale 2^-FIXED_BITS (compile_exprs_fixed), exact for the map's values
+    at those dyadic inputs and floored once per value, so the reported
+    residual is the O(step^2) truncation term, not rounding noise.
 
     Samples keep a margin from the family's singular sets: a point is
     redrawn when any component denominator falls below LIE_GUARD in
@@ -229,15 +245,22 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
     rng = random.Random(seed)
     T = fam.map_sym
     gen = fam.generator
-    worst = mpmath.mpf(0)
+    dens = compile_exprs_fixed(T.denominators())
+    comps = compile_exprs_fixed(T.components())
+    # the five generator fields, then the generator matrix row by row
+    zeta = compile_exprs_fixed(list(gen.field_slots())
+                               + [e for row in gen.matrix() for e in row])
+    # floor(v * 2^F) lies in [-G, G) exactly when v lies in [-g, g), for
+    # the dyadic g = LIE_GUARD and G = g * 2^F
+    guard = _fixed(LIE_GUARD)
+    rate_num, rate_den = LIE_RATE_GUARD.as_integer_ratio()
+    # the central difference (hi - lo) / (2 step) is (hi - lo) * sd / two_h
+    sn, sd = float(step).as_integer_ratio()
+    two_h = 2 * sn
+    worst = 0           # the largest residual, times two_h * 2^F
     done = 0
     attempts = 0
     with mpmath.workdps(40):
-        dens = compile_exprs_mp(T.denominators())
-        comps = compile_exprs_mp(T.components())
-        # the five generator fields, then the generator matrix row by row
-        zeta = compile_exprs_mp(list(gen.field_slots())
-                                + [e for row in gen.matrix() for e in row])
         mstep = mpmath.mpf(step)
         while done < n_points:
             attempts += 1
@@ -246,20 +269,21 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
                     "could not sample away from singular sets")
             state = sample_float_state(rng)
             eps = mpmath.mpf(rng.uniform(-LIE_EPS, LIE_EPS))
-            mstate = {k: mpmath.mpf(v) for k, v in state.items()}
+            fstate = {k: _fixed(v) for k, v in state.items()}
             stencil = []
             den_vals = []
             for e in (eps - mstep, eps, eps + mstep):
-                a = dict(mstate)
-                a[fam.symbol] = fam.link(e, mpmath)
+                a = dict(fstate)
+                a[fam.symbol] = _fixed(fam.link(e, mpmath))
                 row = _eval_poly_mp(dens, a)
-                if any(abs(val) < LIE_GUARD for val in row):
+                if any(-guard <= val < guard for val in row):
                     break
                 stencil.append(a)
                 den_vals.append(row)
             if len(stencil) < 3:
                 continue
-            if any(abs(hi - lo) / (2 * mstep * abs(mid)) > LIE_RATE_GUARD
+            # |hi - lo| / (2 step |mid|) > LIE_RATE_GUARD
+            if any(abs(hi - lo) * sd * rate_den > two_h * rate_num * abs(mid)
                    for lo, mid, hi in zip(*den_vals)):
                 continue
             vals = [_eval_poly_mp(comps, a) for a in stencil]
@@ -267,11 +291,13 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
             # d/deps of the fields is zeta; of the form matrix, M_zeta f
             mz = ((z[5], z[6]), (z[7], z[8]))
             fmid = ((vals[1][5], vals[1][6]), (vals[1][7], vals[1][8]))
-            d = [(hi - lo) / (2 * mstep) for lo, hi in zip(vals[0], vals[2])]
-            want = z[:5] + [e for row in mul2(mz, fmid) for e in row]
-            worst = max(worst, *(abs(a - b) for a, b in zip(d, want)))
+            want = z[:5] + [e >> FIXED_BITS for row in mul2(mz, fmid)
+                            for e in row]
+            worst = max(worst, *(abs((hi - lo) * sd - two_h * w)
+                                 for lo, hi, w in zip(vals[0], vals[2],
+                                                      want)))
             done += 1
-    return LieCheckResult(fam.name, float(worst), n_points)
+    return LieCheckResult(fam.name, worst / (two_h << FIXED_BITS), n_points)
 
 
 def composition_additivity(fam: OneParamFamily, n_points: int = 100,

@@ -1,17 +1,16 @@
-"""compile_exprs and compile_exprs_mp against exact rational evaluation;
-the float evaluator on scalars and arrays."""
+"""compile_exprs and compile_exprs_fixed against exact rational
+evaluation; the float evaluator on scalars and arrays."""
 
 import math
 import random
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 
 from recipgas.gasdyn import FIELDS, standard_context
-from recipgas.symkernel import (Expr, compile_exprs, compile_exprs_mp,
-                                parse)
+from recipgas.symkernel import (FIXED_BITS, Expr, compile_exprs,
+                                compile_exprs_fixed, parse)
 from recipgas.symkernel.errors import NumericDomain, UnboundSymbol
 from recipgas.transforms import (bateman, bateman_simplified, identity_map,
                                  involution_E1_reciprocal,
@@ -174,36 +173,40 @@ def test_large_polynomials_compile(ctx):
     assert high({"u": 1.0005})[0] == pytest.approx(1.0005 ** 2000, rel=1e-12)
 
 
-def test_mpmath_evaluator_matches_exact_values(ctx):
-    # every input is a dyadic rational, so exact as an mpf; 40 digits of
-    # working precision leave each value within 1e-35 relative
+def _scaled(q):
+    """floor(q * 2^FIXED_BITS) of a rational."""
+    return math.floor(q * 2 ** FIXED_BITS)
+
+
+def test_fixed_evaluator_matches_exact_values(ctx):
+    # every input is a dyadic rational, so exact at the fixed scale, and
+    # each value is the floor of the exact value at that scale
     rng = random.Random(20240802)
-    with mpmath.workdps(40):
-        for name, T, symbol in _paper_maps(ctx):
-            comps = T.components()
-            evaluate = compile_exprs_mp(comps)
-            for point in _draw(T, symbol, rng):
-                got = evaluate({k: mpmath.mpf(v.numerator) / v.denominator
-                                for k, v in point.items()})
-                for c, g in zip(comps, got):
-                    exact = c.eval_rational(point)
-                    want = mpmath.mpf(exact.numerator) / exact.denominator
-                    assert isinstance(g, mpmath.mpf), (name, str(c))
-                    assert abs(g - want) <= 1e-35 * abs(want) + 1e-60, \
-                        (name, str(c), point)
+    for name, T, symbol in _paper_maps(ctx):
+        comps = T.components()
+        evaluate = compile_exprs_fixed(comps)
+        for point in _draw(T, symbol, rng):
+            got = evaluate({k: _scaled(v) for k, v in point.items()})
+            for c, g in zip(comps, got):
+                assert g == _scaled(c.eval_rational(point)), \
+                    (name, str(c), point)
 
 
-def test_mpmath_evaluator_errors(ctx):
-    with mpmath.workdps(40):
-        zero_den = compile_exprs_mp([parse(ctx, "u/(p-1)")])
-        assert zero_den({"u": mpmath.mpf(3), "p": mpmath.mpf(4)}) == [1]
-        with pytest.raises(NumericDomain):
-            zero_den({"u": mpmath.mpf(1), "p": mpmath.mpf(1)})
-        with pytest.raises(UnboundSymbol):
-            zero_den({"u": mpmath.mpf(1)})
-        tan = Expr.function(ctx, "tan", parse(ctx, "eps"))
-        with pytest.raises(UnboundSymbol):
-            compile_exprs_mp([tan])({"eps": mpmath.mpf(1)})
-        # a coefficient is an mpf at the working precision of compilation
-        third = compile_exprs_mp([parse(ctx, "u/3")])({"u": mpmath.mpf(1)})
-        assert abs(third[0] - mpmath.mpf(1) / 3) < mpmath.mpf(10) ** -39
+def test_fixed_evaluator_errors(ctx):
+    one = 2 ** FIXED_BITS
+    zero_den = compile_exprs_fixed([parse(ctx, "u/(p-1)")])
+    assert zero_den({"u": 3 * one, "p": 4 * one}) == [one]
+    with pytest.raises(NumericDomain):
+        zero_den({"u": one, "p": one})
+    with pytest.raises(UnboundSymbol):
+        zero_den({"u": one})
+    tan = Expr.function(ctx, "tan", parse(ctx, "eps"))
+    with pytest.raises(UnboundSymbol):
+        compile_exprs_fixed([tan])({"eps": one})
+    assert compile_exprs_fixed([tan * 2])({str(tan): one // 4}) == [one // 2]
+    # a value floors toward -infinity
+    third = compile_exprs_fixed([parse(ctx, "u/3")])
+    assert third({"u": one}) == [one // 3]
+    assert third({"u": -one}) == [-(one // 3) - 1]
+    neg = compile_exprs_fixed([parse(ctx, "-u^3/(p^2+1)")])
+    assert neg({"u": one // 2, "p": -one // 2}) == [_scaled(Fraction(-1, 10))]

@@ -4,6 +4,10 @@ Modules under src/recipgas outside symkernel/ ask Expr and Context
 questions (as_numer_denom, primitive, coefficients, role, ...).  They do
 not import the polynomial module, read the numerator and denominator
 dicts or the Context tables, or build an Expr that skips normalisation.
+
+Extended-precision arithmetic stays in the Lie check: only
+transforms/verify.py imports mpmath, for its stencil nodes and leaf
+values; every other number the program computes is a float or exact.
 """
 
 import ast
@@ -47,3 +51,18 @@ def test_kernel_representation_stays_inside_symkernel():
                   for line, what in _violations(path)]
     assert not found, "kernel internals used outside symkernel: " + \
         ", ".join(found)
+
+
+def _imports_mpmath(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "mpmath" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and node.level == 0 \
+        and (node.module or "").split(".")[0] == "mpmath"
+
+
+def test_mpmath_only_in_the_lie_check():
+    found = sorted(str(path.relative_to(PACKAGE))
+                   for path in PACKAGE.rglob("*.py")
+                   if any(_imports_mpmath(node) for node in ast.walk(
+                       ast.parse(path.read_text(), str(path)))))
+    assert found == ["transforms/verify.py"], found

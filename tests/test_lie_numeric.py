@@ -1,5 +1,6 @@
 """Finite-difference flow consistency and group composition checks."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,27 @@ def test_flow_matches_generator(ctx, maker, kwargs):
     fam = maker(ctx, **kwargs)
     res = lie_equation_check(fam, n_points=100)
     assert res.max_residual < TOL, (fam.name, res.max_residual)
+
+
+@pytest.mark.parametrize("maker, kwargs, residual", [
+    (one_param_bateman, {}, 2.601634525603078e-10),
+    (one_param_q13, {"q12": 0, "q13": 1}, 3.1688236327166906e-10),
+    (one_param_exp, {"k1": 1, "k2": 1, "q12": 0}, 4.886871676889971e-10),
+    (one_param_linear, {"k2": 1, "q12": 0}, 2.3659116367877116e-10),
+])
+def test_paper_families_residual_pinned(ctx, maker, kwargs, residual):
+    # the truncation term at the default seed and step, to the last bit
+    res = lie_equation_check(maker(ctx, **kwargs), n_points=100,
+                             seed=verify.DEFAULT_SEED)
+    assert res.max_residual == residual
+
+
+def test_scaled_generator_fails(ctx):
+    # a generator twice the family's eps-derivative misses the flow by
+    # the size of the derivative, far above any truncation term
+    fam = one_param_bateman(ctx)
+    wrong = replace(fam, generator=fam.generator.scale(2))
+    assert lie_equation_check(wrong, n_points=100).max_residual > 1e-3
 
 
 def test_composition_additivity(ctx):
