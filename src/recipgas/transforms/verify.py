@@ -255,7 +255,7 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
     guard = _fixed(LIE_GUARD)
     rate_num, rate_den = LIE_RATE_GUARD.as_integer_ratio()
     # the central difference (hi - lo) / (2 step) is (hi - lo) * sd / two_h
-    sn, sd = float(step).as_integer_ratio()
+    sn, sd = step.as_integer_ratio()
     two_h = 2 * sn
     worst = 0           # the largest residual, times two_h * 2^F
     done = 0
