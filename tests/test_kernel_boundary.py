@@ -57,7 +57,7 @@ def _imports_mpmath(node):
     if isinstance(node, ast.Import):
         return any(a.name.split(".")[0] == "mpmath" for a in node.names)
     return isinstance(node, ast.ImportFrom) and node.level == 0 \
-        and (node.module or "").split(".")[0] == "mpmath"
+        and node.module.split(".")[0] == "mpmath"
 
 
 def test_mpmath_only_in_the_lie_check():
