@@ -25,9 +25,9 @@ from .prolong import determining_residuals
 from .reports import Report
 from .symkernel import Expr, parse
 from .symkernel.errors import SymkernelError
-from .transforms import (OneParamFamily, catalog, lie_equation_check,
-                         load_map, pushforward, pushforward_matrix,
-                         verify_automorphism_solution, verify_point_symmetry,
+from .transforms import (OneParamFamily, catalog, load_map, pushforward,
+                         pushforward_matrix, verify_automorphism_solution,
+                         verify_flow, verify_point_symmetry,
                          verify_reciprocal)
 from .transforms.catalog import entries, parameters
 from .transforms.verify import DEFAULT_SEED, residual_report
@@ -223,10 +223,8 @@ def cmd_automorphism(args) -> int:
 
 
 def cmd_lie_check(args) -> int:
-    ctx = standard_context()
-    res = lie_equation_check(_entry(ctx, args), n_points=args.points,
-                             seed=args.seed)
-    return _emit_report(args, res.report(args.tol))
+    fam = _entry(standard_context(), args)
+    return _emit_report(args, verify_flow(fam, args.seed))
 
 
 def _flow(args):
@@ -361,10 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="generate the automorphism constraint system")
     p.set_defaults(fn=cmd_automorphism)
 
-    p = add("lie-check", help="finite-difference flow consistency")
+    p = add("lie-check", help="exact Lie equation and additivity of a "
+            "one-parameter family")
     _add_entry(p, "--family", "one_param_bateman", OneParamFamily)
-    p.add_argument("--points", type=_at_least(1), default=100)
-    p.add_argument("--tol", type=_tolerance, default=accept.FLOW_TOL)
     p.set_defaults(fn=cmd_lie_check)
 
     p = add("transform", help="transform an exact solution numerically")

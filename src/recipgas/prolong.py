@@ -58,22 +58,13 @@ class DeterminingSystem:
 def _system_residuals(X, pro, solve_for):
     """The four system residuals F1..F4 under the prolonged generator,
     reduced to the solution manifold."""
-    ctx = X.ctx
     out = []
-    for F in system_residuals(ctx):
-        r = Expr.const(ctx, 0)
-        for f, z in zip(FIELDS, X.field_slots()):
-            if not z.is_zero():
-                d = F.diff(f)
-                if not d.is_zero():
-                    r = r + z * d
-        for f in FIELDS:
-            for c in ("x", "y"):
-                d = F.diff("%s_%s" % (f, c))
-                if not d.is_zero():
-                    zj = pro[(f, c)]
-                    if not zj.is_zero():
-                        r = r + zj * d
+    for F in system_residuals(X.ctx):
+        r = X.apply(F)
+        for (f, c), zj in pro.items():
+            d = F.diff("%s_%s" % (f, c))
+            if not d.is_zero() and not zj.is_zero():
+                r = r + zj * d
         out.append(r)
     return list(zip(RESIDUAL_NAMES, reduce_on_manifold(out, solve_for)))
 

@@ -11,9 +11,11 @@ from .maps import (NotInvertible, OneParamFamily, ReciprocalMap,
                    map_from_dict, reciprocal_map)
 from .pushforward import decompose, pushforward, pushforward_matrix
 from .verify import (appendix_pde_residuals, center_pde_residuals,
-                     composition_additivity, lie_equation_check,
+                     composition_additivity, exact_additivity_residuals,
+                     exact_lie_residuals, lie_equation_check,
                      transformed_law_residuals, verify_automorphism_solution,
-                     verify_point_symmetry, verify_reciprocal, witness_point)
+                     verify_flow, verify_point_symmetry, verify_reciprocal,
+                     witness_point)
 
 __all__ = [
     "CATALOG", "catalog", "bateman", "bateman_simplified",
@@ -25,7 +27,8 @@ __all__ = [
     "NotInvertible", "UnknownCatalogEntry", "InvalidParams",
     "pushforward", "decompose", "pushforward_matrix",
     "verify_reciprocal", "verify_point_symmetry", "lie_equation_check",
-    "composition_additivity", "appendix_pde_residuals",
+    "composition_additivity", "exact_lie_residuals",
+    "exact_additivity_residuals", "verify_flow", "appendix_pde_residuals",
     "center_pde_residuals", "transformed_law_residuals", "witness_point",
     "verify_automorphism_solution",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -196,13 +197,16 @@ def invert(T: ReciprocalMap) -> ReciprocalMap:
 # --- one-parameter families ---------------------------------------------------
 
 
-# The leaf laws of the one-parameter families, by leaf: the leaf value at
-# x = c*eps in the arithmetic of lib (math for floats, mpmath for mpf
-# values).
+Leaf = namedtuple("Leaf", "law ode add")
+
+# The leaves of the one-parameter families: the value at x = c*eps in the
+# arithmetic of lib (math or mpmath), g(t) of the ODE dt/deps = c*g(t), and
+# the addition law, the leaf at eps1 + eps2 from those at eps1 and eps2.
 LEAVES = {
-    "linear": lambda x, lib: x,
-    "tan": lambda x, lib: lib.tan(x),
-    "exp": lambda x, lib: lib.exp(x),
+    "linear": Leaf(lambda x, lib: x, lambda t: t ** 0, lambda s, t: s + t),
+    "tan": Leaf(lambda x, lib: lib.tan(x), lambda t: 1 + t ** 2,
+                lambda s, t: (s + t) / (1 - s * t)),
+    "exp": Leaf(lambda x, lib: lib.exp(x), lambda t: t, lambda s, t: s * t),
 }
 
 
@@ -211,8 +215,8 @@ class OneParamFamily:
     """A map family T_eps written over one transcendental leaf.
 
     map_sym holds the transformation with `symbol` free, and the leaf
-    `symbol` takes the value LEAVES[leaf] at rate*eps, for the exact Expr
-    rate c.  generator is the claimed infinitesimal generator, the
+    `symbol` takes the value LEAVES[leaf].law at rate*eps, for the exact
+    Expr rate c.  generator is the claimed infinitesimal generator, the
     eps-derivative of the family at eps = 0.
     """
     name: str
@@ -234,11 +238,10 @@ class OneParamFamily:
             raise NumericDomain(
                 "family %s has symbolic parameters" % self.name) from None
 
-    def link(self, eps, lib=math):
-        """Leaf value at the group parameter in the arithmetic of `lib`
-        (math for floats, mpmath for mpf values); NumericDomain when the
-        rate is symbolic."""
-        return LEAVES[self.leaf](self._rate_float * eps, lib)
+    def link(self, eps: float) -> float:
+        """Leaf value at the group parameter, in floats; NumericDomain when
+        the rate is symbolic."""
+        return LEAVES[self.leaf].law(self._rate_float * eps, math)
 
     def map_at(self, value) -> ReciprocalMap:
         """Substitute an exact (rational or Expr) leaf value."""

@@ -4,10 +4,9 @@ Each test prints one PASS/FAIL line; `recipgas paper-suite` runs the same
 checks from the command line.  The report of every criterion but 9 must
 equal its recorded JSON in data/paper_suite_exact.json, so a refactor that
 changes a verdict, a residual or a rendered expression fails here.
-Criterion 7's floating-point text comes from exact integer arithmetic,
-40-digit mpmath stencil nodes and leaf values, and one correctly rounded
-division, so it is stable; criterion 9's goes through numpy and is not
-pinned.
+Criterion 7 decides the Lie equation and composition additivity exactly,
+so its report holds no floating-point text; criterion 9's goes through
+numpy and is not pinned.
 """
 
 import json

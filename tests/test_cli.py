@@ -180,9 +180,25 @@ def test_automorphism(capsys):
 
 
 def test_lie_check(capsys):
-    code, out = run(capsys, "lie-check", "--family", "one_param_linear",
-                    "--points", "20")
+    code, out = run(capsys, "lie-check", "--family", "one_param_linear")
     assert code == 0
+    assert out.count("PASS Lie ") == 9 and out.count("PASS additivity ") == 9
+
+
+@pytest.mark.parametrize("family, params", [
+    ("one_param_bateman", ()),
+    ("one_param_q13", ("q12=0", "q13=1")),
+    ("one_param_exp", ("k1=1", "k2=1", "q12=0")),
+    ("one_param_linear", ("k2=1", "q12=0")),
+    ("one_param_q13", ("q12=q12", "q13=q13")),
+])
+def test_lie_check_is_exact(capsys, family, params):
+    # criterion 7's families and a symbolic one pass with no tolerance
+    argv = ["lie-check", "--family", family]
+    for p in params:
+        argv += ["--param", p]
+    code, out = run(capsys, *argv)
+    assert code == 0 and out.endswith("verdict: PASS\n")
 
 
 def test_transform_and_closedness(capsys):
@@ -234,7 +250,7 @@ def test_reports_are_deterministic(capsys):
 
 def test_seed_after_subcommand_accepted(capsys):
     code, _ = run(capsys, "lie-check", "--family", "one_param_linear",
-                  "--points", "5", "--seed", "7")
+                  "--seed", "7")
     assert code == 0
 
 
@@ -242,7 +258,7 @@ def test_seed_after_subcommand_accepted(capsys):
     ("transform", "--nodes", "1"),
     ("transform", "--nodes", "2"),
     ("closedness", "--nodes", "1"),
-    ("lie-check", "--family", "one_param_linear", "--points", "0"),
+    ("closedness", "--nodes", "2"),
     ("solve-ansatz", "--degree", "-1"),
 ])
 def test_bad_sizes_are_usage_errors(capsys, argv):
@@ -253,8 +269,8 @@ def test_bad_sizes_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("lie-check", "--tol", "nan"),
-    ("lie-check", "--tol", "0"),
+    ("closedness", "--tol", "nan"),
+    ("closedness", "--tol", "0"),
     ("closedness", "--tol", "-1"),
     ("closedness", "--tol", "inf"),
 ])
@@ -348,12 +364,13 @@ def test_denominator_emptied_by_substitution_is_a_usage_error(
     assert capsys.readouterr().err == "error: division by zero\n"
 
 
-def test_lie_check_reports_only_the_tolerance(capsys):
-    code, out = run(capsys, "lie-check", "--family", "one_param_linear",
-                    "--points", "5", "--tol", "1e-20")
-    assert code == 1
-    assert not any(line.lstrip().startswith("PASS")
-                   for line in out.splitlines())
+@pytest.mark.parametrize("option", [("--points", "5"), ("--tol", "1e-9")])
+def test_lie_check_takes_no_sampling_options(capsys, option):
+    # the exact check has no sample points and no tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["lie-check", *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _readme_commands():

@@ -6,7 +6,8 @@ outside oracle (Olver 1986, ch. 1: the pushforward of vector fields
 preserves the bracket and composes, so the automorphism matrices of
 criterion 8 multiply).  The maps are the Bateman map at b = (1, 0, 2, 0),
 the theorem map of criterion 8 and the involutions E1, E2, all with the
-identity entropy map, so each has an inverse.
+identity entropy map, so each has an inverse.  The theorem map sends the
+central X1 to a11 X1, and each involution after it flips that sign.
 """
 
 from fractions import Fraction
@@ -71,3 +72,18 @@ def test_automorphism_matrices_multiply(a, b):
     assert all(e.is_constant() for row in MA + MB for e in row)
     assert MAB == tuple(tuple(sum(MA[k][n] * MB[n][i] for n in range(3))
                               for i in range(3)) for k in range(3))
+
+
+@pytest.mark.parametrize("a11", [1, -1])
+@pytest.mark.parametrize("involution", [None, "E1", "E2"])
+def test_center_sign_under_involutions(a11, involution):
+    # T_* X1 = a11 X1 for the theorem map at criterion 8's parameters, and
+    # each involution after it flips the sign once
+    T = theorem_map(CTX, alpha=1, beta=2, k=1, a11=a11, a34=Fraction(1, 2),
+                    a35=2, a45=3, psi=1, entropy="identity")
+    sign = a11
+    if involution:
+        T = compose(MAPS[involution], T)
+        sign = -sign
+    X1 = standard_basis(CTX)[0]
+    assert pushforward(T, X1) == X1.scale(sign)

@@ -8,6 +8,11 @@ dicts or the Context tables, or build an Expr that skips normalisation.
 Extended-precision arithmetic stays in the Lie check: only
 transforms/verify.py imports mpmath, for its stencil nodes and leaf
 values; every other number the program computes is a float or exact.
+
+The numeric flow checks lie_equation_check and composition_additivity
+serve only the lie-flow benchmark: inside the package only their module
+and the transforms package's exports name them, so no verdict of the
+program comes from them.
 """
 
 import ast
@@ -66,3 +71,31 @@ def test_mpmath_only_in_the_lie_check():
                    if any(_imports_mpmath(node) for node in ast.walk(
                        ast.parse(path.read_text(), str(path)))))
     assert found == ["transforms/verify.py"], found
+
+
+NUMERIC_FLOW_CHECKS = {"lie_equation_check", "composition_additivity"}
+
+
+def _names(node):
+    """The identifiers a node names: a name, an attribute, an imported or
+    defined name, or a string (an __all__ entry)."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return {node.name, node.asname}
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    return set()
+
+
+def test_numeric_flow_checks_only_exported():
+    found = sorted(str(path.relative_to(PACKAGE))
+                   for path in PACKAGE.rglob("*.py")
+                   if any(_names(node) & NUMERIC_FLOW_CHECKS
+                          for node in ast.walk(
+                              ast.parse(path.read_text(), str(path)))))
+    assert found == ["transforms/__init__.py", "transforms/verify.py"], found

@@ -86,6 +86,21 @@ def test_stencil_in_extended_precision(ctx):
     assert 90 <= r6 / r7 <= 110
 
 
+@pytest.mark.parametrize("maker, kwargs", [
+    (one_param_q13, {"q12": 0, "q13": Fraction(1, 3)}),
+    (one_param_exp, {"k1": Fraction(1, 3)}),
+])
+def test_non_dyadic_rate_taken_exactly(ctx, maker, kwargs):
+    # the rate enters the 40-digit leaf argument exactly: rounded to a
+    # double, 1/3 would stall the residual near 5e-16 instead of letting
+    # it fall as step^2 down to 1e-22
+    fam = maker(ctx, **kwargs)
+    r8, r10, r12 = (lie_equation_check(fam, n_points=30, step=s).max_residual
+                    for s in (1e-8, 1e-10, 1e-12))
+    assert r12 < 1e-21
+    assert 0.99e4 <= r8 / r10 <= 1.01e4 and 0.99e4 <= r10 / r12 <= 1.01e4
+
+
 def test_at_least_one_sample(ctx):
     fam = one_param_bateman(ctx)
     with pytest.raises(InvalidParams):
