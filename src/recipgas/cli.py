@@ -115,8 +115,8 @@ def _named_generator(ctx, name):
     basis = {g.label: g for g in standard_basis(ctx)}
     basis["Xh"] = x_h(ctx)
     basis["XF"] = x_f(ctx)
-    basis["Xh1"] = x_h(ctx, Expr.const(ctx, 1))
-    basis["XF1"] = x_f(ctx, Expr.const(ctx, 1))
+    basis["Xh1"] = x_h(ctx, Expr.const(ctx, 1)).with_label("Xh1")
+    basis["XF1"] = x_f(ctx, Expr.const(ctx, 1)).with_label("XF1")
     if name not in basis:
         raise SymkernelError("unknown generator %r (have %s)"
                              % (name, ", ".join(sorted(basis))))

@@ -187,14 +187,22 @@ class ConservationFormParams:
                                            "q13", "q23")))
 
 
+def flux_matrix(params: ConservationFormParams) -> tuple:
+    """((A1, B1), (A2, B2)) of the conserved momentum-flux forms
+    S1 = A1 dx + B1 dy and S2 = A2 dx + B2 dy (up to q11, q21)."""
+    rho, u, vv, p = (Expr.var(params.q11.ctx, n) for n in FIELDS[:4])
+    return ((p + params.q12 + rho * vv ** 2, -(rho * u * vv + params.q13)),
+            (-(rho * u * vv + params.q23), p + params.q22 + rho * u ** 2))
+
+
 def conservation_law_forms(ctx: Context):
     """The four on-manifold closed forms of the system itself:
-    mass, the two momentum laws, and entropy flux."""
-    v = lambda n: Expr.var(ctx, n)
-    rho, u, vv, p, S = (v(n) for n in FIELDS)
+    mass, the two momentum laws (S1 and -S2 at q = 0), and entropy flux."""
+    rho, u, vv, _, S = (Expr.var(ctx, n) for n in FIELDS)
+    (A1, B1), (A2, B2) = flux_matrix(ConservationFormParams.make(ctx))
     return (
         OneForm(rho * vv, -rho * u),
-        OneForm(p + rho * vv ** 2, -rho * u * vv),
-        OneForm(rho * u * vv, -(p + rho * u ** 2)),
+        OneForm(A1, B1),
+        OneForm(-A2, -B2),
         OneForm(rho * vv * S, -rho * u * S),
     )

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .gasdyn import FIELDS, parse_record, total_derivative
+from .gasdyn import (FIELDS, ConservationFormParams, flux_matrix,
+                     parse_record, total_derivative)
 from .symkernel import QQ, Context, Expr
 from .symkernel.errors import SymkernelError, VariableMismatch
 from .symkernel.linalg import (det3, mul2, nullspace, reduce_row, rref,
@@ -186,8 +187,8 @@ def standard_basis(ctx: Context) -> list:
         ctx,
         zr=rho ** 2 * q2 * half, zu=p * u * half, zv=p * vv * half,
         zp=p ** 2 * half,
-        m=((-(p + rho * vv ** 2) * half, rho * u * vv * half),
-           (rho * u * vv * half, -(p + rho * u ** 2) * half)),
+        m=tuple(tuple(-half * e for e in row) for row in
+                flux_matrix(ConservationFormParams.make(ctx))),
         label="X3")
     x4 = generator(ctx, zu=u * half, zv=vv * half, zp=p,
                    m=((-half, 0), (0, -half)), label="X4")

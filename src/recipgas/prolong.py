@@ -20,11 +20,11 @@ from itertools import product
 from operator import add, mul
 
 from .gasdyn import (FIELDS, RESIDUAL_NAMES, ConservationFormParams,
-                     InvalidParams, OneForm, closedness_residuals,
+                     InvalidParams, OneForm, closedness_residuals, flux_matrix,
                      reduce_on_manifold, system_residuals, total_derivative)
 from .liealg import Generator, SingularMatrix, generator, standard_basis
 from .symkernel import QQ, Context, Expr
-from .symkernel.linalg import nullspace, transpose
+from .symkernel.linalg import det2, nullspace, transpose
 
 
 def prolong(X: Generator) -> dict:
@@ -77,29 +77,21 @@ def determining_residuals(X: Generator, solve_for: str = "x") -> DeterminingSyst
         X, res + closedness_residuals(X.matrix(), solve_for), solve_for)
 
 
-def equivalence_residuals(Xe: Generator,
-                          solve_for: str = "x") -> DeterminingSystem:
+def equivalence_residuals(Xe: Generator) -> DeterminingSystem:
     """Point-symmetry determining residuals of a point generator, whose
     form matrix gives the classical prolongation
     zeta_fx = D_x zeta_f - f_x D_x xi_x - f_y D_x xi_y."""
-    return DeterminingSystem(Xe, _system_residuals(Xe, prolong(Xe), solve_for),
-                             solve_for)
+    return DeterminingSystem(Xe, _system_residuals(Xe, prolong(Xe), "x"))
 
 
 # --- first-method form coefficients -----------------------------------------
 
 
-def _flux_matrix(ctx: Context, params: ConservationFormParams):
-    """Flux coefficients (A1, B1, A2, B2) of the conserved forms
-    S1 = A1 dx + B1 dy, S2 = A2 dx + B2 dy (up to q11, q21) and their
+def _flux_matrix(params: ConservationFormParams):
+    """The entries A1, B1, A2, B2 of gasdyn.flux_matrix and its
     determinant Delta, which must not vanish."""
-    v = lambda n: Expr.var(ctx, n)
-    rho, u, vv, p = v("rho"), v("u"), v("v"), v("p")
-    A1 = p + params.q12 + rho * vv ** 2
-    B1 = -(rho * u * vv + params.q13)
-    A2 = -(rho * u * vv + params.q23)
-    B2 = p + params.q22 + rho * u ** 2
-    delta = A1 * B2 - B1 * A2
+    (A1, B1), (A2, B2) = phi = flux_matrix(params)
+    delta = det2(phi)
     if delta.is_zero():
         raise SingularMatrix("flux coefficient matrix is singular")
     return A1, B1, A2, B2, delta
@@ -113,7 +105,7 @@ def form_coeffs_from_invariance(ctx: Context, params: ConservationFormParams,
     denominator is Delta = det of the flux coefficient matrix.  Returns
     (zeta_dx, zeta_dy) as OneForms.
     """
-    A1, B1, A2, B2, delta = _flux_matrix(ctx, params)
+    A1, B1, A2, B2, delta = _flux_matrix(params)
     probe = generator(ctx, zr=zr, zu=zu, zv=zv, zp=zp)
     XA1, XB1 = probe.apply(A1), probe.apply(B1)
     XA2, XB2 = probe.apply(A2), probe.apply(B2)
@@ -274,7 +266,7 @@ def solve_ansatz_first_method(ctx: Context, params: ConservationFormParams,
     zr, zu, zv, zs, form slots derived from invariance of the conserved
     forms.  Its solutions should be spanned by the two equivalence
     families at constant function slices."""
-    delta = _flux_matrix(ctx, params)[4]
+    delta = _flux_matrix(params)[4]
     return _solve_ansatz(
         ["zr", "zu", "zv", "zs"], _monomials(ctx, max_degree),
         lambda s, value: first_method_generator(ctx, params, **{s: value}),

@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import Counter
 # the kernel's boundary type for exact rationals (see expr.py)
 from fractions import Fraction as QQ
-from functools import cmp_to_key
 from math import gcd as _igcd
 
 from .errors import DegreeOverflow
@@ -98,24 +97,6 @@ def mono_div(m1: Mono, m2: Mono):
     return t - g
 
 
-def mono_cmp(m1: Mono, m2: Mono) -> int:
-    """Graded lex by declaration order (rendering order)."""
-    d1, d2 = m1 & _MASK, m2 & _MASK
-    if d1 != d2:
-        return 1 if d1 > d2 else -1
-    a, b = m1 >> _FB, m2 >> _FB
-    while a or b:
-        e1, e2 = a & _MASK, b & _MASK
-        if e1 != e2:
-            return 1 if e1 > e2 else -1
-        a >>= _FB
-        b >>= _FB
-    return 0
-
-
-MONO_KEY = cmp_to_key(mono_cmp)
-
-
 def pconst(c: int) -> Poly:
     return {MONO_ONE: c} if c else {}
 
@@ -133,8 +114,20 @@ def pis_const(p: Poly) -> bool:
     return not p or (len(p) == 1 and MONO_ONE in p)
 
 
+def _grlex_key(term) -> list:
+    """The 16-bit fields of a term's monomial from the lowest: the total
+    degree, then the exponents in declaration order (no trailing zeros)."""
+    m, words = term[0], []
+    while m:
+        words.append(m & _MASK)
+        m >>= _FB
+    return words
+
+
 def psorted_terms(p: Poly):
-    return sorted(p.items(), key=lambda t: MONO_KEY(t[0]), reverse=True)
+    """The terms in rendering order: graded lex by declaration order,
+    highest first."""
+    return sorted(p.items(), key=_grlex_key, reverse=True)
 
 
 def pleading_mono(p: Poly) -> Mono:

@@ -13,10 +13,11 @@ import inspect
 from dataclasses import replace
 from typing import get_type_hints
 
-from ..gasdyn import ConservationFormParams, InvalidParams
+from ..gasdyn import ConservationFormParams, InvalidParams, flux_matrix
 from ..liealg import standard_basis
 from ..prolong import case_generators
 from ..symkernel import Context, Expr
+from ..symkernel.linalg import mul2
 from .maps import (OneParamFamily, ReciprocalMap, UnknownCatalogEntry,
                    identity_map, reciprocal_map)
 
@@ -42,6 +43,17 @@ def _psi(ctx, psi):
     return Expr.coerce(ctx, psi)
 
 
+def _phi(ctx, q):
+    """The flux matrix at q12 = q22 = q and q13 = q23 = 0."""
+    return flux_matrix(ConservationFormParams.make(ctx, 1, 1, q, q, 0, 0))
+
+
+def _affine(c, s, m):
+    """c*I + s*m for a 2x2 matrix m."""
+    return tuple(tuple((c if i == j else 0) + s * e
+                       for j, e in enumerate(row)) for i, row in enumerate(m))
+
+
 def bateman(ctx: Context, b1=None, b2=None, b3=None, b4=None,
             entropy="formal") -> ReciprocalMap:
     """The four-parameter pressure-inversion family (b1*b3 != 0)."""
@@ -58,8 +70,7 @@ def bateman(ctx: Context, b1=None, b2=None, b3=None, b4=None,
     P = b4 - c / w
     R = b3 * rho * w / (w + rho * q2)
     H = _entropy(ctx, entropy)
-    f = ((( p + b2 + rho * vv ** 2) / b1, -rho * u * vv / b1),
-         ((-rho * u * vv) / b1, (p + b2 + rho * u ** 2) / b1))
+    f = _affine(0, 1 / b1, _phi(ctx, b2))
     return reciprocal_map(ctx, R, U, V, P, H, f, name="bateman")
 
 
@@ -83,8 +94,7 @@ def one_param_bateman(ctx: Context, entropy="identity") -> OneParamFamily:
     P = p / d1
     R = rho * d1 / d2
     H = _entropy(ctx, entropy)
-    f = ((1 + eps * (p + rho * vv ** 2), -eps * rho * u * vv),
-         (-eps * rho * u * vv, 1 + eps * (p + rho * u ** 2)))
+    f = _affine(1, eps, _phi(ctx, 0))
     gen = standard_basis(ctx)[2].scale(-2).with_label("-2*X3")
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_bateman")
     return OneParamFamily(m.name, m, "eps", "linear", Expr.const(ctx, 1), gen)
@@ -107,18 +117,14 @@ def one_param_q13(ctx: Context, q12=0, q13=1,
     P = (q13e * p + lam * (p * q12e + q12e ** 2 + q13e ** 2)) / den
     H = _entropy(ctx, entropy)
 
-    A1 = p + q12e + rho * vv ** 2
-    B1 = -(rho * u * vv + q13e)
-    A2 = -(rho * u * vv - q13e)
-    B2 = p + q12e + rho * u ** 2
+    params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, q13e, -q13e)
+    (A1, B1), (A2, B2) = flux_matrix(params)
     opl = 1 + lam ** 2
     lq = lam / q13e
     f = (((1 - lam ** 2 - lq * (A1 - lam * A2)) / opl,
           (-2 * lam - lq * (B1 - lam * B2)) / opl),
          ((2 * lam - lq * (A2 + lam * A1)) / opl,
           (1 - lam ** 2 - lq * (B2 + lam * B1)) / opl))
-
-    params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, q13e, -q13e)
     gen = case_generators("b", params, ctx, k=1)
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_q13")
     return OneParamFamily(m.name, m, "lam", "tan", q13e, gen)
@@ -142,17 +148,11 @@ def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
     P = (k2e * q12e * (p + q12e) * (1 - lam ** 2)
          + 2 * k1e * (q12e * (1 - lam ** 2) - lam ** 2 * p)) / den
     H = _entropy(ctx, entropy)
-
-    A1 = p + q12e + rho * vv ** 2
-    B1 = -rho * u * vv
-    A2 = -rho * u * vv
-    B2 = p + q12e + rho * u ** 2
-    scale = k2e * (1 - lam ** 2) / (2 * k1e)
     il2 = lam ** (-2)
-    f = (((1 + scale * A1) * il2, scale * B1 * il2),
-         (scale * A2 * il2, (1 + scale * B2) * il2))
+    scale = k2e * (1 - lam ** 2) / (2 * k1e) * il2
 
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, 0, 0)
+    f = _affine(il2, scale, flux_matrix(params))
     gen = case_generators("c", params, ctx, k1=k1e, k2=k2e)
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_exp")
     return OneParamFamily(m.name, m, "lam", "exp", k1e, gen)
@@ -174,8 +174,7 @@ def one_param_linear(ctx: Context, k2=1, q12=0,
     # exponential branch and by d p'/d eps = k2*(p' + q12)^2
     P = (p + a * q12e * (p + q12e)) / den
     H = _entropy(ctx, entropy)
-    f = ((1 - a * (p + q12e + rho * vv ** 2), a * rho * u * vv),
-         (a * rho * u * vv, 1 - a * (p + q12e + rho * u ** 2)))
+    f = _affine(1, -a, _phi(ctx, q12e))
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, 0, 0)
     gen = case_generators("c", params, ctx, k1=0, k2=k2e)
     m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_linear")
@@ -206,11 +205,8 @@ def theorem_map(ctx: Context, alpha=None, beta=None, k=None, a11=1,
     U = psi_e * (alpha * vv + beta * u) / pg
     V = a11 * psi_e * (-alpha * u + beta * vv) / pg
     H = _entropy(ctx, entropy)
-    ruv = rho * u * vv
-    f = ((k * (alpha * ruv - beta * (p + rho * vv ** 2 - g)),
-          k * (-alpha * (p + rho * u ** 2 - g) + beta * ruv)),
-         (k * a11 * (alpha * (p + rho * vv ** 2 - g) + beta * ruv),
-          -k * a11 * (alpha * ruv + beta * (p + rho * u ** 2 - g))))
+    f = mul2(((-k * beta, -k * alpha), (k * a11 * alpha, -k * a11 * beta)),
+             _phi(ctx, -g))
     return reciprocal_map(ctx, R, U, V, P, H, f, name="theorem")
 
 

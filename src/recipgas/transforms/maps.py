@@ -16,15 +16,13 @@ symbols read as primed values.
 from __future__ import annotations
 
 import json
-import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from ..gasdyn import FIELDS, parse_record
 from ..liealg import Generator
 from ..symkernel import Context, Expr, substitute_all
-from ..symkernel.errors import NumericDomain, SymkernelError
+from ..symkernel.errors import SymkernelError
 from ..symkernel.linalg import adj2, det2, mul2, rref
 
 
@@ -230,26 +228,8 @@ class OneParamFamily:
     def ctx(self):
         return self.map_sym.ctx
 
-    @cached_property
-    def _rate_float(self) -> float:
-        try:
-            return float(self.rate.as_rational())
-        except ValueError:
-            raise NumericDomain(
-                "family %s has symbolic parameters" % self.name) from None
-
-    def link(self, eps: float) -> float:
-        """Leaf value at the group parameter, in floats; NumericDomain when
-        the rate is symbolic."""
-        return LEAVES[self.leaf].law(self._rate_float * eps, math)
-
     def map_at(self, value) -> ReciprocalMap:
         """Substitute an exact (rational or Expr) leaf value."""
         val = Expr.coerce(self.ctx, value)
         return replace(self.map_sym.substitute({self.symbol: val}),
                        name="%s@%s" % (self.name, val))
-
-    def numeric_assignment(self, eps: float, state: dict) -> dict:
-        a = dict(state)
-        a[self.symbol] = self.link(eps)
-        return a

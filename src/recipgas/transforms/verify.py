@@ -135,7 +135,7 @@ def witness_point(residual: Expr, seed: int = DEFAULT_SEED):
 # --- point symmetries ---------------------------------------------------------
 
 
-def verify_point_symmetry(T: ReciprocalMap, solve_for: str = "x",
+def verify_point_symmetry(T: ReciprocalMap,
                           seed: int = DEFAULT_SEED) -> Report:
     """Chain-rule transformed residuals, with the form matrix as the
     coordinate Jacobian, reduce to combinations of the original system on
@@ -152,8 +152,7 @@ def verify_point_symmetry(T: ReciprocalMap, solve_for: str = "x",
             jets["%s_x" % fname] = (a[0][0] * dx + a[1][0] * dy) / detj
             jets["%s_y" % fname] = (a[0][1] * dx + a[1][1] * dy) / detj
         residuals = list(zip(RESIDUAL_NAMES, reduce_on_manifold(
-            substitute_all(system_residuals(T.ctx), {**sub, **jets}),
-            solve_for)))
+            substitute_all(system_residuals(T.ctx), {**sub, **jets}))))
     rep = residual_report("point symmetry of %s" % (T.name or "map"),
                           residuals,
                           ["%s != 0" % d for d in T.denominators()], seed)
@@ -224,11 +223,17 @@ LieCheckResult = namedtuple("LieCheckResult", "max_residual samples")
 
 
 def _require_points(fam: OneParamFamily, n_points: int):
-    """Refuse a symbolic rate (NumericDomain) and an empty sample."""
-    fam.link(0)
+    """The family's exact rate; refuses a symbolic rate (NumericDomain) and
+    an empty sample."""
+    try:
+        q = fam.rate.as_rational()
+    except ValueError:
+        raise NumericDomain(
+            "family %s has symbolic parameters" % fam.name) from None
     if n_points < 1:
         raise InvalidParams("need at least one sample point, got %d"
                             % n_points)
+    return q
 
 
 def _eval_poly_mp(evaluate, assign):
@@ -270,7 +275,7 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
     check; verify_flow decides the Lie equation exactly.
     """
     import mpmath
-    _require_points(fam, n_points)
+    q = _require_points(fam, n_points)
     rng = random.Random(seed)
     T = fam.map_sym
     gen = fam.generator
@@ -292,7 +297,6 @@ def lie_equation_check(fam: OneParamFamily, n_points: int = 100,
     law = LEAVES[fam.leaf].law
     with mpmath.workdps(40):
         mstep = mpmath.mpf(step)
-        q = fam.rate.as_rational()
         rate = mpmath.mpf(q.numerator) / q.denominator
         while done < n_points:
             attempts += 1
@@ -337,7 +341,8 @@ def composition_additivity(fam: OneParamFamily, n_points: int = 100,
     """Max deviation |T_e1(T_e2(x)) - T_{e1+e2}(x)| over seeded samples,
     kept ADD_GUARD away from the map's singular sets; only the lie-flow
     benchmark runs it (verify_flow decides additivity exactly)."""
-    _require_points(fam, n_points)
+    rate = float(_require_points(fam, n_points))
+    law = LEAVES[fam.leaf].law
     T = fam.map_sym
     fields = compile_exprs(T.components()[:5])
     dens = compile_exprs(T.denominators())
@@ -345,6 +350,10 @@ def composition_additivity(fam: OneParamFamily, n_points: int = 100,
     def margin(a):
         """Smallest |denominator| of the map at the point."""
         return min((abs(d) for d in dens(a)), default=float("inf"))
+
+    def at(eps, state):
+        """The state with the leaf at eps."""
+        return {**state, fam.symbol: law(rate * eps, math)}
 
     rng = random.Random(seed)
     worst = 0.0
@@ -358,13 +367,13 @@ def composition_additivity(fam: OneParamFamily, n_points: int = 100,
         e1 = rng.uniform(-ADD_EPS, ADD_EPS)
         e2 = rng.uniform(-ADD_EPS, ADD_EPS)
         try:
-            a2 = fam.numeric_assignment(e2, state)
+            a2 = at(e2, state)
             if margin(a2) < ADD_GUARD:
                 continue
             inner = dict(zip(FIELDS, fields(a2)))
             inner["S"] = state["S"]
-            a1 = fam.numeric_assignment(e1, inner)
-            a12 = fam.numeric_assignment(e1 + e2, state)
+            a1 = at(e1, inner)
+            a12 = at(e1 + e2, state)
             if min(margin(a1), margin(a12)) < ADD_GUARD:
                 continue
             outer_fields = fields(a1)

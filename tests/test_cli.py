@@ -43,6 +43,14 @@ def test_verify_generator_pass(capsys):
     assert "verdict: PASS" in out
 
 
+def test_verify_generator_names_the_constant_slices(capsys):
+    # h = 1 and F = 1 carry the labels criterion 4 gives them
+    for name in ("Xh1", "XF1"):
+        code, out = run(capsys, "verify-generator", "--generator", name)
+        assert code == 0
+        assert out.startswith("== determining equations for %s ==\n" % name)
+
+
 def test_verify_generator_from_file(capsys, tmp_path):
     d = {"zeta_rho": "rho", "zeta_u": "0", "zeta_v": "0", "zeta_p": "0",
          "zeta_S": "0", "form": [["0", "0"], ["0", "0"]]}
@@ -162,6 +170,12 @@ def test_pushforward(capsys):
                     "--param", "entropy=identity")
     assert code == 0
     assert "satisfies the automorphism constraints" in out
+
+
+def test_pushforward_names_the_image_of_a_constant_slice(capsys):
+    code, out = run(capsys, "pushforward", "--generator", "XF1")
+    assert code == 1
+    assert "bateman_*(XF1)(zs=1)" in out
 
 
 @pytest.mark.parametrize("argv", [[], ["--catalog", "theorem"]])

@@ -8,6 +8,7 @@ criterion 8 multiply).  The maps are the Bateman map at b = (1, 0, 2, 0),
 the theorem map of criterion 8 and the involutions E1, E2, all with the
 identity entropy map, so each has an inverse.  The theorem map sends the
 central X1 to a11 X1, and each involution after it flips that sign.
+The same laws on drawn words are in test_group_laws_drawn.py.
 """
 
 from fractions import Fraction
@@ -34,6 +35,12 @@ MAPS = {
 }
 PAIRS = list(product(MAPS, repeat=2))
 MEGAIDEAL = standard_basis(CTX)[2:5]
+
+
+def _mul3(a, b):
+    """Product a b of 3x3 matrices."""
+    return tuple(tuple(sum(a[k][n] * b[n][i] for n in range(3))
+                       for i in range(3)) for k in range(3))
 
 
 @pytest.mark.parametrize("a, b", PAIRS)
@@ -70,8 +77,7 @@ def test_automorphism_matrices_multiply(a, b):
     MA, MB, MAB = (pushforward_matrix(T, MEGAIDEAL).entries
                    for T in (MAPS[a], MAPS[b], compose(MAPS[a], MAPS[b])))
     assert all(e.is_constant() for row in MA + MB for e in row)
-    assert MAB == tuple(tuple(sum(MA[k][n] * MB[n][i] for n in range(3))
-                              for i in range(3)) for k in range(3))
+    assert MAB == _mul3(MA, MB)
 
 
 @pytest.mark.parametrize("a11", [1, -1])

@@ -12,7 +12,9 @@ values; every other number the program computes is a float or exact.
 The numeric flow checks lie_equation_check and composition_additivity
 serve only the lie-flow benchmark: inside the package only their module
 and the transforms package's exports name them, so no verdict of the
-program comes from them.
+program comes from them.  Likewise only their module evaluates a leaf's
+numeric law (LEAVES[...].law); the program's verdicts use the leaf's ODE
+and addition law.
 """
 
 import ast
@@ -65,11 +67,17 @@ def _imports_mpmath(node):
         and node.module.split(".")[0] == "mpmath"
 
 
+def _modules_where(pred):
+    """The package's modules, as paths relative to it, that hold a node
+    for which pred is true."""
+    return sorted(str(path.relative_to(PACKAGE))
+                  for path in PACKAGE.rglob("*.py")
+                  if any(pred(node) for node in ast.walk(
+                      ast.parse(path.read_text(), str(path)))))
+
+
 def test_mpmath_only_in_the_lie_check():
-    found = sorted(str(path.relative_to(PACKAGE))
-                   for path in PACKAGE.rglob("*.py")
-                   if any(_imports_mpmath(node) for node in ast.walk(
-                       ast.parse(path.read_text(), str(path)))))
+    found = _modules_where(_imports_mpmath)
     assert found == ["transforms/verify.py"], found
 
 
@@ -93,9 +101,11 @@ def _names(node):
 
 
 def test_numeric_flow_checks_only_exported():
-    found = sorted(str(path.relative_to(PACKAGE))
-                   for path in PACKAGE.rglob("*.py")
-                   if any(_names(node) & NUMERIC_FLOW_CHECKS
-                          for node in ast.walk(
-                              ast.parse(path.read_text(), str(path)))))
+    found = _modules_where(lambda node: _names(node) & NUMERIC_FLOW_CHECKS)
     assert found == ["transforms/__init__.py", "transforms/verify.py"], found
+
+
+def test_leaf_law_read_only_by_the_numeric_checks():
+    found = _modules_where(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "law")
+    assert found == ["transforms/verify.py"], found

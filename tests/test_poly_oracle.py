@@ -25,7 +25,7 @@ from recipgas.symkernel.poly import (QQ, mono_items, mono_pack, padd, pconst,
                                      pcontent, pcoprime_basis, pderiv,
                                      pdiv_exact, pgcd, pis_const,
                                      pleading_mono, pmul, pneg, ppow,
-                                     pprimitive, pvars)
+                                     pprimitive, psorted_terms, pvars)
 
 sympy = pytest.importorskip("sympy", minversion="1.14")
 pytest.importorskip("hypothesis")
@@ -244,6 +244,14 @@ def test_ppow_matches_sympy(a, n):
 def test_pderiv_matches_sympy(a, var):
     got = pderiv(a, CTX.idx(var))
     assert _to_sympy(got) == _to_sympy(a).diff(sympy.Symbol(var))
+
+
+@given(a=_poly_in(max_terms=8))
+def test_render_order_matches_sympy_grlex(a):
+    # graded lex in declaration order, highest first
+    got = [tuple(dict(mono_items(m)).get(i, 0) for i in INDICES)
+           for m, _ in psorted_terms(a)]
+    assert got == [exps for exps, _ in _to_sympy(a).terms(order="grlex")]
 
 
 @given(e=_ratfun(), var=st.sampled_from(VARS))
