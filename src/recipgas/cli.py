@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from . import accept
 from .gasdyn import standard_context
-from .liealg import (commutator_table_text, generator_from_dict,
-                     megaideal_constraints, reciprocal_algebra,
-                     standard_basis, x_f, x_h)
+from .liealg import (_entry_text, commutator_table_text,
+                     generator_from_dict, megaideal_constraints,
+                     reciprocal_algebra, standard_basis, x_f, x_h)
 from .numerics import (ConstantFlow, GridSpec, ShearFlow, VortexFlow,
                        fd_residuals, loop_closedness, make_solution,
                        transform_solution)
@@ -127,10 +127,9 @@ def cmd_commutators(args) -> int:
     L = reciprocal_algebra(standard_context())
     text = commutator_table_text(L)
     if args.format == "json":
-        table = {}
-        for (i, j), entry in L.structure_constants().items():
-            table["[%s,%s]" % (L.basis[i].label, L.basis[j].label)] = \
-                str(entry)
+        labels = L.labels()
+        table = {"[%s,%s]" % (labels[i], labels[j]): _entry_text(entry, labels)
+                 for (i, j), entry in L.structure_constants().items()}
         _emit(args, text, {"schema": 1, "algebra": "Lrt", "table": table})
     else:
         _emit(args, text, {})

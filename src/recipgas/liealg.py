@@ -121,10 +121,9 @@ class Generator:
 
 
 def generator(ctx: Context, zr=0, zu=0, zv=0, zp=0, zs=0,
-              m=((0, 0), (0, 0)), label="", func=None) -> Generator:
+              m=((0, 0), (0, 0)), label="") -> Generator:
     return Generator(*(Expr.coerce(ctx, s) for s in
-                       (zr, zu, zv, zp, zs, *m[0], *m[1])),
-                     label=label, func=func)
+                       (zr, zu, zv, zp, zs, *m[0], *m[1])), label=label)
 
 
 def zero_generator(ctx: Context) -> Generator:
@@ -215,7 +214,7 @@ def x_f(ctx: Context, f: Expr | None = None) -> Generator:
 
 def reciprocal_algebra(ctx: Context) -> "LieAlgebra":
     """L_rt = {X1..X5, Xh, XF}."""
-    return LieAlgebra(standard_basis(ctx) + [x_h(ctx), x_f(ctx)], name="Lrt")
+    return LieAlgebra(standard_basis(ctx) + [x_h(ctx), x_f(ctx)])
 
 
 # --- exact span arithmetic ---------------------------------------------------
@@ -291,7 +290,6 @@ class FunctionalConstant:
 @dataclass
 class LieAlgebra:
     basis: list
-    name: str = ""
 
     def labels(self):
         return [g.label or ("B%d" % i) for i, g in enumerate(self.basis)]
@@ -379,7 +377,7 @@ class LieAlgebra:
                     picked = rref(picked_vecs)
         for k in sorted(families_hit):
             chosen.append(self.basis[k])
-        return LieAlgebra(chosen, name=self.name + "'")
+        return LieAlgebra(chosen)
 
     def center(self) -> "LieAlgebra":
         """Maximal central subspace, by exact nullspace of the c-table."""
@@ -397,7 +395,7 @@ class LieAlgebra:
             terms = [(i, c) for i, c in enumerate(vec) if c]
             out.append(self._combine(terms).with_label(
                 "+".join(self.basis[i].label for i, _ in terms)))
-        return LieAlgebra(out, name="Z(%s)" % self.name)
+        return LieAlgebra(out)
 
 
 def _negate_entry(entry):

@@ -140,13 +140,12 @@ def make_solution(flow, grid: GridSpec) -> GridSolution:
     whole grid, so it must accept numpy arrays; it may return scalars for
     fields that are constant."""
     if isinstance(flow, VortexFlow):
-        rmin = min(math.hypot(x, y) for x in (grid.x0, grid.x0 + grid.hx * (grid.nx - 1))
-                   for y in (grid.y0, grid.y0 + grid.hy * (grid.ny - 1)))
-        if grid.x0 <= 0.0 <= grid.x0 + grid.hx * (grid.nx - 1) and \
-           grid.y0 <= 0.0 <= grid.y0 + grid.hy * (grid.ny - 1):
-            raise InvalidParams("vortex grid must exclude the origin")
-        if rmin < 1e-6:
-            raise InvalidParams("vortex grid touches r = 0")
+        # the point of the grid's rectangle nearest the origin: 0 clamped
+        # between the two edges of each axis, whichever way the axis runs
+        x = sorted((0.0, grid.x0, grid.x0 + grid.hx * (grid.nx - 1)))[1]
+        y = sorted((0.0, grid.y0, grid.y0 + grid.hy * (grid.ny - 1)))[1]
+        if math.hypot(x, y) < 1e-6:
+            raise InvalidParams("vortex grid must stay away from r = 0")
     X, Y = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
     arrays = [np.array(np.broadcast_to(v, X.shape), dtype=float)
               for v in flow.fields(X, Y)]

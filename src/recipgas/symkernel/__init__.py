@@ -8,14 +8,13 @@ from .errors import (DegreeOverflow, DivisionByZeroExpr, InvalidParams,
                      SymkernelError, UnboundSymbol, UnknownVariable,
                      VariableMismatch)
 from .expr import Expr, substitute_all
-from .numeric import (FIXED_BITS, FN_IMPLS, compile_exprs,
-                      compile_exprs_fixed)
+from .numeric import FIXED_BITS, compile_exprs, compile_exprs_fixed
 from .parser import parse
 from .poly import QQ
 
 __all__ = [
-    "Context", "Expr", "substitute_all", "parse", "QQ", "FN_IMPLS",
-    "FIXED_BITS", "compile_exprs", "compile_exprs_fixed", "SymkernelError",
+    "Context", "Expr", "substitute_all", "parse", "QQ", "FIXED_BITS",
+    "compile_exprs", "compile_exprs_fixed", "SymkernelError",
     "DegreeOverflow", "DivisionByZeroExpr", "UnknownVariable",
     "NotPolynomialInVars", "UnboundSymbol", "NumericDomain", "ParseError",
     "VariableMismatch", "InvalidParams",

@@ -30,20 +30,8 @@ from .errors import NumericDomain, UnboundSymbol
 from .poly import (MONO_ONE, QQ, mono_items, pdegree, pis_const,
                    pleading_mono)
 
-# implementations of the elementary functions the float evaluator computes
-FN_IMPLS = {
-    "tan": np.tan,
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-    "log": np.log,
-}
-
 # terms per generated line, so that huge sums stay shallow for the compiler
 _TERMS_PER_LINE = 64
-
-_ZERO_MESSAGE = "zero denominator at the evaluation point"
 
 # fractional bits of the integer evaluator's inputs and values
 FIXED_BITS = 256
@@ -61,7 +49,6 @@ class _Numbers(NamedTuple):
     constant: object   # (coefficient, env) -> source text of its value
     convert: object    # applied to each input value, or None
     nonzero: object    # true when a denominator value has no zero
-    impls: dict        # function name -> implementation of its atoms
 
 
 def _float_split(e):
@@ -105,9 +92,8 @@ def _int_constant(c, env):
     return name
 
 
-_FLOATS = _Numbers(_float_split, lambda c, env: repr(float(c)), _float,
-                   np.all, FN_IMPLS)
-_FIXED = _Numbers(_fixed_split, _int_constant, None, bool, {})
+_FLOATS = _Numbers(_float_split, lambda c, env: repr(float(c)), _float, np.all)
+_FIXED = _Numbers(_fixed_split, _int_constant, None, bool)
 
 
 def compile_exprs(exprs):
@@ -115,12 +101,10 @@ def compile_exprs(exprs):
 
     The assignment maps variable names, and formal-function atoms by
     display name, to floats or to numpy arrays that broadcast together.
-    An atom it lacks is computed from its arguments when FN_IMPLS has its
-    function; a derivative marker never is.  A missing name raises
-    UnboundSymbol; a zero denominator or a non-finite value raises
-    NumericDomain.
+    A missing name raises UnboundSymbol; a zero denominator or a
+    non-finite value raises NumericDomain.
     """
-    raw = _generate(list(exprs), _ZERO_MESSAGE, _FLOATS)
+    raw = _generate(list(exprs), _FLOATS)
 
     def evaluate(assignment: dict) -> list:
         try:
@@ -144,11 +128,10 @@ def compile_exprs_fixed(exprs):
 
     The assignment maps variable names, and formal-function atoms by
     display name, to ints X that stand for X / 2^FIXED_BITS.  Every value
-    is exact before its one floor division.  A missing name or an atom
-    the assignment lacks raises UnboundSymbol; a zero denominator raises
-    NumericDomain.
+    is exact before its one floor division.  A missing name raises
+    UnboundSymbol; a zero denominator raises NumericDomain.
     """
-    raw = _generate(list(exprs), _ZERO_MESSAGE, _FIXED)
+    raw = _generate(list(exprs), _FIXED)
 
     def evaluate(assignment: dict) -> list:
         try:
@@ -159,8 +142,10 @@ def compile_exprs_fixed(exprs):
     return evaluate
 
 
-def _generate(exprs, zero_message: str, numbers: _Numbers):
-    """The generated function of the assignment, without error mapping."""
+def _generate(exprs, numbers: _Numbers):
+    """The generated function of the assignment, without error mapping.
+    Every variable slot, a formal-function atom too, is read from the
+    assignment by its name (an atom's display name)."""
     ctx = exprs[0].ctx if exprs else None
     env = {"_float": numbers.convert, "_all": numbers.nonzero,
            "NumericDomain": NumericDomain}
@@ -172,12 +157,7 @@ def _generate(exprs, zero_message: str, numbers: _Numbers):
     def load(idx, e):
         """The local holding variable idx to the power e."""
         if idx not in top:
-            if idx in ctx.atoms:
-                env["_atom%d" % idx] = _atom(ctx.atoms[idx], numbers)
-                value = "_atom%d(a)" % idx
-            else:
-                value = read % ctx.names[idx]
-            lines.append("v%d_1 = %s" % (idx, value))
+            lines.append("v%d_1 = %s" % (idx, read % ctx.names[idx]))
             top[idx] = 1
         for k in range(top[idx] + 1, e + 1):
             lines.append("v%d_%d = v%d_%d * v%d_1" % (idx, k, idx, k - 1, idx))
@@ -212,8 +192,8 @@ def _generate(exprs, zero_message: str, numbers: _Numbers):
         if d is None:
             d = dens[key] = "d%d" % len(dens)
             poly(d, den)
-            lines.append("if not _all(%s): raise NumericDomain(%r)"
-                         % (d, zero_message))
+            lines.append("if not _all(%s): raise NumericDomain("
+                         "'zero denominator at the evaluation point')" % d)
         lines.append("%s = %s" % (r, quotient % (r, d)))
     body = lines + ["return [%s]" % ", ".join("r%d" % k
                                               for k in range(len(exprs)))]
@@ -225,22 +205,3 @@ def _generate(exprs, zero_message: str, numbers: _Numbers):
 def _over(p, lc: int):
     """The polynomial p/lc, with QQ coefficients where lc is not 1."""
     return p if lc == 1 else {m: QQ(c, lc) for m, c in p.items()}
-
-
-def _atom(info, numbers: _Numbers):
-    """Value of a formal-function atom: from the assignment by display
-    name, else its implementation applied to its arguments."""
-    display = info.display
-    fn = None if any(info.orders) else numbers.impls.get(info.fname)
-    convert = numbers.convert or (lambda v: v)
-    args = _generate(list(info.args), "zero denominator in %s" % display,
-                     numbers)
-
-    def value(a):
-        if display in a:
-            return convert(a[display])
-        if fn is None:
-            raise UnboundSymbol(display)
-        return fn(*args(a))
-
-    return value

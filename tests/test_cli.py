@@ -37,6 +37,16 @@ def test_commutators(capsys):
     assert "X3" in out and "-X3" in out and "-X5" in out
 
 
+def test_commutators_json_reads_like_the_text_table(capsys):
+    code, out = run(capsys, "--format", "json", "commutators")
+    assert code == 0
+    table = json.loads(out)["table"]
+    assert table["[X3,X4]"] == "-X3"
+    assert table["[X1,X2]"] == "0"
+    assert table["[Xh,XF]"] == "-X[F(S)*h'(S)]"
+    assert not [v for v in table.values() if "Fraction(" in v]
+
+
 def test_verify_generator_pass(capsys):
     code, out = run(capsys, "verify-generator", "--generator", "X3")
     assert code == 0

@@ -3,12 +3,13 @@ evaluation; the float evaluator on scalars and arrays."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from recipgas.gasdyn import FIELDS, standard_context
+from recipgas.gasdyn import standard_context
 from recipgas.symkernel import (FIXED_BITS, Expr, compile_exprs,
                                 compile_exprs_fixed, parse)
 from recipgas.symkernel.errors import NumericDomain, UnboundSymbol
@@ -108,20 +109,25 @@ def test_paper_maps_match_exact_values(ctx):
                 (name, str(comps[k]))
 
 
+@pytest.mark.parametrize("name, arg", [("tan", "eps"), ("h", "S")])
+def test_atom_is_read_by_display_name(ctx, name, arg):
+    atom = Expr.function(ctx, name, parse(ctx, arg))
+    e = 2 * atom + parse(ctx, arg)
+    assert compile_exprs([e])({str(atom): 0.25, arg: 1.0}) == [1.5]
+    fixed = compile_exprs_fixed([e])
+    one = 1 << FIXED_BITS
+    assert fixed({str(atom): one // 4, arg: one}) == [3 * one // 2]
+    assert e.eval_rational({str(atom): Fraction(1, 4), arg: 1}) == \
+        Fraction(3, 2)
+    # the argument alone gives no value for the atom
+    for evaluate in (compile_exprs([e]), fixed):
+        with pytest.raises(UnboundSymbol, match=re.escape(str(atom))):
+            evaluate({arg: 1})
+    with pytest.raises(UnboundSymbol, match=re.escape(str(atom))):
+        e.eval_rational({arg: 1})
+
+
 def test_tan_atom_of_the_q13_leaf(ctx):
-    fam = one_param_q13(ctx, q12=Fraction(1, 3), q13=Fraction(1, 2))
-    leaf = Expr.function(ctx, "tan", Expr.const(ctx, Fraction(1, 2))
-                         * Expr.var(ctx, "eps"))
-    via_atom = compile_exprs([c.substitute({"lam": leaf})
-                              for c in fam.map_sym.components()])
-    via_leaf = compile_exprs(fam.map_sym.components())
-    rng = random.Random(7)
-    for _ in range(POINTS):
-        state = {n: rng.uniform(0.5, 2.0) for n in FIELDS}
-        eps = rng.uniform(-0.25, 0.25)
-        got = via_atom(dict(state, eps=eps))
-        want = via_leaf(dict(state, lam=math.tan(0.5 * eps)))
-        assert got == pytest.approx(want, rel=1e-13)
     # an atom given by display name needs no arguments
     t = Expr.function(ctx, "tan", parse(ctx, "eps*q13"))
     assert compile_exprs([t * 2])({str(t): 0.25}) == [0.5]

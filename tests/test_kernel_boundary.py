@@ -15,6 +15,10 @@ and the transforms package's exports name them, so no verdict of the
 program comes from them.  Likewise only their module evaluates a leaf's
 numeric law (LEAVES[...].law); the program's verdicts use the leaf's ODE
 and addition law.
+
+A formal application (tan(x), h(S), ...) is an opaque generator to the
+kernel: every evaluator reads its value from the assignment by display
+name, so symkernel computes no elementary function.
 """
 
 import ast
@@ -109,3 +113,14 @@ def test_leaf_law_read_only_by_the_numeric_checks():
     found = _modules_where(
         lambda node: isinstance(node, ast.Attribute) and node.attr == "law")
     assert found == ["transforms/verify.py"], found
+
+
+ELEMENTARY_FUNCTIONS = {"tan", "sin", "cos", "exp", "sqrt", "log"}
+
+
+def test_kernel_computes_no_elementary_function():
+    found = [path for path in _modules_where(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr in ELEMENTARY_FUNCTIONS)
+        if path.startswith("symkernel/")]
+    assert not found, found

@@ -68,6 +68,16 @@ def test_grid_guards(ctx):
     assert max(fd_residuals(transform_solution(wide, T)).values()) < 1e-12
     with pytest.raises(InvalidParams):
         make_solution(VortexFlow(), GridSpec(-0.5, -0.5, 0.25, 0.25, 5, 5))
+    # no corner is near r = 0, but the edge y = 1e-9 passes it; the
+    # second grid runs from 1 down to -1 with a node at the origin
+    for grid in (GridSpec(-1.0, 1e-9, 1.0, 1.0, 3, 2),
+                 GridSpec(1.0, 1.0, -1.0, -1.0, 3, 3)):
+        with pytest.raises(InvalidParams, match="r = 0"):
+            make_solution(VortexFlow(w0=1, m=-1), grid)
+    # the vortex grids of criterion 9
+    vortex = GridSpec(0.5, 0.3, 1 / 24, 1 / 24, 13, 13)
+    for grid in (vortex, vortex.refined()):
+        assert make_solution(VortexFlow(w0=1, m=1), grid).grid == grid
     with pytest.raises(InvalidParams):
         make_solution(ConstantFlow(rho0=-1.0),
                       GridSpec(0, 0, 0.1, 0.1, 4, 4))
