@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from .gasdyn import ConservationFormParams, standard_context
 from .liealg import (AutomorphismMatrix, FunctionalConstant, commutator,
-                     megaideal_constraints, membership, reciprocal_algebra,
-                     standard_basis, x_f, x_h)
+                     constant_slices, megaideal_constraints, membership,
+                     reciprocal_algebra, standard_basis)
 from .numerics import (ConstantFlow, GridSpec, ShearFlow, VortexFlow,
                        fd_residuals, loop_closedness, make_solution,
                        primed_coordinates, transform_convergence_ratios,
@@ -161,9 +161,7 @@ def criterion_4(ctx=None, seed=DEFAULT_SEED) -> Report:
     """Determining residuals vanish for the basis and both case families."""
     ctx = ctx or standard_context()
     rep = Report("criterion 4: determining equations")
-    one = Expr.const(ctx, 1)
-    gens = list(standard_basis(ctx)) + [x_h(ctx, one).with_label("Xh1"),
-                                        x_f(ctx, one).with_label("XF1")]
+    gens = standard_basis(ctx) + constant_slices(ctx)
     for g in gens:
         ds = determining_residuals(g)
         rep.add("%s (x-reduction)" % g.label, ds.is_zero())
@@ -189,9 +187,7 @@ def criterion_5(ctx=None, seed=DEFAULT_SEED) -> Report:
     rep = Report("criterion 5: ansatz recovery (degree %d)" % ANSATZ_DEGREE)
     sol = solve_ansatz(ctx, ANSATZ_DEGREE)
     rep.add("every basis element re-verified", sol.reverified)
-    one = Expr.const(ctx, 1)
-    targets = list(standard_basis(ctx)) + [x_h(ctx, one).with_label("Xh1"),
-                                           x_f(ctx, one).with_label("XF1")]
+    targets = standard_basis(ctx) + constant_slices(ctx)
     pb = ConservationFormParams.make(ctx, 1, 1, Fraction(1, 3),
                                      Fraction(1, 3), Fraction(1, 2),
                                      Fraction(-1, 2))

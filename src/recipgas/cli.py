@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import accept
 from .gasdyn import standard_context
-from .liealg import (_entry_text, commutator_table_text,
+from .liealg import (_entry_text, commutator_table_text, constant_slices,
                      generator_from_dict, megaideal_constraints,
                      reciprocal_algebra, standard_basis, x_f, x_h)
 from .numerics import (ConstantFlow, GridSpec, ShearFlow, VortexFlow,
@@ -23,7 +23,7 @@ from .numerics import (ConstantFlow, GridSpec, ShearFlow, VortexFlow,
                        transform_solution)
 from .prolong import determining_residuals
 from .reports import Report
-from .symkernel import Expr, parse
+from .symkernel import parse
 from .symkernel.errors import SymkernelError
 from .transforms import (OneParamFamily, catalog, load_map, pushforward,
                          pushforward_matrix, verify_automorphism_solution,
@@ -112,11 +112,8 @@ def _emit_report(args, rep: Report) -> int:
 
 
 def _named_generator(ctx, name):
-    basis = {g.label: g for g in standard_basis(ctx)}
-    basis["Xh"] = x_h(ctx)
-    basis["XF"] = x_f(ctx)
-    basis["Xh1"] = x_h(ctx, Expr.const(ctx, 1)).with_label("Xh1")
-    basis["XF1"] = x_f(ctx, Expr.const(ctx, 1)).with_label("XF1")
+    basis = {g.label: g for g in standard_basis(ctx) + [x_h(ctx), x_f(ctx)]
+             + constant_slices(ctx)}
     if name not in basis:
         raise SymkernelError("unknown generator %r (have %s)"
                              % (name, ", ".join(sorted(basis))))

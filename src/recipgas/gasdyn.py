@@ -189,7 +189,12 @@ class ConservationFormParams:
 
 def flux_matrix(params: ConservationFormParams) -> tuple:
     """((A1, B1), (A2, B2)) of the conserved momentum-flux forms
-    S1 = A1 dx + B1 dy and S2 = A2 dx + B2 dy (up to q11, q21)."""
+    S1 = A1 dx + B1 dy and S2 = A2 dx + B2 dy (up to q11, q21).
+
+    bateman's form matrix is this matrix at q12 = q22 = b2 and
+    q13 = q23 = 0, over b1; the one-parameter families and the theorem
+    map take theirs from it by composing bateman with mu_plus and a
+    dilation."""
     rho, u, vv, p = (Expr.var(params.q11.ctx, n) for n in FIELDS[:4])
     return ((p + params.q12 + rho * vv ** 2, -(rho * u * vv + params.q13)),
             (-(rho * u * vv + params.q23), p + params.q22 + rho * u ** 2))

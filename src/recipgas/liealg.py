@@ -212,6 +212,12 @@ def x_f(ctx: Context, f: Expr | None = None) -> Generator:
     return replace(g, func=f if not f.is_constant() else None)
 
 
+def constant_slices(ctx: Context) -> list:
+    """[Xh1, XF1]: x_h at h = 1 and x_f at F = 1."""
+    one = Expr.const(ctx, 1)
+    return [x_h(ctx, one).with_label("Xh1"), x_f(ctx, one).with_label("XF1")]
+
+
 def reciprocal_algebra(ctx: Context) -> "LieAlgebra":
     """L_rt = {X1..X5, Xh, XF}."""
     return LieAlgebra(standard_basis(ctx) + [x_h(ctx), x_f(ctx)])

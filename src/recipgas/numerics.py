@@ -139,6 +139,8 @@ def make_solution(flow, grid: GridSpec) -> GridSolution:
     flow.fields(x, y) is called once with the coordinate arrays of the
     whole grid, so it must accept numpy arrays; it may return scalars for
     fields that are constant."""
+    if grid.hx == 0 or grid.hy == 0:
+        raise InvalidParams("grid spacing must be nonzero")
     if isinstance(flow, VortexFlow):
         # the point of the grid's rectangle nearest the origin: 0 clamped
         # between the two edges of each axis, whichever way the axis runs

@@ -1,10 +1,11 @@
 """Catalog of the explicit transformation families.
 
-Every entry is constructed from closed-form components; one-parameter
-families carry exact form matrices obtained by integrating the linear flow
-of the differentials (using invariance of the conserved flux forms), so
-each family member is an exact transformation for every parameter value,
-not a first-order truncation.
+Every entry is constructed from closed-form components.  bateman is the
+one builder that writes a pressure inversion: the four one-parameter
+families and theorem_map are bateman maps composed with the equivalence
+map mu_plus and a dilation of the form matrix (its product with a
+scalar), so each family member is an exact transformation for every
+parameter value, not a first-order truncation.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from ..gasdyn import ConservationFormParams, InvalidParams, flux_matrix
 from ..liealg import standard_basis
 from ..prolong import case_generators
 from ..symkernel import Context, Expr
-from ..symkernel.linalg import mul2
 from .maps import (OneParamFamily, ReciprocalMap, UnknownCatalogEntry,
-                   identity_map, reciprocal_map)
+                   compose, identity_map, reciprocal_map)
 
 
 def _exprs(ctx, **values) -> list:
@@ -43,15 +43,10 @@ def _psi(ctx, psi):
     return Expr.coerce(ctx, psi)
 
 
-def _phi(ctx, q):
-    """The flux matrix at q12 = q22 = q and q13 = q23 = 0."""
-    return flux_matrix(ConservationFormParams.make(ctx, 1, 1, q, q, 0, 0))
-
-
-def _affine(c, s, m):
-    """c*I + s*m for a 2x2 matrix m."""
-    return tuple(tuple((c if i == j else 0) + s * e
-                       for j, e in enumerate(row)) for i, row in enumerate(m))
+def _dilated(T: ReciprocalMap, c, name: str) -> ReciprocalMap:
+    """T with its form matrix multiplied by c, named `name`."""
+    return replace(T, f=tuple(tuple(c * e for e in row) for row in T.f),
+                   name=name)
 
 
 def bateman(ctx: Context, b1=None, b2=None, b3=None, b4=None,
@@ -70,7 +65,8 @@ def bateman(ctx: Context, b1=None, b2=None, b3=None, b4=None,
     P = b4 - c / w
     R = b3 * rho * w / (w + rho * q2)
     H = _entropy(ctx, entropy)
-    f = _affine(0, 1 / b1, _phi(ctx, b2))
+    phi = flux_matrix(ConservationFormParams.make(ctx, 1, 1, b2, b2, 0, 0))
+    f = tuple(tuple(e / b1 for e in row) for row in phi)
     return reciprocal_map(ctx, R, U, V, P, H, f, name="bateman")
 
 
@@ -82,132 +78,85 @@ def bateman_simplified(ctx: Context, b3=1, b4=0,
 
 
 def one_param_bateman(ctx: Context, entropy="identity") -> OneParamFamily:
-    """Flow of -2*X3, written over the group parameter itself."""
-    v = lambda n: Expr.var(ctx, n)
-    rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
-    eps = v("eps")
-    q2 = u ** 2 + vv ** 2
-    d1 = 1 + eps * p
-    d2 = 1 + eps * (p + rho * q2)
-    U = u / d1
-    V = vv / d1
-    P = p / d1
-    R = rho * d1 / d2
-    H = _entropy(ctx, entropy)
-    f = _affine(1, eps, _phi(ctx, 0))
+    """Flow of -2*X3, written over the group parameter itself:
+    bateman(1/eps, 1/eps, 1, 1/eps)."""
+    ie = 1 / Expr.var(ctx, "eps")
+    m = replace(bateman(ctx, ie, ie, 1, ie, entropy=entropy),
+                name="one_param_bateman")
     gen = standard_basis(ctx)[2].scale(-2).with_label("-2*X3")
-    m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_bateman")
     return OneParamFamily(m.name, m, "eps", "linear", Expr.const(ctx, 1), gen)
 
 
 def one_param_q13(ctx: Context, q12=0, q13=1,
                   entropy="identity") -> OneParamFamily:
-    """Flow of the rotation-coupled branch; leaf lam = tan(eps*q13)."""
-    v = lambda n: Expr.var(ctx, n)
+    """Flow of the rotation-coupled branch; leaf lam = tan(eps*q13).  The
+    dilation by 1/(1+lam^2) of mu_plus(a33=1/(1+lam^2), a54=q12+q13/lam,
+    alpha=1, beta=-lam, psi=1) after bateman(-q13/lam, q12-q13/lam, 1, 0)."""
     q12e, q13e = _exprs(ctx, q12=q12, q13=q13)
     if q13e.is_zero():
         raise InvalidParams("one_param_q13 requires q13 != 0")
-    rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
-    lam = v("lam")
-    q2 = u ** 2 + vv ** 2
-    den = q13e - lam * (p + q12e)
-    U = q13e * (u - lam * vv) / den
-    V = q13e * (vv + lam * u) / den
-    R = rho * (lam * (p + q12e) - q13e) / (lam * (p + q12e + rho * q2) - q13e)
-    P = (q13e * p + lam * (p * q12e + q12e ** 2 + q13e ** 2)) / den
-    H = _entropy(ctx, entropy)
-
+    lam = Expr.var(ctx, "lam")
+    iopl = 1 / (1 + lam ** 2)
+    ql = q13e / lam
+    outer = mu_plus(ctx, a33=iopl, a54=q12e + ql, alpha=1, beta=-lam, psi=1,
+                    entropy=entropy)
+    inner = bateman(ctx, -ql, q12e - ql, 1, 0, entropy="identity")
+    m = _dilated(compose(outer, inner), iopl, "one_param_q13")
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, q13e, -q13e)
-    (A1, B1), (A2, B2) = flux_matrix(params)
-    opl = 1 + lam ** 2
-    lq = lam / q13e
-    f = (((1 - lam ** 2 - lq * (A1 - lam * A2)) / opl,
-          (-2 * lam - lq * (B1 - lam * B2)) / opl),
-         ((2 * lam - lq * (A2 + lam * A1)) / opl,
-          (1 - lam ** 2 - lq * (B2 + lam * B1)) / opl))
     gen = case_generators("b", params, ctx, k=1)
-    m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_q13")
     return OneParamFamily(m.name, m, "lam", "tan", q13e, gen)
 
 
 def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
                   entropy="identity") -> OneParamFamily:
-    """Flow of the scaling-coupled branch (k1 != 0); leaf lam = exp(k1*eps)."""
-    v = lambda n: Expr.var(ctx, n)
+    """Flow of the scaling-coupled branch (k1 != 0); leaf lam = exp(k1*eps).
+    The dilation by lam^-3 of mu_plus(a33=lam^-2, a54=q12*(1-lam^2),
+    alpha=lam, beta=0, psi=1) after one_param_linear's map at
+    a = k2*(lam^2-1)/(2*k1), which stays defined at k2 = 0."""
     k1e, k2e, q12e = _exprs(ctx, k1=k1, k2=k2, q12=q12)
     if k1e.is_zero():
         raise InvalidParams("one_param_exp requires k1 != 0")
-    rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
-    lam = v("lam")
-    q2 = u ** 2 + vv ** 2
-    lm = lam ** 2 - 1
-    den = k2e * lm * (p + q12e) - 2 * k1e
-    U = -2 * k1e * u * lam / den
-    V = -2 * k1e * vv * lam / den
-    R = rho * den / (k2e * lm * (p + q12e + rho * q2) - 2 * k1e)
-    P = (k2e * q12e * (p + q12e) * (1 - lam ** 2)
-         + 2 * k1e * (q12e * (1 - lam ** 2) - lam ** 2 * p)) / den
-    H = _entropy(ctx, entropy)
-    il2 = lam ** (-2)
-    scale = k2e * (1 - lam ** 2) / (2 * k1e) * il2
-
+    lam = Expr.var(ctx, "lam")
+    outer = mu_plus(ctx, a33=lam ** (-2), a54=q12e * (1 - lam ** 2),
+                    alpha=lam, beta=0, psi=1, entropy=entropy)
+    inner = one_param_linear(ctx, k2=k2e, q12=q12e).map_sym.substitute(
+        {"a": k2e * (lam ** 2 - 1) / (2 * k1e)})
+    m = _dilated(compose(outer, inner), lam ** (-3), "one_param_exp")
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, 0, 0)
-    f = _affine(il2, scale, flux_matrix(params))
     gen = case_generators("c", params, ctx, k1=k1e, k2=k2e)
-    m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_exp")
     return OneParamFamily(m.name, m, "lam", "exp", k1e, gen)
 
 
 def one_param_linear(ctx: Context, k2=1, q12=0,
                      entropy="identity") -> OneParamFamily:
-    """Flow of the pure pressure-inversion branch (k1 = 0); leaf a = k2*eps."""
-    v = lambda n: Expr.var(ctx, n)
+    """Flow of the pure pressure-inversion branch (k1 = 0); leaf a = k2*eps:
+    bateman(-1/a, q12 - 1/a, 1, -q12 - 1/a)."""
     k2e, q12e = _exprs(ctx, k2=k2, q12=q12)
-    rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
-    a = v("a")
-    q2 = u ** 2 + vv ** 2
-    den = 1 - a * (p + q12e)
-    U = u / den
-    V = vv / den
-    R = rho * den / (1 - a * (p + q12e + rho * q2))
-    # sign of the q12 correction fixed by the k1 -> 0 limit of the
-    # exponential branch and by d p'/d eps = k2*(p' + q12)^2
-    P = (p + a * q12e * (p + q12e)) / den
-    H = _entropy(ctx, entropy)
-    f = _affine(1, -a, _phi(ctx, q12e))
+    ia = 1 / Expr.var(ctx, "a")
+    m = replace(bateman(ctx, -ia, q12e - ia, 1, -q12e - ia, entropy=entropy),
+                name="one_param_linear")
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, 0, 0)
     gen = case_generators("c", params, ctx, k1=0, k2=k2e)
-    m = reciprocal_map(ctx, R, U, V, P, H, f, name="one_param_linear")
     return OneParamFamily(m.name, m, "a", "linear", k2e, gen)
 
 
 def theorem_map(ctx: Context, alpha=None, beta=None, k=None, a11=1,
                 a34=None, a35=None, a45=None, psi="formal",
                 entropy="formal") -> ReciprocalMap:
-    """The general family produced by the megaideal analysis (a35 != 0)."""
-    v = lambda n: Expr.var(ctx, n)
+    """The general family produced by the megaideal analysis (a35 != 0):
+    the dilation by -k*a11 of mu_plus(a11, alpha=beta, beta=alpha, psi)
+    after bateman(1, -a34/a35, 2/a35, -a45/a35)."""
     alpha, beta, k, a11, a34, a35, a45 = _exprs(
         ctx, alpha=alpha, beta=beta, k=k, a11=a11, a34=a34, a35=a35, a45=a45)
     if a35.is_zero():
         raise InvalidParams("theorem map requires a35 != 0")
     if (alpha ** 2 + beta ** 2).is_zero():
         raise InvalidParams("alpha^2 + beta^2 != 0 required")
-    if not (a11 ** 2 - 1).is_zero():
-        raise InvalidParams("a11^2 = 1 required")
-    psi_e = _psi(ctx, psi)
-    g = a34 / a35
-    rho, u, vv, p = (v(n) for n in ("rho", "u", "v", "p"))
-    q2 = u ** 2 + vv ** 2
-    pg = p - g
-    ab2 = alpha ** 2 + beta ** 2
-    R = 2 * rho * pg / (psi_e ** 2 * a35 * ab2 * (p + rho * q2 - g))
-    P = -a45 / a35 - 2 / (a35 * pg)
-    U = psi_e * (alpha * vv + beta * u) / pg
-    V = a11 * psi_e * (-alpha * u + beta * vv) / pg
-    H = _entropy(ctx, entropy)
-    f = mul2(((-k * beta, -k * alpha), (k * a11 * alpha, -k * a11 * beta)),
-             _phi(ctx, -g))
-    return reciprocal_map(ctx, R, U, V, P, H, f, name="theorem")
+    outer = mu_plus(ctx, a11=a11, alpha=beta, beta=alpha, psi=psi,
+                    entropy=entropy)
+    inner = bateman(ctx, 1, -a34 / a35, 2 / a35, -a45 / a35,
+                    entropy="identity")
+    return _dilated(compose(outer, inner), -k * a11, "theorem")
 
 
 def mu_plus(ctx: Context, a33=1, a54=0, a11=1, alpha=1, beta=0,

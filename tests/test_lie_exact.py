@@ -35,6 +35,9 @@ from helpers import assert_witness_holds
     (one_param_exp, {"k1": Fraction(1, 3), "k2": 1, "q12": Fraction(1, 4)}),
     (one_param_linear, {"k2": 1, "q12": 0}),
     (one_param_linear, {"k2": Fraction(3, 4), "q12": Fraction(1, 3)}),
+    # the pure scaling flow u' = lam*u, p' = lam^2*(p + 1/3) - 1/3, whose
+    # inner linear-branch map (the identity) bateman cannot write
+    (one_param_exp, {"k1": Fraction(1, 2), "k2": 0, "q12": Fraction(1, 3)}),
 ])
 def test_families_are_flows_of_their_generators(maker, kwargs):
     rep = verify_flow(maker(standard_context(), **kwargs))

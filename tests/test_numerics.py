@@ -83,6 +83,15 @@ def test_grid_guards(ctx):
                       GridSpec(0, 0, 0.1, 0.1, 4, 4))
 
 
+@pytest.mark.parametrize("grid", [GridSpec(0, 0, 0.0, 0.1, 3, 3),
+                                  GridSpec(0, 0, 0.1, 0.0, 3, 3)],
+                         ids=["hx", "hy"])
+def test_zero_spacing_is_refused(grid):
+    # fd_residuals would divide by the zero spacing
+    with pytest.raises(InvalidParams, match="spacing must be nonzero"):
+        make_solution(ShearFlow.example(), grid)
+
+
 def test_perturbed_solution_fails():
     sol = make_solution(ShearFlow.example(),
                         GridSpec(0, 0, 1 / 16, 1 / 16, 17, 17))
