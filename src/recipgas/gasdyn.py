@@ -130,17 +130,14 @@ def reduce_on_manifold(exprs, solve_for: str = "x") -> list:
 
 def total_derivative(e: Expr, coord: str) -> Expr:
     """D_x or D_y on an expression free of jet variables."""
-    ctx = e.ctx
-    jets = [n for n in JETS if e.depends_on(n)]
+    free = e.free_variables()
+    jets = [n for n in JETS if n in free]
     if jets:
         raise SymkernelError(
             "total derivative of a jet-dependent expression: %s" % jets)
-    out = e.diff(coord)
-    for f in FIELDS:
-        df = e.diff(f)
-        if not df.is_zero():
-            out = out + df * Expr.var(ctx, "%s_%s" % (f, coord))
-    return out
+    coeffs = {f: Expr.var(e.ctx, "%s_%s" % (f, coord)) for f in FIELDS}
+    coeffs[coord] = 1
+    return e.derive(coeffs)
 
 
 @dataclass(frozen=True)

@@ -79,14 +79,7 @@ class Generator:
 
     def apply(self, f: Expr) -> Expr:
         """Derivation on a function of the fields (rho, u, v, p, S)."""
-        out = Expr.const(self.ctx, 0)
-        for name, z in zip(FIELDS, self.field_slots()):
-            if z.is_zero():
-                continue
-            df = f.diff(name)
-            if not df.is_zero():
-                out = out + z * df
-        return out
+        return f.derive(dict(zip(FIELDS, self.field_slots())))
 
     def __add__(self, other: "Generator") -> "Generator":
         if other.ctx is not self.ctx:

@@ -58,14 +58,9 @@ class DeterminingSystem:
 def _system_residuals(X, pro, solve_for):
     """The four system residuals F1..F4 under the prolonged generator,
     reduced to the solution manifold."""
-    out = []
-    for F in system_residuals(X.ctx):
-        r = X.apply(F)
-        for (f, c), zj in pro.items():
-            d = F.diff("%s_%s" % (f, c))
-            if not d.is_zero() and not zj.is_zero():
-                r = r + zj * d
-        out.append(r)
+    coeffs = dict(zip(FIELDS, X.field_slots()))
+    coeffs.update(("%s_%s" % fc, z) for fc, z in pro.items())
+    out = [F.derive(coeffs) for F in system_residuals(X.ctx)]
     return list(zip(RESIDUAL_NAMES, reduce_on_manifold(out, solve_for)))
 
 

@@ -13,6 +13,15 @@ denominator.
 Formal function applications (h(S), F(S), G(rho,S), tan(x), ...) are opaque
 generators; differentiation relates them to their derivative markers via the
 chain rule, and nothing else is assumed about them.
+
+Every derivative is one derivation, Expr.derive: a partial derivative,
+a total derivative D_x and a generator's action on a function are each
+a sum of coefficients times partial derivatives, computed over one
+common denominator with one quotient rule.  Sums and derivatives cancel
+only the factor that can be shared (Henrici, "A subroutine for
+computations with rational numbers", J. ACM 3, 1956; Knuth, TAOCP vol.
+2, 4.5.1): a gcd against the known common factor of the denominators,
+not against the whole product.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from .poly import (MONO_ONE, QQ, Poly, mono_items, mono_pack, padd,
                    padd_into, pcoefficients, pconst, pcontent,
                    pcoprime_basis, pderiv, pdiv_exact, pgcd, pis_const,
                    pis_zero, pleading_mono, pmul, pneg, ppow, pprimitive,
-                   pscale, psorted_terms, pvar, pvars)
+                   pscale, psorted_terms, psub, pvar, pvars)
 
 _POLY_ONE = pconst(1)
 
@@ -138,18 +147,29 @@ class Expr:
         return Expr.const(self.ctx, other)
 
     def __add__(self, other):
+        """Henrici's sum: over g = gcd(b, d), a/b + c/d is t/(b*(d/g))
+        with t = a*(d/g) + c*(b/g).  A factor of b/g or d/g divides one
+        term of t and not the other, so only gcd(t, g) can cancel."""
         other = self._coerce(other)
-        if self.den == other.den:   # a sum over 1 is canonical as it is
-            return Expr(self.ctx, padd(self.num, other.num), self.den,
-                        _normalized=self.den == _POLY_ONE)
-        g = pgcd(self.den, other.den)
+        b, d = self.den, other.den
+        if b == d:   # a sum over 1 is canonical as it is
+            return Expr(self.ctx, padd(self.num, other.num), b,
+                        _normalized=b == _POLY_ONE)
+        if not self.num:
+            return other
+        if not other.num:
+            return self
+        g = pgcd(b, d)
         if pis_const(g):
-            num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
-            return Expr(self.ctx, num, pmul(self.den, other.den))
-        d1 = pdiv_exact(self.den, g)
-        d2 = pdiv_exact(other.den, g)
-        num = padd(pmul(self.num, d2), pmul(other.num, d1))
-        return Expr(self.ctx, num, pmul(self.den, d2))
+            t = padd(pmul(self.num, d), pmul(other.num, b))
+            return _lowest(self.ctx, t, pmul(b, d))
+        dg = pdiv_exact(d, g)
+        t = padd(pmul(self.num, dg), pmul(other.num, pdiv_exact(b, g)))
+        if t:
+            h = pgcd(t, g)
+            if not pis_const(h):
+                t, b = pdiv_exact(t, h), pdiv_exact(b, h)
+        return _lowest(self.ctx, t, pmul(b, dg))
 
     __radd__ = __add__
 
@@ -215,15 +235,19 @@ class Expr:
 
     def diff(self, name: str) -> "Expr":
         """Partial derivative; formal functions follow the chain rule."""
-        idx = self.ctx.idx(name)
-        nd = _poly_deriv_expr(self.ctx, self.num, idx, name)
-        dd = _poly_deriv_expr(self.ctx, self.den, idx, name)
-        if dd.is_zero():
-            if nd.is_polynomial():
-                return Expr(self.ctx, nd.num, pmul(self.den, nd.den))
-            return nd / _poly(self.ctx, self.den)
-        num_e, den_e = _poly(self.ctx, self.num), _poly(self.ctx, self.den)
-        return (nd * den_e - num_e * dd) / (den_e * den_e)
+        return self.derive({name: 1})
+
+    def derive(self, coeffs: dict) -> "Expr":
+        """The derivation sum c * d(self)/d(name) over coeffs = {name: c},
+        c an Expr or a number; formal functions follow the chain rule."""
+        ctx = self.ctx
+        rates = {}
+        for name, c in coeffs.items():
+            idx = ctx.idx(name)
+            c = self._coerce(c)
+            if c.num:
+                rates[idx] = c
+        return _derive(self, rates)
 
     # --- substitution ---------------------------------------------------
 
@@ -354,6 +378,11 @@ def _cancel(num: Poly, den: Poly):
         g = pgcd(num, den)
         if not pis_const(g):
             num, den = pdiv_exact(num, g), pdiv_exact(den, g)
+    return _cancel_content(num, den)
+
+
+def _cancel_content(num: Poly, den: Poly):
+    """num and den divided by the integer gcd of their coefficients."""
     c = gcd(*den.values())
     if c != 1:
         c = gcd(c, *num.values())
@@ -361,6 +390,15 @@ def _cancel(num: Poly, den: Poly):
             num = {m: x // c for m, x in num.items()}
             den = {m: x // c for m, x in den.items()}
     return num, den
+
+
+def _lowest(ctx: Context, num: Poly, den: Poly) -> Expr:
+    """num/den for a num and den that share no polynomial factor, den with
+    a positive leading coefficient: canonical once the integer content is
+    cancelled."""
+    if not num:
+        return Expr(ctx, {}, _POLY_ONE, _normalized=True)
+    return Expr(ctx, *_cancel_content(num, den), _normalized=True)
 
 
 def _normalize(num: Poly, den: Poly):
@@ -374,29 +412,95 @@ def _normalize(num: Poly, den: Poly):
     return num, den
 
 
-def _poly_deriv_expr(ctx: Context, p: Poly, idx: int, name: str) -> Expr:
-    """Total derivative of a polynomial, chaining through formal atoms."""
-    out = _poly(ctx, pderiv(p, idx))
-    for aidx in sorted(pvars(p)):
-        info = ctx.atoms.get(aidx)
-        if info is None:
-            continue
-        dp = pderiv(p, aidx)
-        if pis_zero(dp):
-            continue
-        chain = Expr.const(ctx, 0)
-        for pos, arg in enumerate(info.args):
-            da = arg.diff(name)
-            if da.is_zero():
-                continue
-            orders = list(info.orders)
-            orders[pos] += 1
-            marker = Expr.function(ctx, info.fname, *info.args,
-                                   orders=tuple(orders))
-            chain = chain + marker * da
-        if not chain.is_zero():
-            out = out + _poly(ctx, dp) * chain
+def _derive(e: Expr, rates: dict) -> Expr:
+    """D(e) for the derivation D with D(x_i) = rates[i] (nonzero Exprs)
+    on the variables and the chain rule on formal applications.
+
+    D's value on each variable of e is found once.  With B a common
+    multiple of those values' denominators, B*D has polynomial values,
+    and D(e) is (1/B) * (B*D)(e), which the product puts in lowest
+    terms."""
+    ctx = e.ctx
+    n, d = e.num, e.den
+    nvars, dvars = pvars(n), pvars(d)
+    images = {}
+    # the numerator's applications first, so that derivative markers
+    # take their slots in the same order as in one partial derivative
+    for j in sorted(nvars) + sorted(dvars - nvars):
+        w = rates.get(j)
+        info = ctx.atoms.get(j)
+        if info is not None:
+            for pos, arg in enumerate(info.args):
+                da = _derive(arg, rates)
+                if not da.num:
+                    continue
+                orders = list(info.orders)
+                orders[pos] += 1
+                marker = Expr.function(ctx, info.fname, *info.args,
+                                       orders=tuple(orders))
+                w = marker * da if w is None else w + marker * da
+        if w is not None and w.num:
+            images[j] = w
+    if not images:
+        return Expr(ctx, {}, _POLY_ONE, _normalized=True)
+    B = _POLY_ONE
+    for w in images.values():
+        B = _common_multiple(B, w.den)
+    polys = {j: w.num if w.den == B else pmul(w.num, pdiv_exact(B, w.den))
+             for j, w in images.items()}
+    out = _quotient_rule(ctx, n, d, _apply(n, nvars, polys),
+                         _apply(d, dvars, polys))
+    if B == _POLY_ONE:
+        return out
+    return out * Expr(ctx, _POLY_ONE, B, _normalized=True)
+
+
+def _common_multiple(a: Poly, b: Poly) -> Poly:
+    """A common multiple of a and b over Z, with a positive leading
+    coefficient when theirs are positive."""
+    if a == b or b == _POLY_ONE:
+        return a
+    if a == _POLY_ONE:
+        return b
+    if pis_const(a) and pis_const(b):
+        return pconst(lcm(a[MONO_ONE], b[MONO_ONE]))
+    return pmul(a, pdiv_exact(b, pgcd(a, b)))
+
+
+def _apply(p: Poly, pv: set, images: dict) -> Poly:
+    """The sum of dp/dx_j * images[j] over the variables j of p, pv."""
+    out: Poly = {}
+    for j, w in images.items():
+        if j in pv:
+            padd_into(out, pmul(pderiv(p, j), w))
     return out
+
+
+def _quotient_rule(ctx: Context, n: Poly, d: Poly, Dn: Poly,
+                   Dd: Poly) -> Expr:
+    """D(n/d) in lowest terms from the canonical pair n, d and their
+    images Dn, Dd under a derivation D with polynomial values.
+
+    Over g = gcd(d, Dd), D(n/d) is t/(d*(d/g)) with
+    t = Dn*(d/g) - n*(Dd/g), and only h = gcd(t, d) can cancel: take an
+    irreducible p with p^k dividing d exactly.  D(d) is divisible by
+    p^(k-1).  If p^k divides Dd, then p does not divide d/g, and p has
+    multiplicity k in d*(d/g) as in d.  Otherwise p divides d/g but not
+    n or Dd/g, so it does not divide t.  The denominators' leading
+    coefficients stay positive, as g and h are primitive ones, so only
+    the integer content is left to cancel."""
+    if not Dd:   # g = d up to its content
+        t, dg = Dn, _POLY_ONE
+    else:
+        g = pgcd(d, Dd)
+        dg, Ddg = (d, Dd) if pis_const(g) else \
+            (pdiv_exact(d, g), pdiv_exact(Dd, g))
+        t = psub(pmul(Dn, dg), pmul(n, Ddg))
+    if t and not pis_const(d):
+        h = pgcd(t, d)
+        if not pis_const(h):
+            t, d = pdiv_exact(t, h), pdiv_exact(d, h)
+    return _lowest(ctx, t, pmul(d, dg))
 
 
 def substitute_all(exprs, bindings: dict) -> list:

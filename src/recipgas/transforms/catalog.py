@@ -119,7 +119,7 @@ def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
     lam = Expr.var(ctx, "lam")
     outer = mu_plus(ctx, a33=lam ** (-2), a54=q12e * (1 - lam ** 2),
                     alpha=lam, beta=0, psi=1, entropy=entropy)
-    inner = one_param_linear(ctx, k2=k2e, q12=q12e).map_sym.substitute(
+    inner = _linear_map(ctx, q12e, "identity").substitute(
         {"a": k2e * (lam ** 2 - 1) / (2 * k1e)})
     m = _dilated(compose(outer, inner), lam ** (-3), "one_param_exp")
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, 0, 0)
@@ -132,12 +132,17 @@ def one_param_linear(ctx: Context, k2=1, q12=0,
     """Flow of the pure pressure-inversion branch (k1 = 0); leaf a = k2*eps:
     bateman(-1/a, q12 - 1/a, 1, -q12 - 1/a)."""
     k2e, q12e = _exprs(ctx, k2=k2, q12=q12)
-    ia = 1 / Expr.var(ctx, "a")
-    m = replace(bateman(ctx, -ia, q12e - ia, 1, -q12e - ia, entropy=entropy),
-                name="one_param_linear")
+    m = _linear_map(ctx, q12e, entropy)
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, 0, 0)
     gen = case_generators("c", params, ctx, k1=0, k2=k2e)
     return OneParamFamily(m.name, m, "a", "linear", k2e, gen)
+
+
+def _linear_map(ctx: Context, q12: Expr, entropy: str) -> ReciprocalMap:
+    """one_param_linear's map, which does not depend on k2."""
+    ia = 1 / Expr.var(ctx, "a")
+    return replace(bateman(ctx, -ia, q12 - ia, 1, -q12 - ia, entropy=entropy),
+                   name="one_param_linear")
 
 
 def theorem_map(ctx: Context, alpha=None, beta=None, k=None, a11=1,

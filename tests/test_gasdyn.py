@@ -79,6 +79,9 @@ def test_flux_form_params_validation(ctx):
 def test_total_derivative_rejects_jets(ctx):
     with pytest.raises(SymkernelError):
         total_derivative(parse(ctx, "u_x"), "x")
+    with pytest.raises(SymkernelError, match=r"jet-dependent expression: "
+                                             r"\['u_x', 'S_y'\]"):
+        total_derivative(parse(ctx, "S_y*rho + u_x"), "y")
 
 
 def test_total_derivative_of_field_function(ctx):

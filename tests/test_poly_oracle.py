@@ -4,7 +4,9 @@ The gcd cases are pairs g*a1, g*b1 in up to seven of the variables
 criterion 6 works in, drawn with one of four variable-set shapes: the
 second polynomial's variables a proper subset of the first's (tried in
 both argument orders), equal sets, overlapping sets and disjoint sets.
-The arithmetic cases check padd, pmul, ppow, pderiv, Expr.diff and
+The arithmetic cases check padd, pmul, ppow, pderiv, Expr.diff,
+Expr.derive (with polynomial and with rational coefficients), the sum of
+two Exprs (with and without a shared denominator factor) and
 Expr.substitute in the same variables, and the canonical form of Expr.
 Substituted values are drawn independently or with denominators that
 share factors, and the gcd-free basis substitution reads them over is
@@ -340,3 +342,57 @@ def test_expr_canonical_form(e, e2, k, f):
         other = Expr(CTX, pmul(mul, e.num), pmul(mul, e.den))
         assert (other.num, other.den) == (e.num, e.den)
         assert other == e and hash(other) == hash(e)
+
+
+# --- derive and Henrici sums ------------------------------------------------
+
+
+def _renormalized(e):
+    """e rebuilt from its numerator and denominator by a full
+    normalisation."""
+    other = Expr(CTX, dict(e.num), dict(e.den))
+    assert (other.num, other.den) == (e.num, e.den)
+
+
+@given(e=_ratfun(), data=st.data())
+def test_derive_with_polynomial_coefficients_matches_sympy(e, data):
+    names = data.draw(st.lists(st.sampled_from(VARS), min_size=1,
+                               max_size=4, unique=True))
+    coeffs = {n: Expr(CTX, data.draw(_poly_in(max_vars=3, max_terms=2)),
+                      pconst(1)) for n in names}
+    got = e.derive(coeffs)
+    want = sum(_sym(c) * sympy.diff(_sym(e), sympy.Symbol(n))
+               for n, c in coeffs.items())
+    _same(got, want)
+    _assert_canonical(got)
+    _renormalized(got)
+
+
+@given(e=_ratfun(), data=st.data())
+def test_derive_with_rational_coefficients_matches_sympy(e, data):
+    names = data.draw(st.lists(st.sampled_from(VARS), min_size=1,
+                               max_size=3, unique=True))
+    coeffs = {n: data.draw(_ratfun()) for n in names}
+    got = e.derive(coeffs)
+    want = sum(_sym(c) * sympy.diff(_sym(e), sympy.Symbol(n))
+               for n, c in coeffs.items())
+    _same(got, want)
+    _assert_canonical(got)
+    _renormalized(got)
+
+
+@given(e=_ratfun(), e2=_ratfun(), g=_poly_in(max_vars=3, max_terms=2),
+       shared=st.booleans())
+def test_sum_matches_sympy(e, e2, g, shared):
+    # with shared, the terms e/g and e2 - e/g have denominators that share
+    # the factor g, and their sum e2 cancels it
+    a, b = e, e2
+    if shared:
+        assume(g)
+        a = e / Expr(CTX, g, pconst(1))
+        b = e2 - a
+    got = a + b
+    _same(got, _sym(a) + _sym(b))
+    _assert_canonical(got)
+    _renormalized(got)
+    assert not shared or got == e2

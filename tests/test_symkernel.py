@@ -429,3 +429,100 @@ def test_coerce(ctx):
         Expr.coerce(ctx, "u")
     with pytest.raises(VariableMismatch):
         Expr.coerce(standard_context(), u)
+
+
+# --- derive: one derivation, Henrici cancellation ---------------------------
+
+
+def test_derive_cancels_a_repeated_factor_free_of_the_variable(ctx):
+    # d = y*(x*y+1), Dd = y^2: g = y, t = y*(y-1), and gcd(t, d) = y
+    e = parse(ctx, "(x*y^2+1)/(y*(x*y+1))")
+    want = parse(ctx, "(y-1)/(x*y+1)^2")
+    assert e.derive({"x": 1}) == want
+    assert e.diff("x") == want
+
+
+def test_derive_where_the_factor_divides_its_own_image(ctx):
+    # x*d/dx sends x to x: g = x^3 = d, and only the sign's 3 is left
+    assert parse(ctx, "1/x^3").derive({"x": parse(ctx, "x")}) == \
+        parse(ctx, "-3/x^3")
+
+
+def test_derive_to_zero(ctx):
+    # Euler's operator on a quotient of degree 0: t vanishes
+    x, y = parse(ctx, "x"), parse(ctx, "y")
+    r = parse(ctx, "x/(x+y)").derive({"x": x, "y": y})
+    assert r.is_zero() and r.den == {0: 1}
+    assert parse(ctx, "u").derive({"v": 1, "p": 0}).is_zero()
+
+
+def test_derive_with_rational_coefficients(ctx):
+    # coefficients over 2, u and u-v: their common multiple cancels
+    e = parse(ctx, "h(S)*rho/(u-v)")
+    coeffs = {"rho": parse(ctx, "1/2"), "u": parse(ctx, "rho/u"),
+              "S": parse(ctx, "1/(u-v)")}
+    want = sum((c * e.diff(n) for n, c in coeffs.items()),
+               Expr.const(ctx, 0))
+    assert e.derive(coeffs) == want
+    assert e.derive(coeffs) == parse(
+        ctx, "h(S)/(2*(u-v)) - rho^2*h(S)/(u*(u-v)^2)"
+             " + rho*h'(S)/(u-v)^2")
+
+
+def test_sums_cancel_only_the_shared_factor(ctx):
+    # g = u; t = 2*u, so gcd(t, g) = u cancels
+    assert parse(ctx, "1/(u*(u-v))") + parse(ctx, "1/(u*(u+v))") == \
+        parse(ctx, "2/(u^2-v^2)")
+    # coprime denominators: only the integer content cancels
+    assert parse(ctx, "1/(2*u)") + parse(ctx, "1/(2*v)") == \
+        parse(ctx, "(u+v)/(2*u*v)")
+    # a numerator that vanishes
+    zero = parse(ctx, "rho/(u*(u-v))") + parse(ctx, "-rho/(u*(u-v))")
+    assert zero == 0 and zero.den == {0: 1}
+
+
+def _derivation_targets(ctx):
+    """Expressions with rational parts and formal applications."""
+    from recipgas.transforms.catalog import bateman
+    T = bateman(ctx)
+    return [*T.components(), parse(ctx, "h(S)*rho/(p+u^2)"),
+            parse(ctx, "(rho*u-v)/(p*v+1)^2")]
+
+
+def _generators(ctx):
+    from recipgas.gasdyn import ConservationFormParams
+    from recipgas.liealg import constant_slices, standard_basis, x_f, x_h
+    from recipgas.prolong import case_generators
+    q12, q13 = parse(ctx, "q12"), parse(ctx, "q13")
+    pb = ConservationFormParams.make(ctx, 1, 1, q12, q12, q13, -q13)
+    pc = ConservationFormParams.make(ctx, 1, 1, q12, q12, 0, 0)
+    return [*standard_basis(ctx), *constant_slices(ctx), x_h(ctx), x_f(ctx),
+            case_generators("b", pb, ctx, k=parse(ctx, "k")),
+            case_generators("c", pc, ctx, k1=parse(ctx, "k1"),
+                            k2=parse(ctx, "k2"))]
+
+
+def test_generator_apply_is_the_sum_of_partials():
+    from recipgas.gasdyn import FIELDS
+    ctx = standard_context()
+    targets = _derivation_targets(ctx)
+    for X in _generators(ctx):
+        for f in targets + list(X.slots()):
+            want = Expr.const(ctx, 0)
+            for name, z in zip(FIELDS, X.field_slots()):
+                want = want + z * f.diff(name)
+            assert X.apply(f) == want, (X.label, f)
+
+
+def test_total_derivative_is_the_sum_of_partials():
+    from recipgas.gasdyn import FIELDS, total_derivative
+    ctx = standard_context()
+    exprs = _derivation_targets(ctx)
+    for X in _generators(ctx):
+        exprs += X.slots()
+    for e in exprs:
+        for c in ("x", "y"):
+            want = e.diff(c)
+            for f in FIELDS:
+                want = want + e.diff(f) * parse(ctx, "%s_%s" % (f, c))
+            assert total_derivative(e, c) == want, (e, c)
