@@ -460,10 +460,6 @@ def _common_multiple(a: Poly, b: Poly) -> Poly:
     coefficient when theirs are positive."""
     if a == b or b == _POLY_ONE:
         return a
-    if a == _POLY_ONE:
-        return b
-    if pis_const(a) and pis_const(b):
-        return pconst(lcm(a[MONO_ONE], b[MONO_ONE]))
     return pmul(a, pdiv_exact(b, pgcd(a, b)))
 
 

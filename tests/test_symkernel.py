@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from recipgas.gasdyn import standard_context
+from recipgas.gasdyn import (FIELDS, ConservationFormParams,
+                             standard_context, total_derivative)
+from recipgas.liealg import constant_slices, standard_basis, x_f, x_h
+from recipgas.prolong import case_generators
 from recipgas.symkernel import Expr, parse, substitute_all
 from recipgas.symkernel import expr as expr_module
 from recipgas.symkernel import poly as poly_module
@@ -13,6 +16,7 @@ from recipgas.symkernel.errors import (DegreeOverflow, DivisionByZeroExpr,
                                        NumericDomain, UnboundSymbol,
                                        UnknownVariable, VariableMismatch)
 from recipgas.symkernel.poly import QQ, mono_pack, pmul, ppow, pvar
+from recipgas.transforms.catalog import bateman
 
 from helpers import monomial
 
@@ -483,16 +487,12 @@ def test_sums_cancel_only_the_shared_factor(ctx):
 
 def _derivation_targets(ctx):
     """Expressions with rational parts and formal applications."""
-    from recipgas.transforms.catalog import bateman
     T = bateman(ctx)
     return [*T.components(), parse(ctx, "h(S)*rho/(p+u^2)"),
             parse(ctx, "(rho*u-v)/(p*v+1)^2")]
 
 
 def _generators(ctx):
-    from recipgas.gasdyn import ConservationFormParams
-    from recipgas.liealg import constant_slices, standard_basis, x_f, x_h
-    from recipgas.prolong import case_generators
     q12, q13 = parse(ctx, "q12"), parse(ctx, "q13")
     pb = ConservationFormParams.make(ctx, 1, 1, q12, q12, q13, -q13)
     pc = ConservationFormParams.make(ctx, 1, 1, q12, q12, 0, 0)
@@ -503,7 +503,6 @@ def _generators(ctx):
 
 
 def test_generator_apply_is_the_sum_of_partials():
-    from recipgas.gasdyn import FIELDS
     ctx = standard_context()
     targets = _derivation_targets(ctx)
     for X in _generators(ctx):
@@ -515,7 +514,6 @@ def test_generator_apply_is_the_sum_of_partials():
 
 
 def test_total_derivative_is_the_sum_of_partials():
-    from recipgas.gasdyn import FIELDS, total_derivative
     ctx = standard_context()
     exprs = _derivation_targets(ctx)
     for X in _generators(ctx):
