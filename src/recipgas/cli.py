@@ -23,8 +23,8 @@ from .numerics import (ConstantFlow, GridSpec, ShearFlow, VortexFlow,
                        transform_solution)
 from .prolong import determining_residuals
 from .reports import Report
-from .symkernel import parse
-from .symkernel.errors import SymkernelError
+from .symkernel import Expr, parse
+from .symkernel.errors import InvalidParams, SymkernelError
 from .transforms import (OneParamFamily, catalog, load_map, pushforward,
                          pushforward_matrix, verify_automorphism_solution,
                          verify_flow, verify_point_symmetry,
@@ -44,16 +44,28 @@ def _parse_value(ctx, text):
         raise SymkernelError("zero denominator in value %r" % text) from None
 
 
-def _params(ctx, args, **defaults):
+def _params(ctx, args, floats=False, **defaults):
     """Parameters for the command's catalog entry: `defaults` for those the
-    entry takes, then --param."""
+    entry takes, then --param.  With floats, for a command that evaluates
+    the map in floats, a constant value too large for a float is
+    InvalidParams."""
     out = {k: v for k, v in defaults.items()
            if k in parameters(args.entry, *args.kinds)}
     for item in args.param:
         if "=" not in item:
             raise SymkernelError("--param expects name=value, got %r" % item)
-        k, v = item.split("=", 1)
-        out[k.strip()] = _parse_value(ctx, v.strip())
+        k, v = (t.strip() for t in item.split("=", 1))
+        out[k] = value = _parse_value(ctx, v)
+        if not floats:
+            continue
+        if isinstance(value, Expr) and value.is_constant():
+            value = value.as_rational()
+        if isinstance(value, Fraction):
+            try:
+                float(value)
+            except OverflowError:
+                raise InvalidParams("parameter %s=%s is too large for a "
+                                    "float" % (k, v)) from None
     return out
 
 
@@ -70,13 +82,23 @@ def _catalog_map(ctx, args, **defaults):
     return entry.map_sym if isinstance(entry, OneParamFamily) else entry
 
 
-def _at_least(low):
-    """argparse type: an integer no smaller than low."""
+# the largest grid side of transform and closedness, and the largest ansatz
+# degree of solve-ansatz: on a 2-core x86 host transform takes about 15 s
+# at 257 nodes and solve-ansatz about 8 s at degree 12
+MAX_NODES = 257
+MAX_DEGREE = 12
+
+
+def _between(low, high):
+    """argparse type: an integer from low to high."""
     def convert(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(
                 "must be at least %d, got %d" % (low, value))
+        if value > high:
+            raise argparse.ArgumentTypeError(
+                "must be at most %d, got %d" % (high, value))
         return value
     convert.__name__ = "integer"
     return convert
@@ -243,7 +265,7 @@ def _flow_grid(args):
 def cmd_transform(args) -> int:
     ctx = standard_context()
     # entries that take an entropy map transform flows by the identity one
-    T = _catalog_map(ctx, args, entropy="identity")
+    T = _catalog_map(ctx, args, floats=True, entropy="identity")
     sol = make_solution(_flow(args), _flow_grid(args))
     out = transform_solution(sol, T)
     res = fd_residuals(out)
@@ -259,7 +281,7 @@ def cmd_transform(args) -> int:
 
 def cmd_closedness(args) -> int:
     ctx = standard_context()
-    T = _catalog_map(ctx, args, entropy="identity")
+    T = _catalog_map(ctx, args, floats=True, entropy="identity")
     grid = _flow_grid(args)
     sol = make_solution(_flow(args), grid)
     val = loop_closedness(sol, T, grid.boundary_loop())
@@ -341,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_point)
 
     p = add("solve-ansatz", help="polynomial-ansatz generator search")
-    p.add_argument("--degree", type=_at_least(0),
+    p.add_argument("--degree", type=_between(0, MAX_DEGREE),
                    default=accept.ANSATZ_DEGREE)
     p.set_defaults(fn=cmd_solve_ansatz)
 
@@ -364,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flow", default="shear",
                    choices=("constant", "shear", "vortex"))
     _add_entry(p, "--catalog", "bateman_simplified")
-    p.add_argument("--nodes", type=_at_least(3), default=17)
+    p.add_argument("--nodes", type=_between(3, MAX_NODES), default=17)
     p.set_defaults(fn=cmd_transform)
 
     p = add("closedness", help="loop integrals of dx', dy'")
     p.add_argument("--flow", default="shear",
                    choices=("constant", "shear", "vortex"))
     _add_entry(p, "--catalog", "bateman_simplified")
-    p.add_argument("--nodes", type=_at_least(3), default=17)
+    p.add_argument("--nodes", type=_between(3, MAX_NODES), default=17)
     p.add_argument("--tol", type=_tolerance, default=accept.LOOP_TOL)
     p.set_defaults(fn=cmd_closedness)
 

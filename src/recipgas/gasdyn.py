@@ -21,6 +21,8 @@ from .symkernel.errors import InvalidParams, SymkernelError
 FIELDS = ("rho", "u", "v", "p", "S")
 # the residuals F1..F4 of the governing system, by name
 RESIDUAL_NAMES = ("mass", "momentum-x", "momentum-y", "entropy")
+# the closedness residuals of dx' and dy', by name
+CLOSEDNESS_NAMES = ("closedness-dx", "closedness-dy")
 COORDS = ("x", "y")
 JETS = tuple("%s_%s" % (f, c) for f in FIELDS for c in COORDS)
 
@@ -153,11 +155,11 @@ class OneForm:
         return total_derivative(self.cy, "x") - total_derivative(self.cx, "y")
 
 
-def closedness_residuals(f, solve_for: str = "x"):
-    """[(tag, residual)] of the 1-forms dx' and dy' whose coefficients are
-    the rows of the 2x2 form matrix f, tagged closedness-dx and -dy."""
-    return list(zip(("closedness-dx", "closedness-dy"), reduce_on_manifold(
-        [OneForm(*row).exterior_derivative() for row in f], solve_for)))
+def closedness_residuals(f) -> list:
+    """The exterior derivatives of the 1-forms dx' and dy' whose
+    coefficients are the rows of the 2x2 form matrix f, not yet reduced to
+    the solution manifold; CLOSEDNESS_NAMES are their tags."""
+    return [OneForm(*row).exterior_derivative() for row in f]
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ from functools import reduce
 from itertools import product
 from operator import add, mul
 
-from .gasdyn import (FIELDS, RESIDUAL_NAMES, ConservationFormParams,
-                     InvalidParams, OneForm, closedness_residuals, flux_matrix,
-                     reduce_on_manifold, system_residuals, total_derivative)
+from .gasdyn import (CLOSEDNESS_NAMES, FIELDS, RESIDUAL_NAMES,
+                     ConservationFormParams, InvalidParams, OneForm,
+                     closedness_residuals, flux_matrix, reduce_on_manifold,
+                     system_residuals, total_derivative)
 from .liealg import Generator, SingularMatrix, generator, standard_basis
 from .symkernel import QQ, Context, Expr
 from .symkernel.linalg import det2, nullspace, transpose
@@ -55,28 +56,31 @@ class DeterminingSystem:
         return [(t, r) for t, r in self.residuals if not r.is_zero()]
 
 
-def _system_residuals(X, pro, solve_for):
-    """The four system residuals F1..F4 under the prolonged generator,
-    reduced to the solution manifold."""
+def _system_residuals(X) -> list:
+    """The four system residuals F1..F4 under the prolonged generator, not
+    yet reduced to the solution manifold."""
     coeffs = dict(zip(FIELDS, X.field_slots()))
-    coeffs.update(("%s_%s" % fc, z) for fc, z in pro.items())
-    out = [F.derive(coeffs) for F in system_residuals(X.ctx)]
-    return list(zip(RESIDUAL_NAMES, reduce_on_manifold(out, solve_for)))
+    coeffs.update(("%s_%s" % fc, z) for fc, z in prolong(X).items())
+    return [F.derive(coeffs) for F in system_residuals(X.ctx)]
 
 
 def determining_residuals(X: Generator, solve_for: str = "x") -> DeterminingSystem:
-    """The six reduced residuals; X generates a one-parameter group of
+    """The six residuals, F1..F4 under the prolonged generator and the
+    closedness of its form slots, reduced to the solution manifold in one
+    reduce_on_manifold call; X generates a one-parameter group of
     reciprocal transformations iff all six normalize to zero."""
-    res = _system_residuals(X, prolong(X), solve_for)
+    res = reduce_on_manifold(
+        _system_residuals(X) + closedness_residuals(X.matrix()), solve_for)
     return DeterminingSystem(
-        X, res + closedness_residuals(X.matrix(), solve_for), solve_for)
+        X, list(zip(RESIDUAL_NAMES + CLOSEDNESS_NAMES, res)), solve_for)
 
 
 def equivalence_residuals(Xe: Generator) -> DeterminingSystem:
     """Point-symmetry determining residuals of a point generator, whose
     form matrix gives the classical prolongation
     zeta_fx = D_x zeta_f - f_x D_x xi_x - f_y D_x xi_y."""
-    return DeterminingSystem(Xe, _system_residuals(Xe, prolong(Xe), "x"))
+    return DeterminingSystem(Xe, list(zip(
+        RESIDUAL_NAMES, reduce_on_manifold(_system_residuals(Xe), "x"))))
 
 
 # --- first-method form coefficients -----------------------------------------

@@ -101,10 +101,14 @@ def compile_exprs(exprs):
 
     The assignment maps variable names, and formal-function atoms by
     display name, to floats or to numpy arrays that broadcast together.
-    A missing name raises UnboundSymbol; a zero denominator or a
-    non-finite value raises NumericDomain.
+    A missing name raises UnboundSymbol; a coefficient too large for a
+    float, a zero denominator or a non-finite value raises NumericDomain.
     """
-    raw = _generate(list(exprs), _FLOATS)
+    try:
+        raw = _generate(list(exprs), _FLOATS)
+    except OverflowError as exc:
+        raise NumericDomain("coefficient too large for a float (%s)"
+                            % exc) from None
 
     def evaluate(assignment: dict) -> list:
         try:

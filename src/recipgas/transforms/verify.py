@@ -13,8 +13,8 @@ import math
 import random
 from collections import namedtuple
 
-from ..gasdyn import (FIELDS, RESIDUAL_NAMES, InvalidParams, OneForm,
-                      closedness_residuals, conservation_law_forms,
+from ..gasdyn import (CLOSEDNESS_NAMES, FIELDS, RESIDUAL_NAMES, InvalidParams,
+                      OneForm, closedness_residuals, conservation_law_forms,
                       reduce_on_manifold, system_residuals, total_derivative)
 from ..liealg import AutomorphismMatrix, SingularMatrix, automorphism_symbols
 from ..reports import CheckItem, Report
@@ -33,22 +33,42 @@ ADD_EPS, ADD_GUARD = 0.125, 5e-2
 
 RECIP_LAW_NAMES = ("mass-flux", "momentum-y-flux", "momentum-x-flux",
                    "entropy-flux")
+# the form-matrix entries in the pulled-back laws (transformed_law_residuals);
+# "$" is no identifier character, so no map file or parsed expression can
+# name them
+PULLBACK_ATOMS = ("$A1", "$B1", "$A2", "$B2")
 COMPONENT_NAMES = ("R", "U", "V", "P", "H", "f11", "f12", "f21", "f22")
 
 
 # --- reciprocity -------------------------------------------------------------
 
 
-def transformed_law_residuals(T: ReciprocalMap, solve_for: str = "x"):
-    """Closedness residuals of the four conserved forms written in primed
-    fields and pulled back through the form matrix."""
-    laws = conservation_law_forms(T.ctx)
-    primed = substitute_all([c for law in laws for c in (law.cx, law.cy)],
-                            T.field_map())
-    pulled = [OneForm(*(cxp * a + cyp * b for a, b in zip(*T.f)))
-              for cxp, cyp in zip(primed[::2], primed[1::2])]
-    return list(zip(RECIP_LAW_NAMES, reduce_on_manifold(
-        [w.exterior_derivative() for w in pulled], solve_for)))
+def transformed_law_residuals(T: ReciprocalMap) -> list:
+    """The closedness residuals of the four conserved forms written in
+    primed fields and pulled back through the form matrix f, not yet
+    reduced to the solution manifold; RECIP_LAW_NAMES are their tags.
+
+    The pull-back of cx' dx' + cy' dy' is
+    (cx' f11 + cy' f21) dx + (cx' f12 + cy' f22) dy.  Each law is written
+    as cx*A1 + cy*B1 and cx*A2 + cy*B2 over the reserved atoms
+    PULLBACK_ATOMS, and one substitute_all puts in the field map and
+    A1 = f11, B1 = f21, A2 = f12, B2 = f22.  So the pulled-back
+    coefficients come over the substitution's gcd-free basis, with only
+    its known factors cancelled, and no Expr product or sum forms them
+    (the laws over the atoms are polynomials, built without a gcd).
+    verify_reciprocal reduces these four and the two closedness
+    residuals in one reduce_on_manifold call."""
+    ctx = T.ctx
+    for n in PULLBACK_ATOMS:
+        ctx.ensure(n)
+    a1, b1, a2, b2 = (Expr.var(ctx, n) for n in PULLBACK_ATOMS)
+    (f11, f12), (f21, f22) = T.f
+    pulled = substitute_all(
+        [law.cx * a + law.cy * b for law in conservation_law_forms(ctx)
+         for a, b in ((a1, b1), (a2, b2))],
+        {**T.field_map(), **dict(zip(PULLBACK_ATOMS, (f11, f21, f12, f22)))})
+    return [OneForm(cx, cy).exterior_derivative()
+            for cx, cy in zip(pulled[::2], pulled[1::2])]
 
 
 def residual_report(title: str, residuals, side_conditions=(),
@@ -94,10 +114,15 @@ def _digits(n: int) -> int:
 
 def verify_reciprocal(T: ReciprocalMap, solve_for: str = "x",
                       seed: int = DEFAULT_SEED) -> Report:
+    """Reciprocity of T: its six residuals, the four pulled-back conserved
+    forms (transformed_law_residuals) and the closedness of dx' and dy',
+    reduced to the solution manifold in one reduce_on_manifold call, under
+    the side conditions d != 0 for the denominators d of T."""
+    residuals = reduce_on_manifold(
+        transformed_law_residuals(T) + closedness_residuals(T.f), solve_for)
     rep = residual_report(
         "reciprocity of %s" % (T.name or "map"),
-        transformed_law_residuals(T, solve_for)
-        + closedness_residuals(T.f, solve_for),
+        list(zip(RECIP_LAW_NAMES + CLOSEDNESS_NAMES, residuals)),
         ["%s != 0" % d for d in T.denominators()], seed)
     det = T.det_f()
     rep.add("det-form-matrix-nonzero", not det.is_zero(), str(det))

@@ -58,12 +58,18 @@ def cases() -> list:
     return out
 
 
-def build(ctx, name, params) -> dict:
-    """The record of entry `name` built with the string params."""
+def build_map(ctx, name, params):
+    """The map of entry `name` built with the string params; a
+    one-parameter family gives its map_sym."""
     args = {k: v if k == "entropy" or v == "formal" else parse(ctx, v)
             for k, v in params.items()}
     built = catalog(ctx, name, **args)
-    T = getattr(built, "map_sym", built)
+    return getattr(built, "map_sym", built)
+
+
+def build(ctx, name, params) -> dict:
+    """The record of entry `name` built with the string params."""
+    T = build_map(ctx, name, params)
     return {"entry": name, "params": params, "name": T.name,
             "components": [str(c) for c in T.components()]}
 

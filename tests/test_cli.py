@@ -292,6 +292,48 @@ def test_bad_sizes_are_usage_errors(capsys, argv):
     assert "must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,high", [
+    ("transform", "--nodes", cli.MAX_NODES),
+    ("closedness", "--nodes", cli.MAX_NODES),
+    ("solve-ansatz", "--degree", cli.MAX_DEGREE),
+])
+def test_sizes_have_upper_bounds(capsys, command, flag, high):
+    # argument parsing only: nothing runs at the bound
+    parser = build_parser()
+    args = parser.parse_args([command, flag, str(high)])
+    assert getattr(args, flag[2:]) == high
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, flag, str(high + 1)])
+    assert exc.value.code == 2
+    assert "must be at most %d, got %d" % (high, high + 1) \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["transform", "closedness"])
+@pytest.mark.parametrize("value", ["1e400", "10^400"])
+def test_parameter_too_large_for_a_float(capsys, command, value):
+    assert main([command, "--catalog", "bateman", "--param",
+                 "b1=" + value]) == 2
+    assert capsys.readouterr().err == \
+        "error: parameter b1=%s is too large for a float\n" % value
+
+
+def test_coefficient_too_large_for_a_float(capsys):
+    # each parameter fits a float, a coefficient of the map does not
+    assert main(["transform", "--catalog", "bateman", "--nodes", "5",
+                 "--param", "b1=1e160", "--param", "b2=0", "--param", "b3=1",
+                 "--param", "b4=0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: coefficient too large for a float")
+    assert err.count("\n") == 1
+
+
+def test_exact_commands_take_a_parameter_too_large_for_a_float(capsys):
+    code, _ = run(capsys, "verify-map", "--catalog", "bateman", "--param",
+                  "b1=1e400")
+    assert code == 0
+
+
 @pytest.mark.parametrize("argv", [
     ("closedness", "--tol", "nan"),
     ("closedness", "--tol", "0"),

@@ -153,6 +153,12 @@ def test_errors(ctx):
         compile_exprs([Expr.function(ctx, "h", parse(ctx, "S"))])({"S": 1.0})
 
 
+def test_coefficient_too_large_for_a_float(ctx):
+    # the float evaluator holds its coefficients as floats
+    with pytest.raises(NumericDomain, match="too large for a float"):
+        compile_exprs([parse(ctx, "10^400*p")])
+
+
 def test_scalars_broadcast_against_arrays(ctx):
     evaluate = compile_exprs([parse(ctx, "rho*u^2+p"), parse(ctx, "3/2")])
     vals = evaluate({"rho": 2.0, "u": np.array([1.0, 2.0]), "p": 1})
