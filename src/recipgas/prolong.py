@@ -198,7 +198,9 @@ def _candidate_vectors(slots, monos, make, clear):
     The determining residuals are linear in the generator, so one run per
     slot with the formal function Z(rho,u,v,p) there gives each residual,
     times clear, as polynomial coefficients of Z and of its four first
-    partials; a candidate's vector is that combination at Z = m.
+    partials; a candidate's vector is that combination at Z = m, where
+    the partials of m that vanish (most monomials lack some variable)
+    contribute no product.
     """
     z = Expr.function(clear.ctx, FORMAL_SLOT,
                       *(Expr.var(clear.ctx, n) for n in ANSATZ_VARS))
@@ -219,7 +221,10 @@ def _candidate_vectors(slots, monos, make, clear):
         for ps in partials:
             polys = {}
             for ti, k, c in terms:
-                polys[ti] = polys.get(ti, 0) + c * ps[k]
+                if ps[k].is_zero():
+                    continue
+                t = c * ps[k]
+                polys[ti] = polys[ti] + t if ti in polys else t
             vectors.append({(ti, mono): c for ti, p in polys.items()
                             for mono, c in p.coefficients().items()})
     return vectors

@@ -6,7 +6,10 @@ rationals and symbolic expressions qualify.  A row is a sparse dict
 No pivot-size heuristics: a row's pivot is its leftmost nonzero column, so
 verdicts never depend on numeric magnitude.  The reduced row echelon form
 of a matrix is unique, so every result below is a value of the matrix
-alone, not of its row order.
+alone, not of its row order or of the order of the work: rref first
+settles, with no arithmetic, every column that a one-entry row forces
+(most columns of the sparse ansatz matrices), and only eliminates the
+rows left.
 """
 
 from __future__ import annotations
@@ -38,10 +41,41 @@ def transpose(vectors):
 
 def rref(rows):
     """Reduced row echelon form: {pivot_col: row}, each row normalized to 1
-    at its pivot column and free of every other pivot column."""
-    pivots = {}
+    at its pivot column and free of every other pivot column.
+
+    A forced-column pass runs first.  A row whose only nonzero entry is v
+    at column c puts e_c in the row space, so the pivot row of c is
+    {c: v / v} and column c drops out of every other row with no
+    arithmetic; dropping it can leave another row with one entry, so the
+    pass repeats to a fixed point.  The rows left, copied without their
+    forced columns, are eliminated as usual.  The RREF is unique, so the
+    pass changes the work and not the result.  The input rows are never
+    written, and each entry is tested for zero once: the pass keeps
+    references to the rows and copies only those left to eliminate.
+    """
+    pending = []
     for row in rows:
-        row = {c: v for c, v in row.items() if not _is_zero(v)}
+        zeros = [c for c, v in row.items() if _is_zero(v)]
+        if zeros:
+            row = {c: v for c, v in row.items() if c not in zeros}
+        if row:
+            pending.append(row)
+    pivots = {}
+    forced = -1
+    while forced != len(pivots):
+        forced = len(pivots)
+        rest = []
+        for row in pending:
+            free = [c for c in row if c not in pivots]
+            if len(free) == 1:
+                c = free[0]
+                pivots[c] = {c: row[c] / row[c]}
+            elif free:
+                rest.append(row)
+        pending = rest
+    rest = [{c: v for c, v in row.items() if c not in pivots}
+            for row in pending]
+    for row in rest:
         while row:
             c = min(row)
             if c not in pivots:

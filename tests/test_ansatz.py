@@ -15,7 +15,8 @@ from recipgas.prolong import (_candidate_vectors, _flux_matrix, _monomials,
                               _one_slot, case_generators,
                               determining_residuals, first_method_generator,
                               solve_ansatz, solve_ansatz_first_method)
-from recipgas.symkernel import Expr
+from recipgas.symkernel import Expr, linalg
+from recipgas.symkernel.poly import QQ
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +40,13 @@ def test_degree_one_contains_rotation(ctx):
     assert membership(standard_basis(ctx)[0], sol.generators) is not None
 
 
-def test_degree_four_space(ctx):
-    sol = solve_ansatz(ctx, 4)
+@pytest.fixture(scope="module")
+def degree_four(ctx):
+    return solve_ansatz(ctx, 4)
+
+
+def test_degree_four_space(ctx, degree_four):
+    sol = degree_four
     assert sol.reverified
     assert sol.dimension == 7
     assert sol.candidates == 9 * 70
@@ -57,6 +63,33 @@ def test_degree_four_space(ctx):
         assert membership(g, sol.generators) is not None, g.label
     for g in sol.generators:
         assert determining_residuals(g).is_zero()
+
+
+def test_degree_six_space_contains_degree_four(ctx, degree_four):
+    sol = solve_ansatz(ctx, 6)
+    assert sol.candidates == 9 * 210
+    assert sol.reverified and sol.dimension == 7
+    for g in degree_four.generators:
+        assert membership(g, sol.generators) is not None
+
+
+def test_degree_four_nullspace_work(ctx, monkeypatch):
+    # the forced-column pass of rref settles 595 of the 630 columns
+    # without arithmetic; plain elimination makes 6187 row subtractions
+    vectors = _candidate_vectors(range(9), _monomials(ctx, 4), _one_slot,
+                                 Expr.var(ctx, "u") ** 4)
+    calls = []
+    subtract = linalg._subtract
+
+    def counted(*args):
+        calls.append(None)
+        return subtract(*args)
+
+    monkeypatch.setattr(linalg, "_subtract", counted)
+    basis = linalg.nullspace(list(linalg.transpose(vectors).values()),
+                             len(vectors), one=QQ(1))
+    assert len(basis) == 7
+    assert len(calls) < 1000
 
 
 def test_first_method_zero_pressure_slot(ctx):

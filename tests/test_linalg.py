@@ -1,5 +1,6 @@
 """Differential tests of the sparse exact row reducer against sympy."""
 
+import copy
 import random
 
 import pytest
@@ -57,7 +58,9 @@ def test_rref_matches_sympy():
         # even seeds pass the zero entries too
         given = _sparse(rows) if seed % 2 else [dict(enumerate(r))
                                                 for r in rows]
+        before = copy.deepcopy(given)
         pivots = rref(given)
+        assert given == before, seed
         assert tuple(sorted(pivots)) == ref_pivots, seed
         for i, c in enumerate(sorted(pivots)):
             assert [_q(pivots[c].get(k, 0)) for k in range(ncols)] \
@@ -71,6 +74,61 @@ def test_nullspace_matches_sympy():
         want = _sym(rows, ncols).nullspace()
         assert [[_q(x) for x in v] for v in got] \
             == [list(v) for v in want], seed
+
+
+def _singleton_rich_matrix(rng):
+    """Sparse rows with explicit zero entries of a rational matrix whose
+    columns the forced-column pass of rref mostly settles.
+
+    A chain c0, c1, ... puts one row at c0 alone and then, for each link,
+    a row at c(i-1) and c(i): that row becomes a singleton only after
+    c(i-1) is forced.  The rows come shuffled, so a chain may meet its
+    links in any order.  Explicit zeros, up to a whole row of them, are no
+    entries; the rows left over mix forced and free columns, and some
+    two-entry rows over free columns never become singletons.
+    """
+    ncols = rng.randint(3, 9)
+    cols = list(range(ncols))
+    rng.shuffle(cols)
+    chain = cols[:rng.randint(2, ncols)]
+    nonzero = lambda: QQ(rng.choice([-1, 1]) * rng.randint(1, 5),
+                         rng.randint(1, 3))
+    rows = [{chain[0]: nonzero()}]
+    rows += [{a: nonzero(), b: nonzero()} for a, b in zip(chain, chain[1:])]
+    for _ in range(rng.randint(1, 3)):
+        rows.append({c: nonzero() for c in rng.sample(range(ncols), 2)})
+    for _ in range(rng.randint(0, 2)):
+        rows.append({c: nonzero()
+                     for c in rng.sample(range(ncols),
+                                         rng.randint(1, ncols))})
+    for row in rng.sample(rows, rng.randint(1, len(rows))):
+        row[rng.randrange(ncols)] = QQ(0)
+    if rng.random() < 0.3:
+        rows.append({rng.randrange(ncols): QQ(0)})
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def _dense(rows, ncols):
+    return [[row.get(c, QQ(0)) for c in range(ncols)] for row in rows]
+
+
+def test_forced_columns_match_sympy():
+    for seed in SEEDS:
+        given, ncols = _singleton_rich_matrix(random.Random(seed))
+        rows = _dense(given, ncols)
+        before = copy.deepcopy(given)
+        ref, ref_pivots = _sym(rows, ncols).rref()
+        pivots = rref(given)
+        assert given == before, seed
+        assert tuple(sorted(pivots)) == ref_pivots, seed
+        for i, c in enumerate(sorted(pivots)):
+            assert [_q(pivots[c].get(k, 0)) for k in range(ncols)] \
+                == list(ref.row(i)), seed
+        got = nullspace(given, ncols, one=QQ(1))
+        assert given == before, seed
+        assert [[_q(x) for x in v] for v in got] \
+            == [list(v) for v in _sym(rows, ncols).nullspace()], seed
 
 
 def test_reduce_row_decides_span_like_sympy_rank():
@@ -129,6 +187,16 @@ def test_solve_inconsistent_and_empty():
     assert rref([{}, {0: QQ(0)}]) == {}
 
 
+def test_solve_finds_a_forced_right_hand_side():
+    # 2x = 0 forces x, which leaves x + 0y = 3 with only its right-hand
+    # side: inconsistent
+    rows = [{0: QQ(1), 1: QQ(0), 2: QQ(3)}, {0: QQ(2), 2: QQ(0)}]
+    assert solve(rows, 2, QQ(0)) is None
+    # the same with y + 0 = 0 instead has the solution x = y = 0
+    rows[0] = {1: QQ(1), 2: QQ(0)}
+    assert solve(rows, 2, QQ(0)) == [QQ(0), QQ(0)]
+
+
 def test_solve_over_expressions_matches_cramer():
     ctx = standard_context()
     e = lambda s: parse(ctx, s)
@@ -152,3 +220,29 @@ def test_solve_over_expressions_matches_cramer():
     bad = dict(extra)
     bad[3] = bad[3] + 1
     assert solve(aug + [bad], 3, zero) is None
+
+
+def test_solve_over_expressions_with_a_forced_column():
+    # b1*x0 = 0, with explicit zero entries, forces x0 before the
+    # elimination of the other two rows
+    ctx = standard_context()
+    e = lambda s: parse(ctx, s)
+    A = [[e("b1"), e("0"), e("0")],
+         [e("b2"), e("b3"), e("q12")],
+         [e("lam"), e("k"), e("b4")]]
+    b = [e("0"), e("1"), e("lam")]
+    zero = Expr.const(ctx, 0)
+    aug = [dict(enumerate(row + [bi])) for row, bi in zip(A, b)]
+    before = [dict(row) for row in aug]
+    got = solve(aug, 3, zero)
+    assert aug == before
+    det = det3(A)
+    for c in range(3):
+        Ac = [[b[i] if j == c else A[i][j] for j in range(3)]
+              for i in range(3)]
+        assert got[c] == det3(Ac) / det
+    assert got[0] == zero
+    # b1*x0 = 0 forces x0, then b2*x0 + k*x1 = 0 forces x1, which leaves
+    # x1 = b3 with only its right-hand side: inconsistent
+    chain = [{0: e("b1")}, {0: e("b2"), 1: e("k")}, {1: e("1"), 3: e("b3")}]
+    assert solve(chain, 3, zero) is None
