@@ -390,7 +390,7 @@ class LieAlgebra:
                 for k, c in entry:
                     rows.setdefault((j, k), {})[i] = c
         out = []
-        for vec in nullspace(list(rows.values()), n, one=QQ(1)):
+        for vec in nullspace(list(rows.values()), n):
             terms = [(i, c) for i, c in enumerate(vec) if c]
             out.append(self._combine(terms).with_label(
                 "+".join(self.basis[i].label for i, _ in terms)))

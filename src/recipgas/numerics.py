@@ -244,28 +244,21 @@ class _MapEvaluator:
             raise NumericDomain(
                 "map denominator vanishes near (%g, %g)" % (xs[i], ys[j]))
 
-    def coordinates(self, g: GridSpec, path: str = "xy"):
+    def coordinates(self, g: GridSpec):
         """x', y' at every node of g by Simpson path integration from the
-        grid origin (anchored to zero), along x first then y, or y
-        first."""
+        grid origin (anchored to zero), along x first, then y."""
         xs, ys = g.xs(), g.ys()
         self.check_domain(xs, ys)
-        first = {"xy": 0, "yx": 1}.get(path)
-        if first is None:
-            raise ValueError("path must be 'xy' or 'yx'")
-        outer, inner = (xs, ys) if first == 0 else (ys, xs)
 
-        # along the grid edge on the first axis, then across the second
-        # axis; the running sums start from zero and from the edge values
-        edge = _path_steps(self, first, inner[0], outer[:-1], outer[1:])
+        # along the grid edge y = ys[0], then up each column x = xs[i];
+        # the running sums start from zero and from the edge values
+        edge = _path_steps(self, 0, ys[0], xs[:-1], xs[1:])
         edge = np.cumsum(np.concatenate([np.zeros((2, 1)), edge], axis=1),
                          axis=1)
-        across = _path_steps(self, 1 - first, outer[:, None],
-                             inner[None, :-1], inner[None, 1:])
+        across = _path_steps(self, 1, xs[:, None], ys[None, :-1],
+                             ys[None, 1:])
         cur = np.cumsum(np.concatenate([edge[:, :, None], across], axis=2),
                         axis=2)
-        if first == 1:
-            cur = cur.transpose(0, 2, 1)
         return cur[0], cur[1]
 
 
@@ -281,10 +274,9 @@ def _path_steps(ev: _MapEvaluator, axis, other, a, b):
     return simpson_line(integrand, a, b, PATH_STEPS)
 
 
-def primed_coordinates(sol: GridSolution, T: ReciprocalMap,
-                       path: str = "xy"):
+def primed_coordinates(sol: GridSolution, T: ReciprocalMap):
     """x', y' at every grid node of sol under T (_MapEvaluator.coordinates)."""
-    return _MapEvaluator(T, sol.evaluator).coordinates(sol.grid, path)
+    return _MapEvaluator(T, sol.evaluator).coordinates(sol.grid)
 
 
 # targets times grid nodes per block of the nearest-node search

@@ -24,7 +24,7 @@ from .gasdyn import (CLOSEDNESS_NAMES, FIELDS, RESIDUAL_NAMES,
                      closedness_residuals, flux_matrix, reduce_on_manifold,
                      system_residuals, total_derivative)
 from .liealg import Generator, SingularMatrix, generator, standard_basis
-from .symkernel import QQ, Context, Expr
+from .symkernel import Context, Expr
 from .symkernel.linalg import det2, nullspace, transpose
 
 
@@ -238,8 +238,7 @@ def _solve_ansatz(slots, monos, make, clear) -> AnsatzSolution:
     candidates = [(s, m) for s in slots for m in monos]
     vectors = _candidate_vectors(slots, monos, make, clear)
     gens = []
-    for bv in nullspace(list(transpose(vectors).values()), len(candidates),
-                        one=QQ(1)):
+    for bv in nullspace(list(transpose(vectors).values()), len(candidates)):
         vals = {}
         for (s, m), c in zip(candidates, bv):
             if c:

@@ -37,7 +37,6 @@ class Context:
     roles: dict = field(default_factory=dict)     # name -> role
     index: dict = field(default_factory=dict)     # name -> int
     atoms: dict = field(default_factory=dict)     # index -> AtomInfo
-    atom_index: dict = field(default_factory=dict)  # key -> index
 
     def declare(self, name: str, role: str = "parameter") -> int:
         if role not in ROLES:
@@ -65,18 +64,19 @@ class Context:
         return self.roles[name]
 
     def atom_slot(self, fname: str, orders: tuple, args: tuple) -> int:
-        """Variable slot for a formal application, creating it if new."""
-        key = (fname, orders, tuple(str(a) for a in args))
-        idx = self.atom_index.get(key)
+        """Variable slot for a formal application, creating it if new.
+        The display is one-to-one in (fname, orders, args): a function name
+        holds no ' or (, an argument renders with no top-level comma, and
+        no declared name holds ( as every display does."""
+        display = _atom_display(fname, orders, args)
+        idx = self.index.get(display)
         if idx is not None:
             return idx
-        display = _atom_display(fname, orders, args)
         idx = len(self.names)
         self.names.append(display)
         self.index[display] = idx
         self.roles[display] = "function"
         self.atoms[idx] = AtomInfo(fname, orders, tuple(args), display)
-        self.atom_index[key] = idx
         return idx
 
 

@@ -33,7 +33,7 @@ from .context import Context
 from .errors import (DivisionByZeroExpr, InvalidParams, NotPolynomialInVars,
                      UnboundSymbol, UnknownVariable, VariableMismatch)
 from .numeric import compile_exprs
-from .poly import (MONO_ONE, QQ, Poly, mono_items, mono_pack, padd,
+from .poly import (MONO_ONE, QQ, Poly, mono_items, padd,
                    padd_into, pcoefficients, pconst, pcontent,
                    pcoprime_basis, pderiv, pdiv_exact, pgcd, pis_const,
                    pis_zero, pleading_mono, pmul, pneg, ppow, pprimitive,
@@ -270,17 +270,10 @@ class Expr:
         if pvars(self.den) & idxs:
             raise NotPolynomialInVars(
                 "denominator involves %s" % sorted(monomial_vars))
-        groups: dict = {}
-        for m, c in self.num.items():
-            pairs = mono_items(m)
-            tgt = tuple((v, e) for v, e in pairs if v in idxs)
-            rest = mono_pack([(v, e) for v, e in pairs if v not in idxs])
-            groups.setdefault(tgt, {})[rest] = c
-        out = {}
-        for tgt in sorted(groups):
-            key = tuple((ctx.names[v], e) for v, e in tgt)
-            out[key] = Expr(ctx, groups[tgt], self.den)
-        return out
+        groups = sorted((mono_items(extra), coeff) for extra, coeff
+                        in pcoefficients(self.num, idxs).items())
+        return {tuple((ctx.names[v], e) for v, e in tgt):
+                Expr(ctx, coeff, self.den) for tgt, coeff in groups}
 
     # --- numeric evaluation ----------------------------------------------
 

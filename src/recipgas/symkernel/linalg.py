@@ -115,11 +115,11 @@ def solve(rows, ncols, zero):
             for c in range(ncols)]
 
 
-def nullspace(rows, ncols, one=1):
+def nullspace(rows, ncols):
     """Basis of the right nullspace of a matrix given as sparse rows.
 
     Returns a list of dense basis vectors (length ncols) over the same
-    field, one per free column.
+    field, one per free column, whose entry there is 1.
     """
     pivots = rref(rows)
     basis = []
@@ -127,7 +127,7 @@ def nullspace(rows, ncols, one=1):
         if fc in pivots:
             continue
         vec = [0] * ncols
-        vec[fc] = one
+        vec[fc] = 1
         for pc, row in pivots.items():
             if fc in row:
                 vec[pc] = -row[fc]

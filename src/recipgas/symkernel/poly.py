@@ -10,7 +10,7 @@ A monomial is a single integer: 16-bit fields hold the exponent of each
 variable (variable i at bits 16*(i+1)..), and the lowest field
 accumulates the total degree.  Monomial multiplication is integer
 addition; divisibility uses a guard-bit trick.  The total degree, and so
-every exponent, stays below 2^15: mono_pack, pvar, pmul and ppow raise
+every exponent, stays below 2^15: pvar, pmul and ppow raise
 DegreeOverflow before a field could carry into its neighbour.
 
 Plain integer comparison of packed monomials is an admissible term order
@@ -59,16 +59,6 @@ def pdegree(p: Poly) -> int:
     return max(m & _MASK for m in p) if p else 0
 
 
-def mono_pack(pairs) -> Mono:
-    m = 0
-    total = 0
-    for idx, exp in pairs:
-        m += exp << (_FB * (idx + 1))
-        total += exp
-    _check_degree(total)
-    return m + total
-
-
 def mono_items(m: Mono):
     """Decoded (variable_index, exponent) pairs, ascending index."""
     m >>= _FB
@@ -85,8 +75,6 @@ def mono_items(m: Mono):
 
 def mono_div(m1: Mono, m2: Mono):
     """m1 / m2, or None when m2 does not divide m1."""
-    if m2 == 0:
-        return m1
     if m1 < m2:
         return None
     nwords = (m1.bit_length() + _FB - 1) // _FB
@@ -232,24 +220,11 @@ def ppow(a: Poly, n: int) -> Poly:
 
 
 def pderiv(a: Poly, idx: int) -> Poly:
+    # m -> m / x_idx is one-to-one on the monomials that hold x_idx
     shift = _FB * (idx + 1)
     dec = (1 << shift) + 1
-    r: Poly = {}
-    for m, c in a.items():
-        e = (m >> shift) & _MASK
-        if e:
-            nm = m - dec
-            s = r.get(nm)
-            nc = c * e
-            if s is None:
-                r[nm] = nc
-            else:
-                s = s + nc
-                if s:
-                    r[nm] = s
-                else:
-                    del r[nm]
-    return r
+    return {m - dec: c * e for m, c in a.items()
+            if (e := (m >> shift) & _MASK)}
 
 
 def pvars(a: Poly) -> set:
@@ -370,43 +345,14 @@ def _mono_content(a: Poly) -> Mono:
 def _to_recursive(a: Poly, idx: int) -> dict:
     """View as univariate in variable idx with Poly coefficients."""
     shift = _FB * (idx + 1)
-    r: dict = {}
-    for m, c in a.items():
-        e = (m >> shift) & _MASK
-        rest = m - ((e << shift) + e) if e else m
-        coeff = r.get(e)
-        if coeff is None:
-            r[e] = {rest: c}
-        else:
-            s = coeff.get(rest)
-            if s is None:
-                coeff[rest] = c
-            else:
-                s = s + c
-                if s:
-                    coeff[rest] = s
-                else:
-                    del coeff[rest]
-    return {e: p for e, p in r.items() if p}
+    return {extra >> shift: c for extra, c in pcoefficients(a, (idx,)).items()}
 
 
 def _from_recursive(r: dict, idx: int) -> Poly:
+    # the coefficients are free of variable idx, so no two terms meet
     shift = _FB * (idx + 1)
-    out: Poly = {}
-    for e, p in r.items():
-        mono = (e << shift) + e if e else 0
-        for m, c in p.items():
-            mm = m + mono
-            s = out.get(mm)
-            if s is None:
-                out[mm] = c
-            else:
-                s = s + c
-                if s:
-                    out[mm] = s
-                else:
-                    del out[mm]
-    return out
+    return {m + (e << shift) + e: c
+            for e, p in r.items() for m, c in p.items()}
 
 
 def _rdegree(r: dict) -> int:

@@ -84,7 +84,7 @@ def one_param_bateman(ctx: Context, entropy="identity") -> OneParamFamily:
     m = replace(bateman(ctx, ie, ie, 1, ie, entropy=entropy),
                 name="one_param_bateman")
     gen = standard_basis(ctx)[2].scale(-2).with_label("-2*X3")
-    return OneParamFamily(m.name, m, "eps", "linear", Expr.const(ctx, 1), gen)
+    return OneParamFamily(m, "eps", "linear", Expr.const(ctx, 1), gen)
 
 
 def one_param_q13(ctx: Context, q12=0, q13=1,
@@ -104,7 +104,7 @@ def one_param_q13(ctx: Context, q12=0, q13=1,
     m = _dilated(compose(outer, inner), iopl, "one_param_q13")
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, q13e, -q13e)
     gen = case_generators("b", params, ctx, k=1)
-    return OneParamFamily(m.name, m, "lam", "tan", q13e, gen)
+    return OneParamFamily(m, "lam", "tan", q13e, gen)
 
 
 def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
@@ -124,7 +124,7 @@ def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
     m = _dilated(compose(outer, inner), lam ** (-3), "one_param_exp")
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, 0, 0)
     gen = case_generators("c", params, ctx, k1=k1e, k2=k2e)
-    return OneParamFamily(m.name, m, "lam", "exp", k1e, gen)
+    return OneParamFamily(m, "lam", "exp", k1e, gen)
 
 
 def one_param_linear(ctx: Context, k2=1, q12=0,
@@ -135,7 +135,7 @@ def one_param_linear(ctx: Context, k2=1, q12=0,
     m = _linear_map(ctx, q12e, entropy)
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, 0, 0)
     gen = case_generators("c", params, ctx, k1=0, k2=k2e)
-    return OneParamFamily(m.name, m, "a", "linear", k2e, gen)
+    return OneParamFamily(m, "a", "linear", k2e, gen)
 
 
 def _linear_map(ctx: Context, q12: Expr, entropy: str) -> ReciprocalMap:

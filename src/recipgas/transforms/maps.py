@@ -212,17 +212,21 @@ LEAVES = {
 class OneParamFamily:
     """A map family T_eps written over one transcendental leaf.
 
-    map_sym holds the transformation with `symbol` free, and the leaf
+    map_sym holds the transformation with `symbol` free and names the
+    family, and the leaf
     `symbol` takes the value LEAVES[leaf].law at rate*eps, for the exact
     Expr rate c.  generator is the claimed infinitesimal generator, the
     eps-derivative of the family at eps = 0.
     """
-    name: str
     map_sym: ReciprocalMap
     symbol: str
     leaf: str
     rate: Expr
     generator: Generator
+
+    @property
+    def name(self) -> str:
+        return self.map_sym.name
 
     @property
     def ctx(self):

@@ -4,6 +4,13 @@ from fractions import Fraction
 
 from recipgas.gasdyn import JETS, main_derivatives
 from recipgas.symkernel import Expr
+from recipgas.symkernel.poly import pvar
+
+
+def mono_pack(pairs) -> int:
+    """The packed monomial of the (variable index, exponent) pairs: the
+    product of the pvar powers, whose packed monomials add."""
+    return sum(next(iter(pvar(i, e))) for i, e in pairs)
 
 
 def monomial(ctx, key) -> Expr:

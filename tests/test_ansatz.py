@@ -16,7 +16,6 @@ from recipgas.prolong import (_candidate_vectors, _flux_matrix, _monomials,
                               determining_residuals, first_method_generator,
                               solve_ansatz, solve_ansatz_first_method)
 from recipgas.symkernel import Expr, linalg
-from recipgas.symkernel.poly import QQ
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +86,7 @@ def test_degree_four_nullspace_work(ctx, monkeypatch):
 
     monkeypatch.setattr(linalg, "_subtract", counted)
     basis = linalg.nullspace(list(linalg.transpose(vectors).values()),
-                             len(vectors), one=QQ(1))
+                             len(vectors))
     assert len(basis) == 7
     assert len(calls) < 1000
 

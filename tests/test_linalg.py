@@ -70,7 +70,7 @@ def test_rref_matches_sympy():
 def test_nullspace_matches_sympy():
     for seed in SEEDS:
         rows, ncols = _random_matrix(random.Random(seed))
-        got = nullspace(_sparse(rows), ncols, one=QQ(1))
+        got = nullspace(_sparse(rows), ncols)
         want = _sym(rows, ncols).nullspace()
         assert [[_q(x) for x in v] for v in got] \
             == [list(v) for v in want], seed
@@ -125,7 +125,7 @@ def test_forced_columns_match_sympy():
         for i, c in enumerate(sorted(pivots)):
             assert [_q(pivots[c].get(k, 0)) for k in range(ncols)] \
                 == list(ref.row(i)), seed
-        got = nullspace(given, ncols, one=QQ(1))
+        got = nullspace(given, ncols)
         assert given == before, seed
         assert [[_q(x) for x in v] for v in got] \
             == [list(v) for v in _sym(rows, ncols).nullspace()], seed
@@ -183,7 +183,7 @@ def test_solve_inconsistent_and_empty():
     # a right-hand side with no matrix entries at all
     assert solve([{2: QQ(5)}], 2, QQ(0)) is None
     assert solve([], 3, QQ(0)) == [QQ(0)] * 3
-    assert nullspace([], 2, one=QQ(1)) == [[QQ(1), 0], [0, QQ(1)]]
+    assert nullspace([], 2) == [[1, 0], [0, 1]]
     assert rref([{}, {0: QQ(0)}]) == {}
 
 

@@ -138,14 +138,6 @@ def test_shear_coordinate_maps(ctx, shear_solution):
     assert np.max(np.abs(yp - want[None, :])) < 1e-8
 
 
-def test_path_independence(ctx, shear_solution):
-    T = bateman(ctx, 1, 0, 1, 0, entropy="identity")
-    xp1, yp1 = primed_coordinates(shear_solution, T, path="xy")
-    xp2, yp2 = primed_coordinates(shear_solution, T, path="yx")
-    assert np.max(np.abs(xp1 - xp2)) < 1e-8
-    assert np.max(np.abs(yp1 - yp2)) < 1e-8
-
-
 def test_transformed_shear_is_stencil_exact(ctx, shear_solution):
     T = bateman(ctx, 1, 0, 1, 0, entropy="identity")
     out = transform_solution(shear_solution, T)

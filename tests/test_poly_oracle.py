@@ -4,7 +4,8 @@ The gcd cases are pairs g*a1, g*b1 in up to seven of the variables
 criterion 6 works in, drawn with one of four variable-set shapes: the
 second polynomial's variables a proper subset of the first's (tried in
 both argument orders), equal sets, overlapping sets and disjoint sets.
-The arithmetic cases check padd, pmul, ppow, pderiv, Expr.diff,
+The arithmetic cases check padd, pmul, ppow, pderiv, the gcd's
+recursive (univariate) view, Expr.collect, Expr.diff,
 Expr.derive (with polynomial and with rational coefficients), the sum of
 two Exprs (with and without a shared denominator factor) and
 Expr.substitute in the same variables, and the canonical form of Expr.
@@ -23,17 +24,20 @@ import pytest
 from recipgas.gasdyn import standard_context
 from recipgas.symkernel import (DivisionByZeroExpr, Expr, parse,
                                 substitute_all)
-from recipgas.symkernel.poly import (QQ, mono_items, mono_pack, padd, pconst,
-                                     pcontent, pcoprime_basis, pderiv,
-                                     pdiv_exact, pgcd, pis_const,
-                                     pleading_mono, pmul, pneg, ppow,
-                                     pprimitive, psorted_terms, pvars)
+from recipgas.symkernel.poly import (QQ, _from_recursive, _to_recursive,
+                                     mono_items, padd, pconst, pcontent,
+                                     pcoprime_basis, pderiv, pdiv_exact,
+                                     pgcd, pis_const, pleading_mono, pmul,
+                                     pneg, ppow, pprimitive, psorted_terms,
+                                     pvars)
 
 sympy = pytest.importorskip("sympy", minversion="1.14")
 pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+
+from helpers import mono_pack  # noqa: E402
 
 CTX = standard_context()
 VARS = ("rho", "u", "v", "p", "q12", "q13", "lam")
@@ -245,7 +249,47 @@ def test_ppow_matches_sympy(a, n):
 @given(a=_poly_in(), var=st.sampled_from(VARS))
 def test_pderiv_matches_sympy(a, var):
     got = pderiv(a, CTX.idx(var))
+    # a kernel polynomial stores no zero coefficient
+    assert all(got.values())
     assert _to_sympy(got) == _to_sympy(a).diff(sympy.Symbol(var))
+
+
+@given(a=_poly_in(), var=st.sampled_from(VARS))
+def test_recursive_view_matches_sympy(a, var):
+    # the gcd's view of a as univariate in var: its keys are the degrees
+    # sympy finds, its coefficients sympy's, and it reassembles to a
+    idx = CTX.idx(var)
+    r = _to_recursive(a, idx)
+    want = sympy.Poly(_to_sympy(a).as_expr(), sympy.Symbol(var)).as_dict()
+    assert set(r) == {e for e, in want}
+    for (e,), coeff in want.items():
+        assert idx not in pvars(r[e])
+        assert sympy.expand(_to_sympy(r[e]).as_expr() - coeff) == 0
+    assert _from_recursive(r, idx) == a
+
+
+@given(a=_poly_in(max_terms=6), data=st.data())
+def test_collect_matches_sympy(a, data):
+    # Expr.collect against sympy's Poly in the collected variables: the
+    # same monomials, sorted by their (declaration index, exponent) pairs,
+    # and the same coefficients over a denominator free of them
+    names = data.draw(st.lists(st.sampled_from(VARS), min_size=1,
+                               max_size=4, unique=True))
+    rest = [n for n in VARS if n not in names]
+    den = data.draw(_poly(data.draw(st.permutations(rest))[:3], 2)) \
+        if rest and data.draw(st.booleans()) \
+        else pconst(data.draw(st.integers(1, 6)))
+    e = Expr(CTX, a, pconst(1)) / Expr(CTX, den, pconst(1))
+    got = e.collect(names)
+    gens = sorted(names, key=CTX.idx)
+    want = sympy.Poly(_sym(e), *[sympy.Symbol(n) for n in gens]).as_dict()
+    keys = sorted(tuple((CTX.idx(n), k) for n, k in zip(gens, exps) if k)
+                  for exps in want)
+    assert list(got) == [tuple((CTX.names[i], k) for i, k in key)
+                         for key in keys]
+    for exps, coeff in want.items():
+        key = tuple((n, k) for n, k in zip(gens, exps) if k)
+        _same(got[key], coeff)
 
 
 @given(a=_poly_in(max_terms=8))

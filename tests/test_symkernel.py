@@ -15,7 +15,7 @@ from recipgas.symkernel.errors import (DegreeOverflow, DivisionByZeroExpr,
                                        InvalidParams, NotPolynomialInVars,
                                        NumericDomain, UnboundSymbol,
                                        UnknownVariable, VariableMismatch)
-from recipgas.symkernel.poly import QQ, mono_pack, pmul, ppow, pvar
+from recipgas.symkernel.poly import QQ, pmul, ppow, pvar
 from recipgas.transforms.catalog import bateman
 
 from helpers import monomial
@@ -387,9 +387,7 @@ def test_formal_applications_have_the_function_role(ctx):
 # below was silently wrong or a TypeError before the bound was checked
 
 
-def test_degree_bound_in_mono_pack_and_pvar():
-    with pytest.raises(DegreeOverflow):
-        mono_pack([(0, 20000), (1, 20000)])
+def test_degree_bound_in_pvar():
     with pytest.raises(DegreeOverflow):
         pvar(0, 1 << 15)
 
