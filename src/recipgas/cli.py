@@ -25,10 +25,10 @@ from .prolong import determining_residuals
 from .reports import Report
 from .symkernel import Expr, parse
 from .symkernel.errors import InvalidParams, SymkernelError
-from .transforms import (OneParamFamily, catalog, load_map, pushforward,
-                         pushforward_matrix, verify_automorphism_solution,
-                         verify_flow, verify_point_symmetry,
-                         verify_reciprocal)
+from .transforms import (OneParamFamily, catalog, decompose, load_map,
+                         pushforward, pushforward_matrix,
+                         verify_automorphism_solution, verify_flow,
+                         verify_point_symmetry, verify_reciprocal)
 from .transforms.catalog import entries, parameters
 from .transforms.verify import DEFAULT_SEED, residual_report
 
@@ -211,7 +211,6 @@ def cmd_pushforward(args) -> int:
     rep = Report("pushforward under %s" % T.name)
     if args.generator:
         g = _named_generator(ctx, args.generator)
-        from .transforms import decompose
         image = pushforward(T, g)
         try:
             coeffs = decompose(image, x[2:5])

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import combinations
 
 from .gasdyn import (FIELDS, ConservationFormParams, flux_matrix,
                      parse_record, total_derivative)
@@ -289,6 +290,9 @@ class FunctionalConstant:
 @dataclass
 class LieAlgebra:
     basis: list
+    # entries of _table known before any bracket, {(i, j): entry} for
+    # i < j; derived_algebra reads them from its parent's table
+    _inherited = {}
 
     def labels(self):
         return [g.label or ("B%d" % i) for i, g in enumerate(self.basis)]
@@ -306,8 +310,10 @@ class LieAlgebra:
         table = {}
         for i in range(n):
             for j in range(i + 1, n):
-                br = commutator(self.basis[i], self.basis[j])
-                entry = self._decompose_bracket((i, j), br)
+                entry = self._inherited.get((i, j))
+                if entry is None:
+                    br = commutator(self.basis[i], self.basis[j])
+                    entry = self._decompose_bracket((i, j), br)
                 table[(i, j)] = entry
                 table[(j, i)] = _negate_entry(entry)
         return table
@@ -345,7 +351,10 @@ class LieAlgebra:
 
     def derived_algebra(self) -> "LieAlgebra":
         """Span of all commutators, read from the structure constants, with
-        basis drawn from this basis."""
+        basis drawn from this basis.  An entry of this table between two
+        kept basis elements that names only kept elements is, reindexed,
+        the derived algebra's entry: its basis is independent, so the
+        decomposition is unique."""
         brackets = []
         families_hit = set()
         for (i, j), entry in self.structure_constants().items():
@@ -355,28 +364,38 @@ class LieAlgebra:
                 families_hit.add(entry.family)
             elif entry:
                 brackets.append(self._combine(entry))
-        chosen = []
+        chosen, parents = [], []
         if brackets:
             bvecs = [_vectorize(br) for br in brackets]
             basevecs = [_vectorize(g) for g in self.basis]
             span = rref(bvecs)
             # basis elements inside the span first, then raw brackets
-            candidates = [(g, bv) for k, (g, bv)
+            candidates = [(k, g, bv) for k, (g, bv)
                           in enumerate(zip(self.basis, basevecs))
                           if k not in families_hit
                           and not reduce_row(span, bv)]
-            candidates += [(br.with_label("[%s]" % br.label), bv)
+            candidates += [(None, br.with_label("[%s]" % br.label), bv)
                            for br, bv in zip(brackets, bvecs)]
             picked_vecs = []
             picked = {}
-            for g, bv in candidates:
+            for k, g, bv in candidates:
                 if reduce_row(picked, bv):
                     chosen.append(g)
+                    parents.append(k)
                     picked_vecs.append(bv)
                     picked = rref(picked_vecs)
         for k in sorted(families_hit):
             chosen.append(self.basis[k])
-        return LieAlgebra(chosen)
+            parents.append(k)
+        child = LieAlgebra(chosen)
+        index = {k: a for a, k in enumerate(parents) if k is not None}
+        child._inherited = {}
+        for (k, a), (l, b) in combinations(index.items(), 2):
+            entry = self._table[(k, l)]
+            if isinstance(entry, list) and all(m in index for m, _ in entry):
+                child._inherited[(a, b)] = sorted((index[m], c)
+                                                  for m, c in entry)
+        return child
 
     def center(self) -> "LieAlgebra":
         """Maximal central subspace, by exact nullspace of the c-table."""

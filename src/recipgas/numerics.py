@@ -374,7 +374,15 @@ def transform_solution(sol: GridSolution, T: ReciprocalMap,
     need = 3 if target_grid is not None else max(3, 2 * margin_cells + 2)
     if min(g.nx, g.ny) < need:
         raise InvalidParams("need at least %d nodes per direction" % need)
-    ev = _MapEvaluator(T, sol.evaluator)
+    return _transform(sol, _MapEvaluator(T, sol.evaluator), margin_cells,
+                      target_grid)
+
+
+def _transform(sol: GridSolution, ev: _MapEvaluator, margin_cells: int,
+               target_grid: GridSpec | None) -> GridSolution:
+    """transform_solution past its node count check, through ev, the
+    map's evaluator over sol's flow."""
+    g = sol.grid
     xp, yp = ev.coordinates(g)
     tf = TransformedFlow(sol, ev, xp, yp)
     if target_grid is not None:
@@ -408,8 +416,9 @@ def transform_convergence_ratios(flow, T: ReciprocalMap,
     s1 = make_solution(flow, grid)
     out1 = transform_solution(s1, T)
     r1 = fd_residuals(out1)
+    # s2 samples the same flow on more nodes: out1's evaluator serves it
     s2 = make_solution(flow, grid.refined())
-    out2 = transform_solution(s2, T, target_grid=out1.grid.refined())
+    out2 = _transform(s2, out1.evaluator.ev, 1, out1.grid.refined())
     r2 = fd_residuals(out2)
     out = {}
     for k in r1:

@@ -19,19 +19,30 @@ from ..symkernel.linalg import adj2, mul2, solve, transpose
 from .maps import NotInvertible, ReciprocalMap, solve_inverse
 
 
-def pushforward(T: ReciprocalMap, X: Generator) -> Generator:
-    """T_* X, expressed in primed variables (same symbol names) through
-    the inverse of solve_inverse."""
+def _pushforwards(T: ReciprocalMap, gens) -> list:
+    """T_* X for each X of gens: the inverse, det and adjugate once, and
+    the nine slots of every image in one substitution."""
     inv = solve_inverse(T)
-    fields = [X.apply(comp) for comp in (T.R, T.U, T.V, T.P, T.H)]
-    num = tuple(tuple(X.apply(e) + fm for e, fm in zip(row, fmrow))
-                for row, fmrow in zip(T.f, mul2(T.f, X.matrix())))
     det = T.det_f()
     if det.is_zero():
         raise NotInvertible("form matrix of %s is singular" % T.name)
-    m = [e / det for row in mul2(num, adj2(T.f)) for e in row]
-    return Generator(*substitute_all(fields + m, inv),
-                     label="%s_*(%s)" % (T.name, X.label))
+    adj = adj2(T.f)
+    slots = []
+    for X in gens:
+        slots += [X.apply(comp) for comp in (T.R, T.U, T.V, T.P, T.H)]
+        num = tuple(tuple(X.apply(e) + fm for e, fm in zip(row, fmrow))
+                    for row, fmrow in zip(T.f, mul2(T.f, X.matrix())))
+        slots += [e / det for row in mul2(num, adj) for e in row]
+    slots = substitute_all(slots, inv)
+    return [Generator(*slots[9 * i:9 * i + 9],
+                      label="%s_*(%s)" % (T.name, X.label))
+            for i, X in enumerate(gens)]
+
+
+def pushforward(T: ReciprocalMap, X: Generator) -> Generator:
+    """T_* X, expressed in primed variables (same symbol names) through
+    the inverse of solve_inverse."""
+    return _pushforwards(T, [X])[0]
 
 
 def _collectable_names(ctx, exprs):
@@ -69,7 +80,7 @@ def decompose(Xp: Generator, basis) -> list:
 def pushforward_matrix(T: ReciprocalMap, basis) -> AutomorphismMatrix:
     """Columns are the decompositions of T_* basis[i] over the primed
     basis; entry (n, i) multiplies basis[n]."""
-    cols = [decompose(pushforward(T, X), basis) for X in basis]
+    cols = [decompose(Xp, basis) for Xp in _pushforwards(T, basis)]
     entries = tuple(tuple(cols[i][n] for i in range(len(basis)))
                     for n in range(len(basis)))
     return AutomorphismMatrix(entries)

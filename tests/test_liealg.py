@@ -97,6 +97,47 @@ def test_one_commutator_per_pair(ctx, monkeypatch):
     assert len(calls) == 7 * 6 // 2 == len(set(calls))
 
 
+def test_megaideal_constraints_commutator_count(ctx, monkeypatch):
+    calls = []
+
+    def counted(X, Y):
+        calls.append(None)
+        return commutator(X, Y)
+
+    monkeypatch.setattr(liealg, "commutator", counted)
+    megaideal_constraints(ctx)
+    # L' and L'' read every entry from their parent's table: the 21
+    # brackets of L_rt, where computing each table afresh takes 30
+    assert len(calls) <= 21
+
+
+def _fresh_table(L):
+    return LieAlgebra(list(L.basis)).structure_constants()
+
+
+def test_derived_tables_match_fresh(ctx, basis):
+    Lp = reciprocal_algebra(ctx).derived_algebra()
+    Lpp = Lp.derived_algebra()
+    assert Lp.structure_constants() == _fresh_table(Lp)
+    assert Lpp.structure_constants() == _fresh_table(Lpp)
+    x1, _, x3, x4, x5 = basis
+    for parent in ([x3 + x4, x4 - x5, x5], [x3 + x5, x4, x5],
+                   [x3, x4 + x5, x5 + x3],
+                   # [X3, X5] = -(X4+X1) + X1 over the parent: indices
+                   # outside the derived algebra [X3, X5, -X4]
+                   [x1, x4 + x1, x3, x5]):
+        D = LieAlgebra(parent).derived_algebra()
+        assert D.structure_constants() == _fresh_table(D), parent
+
+
+def test_derived_table_of_raw_bracket(ctx, basis):
+    x1, _, x3, x4, _ = basis
+    D = LieAlgebra([x3 + x1, x4, x1]).derived_algebra()
+    assert [g.label for g in D.basis] == ["[]"]
+    assert D.basis[0] == x3.scale(-1)
+    assert D.structure_constants() == _fresh_table(D) == {}
+
+
 def test_derived_series(ctx):
     L = reciprocal_algebra(ctx)
     Lp = L.derived_algebra()

@@ -152,6 +152,28 @@ def test_vortex_transform_second_order(ctx):
         assert v is not None and 3.5 <= v <= 4.5, (k, v)
 
 
+def test_ratio_study_compiles_map_once(ctx, monkeypatch):
+    # both grids sample one flow, so one evaluator serves both transforms
+    T = bateman(ctx, 1, 0, 1, 0, entropy="identity")
+    flow, grid = VortexFlow(w0=1, m=1), GridSpec(0.5, 0.3, 1 / 8, 1 / 8, 5, 5)
+    out1 = transform_solution(make_solution(flow, grid), T)
+    out2 = transform_solution(make_solution(flow, grid.refined()), T,
+                              target_grid=out1.grid.refined())
+    r1, r2 = fd_residuals(out1), fd_residuals(out2)
+    calls = []
+    compile_exprs = numerics.compile_exprs
+
+    def counted(exprs):
+        calls.append(None)
+        return compile_exprs(exprs)
+
+    monkeypatch.setattr(numerics, "compile_exprs", counted)
+    ratios = transform_convergence_ratios(flow, T, grid)
+    # form matrix, fields and denominators; two evaluators compiled 6
+    assert len(calls) == 3
+    assert ratios == {k: r1[k] / r2[k] for k in r1}
+
+
 def test_domain_violation(ctx):
     # p + b2 vanishes on the grid for b2 = -1 at p = 1
     T = bateman(ctx, 1, -1, 1, 0, entropy="identity")

@@ -1,5 +1,7 @@
 """Pushforward of generators, decomposition, transport relations."""
 
+import importlib
+
 import pytest
 
 from recipgas.gasdyn import standard_context
@@ -125,6 +127,46 @@ def test_every_catalog_reciprocal_matrix(ctx, megaideal, nine):
         rep = verify_automorphism_solution(M, nine)
         assert rep.passed, T.name
         assert not rep.extras["det"].is_zero()
+
+
+def test_matrix_columns_match_single_pushforwards(ctx, megaideal):
+    # pushforward_matrix substitutes every column at once; each entry is
+    # the decomposition of that column's pushforward on its own
+    from recipgas.symkernel.poly import QQ
+    from recipgas.transforms import (one_param_bateman, one_param_exp,
+                                     one_param_linear, one_param_q13)
+    instances = [
+        bateman(ctx, entropy="identity"),
+        bateman(ctx, QQ(2, 3), 2, QQ(-1, 2), 3, entropy="identity"),
+        theorem_map(ctx, alpha=1, beta=2, k=1, a11=1, a34=QQ(1, 2),
+                    a35=2, a45=3, psi=1, entropy="identity"),
+        mu_plus(ctx, a33=2, a54=QQ(1, 3), a11=-1, alpha=1, beta=1,
+                psi=1, entropy="identity"),
+        one_param_bateman(ctx).map_at(QQ(1, 5)),
+        one_param_q13(ctx, q12=QQ(1, 3), q13=QQ(1, 2)).map_at(QQ(1, 7)),
+        one_param_exp(ctx, k1=1, k2=1, q12=QQ(1, 4)).map_at(QQ(5, 4)),
+        one_param_linear(ctx, k2=1, q12=QQ(1, 3)).map_at(QQ(1, 6)),
+    ]
+    for T in instances:
+        M = pushforward_matrix(T, megaideal)
+        for i, X in enumerate(megaideal):
+            col = decompose(pushforward(T, X), megaideal)
+            assert [row[i] for row in M.entries] == col, (T.name, X.label)
+
+
+def test_one_inverse_per_matrix(ctx, megaideal, monkeypatch):
+    module = importlib.import_module("recipgas.transforms.pushforward")
+    calls = []
+    solve_inverse = module.solve_inverse
+
+    def counted(T):
+        calls.append(T.name)
+        return solve_inverse(T)
+
+    monkeypatch.setattr(module, "solve_inverse", counted)
+    pushforward_matrix(bateman(ctx, entropy="identity"), megaideal)
+    # one per column when each column was pushed forward on its own
+    assert len(calls) == 1
 
 
 def test_transport_relations_identity(ctx):
