@@ -106,8 +106,8 @@ def test_megaideal_constraints_commutator_count(ctx, monkeypatch):
 
     monkeypatch.setattr(liealg, "commutator", counted)
     megaideal_constraints(ctx)
-    # L' and L'' read every entry from their parent's table: the 21
-    # brackets of L_rt, where computing each table afresh takes 30
+    # L' and L'' read every entry from their parent's table: only the 21
+    # brackets of L_rt are computed
     assert len(calls) <= 21
 
 

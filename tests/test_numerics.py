@@ -169,7 +169,7 @@ def test_ratio_study_compiles_map_once(ctx, monkeypatch):
 
     monkeypatch.setattr(numerics, "compile_exprs", counted)
     ratios = transform_convergence_ratios(flow, T, grid)
-    # form matrix, fields and denominators; two evaluators compiled 6
+    # one evaluator: the form matrix, the fields and the denominators
     assert len(calls) == 3
     assert ratios == {k: r1[k] / r2[k] for k in r1}
 

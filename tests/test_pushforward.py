@@ -165,7 +165,7 @@ def test_one_inverse_per_matrix(ctx, megaideal, monkeypatch):
 
     monkeypatch.setattr(module, "solve_inverse", counted)
     pushforward_matrix(bateman(ctx, entropy="identity"), megaideal)
-    # one per column when each column was pushed forward on its own
+    # the inverse is solved once for all three columns
     assert len(calls) == 1
 
 
