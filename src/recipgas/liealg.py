@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations
 
 from .gasdyn import (FIELDS, ConservationFormParams, flux_matrix,
                      parse_record, total_derivative)
@@ -290,9 +289,6 @@ class FunctionalConstant:
 @dataclass
 class LieAlgebra:
     basis: list
-    # entries of _table known before any bracket, {(i, j): entry} for
-    # i < j; derived_algebra reads them from its parent's table
-    _inherited = {}
 
     def labels(self):
         return [g.label or ("B%d" % i) for i, g in enumerate(self.basis)]
@@ -310,10 +306,8 @@ class LieAlgebra:
         table = {}
         for i in range(n):
             for j in range(i + 1, n):
-                entry = self._inherited.get((i, j))
-                if entry is None:
-                    br = commutator(self.basis[i], self.basis[j])
-                    entry = self._decompose_bracket((i, j), br)
+                entry = self._decompose_bracket(
+                    (i, j), commutator(self.basis[i], self.basis[j]))
                 table[(i, j)] = entry
                 table[(j, i)] = _negate_entry(entry)
         return table
@@ -350,52 +344,35 @@ class LieAlgebra:
         return out
 
     def derived_algebra(self) -> "LieAlgebra":
-        """Span of all commutators, read from the structure constants, with
-        basis drawn from this basis.  An entry of this table between two
-        kept basis elements that names only kept elements is, reindexed,
-        the derived algebra's entry: its basis is independent, so the
-        decomposition is unique."""
-        brackets = []
-        families_hit = set()
+        """Span of all commutators, with basis drawn from this basis and
+        picked in its coordinates.  This basis must be independent, so
+        that an entry of the table is the unique coordinate vector of its
+        bracket.  The candidates are the basis elements inside the span of
+        the entries, then the entries; the pivot columns of one rref of
+        the matrix whose columns they are keep each candidate independent
+        of those before it.  A kept entry is the raw bracket "[]"; the
+        families that a FunctionalConstant names come last."""
+        entries, families_hit = [], set()
         for (i, j), entry in self.structure_constants().items():
             if i > j:
                 continue
             if isinstance(entry, FunctionalConstant):
                 families_hit.add(entry.family)
             elif entry:
-                brackets.append(self._combine(entry))
-        chosen, parents = [], []
-        if brackets:
-            bvecs = [_vectorize(br) for br in brackets]
-            basevecs = [_vectorize(g) for g in self.basis]
-            span = rref(bvecs)
-            # basis elements inside the span first, then raw brackets
-            candidates = [(k, g, bv) for k, (g, bv)
-                          in enumerate(zip(self.basis, basevecs))
-                          if k not in families_hit
-                          and not reduce_row(span, bv)]
-            candidates += [(None, br.with_label("[%s]" % br.label), bv)
-                           for br, bv in zip(brackets, bvecs)]
-            picked_vecs = []
-            picked = {}
-            for k, g, bv in candidates:
-                if reduce_row(picked, bv):
-                    chosen.append(g)
-                    parents.append(k)
-                    picked_vecs.append(bv)
-                    picked = rref(picked_vecs)
-        for k in sorted(families_hit):
-            chosen.append(self.basis[k])
-            parents.append(k)
-        child = LieAlgebra(chosen)
-        index = {k: a for a, k in enumerate(parents) if k is not None}
-        child._inherited = {}
-        for (k, a), (l, b) in combinations(index.items(), 2):
-            entry = self._table[(k, l)]
-            if isinstance(entry, list) and all(m in index for m, _ in entry):
-                child._inherited[(a, b)] = sorted((index[m], c)
-                                                  for m, c in entry)
-        return child
+                entries.append(dict(entry))
+        span = rref(entries)
+        inside = [k for k in range(self.dim())
+                  if k not in families_hit and not reduce_row(span, {k: 1})]
+        candidates = [{k: 1} for k in inside] + entries
+        chosen = []
+        for c in sorted(rref(transpose(candidates).values())):
+            if c < len(inside):
+                chosen.append(self.basis[inside[c]])
+            else:
+                chosen.append(self._combine(
+                    entries[c - len(inside)].items()).with_label("[]"))
+        chosen += [self.basis[k] for k in sorted(families_hit)]
+        return LieAlgebra(chosen)
 
     def center(self) -> "LieAlgebra":
         """Maximal central subspace, by exact nullspace of the c-table."""
@@ -530,7 +507,8 @@ def automorphism_constraints(ctx: Context, table: dict):
 
 def megaideal_constraints(ctx: Context):
     """The automorphism conditions of the megaideal L'' = span{X3, X4, X5}
-    of L_rt, read from the structure constants of its second derived
-    algebra."""
-    Lpp = reciprocal_algebra(ctx).derived_algebra().derived_algebra()
-    return automorphism_constraints(ctx, Lpp.constant_table())
+    of L_rt, read from the structure constants of X3, X4, X5.  Criterion 2
+    derives L'' from L_rt and checks that it is X3, X4, X5, in this
+    order."""
+    return automorphism_constraints(
+        ctx, LieAlgebra(standard_basis(ctx)[2:5]).constant_table())

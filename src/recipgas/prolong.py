@@ -25,7 +25,7 @@ from .gasdyn import (CLOSEDNESS_NAMES, FIELDS, RESIDUAL_NAMES,
                      system_residuals, total_derivative)
 from .liealg import Generator, SingularMatrix, generator, standard_basis
 from .symkernel import Context, Expr
-from .symkernel.linalg import det2, nullspace, transpose
+from .symkernel.linalg import adj2, det2, mul2, nullspace, transpose
 
 
 def prolong(X: Generator) -> dict:
@@ -87,33 +87,28 @@ def equivalence_residuals(Xe: Generator) -> DeterminingSystem:
 
 
 def _flux_matrix(params: ConservationFormParams):
-    """The entries A1, B1, A2, B2 of gasdyn.flux_matrix and its
-    determinant Delta, which must not vanish."""
-    (A1, B1), (A2, B2) = phi = flux_matrix(params)
+    """gasdyn.flux_matrix Phi and its determinant Delta, which must not
+    vanish."""
+    phi = flux_matrix(params)
     delta = det2(phi)
     if delta.is_zero():
         raise SingularMatrix("flux coefficient matrix is singular")
-    return A1, B1, A2, B2, delta
+    return phi, delta
 
 
 def form_coeffs_from_invariance(ctx: Context, params: ConservationFormParams,
                                 zr: Expr, zu: Expr, zv: Expr, zp: Expr):
     """Unique 1-form slots making both conserved flux forms invariant.
 
-    Solves X(S1) = 0, X(S2) = 0 for the four form coefficients; the shared
-    denominator is Delta = det of the flux coefficient matrix.  Returns
-    (zeta_dx, zeta_dy) as OneForms.
+    X(S1) = 0, X(S2) = 0 read Phi m = -X(Phi) for the form matrix m, so
+    m = -adj(Phi) X(Phi) / Delta with Delta = det Phi.  Returns
+    (zeta_dx, zeta_dy) as OneForms, the rows of m.
     """
-    A1, B1, A2, B2, delta = _flux_matrix(params)
+    phi, delta = _flux_matrix(params)
     probe = generator(ctx, zr=zr, zu=zu, zv=zv, zp=zp)
-    XA1, XB1 = probe.apply(A1), probe.apply(B1)
-    XA2, XB2 = probe.apply(A2), probe.apply(B2)
-
-    x_dx = (-XA1 * B2 + XA2 * B1) / delta
-    x_dy = (-A1 * XA2 + A2 * XA1) / delta
-    y_dx = (-XB1 * B2 + XB2 * B1) / delta
-    y_dy = (-A1 * XB2 + A2 * XB1) / delta
-    return OneForm(x_dx, y_dx), OneForm(x_dy, y_dy)
+    xphi = tuple(tuple(probe.apply(e) for e in row) for row in phi)
+    return tuple(OneForm(*(-e / delta for e in row))
+                 for row in mul2(adj2(phi), xphi))
 
 
 def first_method_generator(ctx: Context, params: ConservationFormParams,
@@ -269,7 +264,7 @@ def solve_ansatz_first_method(ctx: Context, params: ConservationFormParams,
     zr, zu, zv, zs, form slots derived from invariance of the conserved
     forms.  Its solutions should be spanned by the two equivalence
     families at constant function slices."""
-    delta = _flux_matrix(params)[4]
+    delta = _flux_matrix(params)[1]
     return _solve_ansatz(
         ["zr", "zu", "zv", "zs"], _monomials(ctx, max_degree),
         lambda s, value: first_method_generator(ctx, params, **{s: value}),

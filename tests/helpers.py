@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 from recipgas.gasdyn import JETS, main_derivatives
+from recipgas.liealg import FunctionalConstant, _vectorize
 from recipgas.symkernel import Expr
+from recipgas.symkernel.linalg import reduce_row, rref
 from recipgas.symkernel.poly import pvar
 
 
@@ -20,6 +22,32 @@ def monomial(ctx, key) -> Expr:
     for name, exp in key:
         e = e * Expr.var(ctx, name) ** exp
     return e
+
+
+def derived_basis_by_vectors(L) -> list:
+    """The basis LieAlgebra.derived_algebra picks for L, picked instead in
+    the vector space of the generators' coefficients: the brackets of L's
+    table as generators; the basis elements inside their span, then the
+    raw brackets "[]", each kept when it is independent of those kept
+    before it (one rref per pick); then the families that a
+    FunctionalConstant names."""
+    brackets, families_hit = [], set()
+    for (i, j), entry in L.structure_constants().items():
+        if i > j:
+            continue
+        if isinstance(entry, FunctionalConstant):
+            families_hit.add(entry.family)
+        elif entry:
+            brackets.append(L._combine(entry).with_label("[]"))
+    span = rref([_vectorize(br) for br in brackets])
+    candidates = [g for k, g in enumerate(L.basis) if k not in families_hit
+                  and not reduce_row(span, _vectorize(g))] + brackets
+    chosen, picked = [], {}
+    for g in candidates:
+        if reduce_row(picked, _vectorize(g)):
+            chosen.append(g)
+            picked = rref([_vectorize(c) for c in chosen])
+    return chosen + [L.basis[k] for k in sorted(families_hit)]
 
 
 def parametric_jets(ctx, solve_for="x"):

@@ -120,7 +120,7 @@ def _nine_slot_method(ctx):
 
 def _first_method(ctx, q12=0):
     params = ConservationFormParams.make(ctx, 1, 1, q12, q12, 0, 0)
-    delta = _flux_matrix(params)[4]
+    delta = _flux_matrix(params)[1]
     make = lambda s, value: first_method_generator(ctx, params, **{s: value})
     return (("zr", "zu", "zv", "zs", "zp"), make,
             Expr.var(ctx, "u") ** 4 * delta ** 2, 2, 2)

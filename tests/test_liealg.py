@@ -18,7 +18,7 @@ from recipgas.symkernel import Expr, parse
 from recipgas.symkernel.poly import QQ
 from recipgas.transforms import verify_automorphism_solution
 
-from helpers import assert_witness_holds
+from helpers import assert_witness_holds, derived_basis_by_vectors
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +106,18 @@ def test_megaideal_constraints_commutator_count(ctx, monkeypatch):
 
     monkeypatch.setattr(liealg, "commutator", counted)
     megaideal_constraints(ctx)
-    # L' and L'' read every entry from their parent's table: only the 21
-    # brackets of L_rt are computed
-    assert len(calls) <= 21
+    # the table of X3, X4, X5 alone: criterion 2 derives L'' from L_rt
+    assert len(calls) == 3
+
+
+def test_megaideal_is_second_derived_algebra(ctx, basis):
+    Lpp = reciprocal_algebra(ctx).derived_algebra().derived_algebra()
+    assert Lpp.basis == basis[2:5]
+    assert [g.label for g in Lpp.basis] == ["X3", "X4", "X5"]
+    derived = automorphism_constraints(ctx, Lpp.constant_table())
+    cons = megaideal_constraints(ctx)
+    assert len(derived) == len(cons)
+    assert all(a == b for a, b in zip(derived, cons))
 
 
 def _fresh_table(L):
@@ -120,14 +129,32 @@ def test_derived_tables_match_fresh(ctx, basis):
     Lpp = Lp.derived_algebra()
     assert Lp.structure_constants() == _fresh_table(Lp)
     assert Lpp.structure_constants() == _fresh_table(Lpp)
-    x1, _, x3, x4, x5 = basis
-    for parent in ([x3 + x4, x4 - x5, x5], [x3 + x5, x4, x5],
-                   [x3, x4 + x5, x5 + x3],
-                   # [X3, X5] = -(X4+X1) + X1 over the parent: indices
-                   # outside the derived algebra [X3, X5, -X4]
-                   [x1, x4 + x1, x3, x5]):
+    for parent in _derived_parents(basis):
         D = LieAlgebra(parent).derived_algebra()
         assert D.structure_constants() == _fresh_table(D), parent
+
+
+def _derived_parents(basis):
+    x1, _, x3, x4, x5 = basis
+    return ([x3 + x4, x4 - x5, x5], [x3 + x5, x4, x5],
+            [x3, x4 + x5, x5 + x3], [x1, x4 + x1, x3, x5])
+
+
+def test_derived_pick_matches_vector_space_pick(ctx, basis):
+    x1, _, x3, x4, x5 = basis
+    Lrt = reciprocal_algebra(ctx)
+    xh, xf = Lrt.basis[5:]
+    parents = [Lrt.basis, Lrt.derived_algebra().basis,
+               *_derived_parents(basis), [x3 + x1, x4, x1],
+               # dependent bases: an entry is one coordinate vector of
+               # its bracket among several
+               [x3, x4, x5, x3 + x4], [x3.scale(2), x3, x4, x5],
+               [x1, x3, x4, x5, x1 + x3], [x4, x5, x3, xh, xf, x3 + x5]]
+    for parent in parents:
+        got = LieAlgebra(list(parent)).derived_algebra().basis
+        want = derived_basis_by_vectors(LieAlgebra(list(parent)))
+        assert [g.label for g in got] == [g.label for g in want], parent
+        assert got == want, parent
 
 
 def test_derived_table_of_raw_bracket(ctx, basis):
