@@ -6,16 +6,19 @@ closedness is probed by loop integrals; results are re-verified by central
 finite-difference residuals of the governing system on the primed grid.
 
 Everything works on arrays of points: a map's form matrix, fields and
-denominators are compiled once per map (symkernel.compile_exprs), a
-Simpson rule takes all its nodes in one evaluation, and Newton inversion
-runs on all target points at once.  Analytic flows therefore take numpy
-arrays in fields(x, y).
+denominators are each compiled on first use (symkernel.compile_exprs), so
+a caller compiles only what it evaluates; a Simpson rule takes all its
+nodes in one evaluation, and Newton inversion runs on all target points at
+once, each started from the grid node nearest in primed coordinates, found
+through a uniform grid of buckets in expected near-linear time.  Analytic
+flows therefore take numpy arrays in fields(x, y).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -210,14 +213,25 @@ def simpson_line(fn, a, b, n: int):
 class _MapEvaluator:
     """Float evaluation of a reciprocal map over an analytic flow at arrays
     of points; the form matrix, the fields and the component denominators
-    are each compiled once."""
+    are each compiled on first use."""
 
     def __init__(self, T: ReciprocalMap, flow):
+        self.T = T
         self.flow = flow
-        self._form = compile_exprs([T.f[0][0], T.f[0][1],
-                                    T.f[1][0], T.f[1][1]])
-        self._fields = compile_exprs([T.R, T.U, T.V, T.P, T.H])
-        self._dens = compile_exprs(T.denominators())
+
+    @cached_property
+    def _form(self):
+        f = self.T.f
+        return compile_exprs([f[0][0], f[0][1], f[1][0], f[1][1]])
+
+    @cached_property
+    def _fields(self):
+        T = self.T
+        return compile_exprs([T.R, T.U, T.V, T.P, T.H])
+
+    @cached_property
+    def _dens(self):
+        return compile_exprs(self.T.denominators())
 
     def _at(self, fn, x, y):
         """fn's values at the points (x, y), stacked on a new first axis."""
@@ -279,8 +293,145 @@ def primed_coordinates(sol: GridSolution, T: ReciprocalMap):
     return _MapEvaluator(T, sol.evaluator).coordinates(sol.grid)
 
 
-# targets times grid nodes per block of the nearest-node search
+# targets times grid nodes per block of the blocked nearest-node search
 _GUESS_BLOCK = 1 << 13
+# a search of at most this many targets times grid nodes runs blocked: on
+# a 2-core x86 host the bucket search overtook it between 289 and 441
+# targets on as many nodes
+_GUESS_BLOCKED = 1 << 17
+# targets per chunk of the bucket search
+_BUCKET_CHUNK = 1 << 12
+# the rounding slack of a bucket search, relative to the largest magnitude
+# of a node coordinate or of the target's
+_GUESS_SLACK = 1e-9
+
+
+def _nearest_blocked(xp, yp, xt, yt):
+    """Flat index of the node of (xp, yp) nearest each target (xt, yt), all
+    flat arrays, by comparing every target with every node in blocks of
+    _GUESS_BLOCK pairs; ties go to the lowest index (np.argmin)."""
+    best = np.empty(xt.size, dtype=np.intp)
+    rows = max(1, _GUESS_BLOCK // xp.size)
+    for s in range(0, xt.size, rows):
+        d = (xp - xt[s:s + rows, None]) ** 2 + \
+            (yp - yt[s:s + rows, None]) ** 2
+        best[s:s + rows] = np.argmin(d, axis=1)
+    return best
+
+
+def _ring(r):
+    """Offsets (di, dj) of the buckets at Chebyshev distance r, or within
+    distance 1 for r = 1."""
+    if r == 1:
+        k = np.arange(-1, 2)
+        return np.repeat(k, 3), np.tile(k, 3)
+    k = np.arange(-r, r + 1)
+    side = np.arange(-r + 1, r)
+    return (np.concatenate([k, k, np.full(side.size, -r),
+                            np.full(side.size, r)]),
+            np.concatenate([np.full(k.size, -r), np.full(k.size, r),
+                            side, side]))
+
+
+class _NodeBuckets:
+    """Nearest-node search over flat arrays of nodes (xp, yp), binned in a
+    uniform grid of square buckets over their bounding box, about one node
+    per bucket (Bentley, Weide and Yao, ACM TOMS 6(4), 1980).  The width
+    and the height of the nodes' bounding box must be finite and
+    nonzero."""
+
+    def __init__(self, xp, yp):
+        self.nodes = np.array([xp, yp])
+        self.lo = self.nodes.min(axis=1)
+        hi = self.nodes.max(axis=1)
+        extent = hi - self.lo
+        side = math.sqrt(extent[0]) * math.sqrt(extent[1]) / \
+            math.sqrt(xp.size)
+        self.shape = np.clip((extent / side).astype(np.intp), 1, xp.size)
+        self.step = extent / self.shape
+        self.scale = float(np.max(np.abs([self.lo, hi])))
+        bx, by = self._bucket(self.nodes)
+        flat = bx * self.shape[1] + by
+        self.order = np.argsort(flat, kind="stable")
+        self.count = np.bincount(flat, minlength=self.shape.prod())
+        self.start = np.cumsum(self.count) - self.count
+
+    def _bucket(self, pts):
+        """(x, y) bucket indices of the points, rows of pts, clipped to the
+        grid of buckets."""
+        b = np.floor((pts - self.lo[:, None]) / self.step[:, None])
+        return np.clip(b, 0, self.shape[:, None] - 1).astype(np.intp)
+
+    def nearest(self, xt, yt):
+        """Flat index of the node nearest each target of the flat finite
+        arrays (xt, yt), as _nearest_blocked finds it, or -1 where the
+        rings of buckets leave a target unresolved."""
+        pts = np.array([xt, yt])
+        best = np.empty(xt.size, dtype=np.intp)
+        for s in range(0, xt.size, _BUCKET_CHUNK):
+            best[s:s + _BUCKET_CHUNK] = self._chunk(
+                pts[:, s:s + _BUCKET_CHUNK])
+        return best
+
+    def _chunk(self, pts):
+        """nearest for the targets pts, rows x and y: rings of buckets
+        outward from each target's bucket until the best squared distance
+        found lies strictly inside the searched square, less a rounding
+        slack, or the square is about twice as wide as a square grid of
+        as many buckets.  On ties the lowest node index wins."""
+        nbx, nby = self.shape
+        size = self.nodes.shape[1]
+        bt = self._bucket(pts)
+        # each target's distances to the low x, low y, high x and high y
+        # edges of its bucket, and the number of buckets beyond each edge
+        low = pts - (self.lo[:, None] + bt * self.step[:, None])
+        edge = np.concatenate([low, self.step[:, None] - low])
+        beyond = np.concatenate([bt, self.shape[:, None] - 1 - bt])
+        step = np.concatenate([self.step, self.step])[:, None]
+        slack = _GUESS_SLACK * np.maximum(self.scale,
+                                          np.abs(pts).max(axis=0))
+        best_d = np.full(pts.shape[1], np.inf)
+        best = np.full(pts.shape[1], -1, dtype=np.intp)
+        todo = np.arange(pts.shape[1])
+        # beyond the square of about four times as many buckets as the
+        # grid holds, a target costs less in the blocked search
+        rings = min(max(nbx, nby), math.isqrt(int(nbx) * int(nby)) + 1)
+        for r in range(1, rings + 1):
+            di, dj = _ring(r)
+            i = bt[0, todo, None] + di
+            j = bt[1, todo, None] + dj
+            ic, jc = np.clip(i, 0, nbx - 1), np.clip(j, 0, nby - 1)
+            b = ic * nby + jc
+            # a bucket off the grid holds no node
+            n = np.where((ic == i) & (jc == j), self.count[b], 0)
+            per_target = n.sum(axis=1)
+            b, n = b.ravel(), n.ravel()
+            # one entry per (target, node) pair, grouped by target
+            owner = np.repeat(todo, per_target)
+            if owner.size:
+                node = self.order[np.repeat(self.start[b] - np.cumsum(n) + n,
+                                            n) + np.arange(owner.size)]
+                d = (self.nodes[0, node] - pts[0, owner]) ** 2 + \
+                    (self.nodes[1, node] - pts[1, owner]) ** 2
+                found = per_target > 0
+                seg = (np.cumsum(per_target) - per_target)[found]
+                who = todo[found]
+                dmin = np.minimum.reduceat(d, seg)
+                tied = d == np.repeat(dmin, per_target[found])
+                imin = np.minimum.reduceat(np.where(tied, node, size), seg)
+                better = (dmin < best_d[who]) | \
+                    ((dmin == best_d[who]) & (imin < best[who]))
+                best_d[who[better]] = dmin[better]
+                best[who[better]] = imin[better]
+            gap = np.where(beyond[:, todo] > r, edge[:, todo] + r * step,
+                           np.inf).min(axis=0)
+            room = gap - slack[todo]
+            done = (room > 0) & (best_d[todo] < room * room)
+            todo = todo[~done]
+            if not todo.size:
+                break
+        best[todo] = -1
+        return best
 
 
 class TransformedFlow:
@@ -296,16 +447,32 @@ class TransformedFlow:
         g = sol.grid
         self._xs, self._ys = g.xs(), g.ys()
 
+    @cached_property
+    def _buckets(self):
+        """The primed nodes in buckets, or None for a degenerate primed
+        grid: a width or height that is zero or not finite (a non-finite
+        coordinate gives one)."""
+        extent = np.array([np.ptp(self.xp), np.ptp(self.yp)])
+        if not (np.isfinite(extent).all() and extent.all()):
+            return None
+        return _NodeBuckets(self.xp.ravel(), self.yp.ravel())
+
     def _initial_guess(self, xt, yt):
         """For flat arrays of targets: the grid nodes nearest in primed
-        coordinates, as original coordinates and (i, j) indices."""
+        coordinates, as original coordinates and (i, j) indices.  The
+        bucket search serves a search of more than _GUESS_BLOCKED pairs on
+        a nondegenerate primed grid; the blocked search serves the rest
+        and the targets the buckets leave unresolved."""
         xp, yp = self.xp.ravel(), self.yp.ravel()
-        best = np.empty(xt.size, dtype=np.intp)
-        rows = max(1, _GUESS_BLOCK // xp.size)
-        for s in range(0, xt.size, rows):
-            d = (xp - xt[s:s + rows, None]) ** 2 + \
-                (yp - yt[s:s + rows, None]) ** 2
-            best[s:s + rows] = np.argmin(d, axis=1)
+        if xt.size * xp.size <= _GUESS_BLOCKED or self._buckets is None:
+            best = _nearest_blocked(xp, yp, xt, yt)
+        else:
+            best = np.full(xt.size, -1, dtype=np.intp)
+            finite = np.flatnonzero(np.isfinite(xt) & np.isfinite(yt))
+            best[finite] = self._buckets.nearest(xt[finite], yt[finite])
+            left = np.flatnonzero(best < 0)
+            if left.size:
+                best[left] = _nearest_blocked(xp, yp, xt[left], yt[left])
         i, j = np.unravel_index(best, self.xp.shape)
         return self._xs[i], self._ys[j], (i, j)
 

@@ -4,7 +4,8 @@ Infix `+ - * / ^` with integer literals (rationals are written a/b),
 identifiers `[A-Za-z_][A-Za-z0-9_]*`, function application `h(S)`, and
 derivative markers `h'(S)`.  A plain identifier must be a name declared
 in the Context; a function name need not be.  Whitespace is insignificant;
-errors carry line and column.
+errors carry line and column.  Parentheses, function applications and
+exponent towers nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ from .errors import DegreeOverflow, ParseError
 from .expr import Expr
 from .poly import MAX_DEGREE
 
+# the deepest nesting of parentheses, function applications and exponent
+# towers the parser takes; each level costs the recursive descent about
+# five Python frames, so deeper text raises ParseError before the
+# interpreter's recursion limit
+MAX_NESTING = 100
+
 
 class _Tokens:
     def __init__(self, text: str):
@@ -21,9 +28,16 @@ class _Tokens:
         self.pos = 0
         self.line = 1
         self.col = 1
+        self.depth = 0
 
     def error(self, msg):
         raise ParseError(msg, self.line, self.col)
+
+    def nest(self):
+        """Enter one more level of nesting; leave it with depth -= 1."""
+        if self.depth == MAX_NESTING:
+            self.error("nesting deeper than %d levels" % MAX_NESTING)
+        self.depth += 1
 
     def _advance(self, n):
         for ch in self.text[self.pos:self.pos + n]:
@@ -146,15 +160,19 @@ def _exponent(ctx, toks):
     while toks.take("-"):
         sign = -sign
     if toks.take("("):
+        toks.nest()
         n = _exponent(ctx, toks)
         toks.expect(")")
+        toks.depth -= 1
     else:
         ch = toks.peek()
         if not ch.isdigit():
             toks.error("integer exponent expected")
         n = toks.number()
     if toks.take("^"):
+        toks.nest()
         m = _exponent(ctx, toks)
+        toks.depth -= 1
         if m < 0:
             toks.error("negative exponent tower")
         # |n| >= 2 with m above the limit's bit length puts |n|^m beyond it
@@ -170,8 +188,10 @@ def _atom(ctx, toks):
     ch = toks.peek()
     if ch == "(":
         toks.take("(")
+        toks.nest()
         e = _expr(ctx, toks)
         toks.expect(")")
+        toks.depth -= 1
         return e
     if ch.isdigit():
         return Expr.const(ctx, toks.number())
@@ -180,10 +200,12 @@ def _atom(ctx, toks):
         name, primes = toks.ident()
         if toks.peek() == "(":
             toks.take("(")
+            toks.nest()
             args = [_expr(ctx, toks)]
             while toks.take(","):
                 args.append(_expr(ctx, toks))
             toks.expect(")")
+            toks.depth -= 1
             if primes and len(args) != 1:
                 toks.error("prime markers need a one-argument function")
             orders = (primes,) * 1 if len(args) == 1 else (0,) * len(args)

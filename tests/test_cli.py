@@ -528,6 +528,23 @@ def test_malformed_map_file_is_usage_error(capsys, tmp_path, record, key):
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("R", "(" * 3000 + "rho" + ")" * 3000),
+    ("R", "rho^" + "^".join(["1"] * 3000)),
+    ("H", "F(" * 600 + "S" + ")" * 600),
+])
+def test_deep_nesting_is_usage_error(capsys, tmp_path, key, value):
+    # each used to exit 3 with a RecursionError from the parser
+    record = {"R": "rho", "U": "u", "V": "v", "P": "p", "H": "S",
+              "form": [["1", "0"], ["0", "1"]], key: value}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(record))
+    assert main(["verify-map", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: map key %r: nesting deeper than" % key)
+    assert err.count("\n") == 1
+
+
 def test_witness_beyond_integer_string_limit(capsys, tmp_path):
     # the witness residual of rho -> rho^16384 has more digits than Python
     # converts to a string; the report approximates it and ends with the

@@ -152,14 +152,29 @@ def test_vortex_transform_second_order(ctx):
         assert v is not None and 3.5 <= v <= 4.5, (k, v)
 
 
-def test_ratio_study_compiles_map_once(ctx, monkeypatch):
-    # both grids sample one flow, so one evaluator serves both transforms
-    T = bateman(ctx, 1, 0, 1, 0, entropy="identity")
+def _entry_points(T):
     flow, grid = VortexFlow(w0=1, m=1), GridSpec(0.5, 0.3, 1 / 8, 1 / 8, 5, 5)
-    out1 = transform_solution(make_solution(flow, grid), T)
-    out2 = transform_solution(make_solution(flow, grid.refined()), T,
-                              target_grid=out1.grid.refined())
-    r1, r2 = fd_residuals(out1), fd_residuals(out2)
+    sol = make_solution(flow, grid)
+    return {
+        "loop_closedness":
+            lambda: loop_closedness(sol, T, grid.boundary_loop()),
+        "primed_coordinates": lambda: primed_coordinates(sol, T),
+        "transform_solution": lambda: transform_solution(sol, T),
+        "transform_convergence_ratios":
+            lambda: transform_convergence_ratios(flow, T, grid),
+    }
+
+
+# a map's float evaluators compile on first use: closedness needs the form
+# matrix, coordinates the denominators too, transforms the fields as well
+@pytest.mark.parametrize("entry, compiles", [
+    ("loop_closedness", 1),
+    ("primed_coordinates", 2),
+    ("transform_solution", 3),
+    ("transform_convergence_ratios", 3),
+])
+def test_compiles_per_entry_point(ctx, monkeypatch, entry, compiles):
+    T = bateman(ctx, 1, 0, 1, 0, entropy="identity")
     calls = []
     compile_exprs = numerics.compile_exprs
 
@@ -168,9 +183,19 @@ def test_ratio_study_compiles_map_once(ctx, monkeypatch):
         return compile_exprs(exprs)
 
     monkeypatch.setattr(numerics, "compile_exprs", counted)
+    _entry_points(T)[entry]()
+    assert len(calls) == compiles
+
+
+def test_ratio_study_shares_one_evaluator(ctx):
+    # both grids sample one flow, so one evaluator serves both transforms
+    T = bateman(ctx, 1, 0, 1, 0, entropy="identity")
+    flow, grid = VortexFlow(w0=1, m=1), GridSpec(0.5, 0.3, 1 / 8, 1 / 8, 5, 5)
+    out1 = transform_solution(make_solution(flow, grid), T)
+    out2 = transform_solution(make_solution(flow, grid.refined()), T,
+                              target_grid=out1.grid.refined())
+    r1, r2 = fd_residuals(out1), fd_residuals(out2)
     ratios = transform_convergence_ratios(flow, T, grid)
-    # one evaluator: the form matrix, the fields and the denominators
-    assert len(calls) == 3
     assert ratios == {k: r1[k] / r2[k] for k in r1}
 
 

@@ -6,6 +6,7 @@ from recipgas.gasdyn import standard_context
 from recipgas.symkernel import Expr, parse
 from recipgas.symkernel.errors import (DegreeOverflow, ParseError,
                                        UnknownVariable)
+from recipgas.symkernel.parser import MAX_NESTING
 from recipgas.symkernel.poly import QQ
 
 
@@ -86,6 +87,28 @@ def test_exponent_beyond_the_degree_limit(ctx):
             parse(ctx, text)
     assert str(parse(ctx, "x^32767")) == "x^32767"
     assert str(parse(ctx, "x^2^14")) == "x^16384"
+
+
+# text nested d levels deep: parentheses, function applications, an
+# exponent tower (its first ^ is no nesting), parenthesized exponents
+NESTED = {
+    "parentheses": lambda d: "(" * d + "rho" + ")" * d,
+    "applications": lambda d: "F(" * d + "u" + ")" * d,
+    "tower": lambda d: "^".join(["1"] * (d + 2)),
+    "exponents": lambda d: "u^" + "(" * d + "1" + ")" * d,
+}
+
+
+@pytest.mark.parametrize("kind", NESTED)
+def test_nesting_limit(ctx, kind):
+    # deeper text used to exhaust the recursion limit (RecursionError)
+    parse(ctx, NESTED[kind](MAX_NESTING))
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError,
+                           match="nesting deeper than %d" % MAX_NESTING):
+            parse(ctx, NESTED[kind](depth))
+    # the limit is on depth, not on the number of groups
+    parse(ctx, "+".join([NESTED[kind](MAX_NESTING)] * 3))
 
 
 def test_parse_division_by_zero(ctx):
