@@ -10,8 +10,9 @@ denominators are each compiled on first use (symkernel.compile_exprs), so
 a caller compiles only what it evaluates; a Simpson rule takes all its
 nodes in one evaluation, and Newton inversion runs on all target points at
 once, each started from the grid node nearest in primed coordinates, found
-through a uniform grid of buckets in expected near-linear time.  Analytic
-flows therefore take numpy arrays in fields(x, y).
+through a uniform grid of buckets in expected near-linear time, with its
+first residual read from that node's primed coordinates.  Analytic flows
+therefore take numpy arrays in fields(x, y).
 """
 
 from __future__ import annotations
@@ -491,16 +492,22 @@ class TransformedFlow:
         """Original coordinates of primed points (scalars or arrays that
         broadcast together) by Newton iteration, all points at once.  A
         point stops at the first iterate whose residual |rx| + |ry| is
-        below NEWTON_TOL."""
+        below NEWTON_TOL.  The first residual is read from the start's
+        primed node: _forward at a node gives its xp, yp bit for bit (its
+        paths have length zero, and xp is never -0.0, since the running
+        sums of coordinates start from +0.0)."""
         xt, yt = np.broadcast_arrays(np.asarray(xt, dtype=float),
                                      np.asarray(yt, dtype=float))
         shape = xt.shape
         xt, yt = xt.ravel(), yt.ravel()
         x, y, (ni, nj) = self._initial_guess(xt, yt)
         active = np.arange(xt.size)
-        for _ in range(NEWTON_MAX_ITER):
-            fx, fy = self._forward(x[active], y[active],
-                                   (ni[active], nj[active]))
+        # every point starts at a grid node, whose image is known
+        fx, fy = self.xp[ni, nj], self.yp[ni, nj]
+        for it in range(NEWTON_MAX_ITER):
+            if it:
+                fx, fy = self._forward(x[active], y[active],
+                                       (ni[active], nj[active]))
             rx, ry = fx - xt[active], fy - yt[active]
             going = ~(abs(rx) + abs(ry) < NEWTON_TOL)
             active, rx, ry = active[going], rx[going], ry[going]

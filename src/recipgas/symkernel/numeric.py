@@ -7,7 +7,8 @@ reads an input, tests a denominator and divides, so the same generator
 serves two number types:
 
 - compile_exprs: Python floats and, elementwise, numpy arrays, with the
-  same result bit for bit: each term is float(c) * x^e * ..., terms are
+  same result bit for bit: each term is float(c) * x^e * ..., written
+  x^e * ... or -x^e * ... where c is 1 or -1 (the same bits), terms are
   summed from 0.0 left to right in the polynomial's dict order, and a
   numerator is divided by its denominator unless that is 1.  A power x^e
   is the product (x^(e-1)) * x, formed once per function: numpy's power
@@ -38,7 +39,12 @@ FIXED_BITS = 256
 
 
 def _float(value):
-    if isinstance(value, (float, np.ndarray)):
+    """value as a float, or as an array of floats: an array of integers or
+    bools becomes float64, so that products of inputs are float products;
+    a floating array keeps its dtype."""
+    if isinstance(value, np.ndarray):
+        return value if value.dtype.kind == "f" else value.astype(float)
+    if isinstance(value, float):
         return value
     return float(value)
 
@@ -171,9 +177,13 @@ def _generate(exprs, numbers: _Numbers):
     def poly(target, p):
         terms = []
         for m, c in p.items():
-            factors = [numbers.constant(c, env)]
-            factors += [load(v, e) for v, e in mono_items(m)]
-            terms.append(" * ".join(factors))
+            factors = [load(v, e) for v, e in mono_items(m)]
+            if factors and c in (1, -1):
+                # 1.0 * x is x and -1.0 * x is -x, bit for bit
+                terms.append(("-" if c < 0 else "") + " * ".join(factors))
+            else:
+                terms.append(" * ".join([numbers.constant(c, env)]
+                                        + factors))
         head = zero
         for k in range(0, len(terms), _TERMS_PER_LINE):
             chunk = terms[k:k + _TERMS_PER_LINE]

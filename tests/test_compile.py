@@ -11,7 +11,7 @@ import pytest
 
 from recipgas.gasdyn import standard_context
 from recipgas.symkernel import (FIXED_BITS, Expr, compile_exprs,
-                                compile_exprs_fixed, parse)
+                                compile_exprs_fixed, numeric, parse)
 from recipgas.symkernel.errors import NumericDomain, UnboundSymbol
 from recipgas.transforms import (bateman, bateman_simplified, identity_map,
                                  involution_E1_reciprocal,
@@ -222,3 +222,123 @@ def test_fixed_evaluator_errors(ctx):
     assert third({"u": -one}) == [-(one // 3) - 1]
     neg = compile_exprs_fixed([parse(ctx, "-u^3/(p^2+1)")])
     assert neg({"u": one // 2, "p": -one // 2}) == [_scaled(Fraction(-1, 10))]
+
+
+def test_integer_arrays_evaluate_in_floats(ctx):
+    # integer and bool arrays are read as float64: an int64 product of two
+    # inputs of 2^40 would wrap
+    evaluate = compile_exprs([parse(ctx, e) for e in
+                              ("u*v", "u^2*v - p", "(u*v)/(p+1)", "-u")])
+    big = {"u": 2 ** 40, "v": 2 ** 40, "p": 3}
+    floats = evaluate({k: np.array([float(v)]) for k, v in big.items()})
+    for ints in ({k: np.array([v]) for k, v in big.items()},
+                 {k: np.array([v], dtype=np.int64) for k, v in big.items()}):
+        got = evaluate(ints)
+        assert [g.tobytes() for g in got] == [f.tobytes() for f in floats]
+    assert floats[0][0] == 2.0 ** 80
+    on = evaluate({"u": np.array([True]), "v": np.array([True]),
+                   "p": np.array([False])})
+    assert [float(g[0]) for g in on] == [1.0, 1.0, 1.0, -1.0]
+    # a float32 array keeps float32 arithmetic
+    u, v, p = (np.array([x], dtype=np.float32) for x in (1 / 3, 3.0, 0.1))
+    got = compile_exprs([parse(ctx, "u*v + 1/2*p")])({"u": u, "v": v,
+                                                      "p": p})[0]
+    assert got.dtype == np.float32
+    assert got.tobytes() == (0.0 + u * v + 0.5 * p).tobytes()
+
+
+def _generated_source(monkeypatch):
+    """The list that collects the source of each function generated while
+    the monkeypatch holds."""
+    sources = []
+
+    def spy(src, *args):
+        sources.append(src)
+        return compile(src, *args)
+
+    monkeypatch.setattr(numeric, "compile", spy, raising=False)
+    return sources
+
+
+def _with_unit_factors(src):
+    """src with every term of a sum that has no coefficient given one of
+    1.0 or -1.0, as the generator once wrote it."""
+    out = []
+    for line in src.splitlines():
+        target, eq, value = line.partition(" = ")
+        if eq and " + " in value:
+            head, *terms = value.split(" + ")
+            terms = ["-1.0 * " + t[1:] if t.startswith("-v") else
+                     "1.0 * " + t if t.startswith("v") else t
+                     for t in terms]
+            line = target + eq + " + ".join([head] + terms)
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+UNIT_EXPRS = ("u*v - u^2*p + 1/2*rho - 3*S + 1 - v",
+              "-u*v^2 + p",
+              "-u",
+              "(u*v - p^2)/(rho*S - u + 1)",
+              "-(3*u - v)/(u*v - 1/2*p)",
+              "(1/2*u + 3*v)/(-rho + S)")
+
+
+def test_unit_coefficients_are_signs(ctx, monkeypatch):
+    # a coefficient of +-1 is written as a sign, with the same bits as an
+    # explicit factor of 1.0 or -1.0, on scalars (signed zeros too) and on
+    # arrays
+    sources = _generated_source(monkeypatch)
+    exprs = [parse(ctx, e) for e in UNIT_EXPRS]
+    evaluate = compile_exprs(exprs)
+    src, = sources
+    assert not re.search(r"(?<![\d.])1\.0 \*", src), src
+    assert "-v" in src
+    env = {"_float": numeric._float, "_all": np.all,
+           "NumericDomain": NumericDomain}
+    exec(_with_unit_factors(src), env)
+    reference = env["_evaluate"]
+    assert re.search(r"(?<![\d.])1\.0 \*", _with_unit_factors(src))
+    rng = random.Random(20240803)
+    names = ("rho", "u", "v", "p", "S")
+    values = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e-170, -1e170]
+    points = [dict(zip(names, rng.choices(values, k=5))) for _ in range(200)]
+    points += [{n: rng.uniform(-4, 4) for n in names} for _ in range(200)]
+    # the generated function itself, which leaves overflows unraised
+    raw = numeric._generate(exprs, numeric._FLOATS)
+    kept = []
+    for point in points:
+        try:
+            want = [np.float64(w).tobytes() for w in reference(point)]
+        except NumericDomain:
+            continue
+        got = [np.float64(g).tobytes() for g in raw(point)]
+        assert got == want, point
+        kept.append(point)
+    assert len(kept) > 300
+    arrays = {n: np.array([p[n] for p in kept]) for n in names}
+    with np.errstate(all="ignore"):
+        got, want = raw(arrays), reference(arrays)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    point = {n: 0.25 * k for k, n in enumerate(names, 1)}
+    assert evaluate(point) == pytest.approx([float(e.eval_rational(
+        {n: Fraction(v) for n, v in point.items()})) for e in exprs],
+        rel=1e-15)
+
+
+def test_fixed_evaluator_at_unit_coefficients(ctx, monkeypatch):
+    sources = _generated_source(monkeypatch)
+    exprs = [parse(ctx, e) for e in UNIT_EXPRS]
+    evaluate = compile_exprs_fixed(exprs)
+    assert re.search(r"[+] -?v\d", sources[0]), sources[0]
+    rng = random.Random(20240804)
+    names = ("rho", "u", "v", "p", "S")
+    done = 0
+    while done < 50:
+        point = {n: Fraction(rng.randint(-128, 128), 64) for n in names}
+        if any(d.eval_rational(point) == 0 for e in exprs
+               for d in [e.as_numer_denom()[1]]):
+            continue
+        done += 1
+        got = evaluate({n: _scaled(v) for n, v in point.items()})
+        assert got == [_scaled(e.eval_rational(point)) for e in exprs], point

@@ -1,5 +1,7 @@
 """Grid sampling, finite-difference residuals, numeric transformation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from recipgas.numerics import (ConstantFlow, GridSpec, InvalidParams,
                                transform_solution)
 from recipgas.symkernel import NumericDomain, parse
 from recipgas.transforms import (bateman, bateman_simplified, identity_map,
-                                 invert, reciprocal_map)
+                                 involution_E1_reciprocal, invert,
+                                 reciprocal_map)
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +270,77 @@ def test_batched_inversion_matches_single_points(ctx):
         assert np.array_equal(got.ravel(), want)
 
 
+_FLOWS = {
+    "constant": (ConstantFlow(), GridSpec(0, 0, 1 / 8, 1 / 8, 9, 9)),
+    "shear": (ShearFlow.example(), GridSpec(0, 0, 1 / 8, 1 / 8, 9, 9)),
+    "vortex": (VortexFlow(w0=1, m=1), GridSpec(0.5, 0.3, 1 / 24, 1 / 24,
+                                               9, 9)),
+}
+_MAPS = {
+    "identity": lambda ctx: identity_map(ctx),
+    "bateman_simplified":
+        lambda ctx: bateman_simplified(ctx, entropy="identity"),
+    "bateman": lambda ctx: bateman(ctx, Fraction(1, 2), Fraction(1, 4), 1,
+                                   Fraction(1, 8), entropy="identity"),
+    "E1": lambda ctx: involution_E1_reciprocal(ctx),
+}
+
+
+def _newton_from_forward(tf, xt, yt):
+    """invert_point of flat targets with every residual from tf._forward,
+    the first at the start's node too."""
+    x, y, (ni, nj) = tf._initial_guess(xt, yt)
+    active = np.arange(xt.size)
+    for _ in range(numerics.NEWTON_MAX_ITER):
+        fx, fy = tf._forward(x[active], y[active], (ni[active], nj[active]))
+        rx, ry = fx - xt[active], fy - yt[active]
+        going = ~(abs(rx) + abs(ry) < numerics.NEWTON_TOL)
+        active, rx, ry = active[going], rx[going], ry[going]
+        if not active.size:
+            return x, y
+        j11, j12, j21, j22 = tf.ev.form_at(x[active], y[active])
+        det = j11 * j22 - j12 * j21
+        x[active] -= (j22 * rx - j12 * ry) / det
+        y[active] -= (-j21 * rx + j11 * ry) / det
+    raise NewtonDivergence("no convergence")
+
+
+@pytest.mark.parametrize("map_name", list(_MAPS))
+@pytest.mark.parametrize("flow_name", list(_FLOWS))
+def test_forward_at_nodes_is_the_primed_grid(ctx, monkeypatch, flow_name,
+                                             map_name):
+    # Newton's first residual is read from the start's primed node, which
+    # is the forward map there bit for bit
+    flow, grid = _FLOWS[flow_name]
+    tf = transform_solution(make_solution(flow, grid),
+                            _MAPS[map_name](ctx)).evaluator
+    I, J = (a.ravel() for a in np.indices(tf.xp.shape))
+    fx, fy = tf._forward(grid.xs()[I], grid.ys()[J], (I, J))
+    assert fx.tobytes() == tf.xp.ravel().tobytes()
+    assert fy.tobytes() == tf.yp.ravel().tobytes()
+
+    # targets between the nodes invert as with the forward map at the
+    # start: the same iterates bit for bit
+    rng = np.random.default_rng(11)
+    k = rng.integers(0, tf.xp.size - 1, 20)
+    t = rng.uniform(0, 1, 20)
+    xt = tf.xp.ravel()[k] * (1 - t) + tf.xp.ravel()[k + 1] * t
+    yt = tf.yp.ravel()[k] * (1 - t) + tf.yp.ravel()[k + 1] * t
+    got = tf.invert_point(xt, yt)
+    want = _newton_from_forward(tf, xt, yt)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+    def no_forward(*args):
+        raise AssertionError("_forward called at a primed node")
+
+    # the primed nodes invert to the grid nodes with no forward map
+    monkeypatch.setattr(tf, "_forward", no_forward)
+    x, y = tf.invert_point(tf.xp, tf.yp)
+    X, Y = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
+    assert np.array_equal(x, X) and np.array_equal(y, Y)
+
+
 def test_newton_iteration_limit(ctx, monkeypatch):
     T = bateman(ctx, 1, 0, 1, 0, entropy="identity")
     sol = make_solution(VortexFlow(w0=1, m=1),
@@ -274,6 +348,10 @@ def test_newton_iteration_limit(ctx, monkeypatch):
     tf = transform_solution(sol, T).evaluator
     xp, yp = tf.xp, tf.yp
     monkeypatch.setattr(numerics, "NEWTON_MAX_ITER", 1)
+    # one iteration takes the residual at the start's node and one step,
+    # and stops only where that residual is below NEWTON_TOL
     with pytest.raises(NewtonDivergence):
         tf.invert_point(0.5 * (xp[0, 0] + xp[1, 1]),
                         0.5 * (yp[0, 0] + yp[1, 1]))
+    assert tf.invert_point(xp[1, 1], yp[1, 1]) == (sol.grid.xs()[1],
+                                                   sol.grid.ys()[1])
