@@ -83,9 +83,9 @@ def _catalog_map(ctx, args, **defaults):
 
 
 # the largest grid side of transform and closedness, and the largest ansatz
-# degree of solve-ansatz: on a 2-core x86 host transform takes about 14 s
+# degree of solve-ansatz: on a 2-core x86 host transform takes about 11 s
 # at 561 nodes (the vortex under bateman(1/2, 1/4, 1, 1/8), whose Newton
-# inversion stops without convergence; about 1 s for identity) and
+# inversion stops without convergence; about 0.8 s for identity) and
 # solve-ansatz about 2 s at degree 12
 MAX_NODES = 561
 MAX_DEGREE = 12

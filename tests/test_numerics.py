@@ -277,12 +277,12 @@ _FLOWS = {
                                                9, 9)),
 }
 _MAPS = {
-    "identity": lambda ctx: identity_map(ctx),
+    "identity": identity_map,
     "bateman_simplified":
         lambda ctx: bateman_simplified(ctx, entropy="identity"),
     "bateman": lambda ctx: bateman(ctx, Fraction(1, 2), Fraction(1, 4), 1,
                                    Fraction(1, 8), entropy="identity"),
-    "E1": lambda ctx: involution_E1_reciprocal(ctx),
+    "E1": involution_E1_reciprocal,
 }
 
 
