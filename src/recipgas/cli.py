@@ -25,8 +25,8 @@ from .prolong import determining_residuals
 from .reports import Report
 from .symkernel import Expr, parse
 from .symkernel.errors import InvalidParams, SymkernelError
-from .transforms import (OneParamFamily, catalog, decompose, load_map,
-                         pushforward, pushforward_matrix,
+from .transforms import (OneParamFamily, ReciprocalMap, catalog, decompose,
+                         load_map, pushforward, pushforward_matrix,
                          verify_automorphism_solution, verify_flow,
                          verify_point_symmetry, verify_reciprocal)
 from .transforms.catalog import entries, parameters
@@ -266,7 +266,7 @@ def _flow_grid(args):
 def cmd_transform(args) -> int:
     ctx = standard_context()
     # entries that take an entropy map transform flows by the identity one
-    T = _catalog_map(ctx, args, floats=True, entropy="identity")
+    T = _entry(ctx, args, floats=True, entropy="identity")
     sol = make_solution(_flow(args), _flow_grid(args))
     out = transform_solution(sol, T)
     res = fd_residuals(out)
@@ -282,7 +282,7 @@ def cmd_transform(args) -> int:
 
 def cmd_closedness(args) -> int:
     ctx = standard_context()
-    T = _catalog_map(ctx, args, floats=True, entropy="identity")
+    T = _entry(ctx, args, floats=True, entropy="identity")
     grid = _flow_grid(args)
     sol = make_solution(_flow(args), grid)
     val = loop_closedness(sol, T, grid.boundary_loop())
@@ -386,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("transform", help="transform an exact solution numerically")
     p.add_argument("--flow", default="shear",
                    choices=("constant", "shear", "vortex"))
-    _add_entry(p, "--catalog", "bateman_simplified")
+    _add_entry(p, "--catalog", "bateman_simplified", ReciprocalMap)
     p.add_argument("--nodes", type=_between(3, MAX_NODES), default=17)
     p.set_defaults(fn=cmd_transform)
 
     p = add("closedness", help="loop integrals of dx', dy'")
     p.add_argument("--flow", default="shear",
                    choices=("constant", "shear", "vortex"))
-    _add_entry(p, "--catalog", "bateman_simplified")
+    _add_entry(p, "--catalog", "bateman_simplified", ReciprocalMap)
     p.add_argument("--nodes", type=_between(3, MAX_NODES), default=17)
     p.add_argument("--tol", type=_tolerance, default=accept.LOOP_TOL)
     p.set_defaults(fn=cmd_closedness)

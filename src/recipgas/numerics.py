@@ -10,8 +10,9 @@ denominators are each compiled on first use (symkernel.compile_exprs), so
 a caller compiles only what it evaluates; a Simpson rule takes all its
 nodes in one evaluation, and Newton inversion runs on all target points at
 once, each started from the grid node nearest in primed coordinates, found
-through a uniform grid of buckets in expected near-linear time, with its
-first residual read from that node's primed coordinates.  Analytic flows
+by comparing with every node in a small search and through a uniform grid
+of buckets, in expected near-linear time, in a large one, with its first
+residual read from that node's primed coordinates.  Analytic flows
 therefore take numpy arrays in fields(x, y).
 """
 
@@ -337,9 +338,9 @@ def _ring(r):
 class _NodeBuckets:
     """Nearest-node search over flat arrays of nodes (xp, yp), binned in a
     uniform grid of square buckets over their bounding box, about one node
-    per bucket (Bentley, Weide and Yao, ACM TOMS 6(4), 1980).  The width
-    and the height of the nodes' bounding box must be finite and
-    nonzero."""
+    per bucket and at most 2*isqrt(n) + 1 buckets along an axis for n
+    nodes (Bentley, Weide and Yao, ACM TOMS 6(4), 1980).  The width and
+    the height of the nodes' bounding box must be finite and nonzero."""
 
     def __init__(self, xp, yp):
         self.nodes = np.array([xp, yp])
@@ -348,7 +349,8 @@ class _NodeBuckets:
         extent = hi - self.lo
         side = math.sqrt(extent[0]) * math.sqrt(extent[1]) / \
             math.sqrt(xp.size)
-        self.shape = np.clip((extent / side).astype(np.intp), 1, xp.size)
+        self.shape = np.clip((extent / side).astype(np.intp), 1,
+                             2 * math.isqrt(xp.size) + 1)
         self.step = extent / self.shape
         self.scale = float(np.max(np.abs([self.lo, hi])))
         bx, by = self._bucket(self.nodes)
@@ -365,8 +367,7 @@ class _NodeBuckets:
 
     def nearest(self, xt, yt):
         """Flat index of the node nearest each target of the flat finite
-        arrays (xt, yt), as _nearest_blocked finds it, or -1 where the
-        rings of buckets leave a target unresolved."""
+        arrays (xt, yt), as _nearest_blocked finds it."""
         pts = np.array([xt, yt])
         best = np.empty(xt.size, dtype=np.intp)
         for s in range(0, xt.size, _BUCKET_CHUNK):
@@ -378,8 +379,9 @@ class _NodeBuckets:
         """nearest for the targets pts, rows x and y: rings of buckets
         outward from each target's bucket until the best squared distance
         found lies strictly inside the searched square, less a rounding
-        slack, or the square is about twice as wide as a square grid of
-        as many buckets.  On ties the lowest node index wins."""
+        slack; a square past every edge of the grid of buckets, reached
+        within max(shape) rings, holds every node.  On ties the lowest
+        node index wins."""
         nbx, nby = self.shape
         size = self.nodes.shape[1]
         bt = self._bucket(pts)
@@ -392,12 +394,9 @@ class _NodeBuckets:
         slack = _GUESS_SLACK * np.maximum(self.scale,
                                           np.abs(pts).max(axis=0))
         best_d = np.full(pts.shape[1], np.inf)
-        best = np.full(pts.shape[1], -1, dtype=np.intp)
+        best = np.full(pts.shape[1], size, dtype=np.intp)
         todo = np.arange(pts.shape[1])
-        # beyond the square of about four times as many buckets as the
-        # grid holds, a target costs less in the blocked search
-        rings = min(max(nbx, nby), math.isqrt(int(nbx) * int(nby)) + 1)
-        for r in range(1, rings + 1):
+        for r in range(1, max(nbx, nby) + 1):
             di, dj = _ring(r)
             i = bt[0, todo, None] + di
             j = bt[1, todo, None] + dj
@@ -431,7 +430,6 @@ class _NodeBuckets:
             todo = todo[~done]
             if not todo.size:
                 break
-        best[todo] = -1
         return best
 
 
@@ -439,9 +437,14 @@ class TransformedFlow:
     """Analytic evaluator for the transformed solution: fields at primed
     points come from Newton inversion of the coordinate map through the
     original analytic flow; ev is the map's evaluator over sol's flow and
-    xp, yp its primed coordinates of sol's grid."""
+    xp, yp its primed coordinates of sol's grid, whose width and height
+    must be finite and nonzero."""
 
     def __init__(self, sol: GridSolution, ev: _MapEvaluator, xp, yp):
+        # isfinite first: np.ptp of a non-finite coordinate warns
+        if not (np.isfinite(xp).all() and np.isfinite(yp).all()
+                and np.ptp(xp) and np.ptp(yp)):
+            raise NumericDomain("primed grid has no area")
         self.ev = ev
         self.xp = xp
         self.yp = yp
@@ -450,30 +453,19 @@ class TransformedFlow:
 
     @cached_property
     def _buckets(self):
-        """The primed nodes in buckets, or None for a degenerate primed
-        grid: a width or height that is zero or not finite (a non-finite
-        coordinate gives one)."""
-        extent = np.array([np.ptp(self.xp), np.ptp(self.yp)])
-        if not (np.isfinite(extent).all() and extent.all()):
-            return None
+        """The primed nodes in buckets."""
         return _NodeBuckets(self.xp.ravel(), self.yp.ravel())
 
     def _initial_guess(self, xt, yt):
-        """For flat arrays of targets: the grid nodes nearest in primed
-        coordinates, as original coordinates and (i, j) indices.  The
-        bucket search serves a search of more than _GUESS_BLOCKED pairs on
-        a nondegenerate primed grid; the blocked search serves the rest
-        and the targets the buckets leave unresolved."""
+        """For flat arrays of finite targets: the grid nodes nearest in
+        primed coordinates, as original coordinates and (i, j) indices.  A
+        search of at most _GUESS_BLOCKED pairs runs blocked, a larger one
+        through the buckets."""
         xp, yp = self.xp.ravel(), self.yp.ravel()
-        if xt.size * xp.size <= _GUESS_BLOCKED or self._buckets is None:
+        if xt.size * xp.size <= _GUESS_BLOCKED:
             best = _nearest_blocked(xp, yp, xt, yt)
         else:
-            best = np.full(xt.size, -1, dtype=np.intp)
-            finite = np.flatnonzero(np.isfinite(xt) & np.isfinite(yt))
-            best[finite] = self._buckets.nearest(xt[finite], yt[finite])
-            left = np.flatnonzero(best < 0)
-            if left.size:
-                best[left] = _nearest_blocked(xp, yp, xt[left], yt[left])
+            best = self._buckets.nearest(xt, yt)
         i, j = np.unravel_index(best, self.xp.shape)
         return self._xs[i], self._ys[j], (i, j)
 
@@ -500,6 +492,8 @@ class TransformedFlow:
                                      np.asarray(yt, dtype=float))
         shape = xt.shape
         xt, yt = xt.ravel(), yt.ravel()
+        if not (np.isfinite(xt).all() and np.isfinite(yt).all()):
+            raise NumericDomain("primed point is not finite")
         x, y, (ni, nj) = self._initial_guess(xt, yt)
         active = np.arange(xt.size)
         # every point starts at a grid node, whose image is known
@@ -558,7 +552,6 @@ def _transform(sol: GridSolution, ev: _MapEvaluator, margin_cells: int,
     map's evaluator over sol's flow."""
     g = sol.grid
     xp, yp = ev.coordinates(g)
-    tf = TransformedFlow(sol, ev, xp, yp)
     if target_grid is not None:
         pg = target_grid
     else:
@@ -578,7 +571,7 @@ def _transform(sol: GridSolution, ev: _MapEvaluator, margin_cells: int,
         hyp = (hiy - loy) / (g.ny - 1)
         pg = GridSpec(float(lox), float(loy), float(hxp), float(hyp),
                       g.nx, g.ny)
-    return make_solution(tf, pg)
+    return make_solution(TransformedFlow(sol, ev, xp, yp), pg)
 
 
 def transform_convergence_ratios(flow, T: ReciprocalMap,

@@ -15,7 +15,7 @@ from recipgas.gasdyn import standard_context
 from recipgas.liealg import generator_from_dict
 from recipgas.prolong import determining_residuals
 from recipgas.reports import Report
-from recipgas.transforms import verify
+from recipgas.transforms import OneParamFamily, ReciprocalMap, verify
 from recipgas.transforms.catalog import entries
 from recipgas.transforms.verify import residual_report
 
@@ -393,6 +393,21 @@ def test_bad_catalog_requests_are_usage_errors(capsys, argv):
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["transform", "closedness"])
+@pytest.mark.parametrize("family", entries(OneParamFamily))
+def test_numeric_commands_take_only_maps(capsys, command, family):
+    # a family's map keeps eps free, and the float evaluators need a value
+    # for every symbol: help lists only maps, and a family is refused for
+    # its kind
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert family not in capsys.readouterr().out
+    assert main([command, "--catalog", family]) == 2
+    assert capsys.readouterr().err == \
+        "error: %s is of kind OneParamFamily, need ReciprocalMap: %s\n" % (
+            family, ", ".join(entries(ReciprocalMap)))
 
 
 @pytest.mark.parametrize("argv,value", [

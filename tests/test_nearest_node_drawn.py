@@ -1,17 +1,21 @@
 """The Newton start of a transformed flow against the blocked search.
 
 TransformedFlow._initial_guess picks, for each primed target, the grid
-node nearest in primed coordinates, the lowest flat index on ties; larger
-searches go through buckets of the primed nodes.  The drawn primed grids
-are smooth images of uniform grids, grids of mirror-symmetric nodes with
-targets at exact distance ties, and degenerate or thin grids (zero width
-or height, a non-finite coordinate, a height a millionth of the width).  The chosen indices must equal those of
-the blocked search over every node.  Every drawn search on a
-nondegenerate grid goes through the buckets, whatever its size, and each
-draw also picks the number of targets per chunk of the bucket search, so
-that several chunks run.
+node nearest in primed coordinates, the lowest flat index on ties: a
+search of at most _GUESS_BLOCKED target-node pairs compares every target
+with every node (_nearest_blocked), a larger one goes through buckets of
+the primed nodes (_NodeBuckets).  The drawn primed grids are smooth
+images of uniform grids, grids of mirror-symmetric nodes with targets at
+exact distance ties, and thin grids (a height a millionth of the width).
+On each, whatever its size, the bucket search must choose the indices of
+the blocked search over every node.  Each draw also picks the number of
+targets per chunk of the bucket search, so that several chunks run.
+
+A primed grid without area (a zero or non-finite width or height) and a
+non-finite target are refused with NumericDomain.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -20,6 +24,7 @@ import pytest
 from recipgas import numerics
 from recipgas.numerics import (ConstantFlow, GridSpec, TransformedFlow,
                                make_solution)
+from recipgas.symkernel.errors import NumericDomain
 
 pytest.importorskip("hypothesis")
 
@@ -28,16 +33,17 @@ from hypothesis import strategies as st  # noqa: E402
 
 
 def assert_start_is_nearest(xp, yp, xt, yt, chunk):
+    xp, yp = xp.ravel(), yp.ravel()
+    with mock.patch.object(numerics, "_BUCKET_CHUNK", chunk):
+        got = numerics._NodeBuckets(xp, yp).nearest(xt, yt)
+    assert np.array_equal(got, numerics._nearest_blocked(xp, yp, xt, yt))
+
+
+def transformed_flow(xp, yp):
     nx, ny = xp.shape
     sol = make_solution(ConstantFlow(), GridSpec(0.0, 0.0, 1.0, 1.0, nx, ny))
-    # the nearest-node search reads no map: no evaluator
-    tf = TransformedFlow(sol, None, xp, yp)
-    with mock.patch.object(numerics, "_GUESS_BLOCKED", 0), \
-            mock.patch.object(numerics, "_BUCKET_CHUNK", chunk):
-        _, _, (i, j) = tf._initial_guess(xt, yt)
-    flat = numerics._nearest_blocked(xp.ravel(), yp.ravel(), xt, yt)
-    want_i, want_j = np.unravel_index(flat, xp.shape)
-    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    # neither the search nor the refusals read the map: no evaluator
+    return TransformedFlow(sol, None, xp, yp)
 
 
 sizes = st.integers(4, 40)
@@ -46,15 +52,14 @@ coefficients = st.floats(-2, 2)
 
 
 def _targets(rng, xp, yp, count):
-    """count targets over the bounding box of the finite primed nodes and
-    a margin around it, the first few at nodes and far outside."""
+    """count targets over the bounding box of the primed nodes and a margin
+    around it, the first few at nodes and far outside."""
     nodes = np.column_stack([xp.ravel(), yp.ravel()])
-    finite = nodes[np.isfinite(nodes).all(axis=1)]
-    lo, hi = finite.min(axis=0), finite.max(axis=0)
+    lo, hi = nodes.min(axis=0), nodes.max(axis=0)
     pad = np.maximum(hi - lo, 1.0) / 4
     pts = rng.uniform(lo - pad, hi + pad, (count, 2))
     k = min(count, 4)
-    pts[:k] = finite[rng.integers(0, len(finite), k)]
+    pts[:k] = nodes[rng.integers(0, len(nodes), k)]
     if count > 6:
         pts[5] = hi + 50 * (hi - lo + 1)
         pts[6] = lo - 50 * (hi - lo + 1)
@@ -98,12 +103,38 @@ def test_start_breaks_exact_ties_to_the_lowest_index(m, n, scale, mirror,
     assert_start_is_nearest(xp, yp, xt, yt, chunk)
 
 
+@given(nx=sizes, ny=sizes, count=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 32 - 1), chunk=chunks)
+def test_start_on_thin_grids(nx, ny, count, seed, chunk):
+    # a row of buckets: far targets search to the ends of the row
+    rng = np.random.default_rng(seed)
+    xp = rng.uniform(-1, 1, (nx, ny))
+    yp = rng.uniform(-1, 1, (nx, ny)) * 1e-6
+    xt, yt = _targets(rng, xp, yp, count)
+    assert_start_is_nearest(xp, yp, xt, yt, chunk)
+
+
+def test_rings_stop_within_the_grid_of_buckets():
+    # a 129 x 129 grid squashed to a height of 1e-4, one row of buckets,
+    # and two targets far off it: every bucket must be searched, and the
+    # capped row of buckets is searched in at most max(shape) rings
+    X, Y = np.meshgrid(np.linspace(0, 1, 129), np.linspace(0, 1e-4, 129),
+                       indexing="ij")
+    xp, yp = X.ravel(), Y.ravel()
+    xt, yt = np.array([0.5, -3.0]), np.array([40.0, -25.0])
+    buckets = numerics._NodeBuckets(xp, yp)
+    assert buckets.shape[1] == 1
+    assert buckets.shape[0] <= 2 * math.isqrt(xp.size) + 1
+    with mock.patch.object(numerics, "_ring", wraps=numerics._ring) as ring:
+        got = buckets.nearest(xt, yt)
+    assert np.array_equal(got, numerics._nearest_blocked(xp, yp, xt, yt))
+    assert ring.call_count <= max(buckets.shape)
+
+
 @given(nx=sizes, ny=sizes,
-       kind=st.sampled_from(["width", "height", "thin", "nan", "inf",
-                             "target", "targets"]),
-       count=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
-       chunk=chunks)
-def test_start_on_degenerate_and_thin_grids(nx, ny, kind, count, seed, chunk):
+       kind=st.sampled_from(["width", "height", "nan", "inf", "-inf"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_primed_grid_without_area_is_refused(nx, ny, kind, seed):
     rng = np.random.default_rng(seed)
     xp = rng.uniform(-1, 1, (nx, ny))
     yp = rng.uniform(-1, 1, (nx, ny))
@@ -111,16 +142,24 @@ def test_start_on_degenerate_and_thin_grids(nx, ny, kind, count, seed, chunk):
         xp[:] = 0.25
     elif kind == "height":
         yp[:] = -3.0
-    elif kind == "thin":
-        # a row of buckets: far targets outgrow the rings
-        yp *= 1e-6
-    elif kind in ("nan", "inf"):
-        xp[rng.integers(nx), rng.integers(ny)] = float(kind)
+    else:
+        (xp, yp)[rng.integers(2)][rng.integers(nx), rng.integers(ny)] = \
+            float(kind)
+    with pytest.raises(NumericDomain, match="primed grid has no area"):
+        transformed_flow(xp, yp)
+
+
+@given(nx=sizes, ny=sizes, kind=st.sampled_from(["target", "targets"]),
+       count=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_non_finite_target_is_refused(nx, ny, kind, count, seed):
+    rng = np.random.default_rng(seed)
+    xp = rng.uniform(-1, 1, (nx, ny))
+    yp = rng.uniform(-1, 1, (nx, ny))
     xt, yt = _targets(rng, xp, yp, count)
     if kind == "target":
-        # non-finite targets leave the buckets for the blocked search
-        xt[rng.integers(count)] = np.nan
-        yt[rng.integers(count)] = np.inf
-    elif kind == "targets":
+        (xt, yt)[rng.integers(2)][rng.integers(count)] = \
+            rng.choice([np.nan, np.inf, -np.inf])
+    else:
         xt[:] = np.nan
-    assert_start_is_nearest(xp, yp, xt, yt, chunk)
+    with pytest.raises(NumericDomain, match="primed point is not finite"):
+        transformed_flow(xp, yp).invert_point(xt, yt)
