@@ -83,10 +83,10 @@ def _catalog_map(ctx, args, **defaults):
 
 
 # the largest grid side of transform and closedness, and the largest ansatz
-# degree of solve-ansatz: on a 2-core x86 host transform takes about 11 s
-# at 561 nodes (the vortex under bateman(1/2, 1/4, 1, 1/8), whose Newton
-# inversion stops without convergence; about 0.8 s for identity) and
-# solve-ansatz about 2 s at degree 12
+# degree of solve-ansatz: on a 2-core x86 host transform takes 0.6-1.2 s
+# at 561 nodes (at most about 335 MB, for the vortex under bateman(1/2,
+# 1/4, 1, 1/8), whose Newton inversion stops without convergence) and
+# solve-ansatz about 1.5 s at degree 12
 MAX_NODES = 561
 MAX_DEGREE = 12
 

@@ -8,12 +8,12 @@ finite-difference residuals of the governing system on the primed grid.
 Everything works on arrays of points: a map's form matrix, fields and
 denominators are each compiled on first use (symkernel.compile_exprs), so
 a caller compiles only what it evaluates; a Simpson rule takes all its
-nodes in one evaluation, and Newton inversion runs on all target points at
-once, each started from the grid node nearest in primed coordinates, found
-by comparing with every node in a small search and through a uniform grid
-of buckets, in expected near-linear time, in a large one, with its first
-residual read from that node's primed coordinates.  Analytic flows
-therefore take numpy arrays in fields(x, y).
+nodes in one evaluation, and Newton inversion runs on _INVERT_CHUNK
+target points at once, each started from the grid node nearest in primed
+coordinates, found by comparing with every node in a small search and
+through a uniform grid of buckets, in expected near-linear time, in a
+large one, with its first residual read from that node's primed
+coordinates.  Analytic flows therefore take numpy arrays in fields(x, y).
 """
 
 from __future__ import annotations
@@ -301,8 +301,8 @@ _GUESS_BLOCK = 1 << 13
 # a 2-core x86 host the bucket search overtook it between 289 and 441
 # targets on as many nodes
 _GUESS_BLOCKED = 1 << 17
-# targets per chunk of the bucket search
-_BUCKET_CHUNK = 1 << 12
+# targets per chunk of the Newton inversion, start search included
+_INVERT_CHUNK = 1 << 12
 # the rounding slack of a bucket search, relative to the largest magnitude
 # of a node coordinate or of the target's
 _GUESS_SLACK = 1e-9
@@ -367,21 +367,13 @@ class _NodeBuckets:
 
     def nearest(self, xt, yt):
         """Flat index of the node nearest each target of the flat finite
-        arrays (xt, yt), as _nearest_blocked finds it."""
-        pts = np.array([xt, yt])
-        best = np.empty(xt.size, dtype=np.intp)
-        for s in range(0, xt.size, _BUCKET_CHUNK):
-            best[s:s + _BUCKET_CHUNK] = self._chunk(
-                pts[:, s:s + _BUCKET_CHUNK])
-        return best
-
-    def _chunk(self, pts):
-        """nearest for the targets pts, rows x and y: rings of buckets
+        arrays (xt, yt), as _nearest_blocked finds it: rings of buckets
         outward from each target's bucket until the best squared distance
         found lies strictly inside the searched square, less a rounding
         slack; a square past every edge of the grid of buckets, reached
         within max(shape) rings, holds every node.  On ties the lowest
         node index wins."""
+        pts = np.array([xt, yt])
         nbx, nby = self.shape
         size = self.nodes.shape[1]
         bt = self._bucket(pts)
@@ -482,18 +474,29 @@ class TransformedFlow:
 
     def invert_point(self, xt, yt):
         """Original coordinates of primed points (scalars or arrays that
-        broadcast together) by Newton iteration, all points at once.  A
-        point stops at the first iterate whose residual |rx| + |ry| is
-        below NEWTON_TOL.  The first residual is read from the start's
-        primed node: _forward at a node gives its xp, yp bit for bit (its
-        paths have length zero, and xp is never -0.0, since the running
-        sums of coordinates start from +0.0)."""
+        broadcast together) by Newton iteration, _INVERT_CHUNK points at
+        a time (_newton).  A failing inversion reports the first failure
+        of the first chunk that fails."""
         xt, yt = np.broadcast_arrays(np.asarray(xt, dtype=float),
                                      np.asarray(yt, dtype=float))
         shape = xt.shape
         xt, yt = xt.ravel(), yt.ravel()
         if not (np.isfinite(xt).all() and np.isfinite(yt).all()):
             raise NumericDomain("primed point is not finite")
+        x, y = np.empty(xt.size), np.empty(xt.size)
+        for s in range(0, xt.size, _INVERT_CHUNK):
+            part = slice(s, s + _INVERT_CHUNK)
+            x[part], y[part] = self._newton(xt[part], yt[part])
+        # [()] turns a 0-d result into a scalar
+        return x.reshape(shape)[()], y.reshape(shape)[()]
+
+    def _newton(self, xt, yt):
+        """Newton iteration for flat arrays of finite targets, all at once.
+        A point stops at the first iterate whose residual |rx| + |ry| is
+        below NEWTON_TOL.  The first residual is read from the start's
+        primed node: _forward at a node gives its xp, yp bit for bit (its
+        paths have length zero, and xp is never -0.0, since the running
+        sums of coordinates start from +0.0)."""
         x, y, (ni, nj) = self._initial_guess(xt, yt)
         active = np.arange(xt.size)
         # every point starts at a grid node, whose image is known
@@ -519,8 +522,7 @@ class TransformedFlow:
             k = active[0]
             raise NewtonDivergence("no convergence at (%g, %g)"
                                    % (xt[k], yt[k]))
-        # [()] turns a 0-d result into a scalar
-        return x.reshape(shape)[()], y.reshape(shape)[()]
+        return x, y
 
     def fields(self, xt, yt):
         x, y = self.invert_point(xt, yt)
@@ -528,33 +530,27 @@ class TransformedFlow:
 
 
 def transform_solution(sol: GridSolution, T: ReciprocalMap,
-                       margin_cells: int = 1,
-                       target_grid: GridSpec | None = None) -> GridSolution:
+                       margin_cells: int = 1) -> GridSolution:
     """Transform an analytic grid solution: primed fields through the field
     maps, primed coordinates by path integration, output resampled on a
     rectangular primed grid lying inside the image, margin_cells cells in
-    from its edges.
-
-    Passing target_grid pins the output grid (e.g. for refinement studies
-    comparing residuals over an identical primed region)."""
+    from its edges."""
     g = sol.grid
     # fd_residuals needs 3 nodes, and the margins must leave some width
-    need = 3 if target_grid is not None else max(3, 2 * margin_cells + 2)
+    need = max(3, 2 * margin_cells + 2)
     if min(g.nx, g.ny) < need:
         raise InvalidParams("need at least %d nodes per direction" % need)
-    return _transform(sol, _MapEvaluator(T, sol.evaluator), margin_cells,
-                      target_grid)
+    return _transform(sol, _MapEvaluator(T, sol.evaluator), margin_cells)
 
 
 def _transform(sol: GridSolution, ev: _MapEvaluator, margin_cells: int,
-               target_grid: GridSpec | None) -> GridSolution:
+               pg: GridSpec | None = None) -> GridSolution:
     """transform_solution past its node count check, through ev, the
-    map's evaluator over sol's flow."""
+    map's evaluator over sol's flow; a primed grid pg, if given, replaces
+    the one inside the image (a ratio study pins one primed region)."""
     g = sol.grid
     xp, yp = ev.coordinates(g)
-    if target_grid is not None:
-        pg = target_grid
-    else:
+    if pg is None:
         lox = np.max(xp[0, :]) if xp[0, 0] < xp[-1, 0] else np.max(xp[-1, :])
         hix = np.min(xp[-1, :]) if xp[0, 0] < xp[-1, 0] else np.min(xp[0, :])
         loy = np.max(yp[:, 0]) if yp[0, 0] < yp[0, -1] else np.max(yp[:, -1])

@@ -7,6 +7,10 @@ runtime dependencies.  The benchmark scripts run from bench/, so they also
 import each other by file name.  An import in the body of a try that
 catches ImportError probes for an optional module (the benchmark records
 whether gmpy2 is present), which is no dependency.
+
+mpmath is declared, but only the Lie check (transforms/verify.py) and the
+benchmark worker, which records its version, may import it: retiring it
+is then a change to one module of the package.
 """
 
 import ast
@@ -65,3 +69,26 @@ def test_imports_are_stdlib_recipgas_or_declared():
         found += ["%s:%d imports %s" % (path.relative_to(ROOT), line, name)
                   for line, name in _imports(tree) if name not in ok]
     assert not found, found
+
+
+def _importers_of(module):
+    """The files under src/ and bench/, relative to the root, that import
+    module anywhere, optional probes included."""
+    found = []
+    for path in sorted([*(ROOT / "src").rglob("*.py"), *BENCH.rglob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(n.split(".")[0] == module for n in names):
+                found.append(str(path.relative_to(ROOT)))
+                break
+    return found
+
+
+def test_mpmath_only_in_the_lie_check_and_the_worker():
+    assert _importers_of("mpmath") == ["bench/worker.py",
+                                       "src/recipgas/transforms/verify.py"]

@@ -7,7 +7,8 @@ dicts or the Context tables, or build an Expr that skips normalisation.
 
 Extended-precision arithmetic stays in the Lie check: only
 transforms/verify.py imports mpmath, for its stencil nodes and leaf
-values; every other number the program computes is a float or exact.
+values (checked in test_dependencies.py); every other number the program
+computes is a float or exact.
 
 The numeric flow checks lie_equation_check and composition_additivity
 serve only the lie-flow benchmark: inside the package only their module
@@ -64,13 +65,6 @@ def test_kernel_representation_stays_inside_symkernel():
         ", ".join(found)
 
 
-def _imports_mpmath(node):
-    if isinstance(node, ast.Import):
-        return any(a.name.split(".")[0] == "mpmath" for a in node.names)
-    return isinstance(node, ast.ImportFrom) and node.level == 0 \
-        and node.module.split(".")[0] == "mpmath"
-
-
 def _modules_where(pred):
     """The package's modules, as paths relative to it, that hold a node
     for which pred is true."""
@@ -78,11 +72,6 @@ def _modules_where(pred):
                   for path in PACKAGE.rglob("*.py")
                   if any(pred(node) for node in ast.walk(
                       ast.parse(path.read_text(), str(path)))))
-
-
-def test_mpmath_only_in_the_lie_check():
-    found = _modules_where(_imports_mpmath)
-    assert found == ["transforms/verify.py"], found
 
 
 NUMERIC_FLOW_CHECKS = {"lie_equation_check", "composition_additivity"}

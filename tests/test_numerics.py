@@ -1,5 +1,6 @@
 """Grid sampling, finite-difference residuals, numeric transformation."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -195,8 +196,10 @@ def test_ratio_study_shares_one_evaluator(ctx):
     T = bateman(ctx, 1, 0, 1, 0, entropy="identity")
     flow, grid = VortexFlow(w0=1, m=1), GridSpec(0.5, 0.3, 1 / 8, 1 / 8, 5, 5)
     out1 = transform_solution(make_solution(flow, grid), T)
-    out2 = transform_solution(make_solution(flow, grid.refined()), T,
-                              target_grid=out1.grid.refined())
+    # a fresh evaluator, on the primed grid the ratio study pins
+    out2 = numerics._transform(make_solution(flow, grid.refined()),
+                               numerics._MapEvaluator(T, flow), 1,
+                               out1.grid.refined())
     r1, r2 = fd_residuals(out1), fd_residuals(out2)
     ratios = transform_convergence_ratios(flow, T, grid)
     assert ratios == {k: r1[k] / r2[k] for k in r1}
@@ -355,3 +358,32 @@ def test_newton_iteration_limit(ctx, monkeypatch):
                         0.5 * (yp[0, 0] + yp[1, 1]))
     assert tf.invert_point(xp[1, 1], yp[1, 1]) == (sol.grid.xs()[1],
                                                    sol.grid.ys()[1])
+
+
+def test_inversion_memory_is_bounded_by_its_chunk(ctx):
+    # invert_point holds one chunk of _INVERT_CHUNK targets in flight: four
+    # chunks need about the memory of one, not four times it
+    T = bateman(ctx, 1, 0, 1, 0, entropy="identity")
+    flow, n = ShearFlow.example(), 129
+    grid = GridSpec(0, 0, 1 / (n - 1), 1 / (n - 1), n, n)
+    ev = numerics._MapEvaluator(T, flow)
+    tf = numerics.TransformedFlow(make_solution(flow, grid), ev,
+                                  *ev.coordinates(grid))
+    # the centres of the primed cells, 128 x 128 targets
+    xt = (tf.xp[:-1, :-1] + tf.xp[1:, :-1] + tf.xp[:-1, 1:]
+          + tf.xp[1:, 1:]).ravel() / 4
+    yt = (tf.yp[:-1, :-1] + tf.yp[1:, :-1] + tf.yp[:-1, 1:]
+          + tf.yp[1:, 1:]).ravel() / 4
+    # the buckets are built on first use and kept: build them first
+    tf._buckets
+    peaks = []
+    tracemalloc.start()
+    try:
+        for size in (numerics._INVERT_CHUNK, 4 * numerics._INVERT_CHUNK):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            tf.invert_point(xt[:size], yt[:size])
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
