@@ -321,18 +321,23 @@ def _nearest_blocked(xp, yp, xt, yt):
     return best
 
 
-def _ring(r):
+def _ring(r, shape):
     """Offsets (di, dj) of the buckets at Chebyshev distance r, or within
-    distance 1 for r = 1."""
+    distance 1 for r = 1, that can reach a bucket of a grid of buckets of
+    the given shape from one of its buckets: |di| < shape[0] and
+    |dj| < shape[1]."""
     if r == 1:
         k = np.arange(-1, 2)
-        return np.repeat(k, 3), np.tile(k, 3)
-    k = np.arange(-r, r + 1)
-    side = np.arange(-r + 1, r)
-    return (np.concatenate([k, k, np.full(side.size, -r),
-                            np.full(side.size, r)]),
-            np.concatenate([np.full(k.size, -r), np.full(k.size, r),
-                            side, side]))
+        di, dj = np.repeat(k, 3), np.tile(k, 3)
+    else:
+        k = np.arange(-r, r + 1)
+        side = np.arange(-r + 1, r)
+        di = np.concatenate([k, k, np.full(side.size, -r),
+                             np.full(side.size, r)])
+        dj = np.concatenate([np.full(k.size, -r), np.full(k.size, r),
+                             side, side])
+    keep = (np.abs(di) < shape[0]) & (np.abs(dj) < shape[1])
+    return di[keep], dj[keep]
 
 
 class _NodeBuckets:
@@ -389,7 +394,7 @@ class _NodeBuckets:
         best = np.full(pts.shape[1], size, dtype=np.intp)
         todo = np.arange(pts.shape[1])
         for r in range(1, max(nbx, nby) + 1):
-            di, dj = _ring(r)
+            di, dj = _ring(r, self.shape)
             i = bt[0, todo, None] + di
             j = bt[1, todo, None] + dj
             ic, jc = np.clip(i, 0, nbx - 1), np.clip(j, 0, nby - 1)

@@ -83,8 +83,9 @@ def one_param_bateman(ctx: Context, entropy="identity") -> OneParamFamily:
     ie = 1 / Expr.var(ctx, "eps")
     m = replace(bateman(ctx, ie, ie, 1, ie, entropy=entropy),
                 name="one_param_bateman")
-    gen = standard_basis(ctx)[2].scale(-2).with_label("-2*X3")
-    return OneParamFamily(m, "eps", "linear", Expr.const(ctx, 1), gen)
+    return OneParamFamily(
+        m, "eps", "linear", Expr.const(ctx, 1),
+        lambda: standard_basis(ctx)[2].scale(-2).with_label("-2*X3"))
 
 
 def one_param_q13(ctx: Context, q12=0, q13=1,
@@ -103,8 +104,8 @@ def one_param_q13(ctx: Context, q12=0, q13=1,
     inner = bateman(ctx, -ql, q12e - ql, 1, 0, entropy="identity")
     m = _dilated(compose(outer, inner), iopl, "one_param_q13")
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, q13e, -q13e)
-    gen = case_generators("b", params, ctx, k=1)
-    return OneParamFamily(m, "lam", "tan", q13e, gen)
+    return OneParamFamily(m, "lam", "tan", q13e,
+                          lambda: case_generators("b", params, ctx, k=1))
 
 
 def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
@@ -123,8 +124,9 @@ def one_param_exp(ctx: Context, k1=1, k2=1, q12=0,
         {"a": k2e * (lam ** 2 - 1) / (2 * k1e)})
     m = _dilated(compose(outer, inner), lam ** (-3), "one_param_exp")
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, 0, 0)
-    gen = case_generators("c", params, ctx, k1=k1e, k2=k2e)
-    return OneParamFamily(m, "lam", "exp", k1e, gen)
+    return OneParamFamily(
+        m, "lam", "exp", k1e,
+        lambda: case_generators("c", params, ctx, k1=k1e, k2=k2e))
 
 
 def one_param_linear(ctx: Context, k2=1, q12=0,
@@ -134,8 +136,9 @@ def one_param_linear(ctx: Context, k2=1, q12=0,
     k2e, q12e = _exprs(ctx, k2=k2, q12=q12)
     m = _linear_map(ctx, q12e, entropy)
     params = ConservationFormParams.make(ctx, 1, 1, q12e, q12e, 0, 0)
-    gen = case_generators("c", params, ctx, k1=0, k2=k2e)
-    return OneParamFamily(m, "a", "linear", k2e, gen)
+    return OneParamFamily(
+        m, "a", "linear", k2e,
+        lambda: case_generators("c", params, ctx, k1=0, k2=k2e))
 
 
 def _linear_map(ctx: Context, q12: Expr, entropy: str) -> ReciprocalMap:

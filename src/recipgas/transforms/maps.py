@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from ..gasdyn import FIELDS, parse_record
 from ..liealg import Generator
@@ -216,13 +218,21 @@ class OneParamFamily:
     family, and the leaf
     `symbol` takes the value LEAVES[leaf].law at rate*eps, for the exact
     Expr rate c.  generator is the claimed infinitesimal generator, the
-    eps-derivative of the family at eps = 0.
+    eps-derivative of the family at eps = 0, built by make_generator on
+    first read: a check of the family's maps alone builds none.
     """
     map_sym: ReciprocalMap
     symbol: str
     leaf: str
     rate: Expr
-    generator: Generator
+    make_generator: Callable[[], Generator] = field(compare=False,
+                                                     repr=False)
+
+    @cached_property
+    def generator(self) -> Generator:
+        # a frozen dataclass refuses setattr; cached_property writes the
+        # instance __dict__ directly
+        return self.make_generator()
 
     @property
     def name(self) -> str:

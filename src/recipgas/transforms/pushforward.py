@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..liealg import AutomorphismMatrix, Generator, NotInSpan
 from ..symkernel import Expr, substitute_all
 from ..symkernel.errors import SymkernelError
-from ..symkernel.linalg import adj2, mul2, solve, transpose
+from ..symkernel.linalg import adj2, mul2, rref, transpose
 from .maps import NotInvertible, ReciprocalMap, solve_inverse
 
 
@@ -51,36 +51,51 @@ def _collectable_names(ctx, exprs):
                    if ctx.role(n) != "parameter"})
 
 
-def decompose(Xp: Generator, basis) -> list:
-    """Exact coefficients of Xp over the basis; coefficients live in the
-    field of expressions in the remaining parameters.
+def _decompositions(images, basis) -> list:
+    """Exact coefficients of each image over the basis, one list per image:
+    every slot collected once, and one rref of the basis columns with one
+    right-hand column per image.  Coefficients live in the field of
+    expressions in the remaining parameters.
 
-    Raises NotInSpan (with the residual generator) when no exact
-    combination exists.
+    Raises NotInSpan with an image whose slots do not collect (the first
+    image when a basis slot does not), else with the first image outside
+    the span: the first whose column holds a pivot, since every image
+    before it lies in the span.
     """
-    ctx = Xp.ctx
-    basis = list(basis)
-    slots_all = [list(g.slots()) for g in basis] + [list(Xp.slots())]
+    basis, images = list(basis), list(images)
+    ctx, n = images[0].ctx, len(basis)
+    slots_all = [list(g.slots()) for g in basis + images]
     names = _collectable_names(ctx, [s for gs in slots_all for s in gs])
     rows = []
     for snum in range(9):
         maps = []
-        for gs in slots_all:
+        for col, gs in enumerate(slots_all):
             try:
                 maps.append(gs[snum].collect(names))
             except SymkernelError:
-                raise NotInSpan(Xp)
+                raise NotInSpan(images[max(col - n, 0)])
         rows += transpose(maps).values()
-    sol = solve(rows, len(basis), Expr.const(ctx, 0))
-    if sol is None:
-        raise NotInSpan(Xp)
-    return sol
+    pivots = rref(rows)
+    outside = [c - n for c in pivots if c >= n]
+    if outside:
+        raise NotInSpan(images[min(outside)])
+    zero = Expr.const(ctx, 0)
+    return [[pivots[c].get(n + i, zero) if c in pivots else zero
+             for c in range(n)] for i in range(len(images))]
+
+
+def decompose(Xp: Generator, basis) -> list:
+    """Exact coefficients of Xp over the basis; coefficients live in the
+    field of expressions in the remaining parameters.
+
+    Raises NotInSpan (with Xp) when no exact combination exists.
+    """
+    return _decompositions([Xp], basis)[0]
 
 
 def pushforward_matrix(T: ReciprocalMap, basis) -> AutomorphismMatrix:
     """Columns are the decompositions of T_* basis[i] over the primed
     basis; entry (n, i) multiplies basis[n]."""
-    cols = [decompose(Xp, basis) for Xp in _pushforwards(T, basis)]
-    entries = tuple(tuple(cols[i][n] for i in range(len(basis)))
-                    for n in range(len(basis)))
-    return AutomorphismMatrix(entries)
+    basis = list(basis)
+    cols = _decompositions(_pushforwards(T, basis), basis)
+    return AutomorphismMatrix(tuple(zip(*cols)))

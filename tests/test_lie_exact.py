@@ -57,7 +57,7 @@ def test_symbolic_families(maker, names):
 
 
 def _scaled_generator(fam):
-    return replace(fam, generator=fam.generator.scale(2))
+    return replace(fam, make_generator=lambda: fam.generator.scale(2))
 
 
 def _doubled_rate(fam):

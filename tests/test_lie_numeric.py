@@ -53,7 +53,7 @@ def test_scaled_generator_fails(ctx):
     # a generator twice the family's eps-derivative misses the flow by
     # the size of the derivative, far above any truncation term
     fam = one_param_bateman(ctx)
-    wrong = replace(fam, generator=fam.generator.scale(2))
+    wrong = replace(fam, make_generator=lambda: fam.generator.scale(2))
     assert lie_equation_check(wrong, n_points=100).max_residual > 1e-3
 
 

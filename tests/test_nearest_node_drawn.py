@@ -123,7 +123,8 @@ def test_start_on_thin_grids(nx, ny, count, seed):
 def test_rings_stop_within_the_grid_of_buckets():
     # a 129 x 129 grid squashed to a height of 1e-4, one row of buckets,
     # and two targets far off it: every bucket must be searched, and the
-    # capped row of buckets is searched in at most max(shape) rings
+    # capped row of buckets is searched in at most max(shape) rings, each
+    # past the first holding only the two offsets along the row
     X, Y = np.meshgrid(np.linspace(0, 1, 129), np.linspace(0, 1e-4, 129),
                        indexing="ij")
     xp, yp = X.ravel(), Y.ravel()
@@ -131,10 +132,19 @@ def test_rings_stop_within_the_grid_of_buckets():
     buckets = numerics._NodeBuckets(xp, yp)
     assert buckets.shape[1] == 1
     assert buckets.shape[0] <= 2 * math.isqrt(xp.size) + 1
-    with mock.patch.object(numerics, "_ring", wraps=numerics._ring) as ring:
+    ring, offsets = numerics._ring, {}
+
+    def counted(r, shape):
+        di, dj = ring(r, shape)
+        offsets[r] = di.size
+        return di, dj
+
+    with mock.patch.object(numerics, "_ring", counted):
         got = buckets.nearest(xt, yt)
     assert np.array_equal(got, numerics._nearest_blocked(xp, yp, xt, yt))
-    assert ring.call_count <= max(buckets.shape)
+    assert len(offsets) <= max(buckets.shape)
+    assert max(offsets.values()) == offsets[1] == 3
+    assert all(n <= 2 for r, n in offsets.items() if r > 1)
 
 
 @given(nx=sizes, ny=sizes,

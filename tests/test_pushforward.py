@@ -1,6 +1,8 @@
 """Pushforward of generators, decomposition, transport relations."""
 
 import importlib
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,8 @@ from recipgas.gasdyn import standard_context
 from recipgas.liealg import (AutomorphismMatrix, NotInSpan,
                              megaideal_constraints, standard_basis, x_f)
 from recipgas.symkernel import Expr, parse
+from recipgas.symkernel.errors import SymkernelError
+from recipgas.symkernel.linalg import solve, transpose
 from recipgas.transforms import (appendix_pde_residuals,
                                  center_pde_residuals, bateman, compose,
                                  decompose, identity_map,
@@ -152,6 +156,70 @@ def test_matrix_columns_match_single_pushforwards(ctx, megaideal):
         for i, X in enumerate(megaideal):
             col = decompose(pushforward(T, X), megaideal)
             assert [row[i] for row in M.entries] == col, (T.name, X.label)
+
+
+def _decompose_by_column(Xp, basis):
+    """The coefficients of Xp over the basis by one linear solve of its
+    own: the slots of the basis and of Xp collected over their names that
+    are not parameters, as pushforward_matrix did column by column."""
+    ctx = Xp.ctx
+    gens = list(basis) + [Xp]
+    names = sorted({n for g in gens for s in g.slots()
+                    for n in s.free_variables()
+                    if ctx.role(n) != "parameter"})
+    rows = []
+    for snum in range(9):
+        try:
+            maps = [g.slots()[snum].collect(names) for g in gens]
+        except SymkernelError:
+            raise NotInSpan(Xp)
+        rows += transpose(maps).values()
+    sol = solve(rows, len(basis), Expr.const(ctx, 0))
+    if sol is None:
+        raise NotInSpan(Xp)
+    return sol
+
+
+def _bateman_cases(ctx):
+    """bateman with every parameter free, then at 11 seeded draws."""
+    rng = random.Random(20240801)
+    draw = lambda: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                            rng.randint(1, 9))
+    yield bateman(ctx, entropy="identity")
+    for _ in range(11):
+        yield bateman(ctx, draw(), draw(), draw(), draw(), entropy="identity")
+
+
+def test_matrix_equals_column_by_column_solves(ctx, megaideal):
+    # one rref with a right-hand column per image gives the entries that a
+    # solve per column gives, as text
+    a34, a35, a45 = (parse(ctx, n) for n in ("a34", "a35", "a45"))
+    theorem = theorem_map(ctx, alpha=1, beta=2, k=parse(ctx, "k"), a11=1,
+                          a34=a34, a35=a35, a45=a45, psi="formal",
+                          entropy="identity")
+    for T in [*_bateman_cases(ctx), theorem]:
+        M = pushforward_matrix(T, megaideal)
+        cols = [_decompose_by_column(pushforward(T, X), megaideal)
+                for X in megaideal]
+        assert [[str(e) for e in row] for row in M.entries] == \
+            [[str(c[n]) for c in cols] for n in range(3)], T.name
+
+
+@pytest.mark.parametrize("order, outside", [((2, 4), 0), ((4, 2), 1),
+                                            ((2, 3), 0)])
+def test_matrix_names_the_first_image_outside_the_span(ctx, order, outside):
+    # under bateman(1, 2, 1, 0) the image of X5 is 2*X3 and the image of X3
+    # leaves span(X3, X5); span(X3, X4) misses the image of X3 too
+    x = standard_basis(ctx)
+    T = bateman(ctx, 1, 2, 1, 0, entropy="identity")
+    basis = [x[i] for i in order]
+    with pytest.raises(NotInSpan) as ei:
+        pushforward_matrix(T, basis)
+    assert ei.value.residual == pushforward(T, basis[outside])
+    for X in basis[:outside]:
+        _decompose_by_column(pushforward(T, X), basis)
+    with pytest.raises(NotInSpan):
+        _decompose_by_column(pushforward(T, basis[outside]), basis)
 
 
 def test_one_inverse_per_matrix(ctx, megaideal, monkeypatch):
