@@ -83,10 +83,9 @@ def _catalog_map(ctx, args, **defaults):
 
 
 # the largest grid side of transform and closedness, and the largest ansatz
-# degree of solve-ansatz: on a 2-core x86 host transform takes 0.6-1.2 s
-# at 561 nodes (at most about 335 MB, for the vortex under bateman(1/2,
-# 1/4, 1, 1/8), whose Newton inversion stops without convergence) and
-# solve-ansatz about 1.5 s at degree 12
+# degree of solve-ansatz: on a 2-core x86 host transform takes 0.6-1.8 s
+# at 561 nodes (the most, 1.8 s and about 335 MB, for the vortex under
+# bateman(1/2, 1/4, 1, 1/8)) and solve-ansatz about 1.5 s at degree 12
 MAX_NODES = 561
 MAX_DEGREE = 12
 

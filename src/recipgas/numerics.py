@@ -37,7 +37,8 @@ class NewtonDivergence(SymkernelError):
 PATH_STEPS = 8           # Simpson subintervals per cell of a path
 LOOP_STEPS = 256         # Simpson subintervals per segment of a loop
 DEN_FLOOR = 1e-9         # smallest |map denominator| at a grid node
-NEWTON_TOL = 1e-12       # Newton stops at |rx| + |ry| below this
+NEWTON_TOL = 1e-12       # Newton stops at |rx| + |ry| below this or below
+NEWTON_ULPS = 16         # this many ulps of its target's max(|x'|, |y'|)
 NEWTON_MAX_ITER = 50     # Newton iterations before NewtonDivergence
 RESIDUAL_FLOOR = 1e-13   # FD residuals below it on both grids converged
 
@@ -498,11 +499,15 @@ class TransformedFlow:
     def _newton(self, xt, yt):
         """Newton iteration for flat arrays of finite targets, all at once.
         A point stops at the first iterate whose residual |rx| + |ry| is
-        below NEWTON_TOL.  The first residual is read from the start's
+        below NEWTON_TOL or NEWTON_ULPS ulps of max(|xt|, |yt|), whichever
+        is larger: far from the origin an ulp of a primed coordinate can
+        exceed NEWTON_TOL.  The first residual is read from the start's
         primed node: _forward at a node gives its xp, yp bit for bit (its
         paths have length zero, and xp is never -0.0, since the running
         sums of coordinates start from +0.0)."""
         x, y, (ni, nj) = self._initial_guess(xt, yt)
+        tol = np.maximum(NEWTON_TOL, NEWTON_ULPS * np.spacing(
+            np.maximum(abs(xt), abs(yt))))
         active = np.arange(xt.size)
         # every point starts at a grid node, whose image is known
         fx, fy = self.xp[ni, nj], self.yp[ni, nj]
@@ -511,7 +516,7 @@ class TransformedFlow:
                 fx, fy = self._forward(x[active], y[active],
                                        (ni[active], nj[active]))
             rx, ry = fx - xt[active], fy - yt[active]
-            going = ~(abs(rx) + abs(ry) < NEWTON_TOL)
+            going = ~(abs(rx) + abs(ry) < tol[active])
             active, rx, ry = active[going], rx[going], ry[going]
             if not active.size:
                 break

@@ -19,10 +19,22 @@ serves two number types:
   brought over its polynomial's total degree D by a factor
   2^(FIXED_BITS*(D-|m|)) folded into its coefficient, and each value is
   floor(value * 2^FIXED_BITS), from one floor division.
+
+A generated source is compiled once while it stays in the code cache:
+_code keeps the code objects of the last _CODE_CACHE distinct sources of
+the process (functools.lru_cache, safe across threads), keyed on the
+source text.  That key is exact: a
+float coefficient, and an integer one of up to 64 bits, is written into
+the source as a literal, and the source names every input it reads.  A
+longer integer coefficient is a global of the generated code, in an env
+built afresh on every call and given to one exec of the cached code, so
+two evaluators that share a source never share a value.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +48,10 @@ _TERMS_PER_LINE = 64
 
 # fractional bits of the integer evaluator's inputs and values
 FIXED_BITS = 256
+
+# distinct generated sources whose code objects are kept; a lie-flow pass
+# compiles 34
+_CODE_CACHE = 128
 
 
 def _float(value):
@@ -98,7 +114,15 @@ def _int_constant(c, env):
     return name
 
 
-_FLOATS = _Numbers(_float_split, lambda c, env: repr(float(c)), _float, np.all)
+def _nonzero(d):
+    """True when a denominator value has no zero (-0.0 is zero): a Python
+    float by a comparison, which costs far less than a numpy reduction,
+    an array or numpy scalar by its .all()."""
+    return d != 0.0 if isinstance(d, float) else d.all()
+
+
+_FLOATS = _Numbers(_float_split, lambda c, env: repr(float(c)), _float,
+                   _nonzero)
 _FIXED = _Numbers(_fixed_split, _int_constant, None, bool)
 
 
@@ -126,7 +150,8 @@ def compile_exprs(exprs):
         except OverflowError as exc:
             raise NumericDomain(str(exc)) from None
         for v in values:
-            if not np.all(np.isfinite(v)):
+            if not (math.isfinite(v) if isinstance(v, float)
+                    else np.isfinite(v).all()):
                 raise NumericDomain("overflow")
         return values
 
@@ -212,8 +237,14 @@ def _generate(exprs, numbers: _Numbers):
     body = lines + ["return [%s]" % ", ".join("r%d" % k
                                               for k in range(len(exprs)))]
     src = "def _evaluate(a):\n" + "".join("    %s\n" % ln for ln in body)
-    exec(compile(src, "<compile_exprs>", "exec"), env)
+    exec(_code(src), env)
     return env["_evaluate"]
+
+
+@lru_cache(maxsize=_CODE_CACHE)
+def _code(src):
+    """The code object of a generated source."""
+    return compile(src, "<compile_exprs>", "exec")
 
 
 def _over(p, lc: int):

@@ -357,6 +357,16 @@ def test_grid_without_width_is_a_usage_error(capsys, flow):
     assert main(["transform", "--flow", flow, "--nodes", "4"]) == 0
 
 
+@pytest.mark.parametrize("alpha", [2 ** 12, 2 ** 20, 2 ** 30])
+def test_transform_under_a_dilation(capsys, alpha):
+    # mu_plus dilates the form matrix by alpha, which pushes the primed
+    # vortex grid to where an ulp of a coordinate passes NEWTON_TOL
+    assert main(["transform", "--flow", "vortex", "--catalog", "mu_plus",
+                 "--param", "psi=1", "--param", "alpha=%d" % alpha,
+                 "--nodes", "65"]) == 0
+    assert capsys.readouterr().out.endswith("verdict: PASS\n")
+
+
 def test_unbound_parameter_is_named(capsys):
     assert main(["transform", "--catalog", "theorem"]) == 2
     assert capsys.readouterr().err == "error: no value for a35\n"

@@ -4,6 +4,8 @@ evaluation; the float evaluator on scalars and arrays."""
 import math
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -248,7 +250,9 @@ def test_integer_arrays_evaluate_in_floats(ctx):
 
 def _generated_source(monkeypatch):
     """The list that collects the source of each function generated while
-    the monkeypatch holds."""
+    the monkeypatch holds.  The code cache is emptied first, so that a
+    source some earlier test compiled is seen too."""
+    numeric._code.cache_clear()
     sources = []
 
     def spy(src, *args):
@@ -341,3 +345,122 @@ def test_fixed_evaluator_at_unit_coefficients(ctx, monkeypatch):
         done += 1
         got = evaluate({n: _scaled(v) for n, v in point.items()})
         assert got == [_scaled(e.eval_rational(point)) for e in exprs], point
+
+
+def _bits(values):
+    return [np.float64(v).tobytes() if np.ndim(v) == 0 else v.tobytes()
+            for v in values]
+
+
+def test_equal_source_compiles_once(monkeypatch):
+    # the code of a source is cached: an equal source from a fresh context
+    # is not compiled again and evaluates to the same bits
+    sources = _generated_source(monkeypatch)
+    texts = ("u*v^2 - 3/7*p", "(rho*u + 1)/(p^2 - v)", "-S")
+    first = compile_exprs([parse(standard_context(), t) for t in texts])
+    assert len(sources) == 1
+    second = compile_exprs([parse(standard_context(), t) for t in texts])
+    assert len(sources) == 1
+    rng = np.random.default_rng(5)
+    names = ("rho", "u", "v", "p", "S")
+    scalars = {n: float(x) for n, x in zip(names, rng.uniform(1, 2, 5))}
+    arrays = {n: rng.uniform(1, 2, 7) for n in names}
+    for point in (scalars, arrays):
+        assert _bits(second(point)) == _bits(first(point))
+
+
+def test_long_coefficients_are_not_cached(ctx, monkeypatch):
+    # coefficients above 64 bits are globals of the generated code, set
+    # per compile: two maps that differ only there share a source, and
+    # each keeps its own values
+    sources = _generated_source(monkeypatch)
+    one = 2 ** FIXED_BITS
+    coeffs = (2 ** 70 + 1, 2 ** 70 + 3)
+    evaluators = [compile_exprs_fixed([parse(ctx, "%d*u - v" % c)])
+                  for c in coeffs]
+    src, = sources
+    assert "_c" in src
+    assert numeric._code.cache_info().hits == 1
+    for c, evaluate in zip(coeffs, evaluators):
+        assert evaluate({"u": one, "v": 3 * one}) == [(c - 3) * one]
+
+
+def test_code_cache_across_threads(ctx):
+    # threads that compile one source with different long coefficients,
+    # and sources that churn the cache, each get their own exact values
+    one = 2 ** FIXED_BITS
+    shared = [parse(ctx, "%d*u - v" % (2 ** 70 + n)) for n in range(160)]
+    churn = [parse(ctx, "u + %d" % n) for n in range(160)]
+    errors = []
+
+    def work(k):
+        try:
+            for n in range(k, 160, 4):
+                got = compile_exprs_fixed([shared[n]])({"u": one,
+                                                        "v": 3 * one})
+                assert got == [(2 ** 70 + n - 3) * one], (n, got)
+                assert compile_exprs([churn[n]])({"u": 0.5}) == [0.5 + n]
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+
+
+def test_code_cache_is_bounded(ctx):
+    numeric._code.cache_clear()
+    for k in range(numeric._CODE_CACHE + 5):
+        assert compile_exprs([parse(ctx, "u + %d" % k)])({"u": 1.0}) == \
+            [1.0 + k]
+    info = numeric._code.cache_info()
+    assert info.misses == numeric._CODE_CACHE + 5
+    assert info.currsize == info.maxsize == numeric._CODE_CACHE
+
+
+_ZERO_DEN = "zero denominator at the evaluation point"
+
+
+@pytest.mark.parametrize("kind", ["float", "float64", "0-d", "1-d"])
+@pytest.mark.parametrize("text, point, message", [
+    ("u/(p - 1)", {"u": 1.0, "p": 1.0}, _ZERO_DEN),
+    # the sum 0.0 + p turns a -0.0 input into a +0.0 denominator
+    ("u/p", {"u": 1.0, "p": -0.0}, _ZERO_DEN),
+    ("u + p", {"u": math.nan, "p": 1.0}, "overflow"),
+    ("u/p", {"u": math.nan, "p": 1.0}, "overflow"),
+    ("p^400", {"p": 1e300}, "overflow"),
+    ("u*p", {"u": 1e300, "p": -1e300}, "overflow"),
+], ids=["zero", "minus zero", "nan", "nan over", "power", "product"])
+def test_checks_of_every_number_type(ctx, kind, text, point, message):
+    # a Python float, a numpy scalar, a 0-d and a 1-d array (whose other
+    # element is fine) meet the same error
+    wrap = {"float": float, "float64": np.float64, "0-d": np.array,
+            "1-d": lambda x: np.array([1.5, x])}[kind]
+    evaluate = compile_exprs([parse(ctx, text)])
+    with pytest.raises(NumericDomain) as exc:
+        evaluate({n: wrap(x) for n, x in point.items()})
+    assert str(exc.value) == message
+    good = evaluate({n: wrap(1.5) for n in point})
+    assert np.all(np.isfinite(good[0]))
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0])
+def test_zero_denominators_of_every_type(value):
+    # the denominator check itself, at -0.0 too
+    nonzero = numeric._FLOATS.nonzero
+    for d in (value, np.float64(value), np.array(value),
+              np.array([1.0, value]), np.array([value], dtype=np.float32)):
+        assert not nonzero(d), d
+    for d in (0.5, np.float64(-2.0), np.array(3.0), np.array([1.0, -1e-300]),
+              math.nan, np.array([math.inf])):
+        assert nonzero(d), d

@@ -1,6 +1,7 @@
 """Grid sampling, finite-difference residuals, numeric transformation."""
 
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -289,15 +290,22 @@ _MAPS = {
 }
 
 
+def _newton_tol(xt, yt):
+    """Newton's stopping bound at each target."""
+    return np.maximum(numerics.NEWTON_TOL, numerics.NEWTON_ULPS * np.spacing(
+        np.maximum(abs(xt), abs(yt))))
+
+
 def _newton_from_forward(tf, xt, yt):
     """invert_point of flat targets with every residual from tf._forward,
     the first at the start's node too."""
     x, y, (ni, nj) = tf._initial_guess(xt, yt)
+    tol = _newton_tol(xt, yt)
     active = np.arange(xt.size)
     for _ in range(numerics.NEWTON_MAX_ITER):
         fx, fy = tf._forward(x[active], y[active], (ni[active], nj[active]))
         rx, ry = fx - xt[active], fy - yt[active]
-        going = ~(abs(rx) + abs(ry) < numerics.NEWTON_TOL)
+        going = ~(abs(rx) + abs(ry) < tol[active])
         active, rx, ry = active[going], rx[going], ry[going]
         if not active.size:
             return x, y
@@ -358,6 +366,40 @@ def test_newton_iteration_limit(ctx, monkeypatch):
                         0.5 * (yp[0, 0] + yp[1, 1]))
     assert tf.invert_point(xp[1, 1], yp[1, 1]) == (sol.grid.xs()[1],
                                                    sol.grid.ys()[1])
+
+
+def test_newton_is_invariant_under_a_dilation(ctx):
+    # the form matrix times 2^k scales the primed grid, the residuals and
+    # the ulp bound exactly and leaves every Newton step as it is, so two
+    # dilations whose targets all stop at the ulp bound invert bit for
+    # bit alike; at k = 0 the targets stop at NEWTON_TOL instead, and at
+    # k = 10 some at each bound
+    flow, grid = _FLOWS["vortex"]
+    sol = make_solution(flow, grid)
+    T = _MAPS["bateman"](ctx)
+    got = {}
+    for k in (0, 10, 14, 20, 30):
+        scale = 2 ** k
+        f = tuple(tuple(scale * e for e in row) for row in T.f)
+        ev = numerics._MapEvaluator(replace(T, f=f), flow)
+        tf = numerics.TransformedFlow(sol, ev, *ev.coordinates(grid))
+        if not k:
+            xp, yp = tf.xp, tf.yp
+            # the centres of the primed cells
+            xt = (xp[:-1, :-1] + xp[1:, 1:]).ravel() / 2
+            yt = (yp[:-1, :-1] + yp[1:, 1:]).ravel() / 2
+        assert tf.xp.tobytes() == (scale * xp).tobytes()
+        assert tf.yp.tobytes() == (scale * yp).tobytes()
+        got[k] = tf.invert_point(scale * xt, scale * yt)
+    assert (_newton_tol(xt, yt) == numerics.NEWTON_TOL).all()
+    for k in (14, 20, 30):
+        assert (_newton_tol(2 ** k * xt, 2 ** k * yt)
+                > numerics.NEWTON_TOL).all()
+        assert got[k][0].tobytes() == got[14][0].tobytes()
+        assert got[k][1].tobytes() == got[14][1].tobytes()
+    for k in (10, 14, 20, 30):
+        for a, b in zip(got[k], got[0]):
+            assert np.abs(a - b).max() <= 1e-12
 
 
 def test_inversion_memory_is_bounded_by_its_chunk(ctx):
