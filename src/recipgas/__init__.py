@@ -13,11 +13,10 @@ Subpackages:
 
 from .gasdyn import standard_context
 from .liealg import equivalence_generator
-from .prolong import equivalence_residuals, solve_ansatz_first_method
+from .prolong import equivalence_residuals
 from .symkernel import Context, Expr, parse
 
 __version__ = "0.1.0"
 
 __all__ = ["Context", "Expr", "parse", "standard_context",
-           "equivalence_generator", "equivalence_residuals",
-           "solve_ansatz_first_method", "__version__"]
+           "equivalence_generator", "equivalence_residuals", "__version__"]

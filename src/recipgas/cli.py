@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import accept
-from .gasdyn import standard_context
+from .gasdyn import parse_input, standard_context
 from .liealg import (_entry_text, commutator_table_text, constant_slices,
                      generator_from_dict, megaideal_constraints,
                      reciprocal_algebra, standard_basis, x_f, x_h)
@@ -23,7 +23,7 @@ from .numerics import (ConstantFlow, GridSpec, ShearFlow, VortexFlow,
                        transform_solution)
 from .prolong import determining_residuals
 from .reports import Report
-from .symkernel import Expr, parse
+from .symkernel import Expr
 from .symkernel.errors import InvalidParams, SymkernelError
 from .transforms import (OneParamFamily, ReciprocalMap, catalog, decompose,
                          load_map, pushforward, pushforward_matrix,
@@ -39,7 +39,7 @@ def _parse_value(ctx, text):
     try:
         return Fraction(text)
     except ValueError:
-        return parse(ctx, text)
+        return parse_input(ctx, text)
     except ZeroDivisionError:
         raise SymkernelError("zero denominator in value %r" % text) from None
 

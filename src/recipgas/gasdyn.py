@@ -50,6 +50,22 @@ def standard_context() -> Context:
     return ctx
 
 
+# the most terms the numerator or the denominator of a parsed input may
+# hold; no catalog entry or pinned input has a component of more than 9
+MAX_TERMS = 250
+
+
+def parse_input(ctx: Context, text: str) -> Expr:
+    """parse(ctx, text), refused with InvalidParams when its numerator or
+    denominator holds more than MAX_TERMS terms."""
+    e = parse(ctx, text)
+    terms = max(len(part.coefficients()) for part in e.as_numer_denom())
+    if terms > MAX_TERMS:
+        raise InvalidParams("%d terms, more than the %d allowed"
+                            % (terms, MAX_TERMS))
+    return e
+
+
 def parse_record(ctx: Context, d, what: str, keys, default=None,
                  extra=()) -> dict:
     """{key: Expr} for the expression strings of a JSON record; the key
@@ -68,7 +84,7 @@ def parse_record(ctx: Context, d, what: str, keys, default=None,
             raise SymkernelError("%s key %r: missing or not an expression "
                                  "string" % (what, key))
         try:
-            return parse(ctx, text)
+            return parse_input(ctx, text)
         except SymkernelError as exc:
             raise SymkernelError("%s key %r: %s" % (what, key, exc)) from None
 

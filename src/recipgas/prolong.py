@@ -86,16 +86,6 @@ def equivalence_residuals(Xe: Generator) -> DeterminingSystem:
 # --- first-method form coefficients -----------------------------------------
 
 
-def _flux_matrix(params: ConservationFormParams):
-    """gasdyn.flux_matrix Phi and its determinant Delta, which must not
-    vanish."""
-    phi = flux_matrix(params)
-    delta = det2(phi)
-    if delta.is_zero():
-        raise SingularMatrix("flux coefficient matrix is singular")
-    return phi, delta
-
-
 def form_coeffs_from_invariance(ctx: Context, params: ConservationFormParams,
                                 zr: Expr, zu: Expr, zv: Expr, zp: Expr):
     """Unique 1-form slots making both conserved flux forms invariant.
@@ -104,18 +94,14 @@ def form_coeffs_from_invariance(ctx: Context, params: ConservationFormParams,
     m = -adj(Phi) X(Phi) / Delta with Delta = det Phi.  Returns
     (zeta_dx, zeta_dy) as OneForms, the rows of m.
     """
-    phi, delta = _flux_matrix(params)
+    phi = flux_matrix(params)
+    delta = det2(phi)
+    if delta.is_zero():
+        raise SingularMatrix("flux coefficient matrix is singular")
     probe = generator(ctx, zr=zr, zu=zu, zv=zv, zp=zp)
     xphi = tuple(tuple(probe.apply(e) for e in row) for row in phi)
     return tuple(OneForm(*(-e / delta for e in row))
                  for row in mul2(adj2(phi), xphi))
-
-
-def first_method_generator(ctx: Context, params: ConservationFormParams,
-                           zr=0, zu=0, zv=0, zp=0, zs=0) -> Generator:
-    zdx, zdy = form_coeffs_from_invariance(ctx, params, zr, zu, zv, zp)
-    return generator(ctx, zr=zr, zu=zu, zv=zv, zp=zp, zs=zs,
-                     m=((zdx.cx, zdx.cy), (zdy.cx, zdy.cy)))
 
 
 # --- the two solution branches of the first method ---------------------------
@@ -256,16 +242,3 @@ def solve_ansatz(ctx: Context, max_degree: int = 4) -> AnsatzSolution:
     are polynomials in (rho, u, v, p) of total degree <= max_degree."""
     return _solve_ansatz(range(9), _monomials(ctx, max_degree), _one_slot,
                          Expr.var(ctx, "u") ** 4)
-
-
-def solve_ansatz_first_method(ctx: Context, params: ConservationFormParams,
-                              max_degree: int = 2) -> AnsatzSolution:
-    """Two-step-method ansatz in the zp = 0 case: polynomial field slots
-    zr, zu, zv, zs, form slots derived from invariance of the conserved
-    forms.  Its solutions should be spanned by the two equivalence
-    families at constant function slices."""
-    delta = _flux_matrix(params)[1]
-    return _solve_ansatz(
-        ["zr", "zu", "zv", "zs"], _monomials(ctx, max_degree),
-        lambda s, value: first_method_generator(ctx, params, **{s: value}),
-        Expr.var(ctx, "u") ** 4 * delta ** 2)

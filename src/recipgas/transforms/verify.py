@@ -411,126 +411,7 @@ def composition_additivity(fam: OneParamFamily, n_points: int = 100,
     return worst
 
 
-# --- first-order transport relations -----------------------------------------
-
-
-def appendix_pde_residuals(T: ReciprocalMap,
-                           A: AutomorphismMatrix) -> Report:
-    """Residuals of the displayed first-order relations tying the partial
-    derivatives of the map components to the automorphism coefficients.
-
-    Left-hand sides are exact derivatives of T's components; right-hand
-    sides are the stated closed forms.  The center multiplier a11 enters
-    only the center relations (center_pde_residuals).
-    """
-    ctx = T.ctx
-    v = lambda n: Expr.var(ctx, n)
-    rho, u, vv, p = v("rho"), v("u"), v("v"), v("p")
-    (a33, a34, a35), (a43, a44, a45), (a53, a54, a55) = A.entries
-    R, U, V, P, H = T.R, T.U, T.V, T.P, T.H
-    f11, f12, f21, f22 = T.f[0][0], T.f[0][1], T.f[1][0], T.f[1][1]
-
-    q2 = u ** 2 + vv ** 2
-    D2 = 2 * rho ** 2 * q2
-    alf = a35 * p ** 2 - 2 * a34 * p + 2 * a33
-    bet = a45 * p ** 2 - 2 * a44 * p + 2 * a43
-    gam = a55 * p ** 2 - 2 * a54 * p + 2 * a53
-    alf1 = -a35 * p + a34
-    bet1 = -a45 * p + a44
-    gam1 = -a55 * p + a54
-    U2V2 = U ** 2 + V ** 2
-    ruv = rho * u * vv
-
-    relations = [
-        ("R_rho", R.diff("rho"), R ** 2 * U2V2 * alf / D2),
-        ("R_u", R.diff("u"),
-         (-R.diff("v") * vv + R ** 2 * U2V2 * alf1) / u),
-        ("R_p", R.diff("p"), R ** 2 * a35 * U2V2 / 2),
-        ("U_rho", U.diff("rho"), (P * U * alf + U * bet) / D2),
-        ("U_u", U.diff("u"),
-         (-U.diff("v") * vv + P * U * alf1 + U * bet1) / u),
-        ("U_p", U.diff("p"), (P * U * a35 + U * a45) / 2),
-        ("V_rho", V.diff("rho"), (P * V * alf + V * bet) / D2),
-        ("V_u", V.diff("u"),
-         (-V.diff("v") * vv + P * V * alf1 + V * bet1) / u),
-        ("V_p", V.diff("p"), (P * V * a35 + V * a45) / 2),
-        ("P_rho", P.diff("rho"),
-         (P ** 2 * alf + 2 * P * bet + 2 * gam) / D2),
-        ("P_u", P.diff("u"),
-         (-P.diff("v") * vv + P ** 2 * alf1 + 2 * P * bet1 + 2 * gam1) / u),
-        ("P_p", P.diff("p"), (P ** 2 * a35 + 2 * P * a45 + 2 * a55) / 2),
-        ("H_rho", H.diff("rho"), Expr.const(ctx, 0)),
-        ("H_u", H.diff("u"), -H.diff("v") * vv / u),
-        ("H_p", H.diff("p"), Expr.const(ctx, 0)),
-    ]
-
-    PV2 = P + R * V ** 2
-    PU2 = P + R * U ** 2
-    RUV = R * U * V
-    relations += [
-        ("xfdx_rho", f11.diff("rho"),
-         (-f11 * PV2 * alf + f11 * (-bet + 2 * rho * vv ** 2)
-          - 2 * f12 * ruv + f21 * RUV * alf) / D2),
-        ("xfdx_u", f11.diff("u"),
-         (-f11.diff("v") * vv + f11 * PV2 * (-alf1) + f11 * (-bet1 + 1)
-          + f21 * RUV * alf1) / u),
-        ("xfdx_p", f11.diff("p"),
-         (-f11 * PV2 * a35 - f11 * a45 + f21 * RUV * a35) / 2),
-        ("yfdx_rho", f12.diff("rho"),
-         (-2 * f11 * ruv - f12 * PV2 * alf
-          + f12 * (-bet + 2 * rho * u ** 2) + f22 * RUV * alf) / D2),
-        ("yfdx_u", f12.diff("u"),
-         (-f12.diff("v") * vv + f12 * PV2 * (-alf1) + f12 * (-bet1 + 1)
-          + f22 * RUV * alf1) / u),
-        ("yfdx_p", f12.diff("p"),
-         (-f12 * PV2 * a35 - f12 * a45 + f22 * RUV * a35) / 2),
-        ("xfdy_rho", f21.diff("rho"),
-         (f11 * RUV * alf - f21 * PU2 * alf
-          + f21 * (-bet + 2 * rho * vv ** 2) - 2 * f22 * ruv) / D2),
-        ("xfdy_u", f21.diff("u"),
-         (-f21.diff("v") * vv + f11 * RUV * alf1 + f21 * PU2 * (-alf1)
-          + f21 * (-bet1 + 1)) / u),
-        ("xfdy_p", f21.diff("p"),
-         (f11 * RUV * a35 - f21 * PU2 * a35 - f21 * a45) / 2),
-        ("yfdy_rho", f22.diff("rho"),
-         (f12 * RUV * alf - 2 * f21 * ruv - f22 * PU2 * alf
-          + f22 * (-bet + 2 * rho * u ** 2)) / D2),
-        ("yfdy_u", f22.diff("u"),
-         (-f22.diff("v") * vv + f12 * RUV * alf1 + f22 * PU2 * (-alf1)
-          + f22 * (-bet1 + 1)) / u),
-        ("yfdy_p", f22.diff("p"),
-         (f12 * RUV * a35 - f22 * PU2 * a35 - f22 * a45) / 2),
-    ]
-
-    return residual_report("transport relations of %s" % (T.name or "map"),
-                           [(n, lhs - rhs) for n, lhs, rhs in relations])
-
-
-def center_pde_residuals(T: ReciprocalMap, a11, a33, a54) -> Report:
-    """Residuals of the center-megaideal v-derivative relations (the
-    constant-form branch shape)."""
-    ctx = T.ctx
-    v = lambda n: Expr.var(ctx, n)
-    u, vv = v("u"), v("v")
-    q2 = u ** 2 + vv ** 2
-    p = v("p")
-    R, U, V, P, H = T.R, T.U, T.V, T.P, T.H
-    f11, f12, f21, f22 = T.f[0][0], T.f[0][1], T.f[1][0], T.f[1][1]
-    relations = [
-        ("R_v", R.diff("v"), Expr.const(ctx, 0)),
-        ("U_v", U.diff("v"), (U * vv - V * a11 * u) / q2),
-        ("V_v", V.diff("v"), (U * a11 * u + V * vv) / q2),
-        ("P_v", P.diff("v"),
-         (2 * P * a33 * vv + 2 * vv * (a54 * a33 - p)) / (a33 * q2)),
-        ("H_v", H.diff("v"), Expr.const(ctx, 0)),
-        ("xfdx_v", f11.diff("v"), -u * (f12 + f21 * a11) / q2),
-        ("yfdx_v", f12.diff("v"), u * (f11 - f22 * a11) / q2),
-        ("xfdy_v", f21.diff("v"), u * (f11 * a11 - f22) / q2),
-        ("yfdy_v", f22.diff("v"), u * (f12 * a11 + f21) / q2),
-    ]
-    return residual_report(
-        "center transport relations of %s" % (T.name or "map"),
-        [(n, lhs - rhs) for n, lhs, rhs in relations])
+# --- automorphisms ------------------------------------------------------------
 
 
 def verify_automorphism_solution(A: AutomorphismMatrix,

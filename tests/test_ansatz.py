@@ -9,13 +9,14 @@ from recipgas import prolong
 from recipgas.accept import criterion_5
 from recipgas.cli import main
 from recipgas.gasdyn import (ConservationFormParams, InvalidParams,
-                             standard_context)
+                             flux_matrix, standard_context)
 from recipgas.liealg import membership, standard_basis, x_f, x_h
-from recipgas.prolong import (_candidate_vectors, _flux_matrix, _monomials,
-                              _one_slot, case_generators,
-                              determining_residuals, first_method_generator,
-                              solve_ansatz, solve_ansatz_first_method)
+from recipgas.prolong import (_candidate_vectors, _monomials, _one_slot,
+                              case_generators, determining_residuals,
+                              solve_ansatz)
 from recipgas.symkernel import Expr, linalg
+
+from paper_relations import first_method_generator, solve_ansatz_first_method
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +121,7 @@ def _nine_slot_method(ctx):
 
 def _first_method(ctx, q12=0):
     params = ConservationFormParams.make(ctx, 1, 1, q12, q12, 0, 0)
-    delta = _flux_matrix(params)[1]
+    delta = linalg.det2(flux_matrix(params))
     make = lambda s, value: first_method_generator(ctx, params, **{s: value})
     return (("zr", "zu", "zv", "zs", "zp"), make,
             Expr.var(ctx, "u") ** 4 * delta ** 2, 2, 2)

@@ -5,13 +5,14 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from recipgas import cli
 from recipgas.cli import build_parser, main
-from recipgas.gasdyn import standard_context
+from recipgas.gasdyn import MAX_TERMS, standard_context
 from recipgas.liealg import generator_from_dict
 from recipgas.prolong import determining_residuals
 from recipgas.reports import Report
@@ -568,6 +569,33 @@ def test_deep_nesting_is_usage_error(capsys, tmp_path, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: map key %r: nesting deeper than" % key)
     assert err.count("\n") == 1
+
+
+# 7315 terms once expanded, parsed in about 0.1 s: the map's verdict took
+# 85-125 s before the term budget refused it
+TOO_MANY_TERMS = "rho*(u+v+p+rho+S)^18"
+
+
+def test_term_budget_refuses_a_map_record(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"R": TOO_MANY_TERMS, "U": "u", "V": "v",
+                                "P": "p", "H": "S",
+                                "form": [["1", "0"], ["0", "1"]]}))
+    start = time.perf_counter()
+    assert main(["verify-map", "--file", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == \
+        "error: map key 'R': 7315 terms, more than the %d allowed\n" \
+        % MAX_TERMS
+
+
+def test_term_budget_refuses_a_param_value(capsys):
+    start = time.perf_counter()
+    assert main(["verify-map", "--catalog", "bateman",
+                 "--param", "b1=" + TOO_MANY_TERMS]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == \
+        "error: 7315 terms, more than the %d allowed\n" % MAX_TERMS
 
 
 def test_witness_beyond_integer_string_limit(capsys, tmp_path):

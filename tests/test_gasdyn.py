@@ -2,11 +2,11 @@
 
 import pytest
 
-from recipgas.gasdyn import (FIELDS, JETS, ConservationFormParams,
+from recipgas.gasdyn import (FIELDS, JETS, MAX_TERMS, ConservationFormParams,
                              InvalidParams, OneForm, conservation_law_forms,
-                             flux_matrix, main_derivatives, reduce_on_manifold,
-                             standard_context, system_residuals,
-                             total_derivative)
+                             flux_matrix, main_derivatives, parse_input,
+                             reduce_on_manifold, standard_context,
+                             system_residuals, total_derivative)
 from recipgas.symkernel import parse
 from recipgas.symkernel.errors import SymkernelError
 
@@ -22,6 +22,22 @@ def test_main_derivatives_solve_the_system(ctx):
     for F in system_residuals(ctx):
         assert reduce_on_manifold([F])[0].is_zero()
         assert reduce_on_manifold([F], "y")[0].is_zero()
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("rho*(u+v+p+rho+S)^6", 210),
+    ("rho*(u+v+p+rho+S)^7", 330),
+    ("rho/(u+v+p+rho+S)^7", 330),
+    ("(u+v+p+rho+S)^7/(u+v+p+rho+S)^6", 5),
+])
+def test_parse_input_term_budget(ctx, text, terms):
+    # the budget counts the terms of the numerator and of the denominator
+    # after cancellation
+    if terms <= MAX_TERMS:
+        assert parse_input(ctx, text) == parse(ctx, text)
+    else:
+        with pytest.raises(InvalidParams, match="^%d terms" % terms):
+            parse_input(ctx, text)
 
 
 def test_main_derivative_map_contents(ctx):

@@ -12,12 +12,12 @@ from recipgas.liealg import (AutomorphismMatrix, NotInSpan,
 from recipgas.symkernel import Expr, parse
 from recipgas.symkernel.errors import SymkernelError
 from recipgas.symkernel.linalg import solve, transpose
-from recipgas.transforms import (appendix_pde_residuals,
-                                 center_pde_residuals, bateman, compose,
-                                 decompose, identity_map,
+from recipgas.transforms import (bateman, compose, decompose, identity_map,
                                  involution_E2_reciprocal, mu_plus,
                                  pushforward, pushforward_matrix,
                                  theorem_map, verify_automorphism_solution)
+
+from paper_relations import appendix_pde_residuals, center_pde_residuals
 
 
 @pytest.fixture(scope="module")

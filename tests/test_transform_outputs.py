@@ -17,7 +17,8 @@ of TRANSFORM, CLOSEDNESS, EXACT, then USAGE.
   in Latin-1 (one byte per character, so a record can hold bytes that
   are not UTF-8), with COLUMNS=80 for argparse's usage lines.  The one
   exit-2 case of tests/test_cli.py that patches the program first is not
-  an invocation and is left out.
+  an invocation and is left out, and so are the two term-budget cases,
+  which tests/test_cli.py checks character for character itself.
 
 Run this file with Python to rewrite the record from the current program:
 

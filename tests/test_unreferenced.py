@@ -7,10 +7,11 @@ attribute anywhere in src/ or bench/, or as an attribute name the
 benchmark tracer wraps (bench/tracer.py TARGETS).  An attribute named like
 one of a builtin type's (the `split` of `"...".split(".")`) is no use of a
 top-level definition, only of a method.  A top-level definition listed in
-a package's __all__ is the documented API and counts as used.  A
-reference from tests/ does not count: a helper only tests call belongs in
-tests/.  Importing or re-exporting a name is not a use.  Dunder methods
-are called by the language and are exempt.
+a package's __all__ is the documented API and counts as used; only the
+basic operations equivalence_generator, equivalence_residuals and invert
+are kept by that alone.  A reference from tests/ does not count: a helper
+only tests call belongs in tests/.  Importing or re-exporting a name is
+not a use.  Dunder methods are called by the language and are exempt.
 """
 
 import ast
@@ -86,21 +87,39 @@ def _references():
     return names, attributes
 
 
-def test_no_unreferenced_definitions():
+def _unused(exempt):
+    """Sorted [(name, where)] of the definitions in src/ the program does
+    not use, when the top-level names in `exempt` count as used."""
     names, attributes = _references()
-    exported = {n for listed in _exports().values() for n in listed}
 
     def used(name, top_level):
         if top_level:
-            return name in names or name in exported or (
+            return name in names or name in exempt or (
                 name in attributes and name not in BUILTIN_ATTRIBUTES)
         return name in names or name in attributes
 
-    unused = sorted("%s (%s)" % (name, where)
-                    for name, where, top_level in _definitions()
-                    if not used(name, top_level))
+    return sorted((name, where) for name, where, top_level in _definitions()
+                  if not used(name, top_level))
+
+
+def _exported():
+    return {n for listed in _exports().values() for n in listed}
+
+
+def test_no_unreferenced_definitions():
+    unused = ["%s (%s)" % pair for pair in _unused(_exported())]
     assert not unused, "defined but never used by the program: " + \
         ", ".join(unused)
+
+
+def test_exports_keep_only_the_documented_operations_alive():
+    # an __all__ export counts as a use; these are the only definitions
+    # that nothing but their export keeps, so a helper only tests call
+    # cannot come back into src/ through an export
+    kept = {name for name, _where in _unused(frozenset())} - \
+        {name for name, _where in _unused(_exported())}
+    assert kept == {"equivalence_generator", "equivalence_residuals",
+                    "invert"}
 
 
 def test_exports_resolve():
