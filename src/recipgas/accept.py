@@ -39,7 +39,7 @@ APPENDIX_NINE = (
 )
 
 
-def _expected_table(ctx):
+def _expected_table():
     """The target commutator table over basis order X1..X5, Xh, XF."""
     exp = {}
     for i in range(7):
@@ -60,7 +60,7 @@ def criterion_1(ctx=None, seed=DEFAULT_SEED) -> Report:
     rep = Report("criterion 1: commutator table")
     L = reciprocal_algebra(ctx)
     table = L.structure_constants()
-    expected = _expected_table(ctx)
+    expected = _expected_table()
     ok = True
     for (i, j), entry in table.items():
         if {i, j} == {5, 6}:

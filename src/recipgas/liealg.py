@@ -123,7 +123,7 @@ def zero_generator(ctx: Context) -> Generator:
     return generator(ctx, label="0")
 
 
-def generator_from_dict(ctx: Context, d: dict, label="") -> Generator:
+def generator_from_dict(ctx: Context, d: dict) -> Generator:
     """The generator of a JSON record with keys zeta_rho, zeta_u, zeta_v,
     zeta_p, zeta_S and form, and an optional label.  An absent slot is 0;
     a slot that is not an expression string, a form that is not 2x2, or
@@ -131,7 +131,7 @@ def generator_from_dict(ctx: Context, d: dict, label="") -> Generator:
     rec = parse_record(ctx, d, "generator", _RECORD_KEYS + ("form",), "0",
                        extra=("label",))
     return generator(ctx, *(rec[k] for k in _RECORD_KEYS), m=rec["form"],
-                     label=label or d.get("label", ""))
+                     label=d.get("label", ""))
 
 
 def equivalence_generator(ctx, xi_x=0, xi_y=0, zr=0, zu=0, zv=0, zp=0, zs=0,

@@ -20,15 +20,12 @@ serves two number types:
   2^(FIXED_BITS*(D-|m|)) folded into its coefficient, and each value is
   floor(value * 2^FIXED_BITS), from one floor division.
 
-A generated source is compiled once while it stays in the code cache:
-_code keeps the code objects of the last _CODE_CACHE distinct sources of
-the process (functools.lru_cache, safe across threads), keyed on the
-source text.  That key is exact: a
-float coefficient, and an integer one of up to 64 bits, is written into
-the source as a literal, and the source names every input it reads.  A
-longer integer coefficient is a global of the generated code, in an env
-built afresh on every call and given to one exec of the cached code, so
-two evaluators that share a source never share a value.
+An evaluator is generated once while it stays in the cache: _generate
+keeps the last _CODE_CACHE functions of the process (functools.lru_cache,
+safe across threads), keyed on what it reads: the _Numbers record, each
+Expr's numerator and denominator items in dict order, which fixes the
+order of every sum, and the (index, name) pairs of the variable slots
+they hold.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ import numpy as np
 
 from .errors import NumericDomain, UnboundSymbol
 from .poly import (MONO_ONE, QQ, mono_items, pdegree, pis_const,
-                   pleading_mono)
+                   pleading_mono, pvars)
 
 # terms per generated line, so that huge sums stay shallow for the compiler
 _TERMS_PER_LINE = 64
@@ -49,8 +46,7 @@ _TERMS_PER_LINE = 64
 # fractional bits of the integer evaluator's inputs and values
 FIXED_BITS = 256
 
-# distinct generated sources whose code objects are kept; a lie-flow pass
-# compiles 34
+# generated evaluators kept; a lie-flow pass has 35 keys, transform 16
 _CODE_CACHE = 128
 
 
@@ -67,31 +63,31 @@ def _float(value):
 
 class _Numbers(NamedTuple):
     """How generated code handles one number type."""
-    split: object      # Expr -> (numerator, denominator or None, quotient)
+    split: object      # (num, den) -> (num, den or None, quotient)
     constant: object   # (coefficient, env) -> source text of its value
     convert: object    # applied to each input value, or None
     nonzero: object    # true when a denominator value has no zero
 
 
-def _float_split(e):
+def _float_split(num, den):
     """Rational coefficients over a monic denominator, which divides the
     numerator unless it is 1."""
-    lc = e.den[pleading_mono(e.den)]
-    if pis_const(e.den):
-        return _over(e.num, lc), None, None
-    return _over(e.num, lc), _over(e.den, lc), "%s / %s"
+    lc = den[pleading_mono(den)]
+    if pis_const(den):
+        return _over(num, lc), None, None
+    return _over(num, lc), _over(den, lc), "%s / %s"
 
 
-def _fixed_split(e):
+def _fixed_split(num, den):
     """Integer numerator and denominator, each over 2^(FIXED_BITS*degree),
     and the floor division that scales their quotient by 2^FIXED_BITS."""
-    shift = FIXED_BITS * (1 + pdegree(e.den) - pdegree(e.num))
-    if e.den == {MONO_ONE: 1}:
+    shift = FIXED_BITS * (1 + pdegree(den) - pdegree(num))
+    if den == {MONO_ONE: 1}:
         if shift == 0:
-            return _scaled(e.num), None, None
-        return _scaled(e.num), None, (
+            return _scaled(num), None, None
+        return _scaled(num), None, (
             "%%s << %d" % shift if shift > 0 else "%%s >> %d" % -shift)
-    return _scaled(e.num), _scaled(e.den), (
+    return _scaled(num), _scaled(den), (
         "(%%s << %d) // %%s" % shift if shift >= 0
         else "%%s // (%%s << %d)" % -shift)
 
@@ -135,7 +131,7 @@ def compile_exprs(exprs):
     float, a zero denominator or a non-finite value raises NumericDomain.
     """
     try:
-        raw = _generate(list(exprs), _FLOATS)
+        raw = _generate(_FLOATS, *_key(exprs))
     except OverflowError as exc:
         raise NumericDomain("coefficient too large for a float (%s)"
                             % exc) from None
@@ -166,7 +162,7 @@ def compile_exprs_fixed(exprs):
     is exact before its one floor division.  A missing name raises
     UnboundSymbol; a zero denominator raises NumericDomain.
     """
-    raw = _generate(list(exprs), _FIXED)
+    raw = _generate(_FIXED, *_key(exprs))
 
     def evaluate(assignment: dict) -> list:
         try:
@@ -177,11 +173,22 @@ def compile_exprs_fixed(exprs):
     return evaluate
 
 
-def _generate(exprs, numbers: _Numbers):
+def _key(exprs):
+    """What _generate reads of exprs: the numerator and denominator items
+    of each, in order, and the (index, name) pairs of the slots they hold."""
+    exprs = list(exprs)
+    idxs = set().union(*(pvars(e.num) | pvars(e.den) for e in exprs))
+    return (tuple((tuple(e.num.items()), tuple(e.den.items()))
+                  for e in exprs),
+            tuple((i, exprs[0].ctx.names[i]) for i in sorted(idxs)))
+
+
+@lru_cache(maxsize=_CODE_CACHE)
+def _generate(numbers: _Numbers, polys, slots):
     """The generated function of the assignment, without error mapping.
     Every variable slot, a formal-function atom too, is read from the
-    assignment by its name (an atom's display name)."""
-    ctx = exprs[0].ctx if exprs else None
+    assignment by its name in slots (an atom's display name)."""
+    names = dict(slots)
     env = {"_float": numbers.convert, "_all": numbers.nonzero,
            "NumericDomain": NumericDomain}
     read = "_float(a[%r])" if numbers.convert else "a[%r]"
@@ -192,7 +199,7 @@ def _generate(exprs, numbers: _Numbers):
     def load(idx, e):
         """The local holding variable idx to the power e."""
         if idx not in top:
-            lines.append("v%d_1 = %s" % (idx, read % ctx.names[idx]))
+            lines.append("v%d_1 = %s" % (idx, read % names[idx]))
             top[idx] = 1
         for k in range(top[idx] + 1, e + 1):
             lines.append("v%d_%d = v%d_%d * v%d_1" % (idx, k, idx, k - 1, idx))
@@ -218,9 +225,9 @@ def _generate(exprs, numbers: _Numbers):
             lines.append("%s = %s" % (target, zero))
 
     dens = {}
-    for k, e in enumerate(exprs):
+    for k, (num, den) in enumerate(polys):
         r = "r%d" % k
-        num, den, quotient = numbers.split(e)
+        num, den, quotient = numbers.split(dict(num), dict(den))
         poly(r, num)
         if den is None:
             if quotient:
@@ -235,16 +242,10 @@ def _generate(exprs, numbers: _Numbers):
                          "'zero denominator at the evaluation point')" % d)
         lines.append("%s = %s" % (r, quotient % (r, d)))
     body = lines + ["return [%s]" % ", ".join("r%d" % k
-                                              for k in range(len(exprs)))]
+                                              for k in range(len(polys)))]
     src = "def _evaluate(a):\n" + "".join("    %s\n" % ln for ln in body)
-    exec(_code(src), env)
+    exec(compile(src, "<compile_exprs>", "exec"), env)
     return env["_evaluate"]
-
-
-@lru_cache(maxsize=_CODE_CACHE)
-def _code(src):
-    """The code object of a generated source."""
-    return compile(src, "<compile_exprs>", "exec")
 
 
 def _over(p, lc: int):

@@ -10,8 +10,8 @@ A monomial is a single integer: 16-bit fields hold the exponent of each
 variable (variable i at bits 16*(i+1)..), and the lowest field
 accumulates the total degree.  Monomial multiplication is integer
 addition; divisibility uses a guard-bit trick.  The total degree, and so
-every exponent, stays below 2^15: pvar, pmul and ppow raise
-DegreeOverflow before a field could carry into its neighbour.
+every exponent, stays below 2^15: pmul and ppow raise DegreeOverflow
+before a field could carry into its neighbour.
 
 Plain integer comparison of packed monomials is an admissible term order
 (total, multiplication-compatible, with 1 minimal), used internally for
@@ -89,9 +89,8 @@ def pconst(c: int) -> Poly:
     return {MONO_ONE: c} if c else {}
 
 
-def pvar(idx: int, exp: int = 1) -> Poly:
-    _check_degree(exp)
-    return {(exp << (_FB * (idx + 1))) + exp: 1}
+def pvar(idx: int) -> Poly:
+    return {(1 << (_FB * (idx + 1))) + 1: 1}
 
 
 def pis_zero(p: Poly) -> bool:

@@ -98,7 +98,7 @@ def identity_map(ctx: Context) -> ReciprocalMap:
                           ((1, 0), (0, 1)), name="identity")
 
 
-def map_from_dict(ctx: Context, d: dict, name="") -> ReciprocalMap:
+def map_from_dict(ctx: Context, d: dict) -> ReciprocalMap:
     """The map of a JSON record with keys R, U, V, P, H and form, and
     optional name; a missing, mis-shaped or unknown key raises a
     SymkernelError that names it."""
@@ -106,7 +106,7 @@ def map_from_dict(ctx: Context, d: dict, name="") -> ReciprocalMap:
                        extra=("name",))
     return reciprocal_map(
         ctx, *(rec[k] for k in ("R", "U", "V", "P", "H")), rec["form"],
-        name=name or d.get("name", ""))
+        name=d.get("name", ""))
 
 
 def load_map(ctx: Context, path) -> ReciprocalMap:

@@ -6,13 +6,13 @@ from recipgas.gasdyn import JETS, main_derivatives
 from recipgas.liealg import FunctionalConstant, _vectorize
 from recipgas.symkernel import Expr
 from recipgas.symkernel.linalg import reduce_row, rref
-from recipgas.symkernel.poly import pvar
+from recipgas.symkernel.poly import ppow, pvar
 
 
 def mono_pack(pairs) -> int:
     """The packed monomial of the (variable index, exponent) pairs: the
-    product of the pvar powers, whose packed monomials add."""
-    return sum(next(iter(pvar(i, e))) for i, e in pairs)
+    product of the powers of pvar, whose packed monomials add."""
+    return sum(next(iter(ppow(pvar(i), e))) for i, e in pairs)
 
 
 def monomial(ctx, key) -> Expr:

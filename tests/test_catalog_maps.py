@@ -434,7 +434,7 @@ def test_map_json_round_trip(ctx, tmp_path):
          "H": str(T.H), "form": [[str(c) for c in row] for row in T.f]}
     path = tmp_path / "m.json"
     path.write_text(json.dumps(d))
-    back = map_from_dict(ctx, json.loads(path.read_text()), name="bateman")
+    back = map_from_dict(ctx, json.loads(path.read_text()))
     for a, b in zip(back.components(), T.components()):
         assert (a - b).is_zero()
     assert invert(back).field_map() == invert(T).field_map()

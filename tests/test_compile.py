@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from recipgas.gasdyn import standard_context
+from recipgas.numerics import (GridSpec, ShearFlow, make_solution,
+                               transform_solution)
 from recipgas.symkernel import (FIXED_BITS, Expr, compile_exprs,
                                 compile_exprs_fixed, numeric, parse)
 from recipgas.symkernel.errors import NumericDomain, UnboundSymbol
@@ -250,9 +252,9 @@ def test_integer_arrays_evaluate_in_floats(ctx):
 
 def _generated_source(monkeypatch):
     """The list that collects the source of each function generated while
-    the monkeypatch holds.  The code cache is emptied first, so that a
-    source some earlier test compiled is seen too."""
-    numeric._code.cache_clear()
+    the monkeypatch holds.  The cache is emptied first, so that an
+    evaluator some earlier test generated is seen too."""
+    numeric._generate.cache_clear()
     sources = []
 
     def spy(src, *args):
@@ -308,7 +310,7 @@ def test_unit_coefficients_are_signs(ctx, monkeypatch):
     points = [dict(zip(names, rng.choices(values, k=5))) for _ in range(200)]
     points += [{n: rng.uniform(-4, 4) for n in names} for _ in range(200)]
     # the generated function itself, which leaves overflows unraised
-    raw = numeric._generate(exprs, numeric._FLOATS)
+    raw = numeric._generate(numeric._FLOATS, *numeric._key(exprs))
     kept = []
     for point in points:
         try:
@@ -353,8 +355,8 @@ def _bits(values):
 
 
 def test_equal_source_compiles_once(monkeypatch):
-    # the code of a source is cached: an equal source from a fresh context
-    # is not compiled again and evaluates to the same bits
+    # an evaluator is cached: equal Exprs from a fresh context are not
+    # generated again and evaluate to the same bits
     sources = _generated_source(monkeypatch)
     texts = ("u*v^2 - 3/7*p", "(rho*u + 1)/(p^2 - v)", "-S")
     first = compile_exprs([parse(standard_context(), t) for t in texts])
@@ -369,25 +371,75 @@ def test_equal_source_compiles_once(monkeypatch):
         assert _bits(second(point)) == _bits(first(point))
 
 
-def test_long_coefficients_are_not_cached(ctx, monkeypatch):
-    # coefficients above 64 bits are globals of the generated code, set
-    # per compile: two maps that differ only there share a source, and
-    # each keeps its own values
+def test_term_order_is_part_of_the_key():
+    # equal Exprs whose terms come in another order are two entries, and
+    # each sums in its own order: 1.0 + 1e16 rounds to 1e16
+    numeric._generate.cache_clear()
+    first = parse(standard_context(), "u + v + p")
+    second = parse(standard_context(), "p + v + u")
+    assert first == second and list(first.num) != list(second.num)
+    point = {"u": 1.0, "v": 1e16, "p": -1e16}
+    assert compile_exprs([first])(point) == [0.0]
+    assert compile_exprs([second])(point) == [1.0]
+    assert numeric._generate.cache_info().misses == 2
+
+
+def test_slot_reads_its_own_name():
+    # one slot holds h(S) in one context and F(S) in another: the
+    # polynomials are equal, and each evaluator reads its own atom
+    exprs = {}
+    for name in ("h", "F"):
+        fresh = standard_context()
+        exprs["%s(S)" % name] = 2 * Expr.function(fresh, name,
+                                                  parse(fresh, "S"))
+    h, F = exprs.values()
+    assert (h.num, h.den) == (F.num, F.den)
+    one = 1 << FIXED_BITS
+    for atom, e in exprs.items():
+        other, = set(exprs) - {atom}
+        assert compile_exprs([e])({atom: 0.25}) == [0.5]
+        assert compile_exprs_fixed([e])({atom: one}) == [2 * one]
+        for evaluate in (compile_exprs([e]), compile_exprs_fixed([e])):
+            with pytest.raises(UnboundSymbol, match=re.escape(atom)):
+                evaluate({other: 1})
+
+
+def test_repeated_transform_generates_nothing(monkeypatch):
+    # a second transform by the same map built on a fresh context finds
+    # every evaluator in the cache: nothing is split or written again
+    sol = make_solution(ShearFlow.example(),
+                        GridSpec(0, 0, 1 / 16, 1 / 16, 17, 17))
+    transform_solution(sol, bateman(standard_context(), 1, 0, 1, 0,
+                                    entropy="identity"))
+    calls = []
+    over = numeric._over
+    monkeypatch.setattr(numeric, "_over",
+                        lambda *args: calls.append(args) or over(*args))
+    transform_solution(sol, bateman(standard_context(), 1, 0, 1, 0,
+                                    entropy="identity"))
+    assert calls == []
+
+
+def test_long_coefficients_are_part_of_the_key(ctx, monkeypatch):
+    # coefficients above 64 bits are globals of the generated code: two
+    # maps that differ only there have the same source text but are two
+    # cache entries, and each keeps its own values
     sources = _generated_source(monkeypatch)
     one = 2 ** FIXED_BITS
     coeffs = (2 ** 70 + 1, 2 ** 70 + 3)
     evaluators = [compile_exprs_fixed([parse(ctx, "%d*u - v" % c)])
                   for c in coeffs]
-    src, = sources
-    assert "_c" in src
-    assert numeric._code.cache_info().hits == 1
+    first, second = sources
+    assert "_c" in first and first == second
+    info = numeric._generate.cache_info()
+    assert (info.hits, info.misses) == (0, 2)
     for c, evaluate in zip(coeffs, evaluators):
         assert evaluate({"u": one, "v": 3 * one}) == [(c - 3) * one]
 
 
 def test_code_cache_across_threads(ctx):
-    # threads that compile one source with different long coefficients,
-    # and sources that churn the cache, each get their own exact values
+    # threads that compile maps differing only in a long coefficient, and
+    # maps that churn the cache, each get their own exact values
     one = 2 ** FIXED_BITS
     shared = [parse(ctx, "%d*u - v" % (2 ** 70 + n)) for n in range(160)]
     churn = [parse(ctx, "u + %d" % n) for n in range(160)]
@@ -419,11 +471,11 @@ def test_code_cache_across_threads(ctx):
 
 
 def test_code_cache_is_bounded(ctx):
-    numeric._code.cache_clear()
+    numeric._generate.cache_clear()
     for k in range(numeric._CODE_CACHE + 5):
         assert compile_exprs([parse(ctx, "u + %d" % k)])({"u": 1.0}) == \
             [1.0 + k]
-    info = numeric._code.cache_info()
+    info = numeric._generate.cache_info()
     assert info.misses == numeric._CODE_CACHE + 5
     assert info.currsize == info.maxsize == numeric._CODE_CACHE
 

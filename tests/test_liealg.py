@@ -281,8 +281,7 @@ def test_generator_json_round_trip(ctx, basis, tmp_path):
     d["form"] = [[str(m) for m in row] for row in x3.matrix()]
     path = tmp_path / "x3.json"
     path.write_text(json.dumps(d))
-    back = generator_from_dict(ctx, json.loads(path.read_text()),
-                               label="X3")
+    back = generator_from_dict(ctx, json.loads(path.read_text()))
     assert back == x3
 
 

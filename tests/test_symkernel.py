@@ -387,11 +387,6 @@ def test_formal_applications_have_the_function_role(ctx):
 # below was silently wrong or a TypeError before the bound was checked
 
 
-def test_degree_bound_in_pvar():
-    with pytest.raises(DegreeOverflow):
-        pvar(0, 1 << 15)
-
-
 def test_degree_bound_in_pmul_and_ppow(ctx):
     x = pvar(ctx.idx("x"))
     with pytest.raises(DegreeOverflow):

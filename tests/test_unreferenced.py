@@ -12,6 +12,10 @@ basic operations equivalence_generator, equivalence_residuals and invert
 are kept by that alone.  A reference from tests/ does not count: a helper
 only tests call belongs in tests/.  Importing or re-exporting a name is
 not a use.  Dunder methods are called by the language and are exempt.
+
+Every defaulted parameter of a function that src/ or bench/ calls by name
+is passed at one of those calls: an option that only tests set belongs
+in the tests.
 """
 
 import ast
@@ -129,6 +133,69 @@ def test_exports_resolve():
                if not hasattr(importlib.import_module(mod), name)]
     assert not missing, "__all__ names that do not exist: " + \
         ", ".join(missing)
+
+
+def _calls():
+    """{callee name: [ast.Call]} of the calls by name in src/ and bench/."""
+    calls = collections.defaultdict(list)
+    for tree_dir in ("src", "bench"):
+        for _path, tree in _trees(tree_dir):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id",
+                                   getattr(node.func, "attr", None))
+                    calls[name].append(node)
+    return calls
+
+
+def _passes(call, param, position):
+    """True when the call passes the parameter: by keyword, by position
+    (None for a keyword-only one) or through * or **."""
+    return any(k.arg in (None, param) for k in call.keywords) or (
+        position is not None and (
+            len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args)))
+
+
+def _options():
+    """[(function, parameter, where, position)] of the defaulted
+    parameters of the non-dunder functions in src/; a position counts
+    the arguments a call passes, so a method's self or cls is not one."""
+    out = []
+    for path, tree in _trees("src"):
+        methods = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for n in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            a = node.args
+            bound = id(node) in methods and not any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in node.decorator_list)
+            positional = a.posonlyargs + a.args
+            where = "%s:%d" % (path.relative_to(ROOT), node.lineno)
+            first = len(positional) - len(a.defaults)
+            out += [(node.name, p.arg, where, k - bound)
+                    for k, p in enumerate(positional) if k >= first]
+            out += [(node.name, p.arg, where, None)
+                    for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None]
+    return out
+
+
+def test_every_option_is_set():
+    # catalog() passes a CATALOG builder its parameters as **params, and
+    # python -m recipgas calls cli.main() with the process's arguments
+    from recipgas.transforms.catalog import CATALOG
+    exempt = {"main"} | {f.__name__ for f in CATALOG.values()}
+    calls = _calls()
+    unset = ["%s(%s=) (%s)" % (fn, param, where)
+             for fn, param, where, position in _options()
+             if fn in calls and fn not in exempt
+             and not any(_passes(c, param, position) for c in calls[fn])]
+    assert not unset, "options no call in src/ or bench/ sets: " + \
+        ", ".join(unset)
 
 
 def _raised_name(node):
